@@ -8,7 +8,7 @@
 //
 // The rows of (a) and (b) are independent simulations seeded per row, so
 // they run concurrently on the thread pool (--threads=N) and print in
-// order afterwards; (c) threads one Rng through its rows and stays serial.
+// row order; (c) threads one Rng through its rows and stays serial.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -25,36 +25,21 @@
 
 using namespace tv;
 
-namespace {
-
-// Runs `row(i)` for every index either serially or on the pool, then
-// prints the formatted lines in row order.
-template <typename Row>
-void run_rows(util::ThreadPool* pool, std::size_t n, Row row) {
-  std::vector<std::string> lines(n);
-  const auto body = [&](std::size_t i) { lines[i] = row(i); };
-  if (pool && n > 1) {
-    pool->parallel_for(n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-  for (const auto& line : lines) std::fputs(line.c_str(), stdout);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Ablation", "model accuracy checks", options);
   std::optional<util::ThreadPool> pool;
   if (options.threads > 1) pool.emplace(options.threads);
   util::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
+  const auto print = [](const std::string& line) {
+    std::fputs(line.c_str(), stdout);
+  };
 
   std::printf("\n(a) 2-MMPP/G/1: solver vs. DES vs. naive M/G/1\n");
   std::printf("%-8s %-12s %-14s %-12s %-10s\n", "rho", "solver ms",
               "DES ms", "M/G/1 ms", "err vs DES");
   const std::vector<double> scales = {1.0, 2.0, 4.0, 5.5, 6.3};
-  run_rows(pool_ptr, scales.size(), [&](std::size_t i) {
+  util::run_ordered(pool_ptr, scales.size(), [&](std::size_t i) {
     const double scale = scales[i];
     queueing::Mmpp2 mmpp{.r12 = 260.0, .r21 = 1.05,
                          .lambda1 = 4400.0 * scale, .lambda2 = 40.0 * scale};
@@ -67,14 +52,12 @@ int main(int argc, char** argv) {
                                               options.seed);
     const auto pk = queueing::solve_mg1(mmpp.mean_rate(), svc.mean(),
                                         svc.moment2(), svc.moment3());
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%-8.3f %-12.3f %-14.3f %-12.3f %9.1f%%\n",
-                  sol.utilization, sol.mean_wait * 1e3,
-                  sim.wait.mean() * 1e3, pk.mean_wait * 1e3,
-                  100.0 * (sol.mean_wait - sim.wait.mean()) /
-                      sim.wait.mean());
-    return std::string(buf);
-  });
+    return util::fmt("%-8.3f %-12.3f %-14.3f %-12.3f %9.1f%%\n",
+                     sol.utilization, sol.mean_wait * 1e3,
+                     sim.wait.mean() * 1e3, pk.mean_wait * 1e3,
+                     100.0 * (sol.mean_wait - sim.wait.mean()) /
+                         sim.wait.mean());
+  }, print);
   std::printf("-> the MMPP solver matches the DES; the Poisson M/G/1 "
               "misses the burstiness premium entirely.\n");
 
@@ -82,17 +65,15 @@ int main(int argc, char** argv) {
   std::printf("%-6s %-12s %-12s %-12s %-12s\n", "n", "tau (model)",
               "tau (sim)", "p (model)", "p (sim)");
   const std::vector<int> stations = {2, 4, 8, 16, 32};
-  run_rows(pool_ptr, stations.size(), [&](std::size_t i) {
+  util::run_ordered(pool_ptr, stations.size(), [&](std::size_t i) {
     const int n = stations[i];
     wifi::DcfParameters params{.contenders = n};
     const auto model = wifi::solve_dcf(params);
     const auto sim = wifi::simulate_dcf(params, 400000, options.seed);
-    char buf[160];
-    std::snprintf(buf, sizeof buf, "%-6d %-12.5f %-12.5f %-12.5f %-12.5f\n",
-                  n, model.attempt_probability, sim.attempt_probability,
-                  model.collision_probability, sim.collision_probability);
-    return std::string(buf);
-  });
+    return util::fmt("%-6d %-12.5f %-12.5f %-12.5f %-12.5f\n", n,
+                     model.attempt_probability, sim.attempt_probability,
+                     model.collision_probability, sim.collision_probability);
+  }, print);
 
   std::printf("\n(c) distortion flow model: exact DP vs. Monte Carlo\n");
   std::printf("%-22s %-12s %-14s\n", "(P_I, P_P)", "DP MSE", "MC MSE");

@@ -152,10 +152,7 @@ Algorithm cipher_algorithm(const tv::crypto::BlockCipher& cipher) {
 }
 
 std::string json_number(double v) {
-  if (v <= 0.0 || !std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+  return v > 0.0 && std::isfinite(v) ? tv::util::fmt("%.6g", v) : "null";
 }
 
 }  // namespace

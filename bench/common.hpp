@@ -144,27 +144,6 @@ inline core::SweepSpec base_spec(const BenchOptions& options, bool quality) {
   return spec;
 }
 
-/// Fans sweep results out to several sinks; the runner still sees a single
-/// ResultSink and keeps its deterministic in-order delivery.
-class TeeSink : public core::ResultSink {
- public:
-  void add(core::ResultSink* sink) {
-    if (sink != nullptr) sinks_.push_back(sink);
-  }
-  void begin(const core::SweepSpec& spec) override {
-    for (auto* s : sinks_) s->begin(spec);
-  }
-  void cell(const core::CellResult& result) override {
-    for (auto* s : sinks_) s->cell(result);
-  }
-  void end() override {
-    for (auto* s : sinks_) s->end();
-  }
-
- private:
-  std::vector<core::ResultSink*> sinks_;
-};
-
 /// Executes figure grids on the shared thread pool and accumulates a small
 /// cells/wall-time tally for the end-of-run summary line.  With
 /// --json=FILE / --csv the engine tees every cell into machine-readable
@@ -187,14 +166,14 @@ class BenchEngine {
       json_sink_ = std::make_unique<core::JsonlSink>(json_out_);
     }
     if (options.csv) {
-      csv_sink_ = std::make_unique<core::CsvSink>(std::cout);
+      csv_sink_ = std::make_unique<CsvSink>(std::cout);
     }
   }
 
   /// Runs the grid and returns results in row-major cell order.
   std::vector<core::CellResult> run(const core::SweepSpec& spec) {
     core::CollectSink collect;
-    TeeSink tee;
+    util::TeeSink<core::SweepSpec, core::CellResult> tee;
     tee.add(&collect);
     tee.add(json_sink_.get());
     tee.add(csv_sink_.get());
@@ -219,7 +198,8 @@ class BenchEngine {
   core::SweepRunner runner_;
   std::ofstream json_out_;
   std::unique_ptr<core::JsonlSink> json_sink_;
-  std::unique_ptr<core::CsvSink> csv_sink_;
+  using CsvSink = util::CsvSink<core::SweepSpec, core::CellResult>;
+  std::unique_ptr<CsvSink> csv_sink_;
   std::size_t cells_ = 0;
   double wall_s_ = 0.0;
 };
@@ -254,10 +234,8 @@ inline void print_expectation(const char* note) {
 
 /// "12.3 ±0.4" with fixed widths.
 inline std::string fmt_ci(const util::RunningStats& s, int precision = 1) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f ±%.*f", precision, s.mean(), precision,
-                s.ci95_halfwidth());
-  return buf;
+  return util::fmt("%.*f ±%.*f", precision, s.mean(), precision,
+                   s.ci95_halfwidth());
 }
 
 /// The slow/fast labels the paper uses (low/high motion presets).

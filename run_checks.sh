@@ -5,7 +5,7 @@
 # Usage: ./run_checks.sh [--sanitize-only | --tsan-only | --validation-only
 #                         | --coverage | --tidy | --live-smoke | --chaos-smoke
 #                         | --bench-smoke | --cell-smoke | --alloc-smoke
-#                         | --analysis-smoke]
+#                         | --analysis-smoke | --clean-clone]
 #
 # Test tiers are selected by ctest labels (see docs/validation.md):
 #   * default passes run everything except the `slow` label (the full-grid
@@ -42,6 +42,10 @@
 #     validity and the no-countermeasure I-frame recall floor (>= 0.9).
 #     Both the plain and the ASan+UBSan builds, each under a hard
 #     timeout.
+#   * --clean-clone extracts `git archive HEAD` into a temporary directory
+#     and runs the tier-1 build and ctest there, so untracked local files
+#     (regenerated fixtures, stale build trees) cannot mask a red tree.
+#     It tests the last commit, not uncommitted edits.
 #
 # Every build configures with -DTHRIFTYVID_WERROR=ON: the tree is expected
 # to be warning-clean under -Wall -Wextra, and promoting warnings to errors
@@ -61,15 +65,27 @@ jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-}"
 
 case "${mode}" in
-  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke) ;;
+  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke|--clean-clone) ;;
   *)
     echo "usage: $0 [--sanitize-only | --tsan-only | --validation-only |" \
          "--coverage | --tidy | --live-smoke | --chaos-smoke |" \
          "--bench-smoke | --cell-smoke | --alloc-smoke |" \
-         "--analysis-smoke]" >&2
+         "--analysis-smoke | --clean-clone]" >&2
     exit 2
     ;;
 esac
+
+if [[ "${mode}" == "--clean-clone" ]]; then
+  clone=$(mktemp -d)
+  trap 'rm -rf "${clone}"' EXIT
+  echo "=== clean clone: git archive HEAD -> ${clone} ==="
+  git archive HEAD | tar -x -C "${clone}"
+  cmake -B "${clone}/build" -S "${clone}" -DTHRIFTYVID_WERROR=ON
+  cmake --build "${clone}/build" -j "${jobs}"
+  ctest --test-dir "${clone}/build" --output-on-failure -j "${jobs}"
+  echo "=== clean clone passed ==="
+  exit 0
+fi
 
 if [[ "${mode}" == "--bench-smoke" ]]; then
   # The bench must complete quickly and emit schema-valid JSON; `timeout`

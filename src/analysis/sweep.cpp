@@ -1,12 +1,7 @@
 #include "analysis/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -17,43 +12,10 @@
 #include "live/stream_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "video/quality.hpp"
 
 namespace tv::analysis {
 
-namespace {
-
-std::string fmt(const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-double decode_psnr(const core::Workload& workload,
-                   const std::vector<video::ReceivedFrameData>& frames) {
-  const video::Decoder decoder{workload.codec};
-  const video::FrameSequence decoded = decoder.decode_stream(
-      workload.stream.width, workload.stream.height, frames);
-  return video::sequence_psnr(workload.clip, decoded);
-}
-
-/// JSON string contents of the policy/shaping specs are plain ASCII
-/// ("I+20P", "pad256+jit2ms"), but escape quotes/backslashes anyway so a
-/// future spec grammar cannot silently corrupt the JSONL stream.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
+using util::fmt;
 
 std::vector<policy::EncryptionPolicy> LeakageSpec::policy_axis() const {
   if (!policies.empty()) return policies;
@@ -195,7 +157,7 @@ LeakageCellResult run_leakage_cell(
   r.truth = ground_truth_of(workload, packets, send_times,
                             spec.adversary.trajectory_window_s);
   const int frame_count = static_cast<int>(workload.stream.frames.size());
-  r.truth.eavesdropper_psnr_db = decode_psnr(
+  r.truth.eavesdropper_psnr_db = core::decode_psnr(
       workload, net::reassemble(packets, transfer.eavesdropper_captured,
                                 frame_count, nullptr, flow_iv));
   r.metrics = score_leakage(r.inference, r.truth);
@@ -217,96 +179,63 @@ LeakageCellResult run_leakage_cell(
   return r;
 }
 
-void LeakageTableSink::begin(const LeakageSpec& spec) {
-  out_ << fmt("leakage sweep: motion=%s gop=%d frames=%d seed=%llu\n",
-              to_string(spec.motion), spec.gop_size, spec.frames,
-              static_cast<unsigned long long>(spec.seed));
-  out_ << "cell policy     shaping              "
-          "iP     iR     gopE  mot  brErr   trajMAE  qErr    "
-          "psnrE   delay_ms  power_w  pad_B\n";
+void table_header(std::ostream& out, const LeakageSpec& spec) {
+  out << fmt("leakage sweep: motion=%s gop=%d frames=%d seed=%llu\n",
+             to_string(spec.motion), spec.gop_size, spec.frames,
+             static_cast<unsigned long long>(spec.seed));
+  out << "cell policy     shaping              "
+         "iP     iR     gopE  mot  brErr   trajMAE  qErr    "
+         "psnrE   delay_ms  power_w  pad_B\n";
 }
 
-void LeakageTableSink::cell(const LeakageCellResult& r) {
-  out_ << fmt("%4zu %-10s %-20s %.3f  %.3f  %4d  %-3s  %.4f  %7.1f  %.4f  "
-              "%6.2f  %8.2f  %7.3f  %5zu\n",
-              r.cell.index, r.cell.policy.spec().c_str(),
-              r.cell.shaping.spec().c_str(), r.metrics.i_precision,
-              r.metrics.i_recall, r.metrics.gop_error,
-              r.metrics.motion_match ? "ok" : "NO",
-              r.metrics.bitrate_rel_error, r.metrics.trajectory_mae_kbps,
-              r.metrics.encrypted_fraction_error, r.metrics.psnr_error_db,
-              r.mean_delay_ms, r.mean_power_w, r.pad_overhead_bytes);
+void table_row(std::ostream& out, const LeakageSpec& /*spec*/,
+               const LeakageCellResult& r) {
+  out << fmt("%4zu %-10s %-20s %.3f  %.3f  %4d  %-3s  %.4f  %7.1f  %.4f  "
+             "%6.2f  %8.2f  %7.3f  %5zu\n",
+             r.cell.index, r.cell.policy.spec().c_str(),
+             r.cell.shaping.spec().c_str(), r.metrics.i_precision,
+             r.metrics.i_recall, r.metrics.gop_error,
+             r.metrics.motion_match ? "ok" : "NO",
+             r.metrics.bitrate_rel_error, r.metrics.trajectory_mae_kbps,
+             r.metrics.encrypted_fraction_error, r.metrics.psnr_error_db,
+             r.mean_delay_ms, r.mean_power_w, r.pad_overhead_bytes);
 }
 
-void LeakageJsonlSink::cell(const LeakageCellResult& r) {
-  out_ << fmt("{\"cell\":%zu,\"policy\":\"%s\",\"shaping\":\"%s\","
-              "\"seed\":%llu,",
-              r.cell.index, json_escape(r.cell.policy.spec()).c_str(),
-              json_escape(r.cell.shaping.spec()).c_str(),
-              static_cast<unsigned long long>(r.cell.seed));
-  out_ << fmt("\"packets\":%zu,\"captured\":%zu,\"frames_observed\":%zu,"
-              "\"i_frames_detected\":%zu,",
-              r.packet_count, r.captured_packets, r.inference.frames.size(),
-              r.inference.i_frames_detected);
-  out_ << fmt("\"gop_est\":%d,\"gop_true\":%d,\"motion_est\":\"%s\","
-              "\"motion_true\":\"%s\",",
-              r.inference.gop_size_est, r.truth.gop_size,
-              to_string(r.inference.motion_est), to_string(r.truth.motion));
-  out_ << fmt("\"bitrate_est_bps\":%.17g,\"bitrate_true_bps\":%.17g,"
-              "\"q_est\":%.17g,\"q_true\":%.17g,"
-              "\"psnr_est_db\":%.17g,\"psnr_true_db\":%.17g,",
-              r.inference.mean_bitrate_bps, r.truth.mean_bitrate_bps,
-              r.inference.encrypted_fraction_est,
-              r.truth.encrypted_packet_fraction,
-              r.inference.eavesdropper_psnr_db_est,
-              r.truth.eavesdropper_psnr_db);
-  out_ << fmt("\"i_precision\":%.17g,\"i_recall\":%.17g,\"i_f1\":%.17g,"
-              "\"gop_error\":%d,\"motion_match\":%s,"
-              "\"bitrate_rel_error\":%.17g,\"trajectory_mae_kbps\":%.17g,"
-              "\"encrypted_fraction_error\":%.17g,\"psnr_error_db\":%.17g,",
-              r.metrics.i_precision, r.metrics.i_recall, r.metrics.i_f1,
-              r.metrics.gop_error, r.metrics.motion_match ? "true" : "false",
-              r.metrics.bitrate_rel_error, r.metrics.trajectory_mae_kbps,
-              r.metrics.encrypted_fraction_error, r.metrics.psnr_error_db);
-  out_ << fmt("\"duration_s\":%.17g,\"mean_delay_ms\":%.17g,"
-              "\"mean_power_w\":%.17g,\"pad_overhead_bytes\":%zu,"
-              "\"jitter_mean_delay_s\":%.17g}\n",
-              r.duration_s, r.mean_delay_ms, r.mean_power_w,
-              r.pad_overhead_bytes, r.jitter_mean_delay_s);
-}
-
-void LeakageCsvSink::begin(const LeakageSpec& spec) {
-  (void)spec;
-  out_ << "cell,policy,shaping,seed,packets,captured,frames_observed,"
-          "i_frames_detected,gop_est,gop_true,motion_est,motion_true,"
-          "bitrate_est_bps,bitrate_true_bps,q_est,q_true,psnr_est_db,"
-          "psnr_true_db,i_precision,i_recall,i_f1,gop_error,motion_match,"
-          "bitrate_rel_error,trajectory_mae_kbps,encrypted_fraction_error,"
-          "psnr_error_db,duration_s,mean_delay_ms,mean_power_w,"
-          "pad_overhead_bytes,jitter_mean_delay_s\n";
-}
-
-void LeakageCsvSink::cell(const LeakageCellResult& r) {
-  out_ << fmt("%zu,%s,%s,%llu,%zu,%zu,%zu,%zu,%d,%d,%s,%s,", r.cell.index,
-              r.cell.policy.spec().c_str(), r.cell.shaping.spec().c_str(),
-              static_cast<unsigned long long>(r.cell.seed), r.packet_count,
-              r.captured_packets, r.inference.frames.size(),
-              r.inference.i_frames_detected, r.inference.gop_size_est,
-              r.truth.gop_size, to_string(r.inference.motion_est),
-              to_string(r.truth.motion));
-  out_ << fmt("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,",
-              r.inference.mean_bitrate_bps, r.truth.mean_bitrate_bps,
-              r.inference.encrypted_fraction_est,
-              r.truth.encrypted_packet_fraction,
-              r.inference.eavesdropper_psnr_db_est,
-              r.truth.eavesdropper_psnr_db);
-  out_ << fmt("%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%.17g,",
-              r.metrics.i_precision, r.metrics.i_recall, r.metrics.i_f1,
-              r.metrics.gop_error, r.metrics.motion_match ? 1 : 0,
-              r.metrics.bitrate_rel_error, r.metrics.trajectory_mae_kbps,
-              r.metrics.encrypted_fraction_error, r.metrics.psnr_error_db);
-  out_ << fmt("%.17g,%.17g,%.17g,%zu,%.17g\n", r.duration_s, r.mean_delay_ms,
-              r.mean_power_w, r.pad_overhead_bytes, r.jitter_mean_delay_s);
+util::Record to_record(const LeakageCellResult& r) {
+  util::Record out;
+  out.add("cell", r.cell.index)
+      .add("policy", r.cell.policy.spec())
+      .add("shaping", r.cell.shaping.spec())
+      .add("seed", r.cell.seed)
+      .add("packets", r.packet_count)
+      .add("captured", r.captured_packets)
+      .add("frames_observed", r.inference.frames.size())
+      .add("i_frames_detected", r.inference.i_frames_detected)
+      .add("gop_est", r.inference.gop_size_est)
+      .add("gop_true", r.truth.gop_size)
+      .add("motion_est", to_string(r.inference.motion_est))
+      .add("motion_true", to_string(r.truth.motion))
+      .add("bitrate_est_bps", r.inference.mean_bitrate_bps)
+      .add("bitrate_true_bps", r.truth.mean_bitrate_bps)
+      .add("q_est", r.inference.encrypted_fraction_est)
+      .add("q_true", r.truth.encrypted_packet_fraction)
+      .add("psnr_est_db", r.inference.eavesdropper_psnr_db_est)
+      .add("psnr_true_db", r.truth.eavesdropper_psnr_db)
+      .add("i_precision", r.metrics.i_precision)
+      .add("i_recall", r.metrics.i_recall)
+      .add("i_f1", r.metrics.i_f1)
+      .add("gop_error", r.metrics.gop_error)
+      .add("motion_match", r.metrics.motion_match)
+      .add("bitrate_rel_error", r.metrics.bitrate_rel_error)
+      .add("trajectory_mae_kbps", r.metrics.trajectory_mae_kbps)
+      .add("encrypted_fraction_error", r.metrics.encrypted_fraction_error)
+      .add("psnr_error_db", r.metrics.psnr_error_db)
+      .add("duration_s", r.duration_s)
+      .add("mean_delay_ms", r.mean_delay_ms)
+      .add("mean_power_w", r.mean_power_w)
+      .add("pad_overhead_bytes", r.pad_overhead_bytes)
+      .add("jitter_mean_delay_s", r.jitter_mean_delay_s);
+  return out;
 }
 
 LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
@@ -319,45 +248,11 @@ LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
       core::build_workload(spec.motion, spec.gop_size, spec.frames,
                            spec.seed, spec.pipeline.fps);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   LeakageSummary summary;
-  summary.cells = cells.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<LeakageCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<LeakageCellResult> r) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(r);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      sink.cell(*slots[next_flush]);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_one = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<LeakageCellResult>(
-                               run_leakage_cell(spec, cells[index],
-                                                workload)));
-  };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_one(i);
-  }
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  util::stream_grid(
+      pool_, spec, cells.size(),
+      [&](std::size_t i) { return run_leakage_cell(spec, cells[i], workload); },
+      sink, summary);
   return summary;
 }
 

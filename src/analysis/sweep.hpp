@@ -19,6 +19,7 @@
 
 #include "analysis/leakage.hpp"
 #include "core/pipeline.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -88,79 +89,19 @@ struct LeakageCellResult {
     const core::Workload& workload,
     const std::vector<net::WireRtpPacket>* external_capture = nullptr);
 
-/// Consumer of cell results; calls arrive strictly in cell order.
-class LeakageSink {
- public:
-  virtual ~LeakageSink() = default;
-  virtual void begin(const LeakageSpec& /*spec*/) {}
-  virtual void cell(const LeakageCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumers of cell results (util/sink.hpp); calls arrive strictly in
+/// cell order.
+using LeakageSink = util::Sink<LeakageSpec, LeakageCellResult>;
 
-/// Human-readable aligned table, one row per cell.
-class LeakageTableSink : public LeakageSink {
- public:
-  explicit LeakageTableSink(std::ostream& out) : out_(out) {}
-  void begin(const LeakageSpec& spec) override;
-  void cell(const LeakageCellResult& result) override;
+/// One cell as a record: JSONL at %.17g (golden-pinnable) and its CSV
+/// flattening.
+[[nodiscard]] util::Record to_record(const LeakageCellResult& result);
+/// The aligned table, one row per cell.
+void table_header(std::ostream& out, const LeakageSpec& spec);
+void table_row(std::ostream& out, const LeakageSpec& spec,
+               const LeakageCellResult& result);
 
- private:
-  std::ostream& out_;
-};
-
-/// One JSON object per cell per line at %.17g (golden-pinnable).
-class LeakageJsonlSink : public LeakageSink {
- public:
-  explicit LeakageJsonlSink(std::ostream& out) : out_(out) {}
-  void cell(const LeakageCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// CSV with a header row — the spreadsheet twin of the JSONL sink.
-class LeakageCsvSink : public LeakageSink {
- public:
-  explicit LeakageCsvSink(std::ostream& out) : out_(out) {}
-  void begin(const LeakageSpec& spec) override;
-  void cell(const LeakageCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class LeakageCollectSink : public LeakageSink {
- public:
-  void cell(const LeakageCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<LeakageCellResult> results;
-};
-
-/// Fan a result stream to several sinks (--json/--csv teeing).
-class LeakageTeeSink : public LeakageSink {
- public:
-  void add(LeakageSink* sink) { sinks_.push_back(sink); }
-  void begin(const LeakageSpec& spec) override {
-    for (auto* s : sinks_) s->begin(spec);
-  }
-  void cell(const LeakageCellResult& result) override {
-    for (auto* s : sinks_) s->cell(result);
-  }
-  void end() override {
-    for (auto* s : sinks_) s->end();
-  }
-
- private:
-  std::vector<LeakageSink*> sinks_;
-};
-
-struct LeakageSummary {
-  std::size_t cells = 0;
-  unsigned threads = 1;
-  double wall_s = 0.0;
-};
+using LeakageSummary = util::GridSummary;
 
 /// Executes LeakageSpecs, optionally on a thread pool.  `pool == nullptr`
 /// runs serially; any pool size yields byte-identical sink output.

@@ -1,9 +1,6 @@
 #include "cell/cell.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -19,51 +16,7 @@ namespace tv::cell {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// %.17g rendering with non-finite values mapped to null (slack is +inf
-/// for flows without a deadline; JSON has no inf literal).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt("%.17g", v);
-}
-
-std::string json_stats(const util::RunningStats& s) {
-  if (s.count() == 0) return "null";
-  return fmt("{\"n\":%zu,\"mean\":%.17g,\"ci95\":%.17g,\"min\":%.17g,"
-             "\"max\":%.17g}",
-             s.count(), s.mean(), s.ci95_halfwidth(), s.min(), s.max());
-}
-
-/// Deterministic per-flow IV sized for the cipher (same derivation idiom
-/// as run_experiment's).
-std::vector<std::uint8_t> flow_iv_for(const crypto::BlockCipher& cipher,
-                                      std::uint64_t seed) {
-  std::vector<std::uint8_t> iv(cipher.block_size());
-  std::uint64_t state = seed ^ 0x1234567890abcdefULL;
-  for (auto& b : iv) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    b = static_cast<std::uint8_t>(state >> 56);
-  }
-  return iv;
-}
+using util::fmt;
 
 /// Mean on-air bytes (payload + RTP/UDP/IP) of a packetization.
 double mean_wire_bytes(const std::vector<net::VideoPacket>& packets) {
@@ -251,7 +204,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
         util::derive_seed(spec.seed, kCipherStream, f);
     const auto cipher =
         crypto::make_cipher_from_seed(out.policy.algorithm, cipher_seed);
-    const auto flow_iv = flow_iv_for(*cipher, cipher_seed);
+    const auto flow_iv = core::flow_iv_for(*cipher, cipher_seed);
     net::encrypt_selected(packets, selected, *cipher, flow_iv);
 
     const int frame_count = static_cast<int>(w.stream.frames.size());
@@ -369,128 +322,105 @@ void CapacitySpec::validate() const {
   probe.validate();
 }
 
-void CellTableSink::begin(const CapacitySpec& spec) {
-  quality_ = spec.base.evaluate_quality;
-  out_ << "flows  adm  def  deg  p_coll   p_s     Mb/s/flow  E[W] ms   ";
-  if (quality_) out_ << "rxPSNR   evPSNR   ";
-  out_ << "W mean   J mean    miss%\n";
+void table_header(std::ostream& out, const CapacitySpec& spec) {
+  out << "flows  adm  def  deg  p_coll   p_s     Mb/s/flow  E[W] ms   ";
+  if (spec.base.evaluate_quality) out << "rxPSNR   evPSNR   ";
+  out << "W mean   J mean    miss%\n";
 }
 
-void CellTableSink::point(const CapacityPoint& p) {
+void table_row(std::ostream& out, const CapacitySpec& spec,
+               const CapacityPoint& p) {
   const CellResult& r = p.result;
-  out_ << fmt("%5d  %3d  %3d  %3d  %7.4f  %6.4f  %9.4f  %8.3f  ", p.flows,
-              r.admitted, r.deferred, r.total_degrade_steps,
-              r.contention.collision_prob, r.contention.mac_success_prob,
-              r.contention.per_flow_throughput_mbps, r.delay_ms.mean());
-  if (quality_) {
-    out_ << fmt("%7.2f  %7.2f  ", r.receiver_psnr_db.mean(),
-                r.eavesdropper_psnr_db.mean());
+  out << fmt("%5d  %3d  %3d  %3d  %7.4f  %6.4f  %9.4f  %8.3f  ", p.flows,
+             r.admitted, r.deferred, r.total_degrade_steps,
+             r.contention.collision_prob, r.contention.mac_success_prob,
+             r.contention.per_flow_throughput_mbps, r.delay_ms.mean());
+  if (spec.base.evaluate_quality) {
+    out << fmt("%7.2f  %7.2f  ", r.receiver_psnr_db.mean(),
+               r.eavesdropper_psnr_db.mean());
   }
-  out_ << fmt("%7.3f  %8.3f  %5.1f\n", r.power_w.mean(), r.energy_j.mean(),
-              100.0 * r.deadline_miss_fraction());
+  out << fmt("%7.3f  %8.3f  %5.1f\n", r.power_w.mean(), r.energy_j.mean(),
+             100.0 * r.deadline_miss_fraction());
 }
 
-void CellJsonlSink::point(const CapacityPoint& p) {
+util::Record to_record(const CapacityPoint& p) {
   const CellResult& r = p.result;
-  out_ << "{\"point\":" << p.index << ",\"flows\":" << p.flows
-       << ",\"background\":" << r.background
-       << ",\"admitted\":" << r.admitted << ",\"deferred\":" << r.deferred
-       << ",\"degrade_steps\":" << r.total_degrade_steps
-       << ",\"schedule_iterations\":" << r.schedule_iterations
-       << fmt(",\"contention\":{\"contenders\":%d,\"collision_prob\":%.17g,"
-              "\"mac_success_prob\":%.17g,\"backoff_rate\":%.17g,"
-              "\"mean_slot_s\":%.17g,\"per_flow_throughput_mbps\":%.17g,"
-              "\"iterations\":%d}",
-              r.contention.contenders, r.contention.collision_prob,
-              r.contention.mac_success_prob, r.contention.backoff_rate,
-              r.contention.mean_slot_s,
-              r.contention.per_flow_throughput_mbps, r.contention.dcf.iterations)
-       << ",\"delay_ms\":" << json_stats(r.delay_ms)
-       << ",\"duration_s\":" << json_stats(r.duration_s)
-       << ",\"power_w\":" << json_stats(r.power_w)
-       << ",\"energy_j\":" << json_stats(r.energy_j)
-       << ",\"receiver_psnr_db\":" << json_stats(r.receiver_psnr_db)
-       << ",\"eavesdropper_psnr_db\":" << json_stats(r.eavesdropper_psnr_db)
-       << fmt(",\"deadline_miss_fraction\":%.17g",
-              r.deadline_miss_fraction())
-       << ",\"flows_detail\":[";
-  for (std::size_t f = 0; f < r.flow_outcomes.size(); ++f) {
-    const FlowOutcome& o = r.flow_outcomes[f];
-    if (f > 0) out_ << ",";
-    out_ << "{\"flow\":" << o.index << ",\"motion\":\""
-         << video::to_string(o.motion) << "\",\"gop\":" << o.gop_size
-         << ",\"requested\":\"" << json_escape(o.requested_policy.spec())
-         << "\",\"policy\":\"" << json_escape(o.policy.spec())
-         << "\",\"algorithm\":\"" << crypto::to_string(o.policy.algorithm)
-         << "\",\"device\":\"" << json_escape(o.device_key)
-         << "\",\"admitted\":" << (o.admitted ? "true" : "false")
-         << ",\"degrade_steps\":" << o.degrade_steps
-         << fmt(",\"deadline_s\":%.17g,\"predicted_s\":%.17g,",
-                o.deadline_s, o.predicted_completion_s)
-         << "\"slack_s\":" << json_double(o.slack_s)
-         << ",\"faded\":" << o.faded_repetitions
-         << ",\"completed\":" << o.completed_repetitions
-         << ",\"failed\":" << o.failed_repetitions
-         << ",\"misses\":" << o.deadline_misses
-         << ",\"delay_ms\":" << json_stats(o.delay_ms)
-         << ",\"duration_s\":" << json_stats(o.duration_s)
-         << ",\"power_w\":" << json_stats(o.power_w)
-         << ",\"energy_j\":" << json_stats(o.energy_j)
-         << ",\"receiver_psnr_db\":" << json_stats(o.receiver_psnr_db)
-         << ",\"eavesdropper_psnr_db\":" << json_stats(o.eavesdropper_psnr_db)
-         << "}";
-  }
-  out_ << "]}\n";
-}
+  util::Record contention;
+  contention.add("contenders", r.contention.contenders)
+      .add("collision_prob", r.contention.collision_prob)
+      .add("mac_success_prob", r.contention.mac_success_prob)
+      .add("backoff_rate", r.contention.backoff_rate)
+      .add("mean_slot_s", r.contention.mean_slot_s)
+      .add("per_flow_throughput_mbps", r.contention.per_flow_throughput_mbps)
+      .add("iterations", r.contention.dcf.iterations);
 
-void CellCsvSink::begin(const CapacitySpec& /*spec*/) {
-  out_ << "flows,background,admitted,deferred,degrade_steps,collision_prob,"
-          "mac_success_prob,backoff_rate,per_flow_throughput_mbps,"
-          "delay_ms_mean,delay_ms_ci95,duration_s_mean,power_w_mean,"
-          "energy_j_mean,receiver_psnr_db_mean,eavesdropper_psnr_db_mean,"
-          "deadline_miss_fraction\n";
-}
+  // Lazy: a 10k-flow point never holds all its flow records at once.
+  const auto flow = [outcomes = &r.flow_outcomes](std::size_t f) {
+    const FlowOutcome& o = (*outcomes)[f];
+    // slack_s is +inf for flows without a deadline; it renders as null.
+    util::Record flow;
+    flow.add("flow", o.index)
+        .add("motion", video::to_string(o.motion))
+        .add("gop", o.gop_size)
+        .add("requested", o.requested_policy.spec())
+        .add("policy", o.policy.spec())
+        .add("algorithm", crypto::to_string(o.policy.algorithm))
+        .add("device", o.device_key)
+        .add("admitted", o.admitted)
+        .add("degrade_steps", o.degrade_steps)
+        .add("deadline_s", o.deadline_s)
+        .add("predicted_s", o.predicted_completion_s)
+        .add("slack_s", o.slack_s)
+        .add("faded", o.faded_repetitions)
+        .add("completed", o.completed_repetitions)
+        .add("failed", o.failed_repetitions)
+        .add("misses", o.deadline_misses)
+        .add("delay_ms", o.delay_ms)
+        .add("duration_s", o.duration_s)
+        .add("power_w", o.power_w)
+        .add("energy_j", o.energy_j)
+        .add("receiver_psnr_db", o.receiver_psnr_db)
+        .add("eavesdropper_psnr_db", o.eavesdropper_psnr_db);
+    return flow;
+  };
 
-void CellCsvSink::point(const CapacityPoint& p) {
-  const CellResult& r = p.result;
-  out_ << fmt("%d,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,", p.flows,
-              r.background, r.admitted, r.deferred, r.total_degrade_steps,
-              r.contention.collision_prob, r.contention.mac_success_prob,
-              r.contention.backoff_rate,
-              r.contention.per_flow_throughput_mbps)
-       << fmt("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-              r.delay_ms.mean(), r.delay_ms.ci95_halfwidth(),
-              r.duration_s.mean(), r.power_w.mean(), r.energy_j.mean(),
-              r.receiver_psnr_db.mean(), r.eavesdropper_psnr_db.mean(),
-              r.deadline_miss_fraction());
+  util::Record out;
+  out.add("point", p.index)
+      .add("flows", p.flows)
+      .add("background", r.background)
+      .add("admitted", r.admitted)
+      .add("deferred", r.deferred)
+      .add("degrade_steps", r.total_degrade_steps)
+      .add("schedule_iterations", r.schedule_iterations)
+      .add("contention", std::move(contention))
+      .add("delay_ms", r.delay_ms)
+      .add("duration_s", r.duration_s)
+      .add("power_w", r.power_w)
+      .add("energy_j", r.energy_j)
+      .add("receiver_psnr_db", r.receiver_psnr_db)
+      .add("eavesdropper_psnr_db", r.eavesdropper_psnr_db)
+      .add("deadline_miss_fraction", r.deadline_miss_fraction())
+      .add("flows_detail",
+           util::Value::Lazy{r.flow_outcomes.size(), flow});
+  return out;
 }
 
 CellSweepSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
   spec.validate();
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
+  // Points run strictly in order (the sink contract): no pool at the point
+  // level; the pool parallelizes the flows inside each point, which is
+  // where the work is.
   CellSweepSummary summary;
-  summary.points = spec.flow_counts.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-
-  // Points run strictly in order (the sink contract); the pool
-  // parallelizes the flows inside each point, which is where the work is.
-  for (std::size_t i = 0; i < spec.flow_counts.size(); ++i) {
-    CellSpec cell = spec.base;
-    cell.flows = spec.flow_counts[i];
-    CapacityPoint point;
-    point.index = i;
-    point.flows = cell.flows;
-    point.result = run_cell(cell, cache_, pool_);
-    sink.point(point);
-  }
-  sink.end();
-
+  util::stream_grid(
+      nullptr, spec, spec.flow_counts.size(),
+      [&](std::size_t i) {
+        CellSpec cell = spec.base;
+        cell.flows = spec.flow_counts[i];
+        return CapacityPoint{i, cell.flows, run_cell(cell, cache_, pool_)};
+      },
+      sink, summary);
   summary.workloads = cache_.size();
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
   return summary;
 }
 

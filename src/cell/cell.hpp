@@ -28,6 +28,7 @@
 #include "cell/contention.hpp"
 #include "cell/scheduler.hpp"
 #include "core/sweep.hpp"
+#include "util/sink.hpp"
 #include "util/rng.hpp"
 
 namespace tv::util {
@@ -193,65 +194,33 @@ struct CapacityPoint {
   CellResult result;
 };
 
-/// Consumer of capacity-sweep points; calls arrive strictly in point order
-/// (same contract as core::ResultSink).
-class CellSink {
+/// Consumers of capacity-sweep points (util/sink.hpp); calls arrive
+/// strictly in point order.
+using CellSink = util::Sink<CapacitySpec, CapacityPoint>;
+
+/// One point as a record, with a per-flow breakdown array: JSONL at %.17g
+/// (byte-comparable across runs and thread counts) and its CSV flattening.
+[[nodiscard]] util::Record to_record(const CapacityPoint& point);
+/// The aligned capacity table, one row per population size.
+void table_header(std::ostream& out, const CapacitySpec& spec);
+void table_row(std::ostream& out, const CapacitySpec& spec,
+               const CapacityPoint& point);
+
+/// The JSONL sink, spelled for callers that name rows points.
+class CellJsonlSink : public util::JsonlSink<CapacitySpec, CapacityPoint> {
  public:
-  virtual ~CellSink() = default;
-  virtual void begin(const CapacitySpec& /*spec*/) {}
-  virtual void point(const CapacityPoint& point) = 0;
-  virtual void end() {}
+  using JsonlSink::JsonlSink;
+  void point(const CapacityPoint& p) { cell(p); }
 };
 
-/// Human-readable aligned capacity table, one row per population size.
-class CellTableSink : public CellSink {
+/// In-memory sink for tests and programmatic consumers (rows in `points`).
+class CellCollectSink : public util::Sink<CapacitySpec, CapacityPoint> {
  public:
-  explicit CellTableSink(std::ostream& out) : out_(out) {}
-  void begin(const CapacitySpec& spec) override;
-  void point(const CapacityPoint& point) override;
-
- private:
-  std::ostream& out_;
-  bool quality_ = true;
-};
-
-/// One JSON object per point per line at %.17g (byte-comparable across
-/// runs and thread counts), with a per-flow breakdown array.
-class CellJsonlSink : public CellSink {
- public:
-  explicit CellJsonlSink(std::ostream& out) : out_(out) {}
-  void point(const CapacityPoint& point) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Spreadsheet-friendly CSV, one row per point.
-class CellCsvSink : public CellSink {
- public:
-  explicit CellCsvSink(std::ostream& out) : out_(out) {}
-  void begin(const CapacitySpec& spec) override;
-  void point(const CapacityPoint& point) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class CellCollectSink : public CellSink {
- public:
-  void point(const CapacityPoint& point) override {
-    points.push_back(point);
-  }
+  void cell(const CapacityPoint& p) override { points.push_back(p); }
   std::vector<CapacityPoint> points;
 };
 
-struct CellSweepSummary {
-  std::size_t points = 0;
-  std::size_t workloads = 0;  ///< distinct workloads in the cache.
-  unsigned threads = 1;
-  double wall_s = 0.0;
-};
+using CellSweepSummary = util::GridSummary;
 
 /// Executes CapacitySpecs.  Points run in order (each reuses the shared
 /// workload cache); the pool parallelizes the flows inside each point.

@@ -1,11 +1,6 @@
 #include "cell/validation.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -15,14 +10,7 @@ namespace tv::cell {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
+using util::fmt;
 
 /// Binomial standard-error estimate of a proportion over `trials`.
 double proportion_se(double p, double trials) {
@@ -34,14 +22,11 @@ double proportion_se(double p, double trials) {
 void add_check(CellValidationCellResult& r, const CellValidationSpec& spec,
                std::string name, double simulated, double analytic,
                double se) {
-  CellValidationCheck check;
-  check.name = std::move(name);
-  check.simulated = simulated;
-  check.analytic = analytic;
-  check.tolerance = spec.z * se + spec.relative_slack * std::abs(analytic) +
-                    spec.absolute_floor;
-  check.ok = std::abs(simulated - analytic) <= check.tolerance;
-  r.checks.push_back(std::move(check));
+  const double tolerance = spec.z * se +
+                           spec.relative_slack * std::abs(analytic) +
+                           spec.absolute_floor;
+  r.checks.push_back(
+      util::check(std::move(name), simulated, analytic, tolerance));
 }
 
 std::vector<wifi::DcfClass> cell_classes(const CellValidationSpec& spec,
@@ -106,13 +91,6 @@ std::vector<CellValidationCell> enumerate_validation_cells(
   return cells;
 }
 
-bool CellValidationCellResult::passed() const {
-  for (const CellValidationCheck& c : checks) {
-    if (!c.ok) return false;
-  }
-  return true;
-}
-
 CellValidationCellResult run_cell_validation_cell(
     const CellValidationSpec& spec, const CellValidationCell& cell) {
   CellValidationCellResult r;
@@ -146,54 +124,47 @@ CellValidationCellResult run_cell_validation_cell(
   return r;
 }
 
-void CellValidationTableSink::begin(const CellValidationSpec& spec) {
-  out_ << "cell   n   W    m   ";
-  out_ << "tau_sim    tau_fp     p_sim      p_fp       succ_sim   succ_fp    "
-          "checks\n";
-  (void)spec;
+void table_header(std::ostream& out, const CellValidationSpec& /*spec*/) {
+  out << "cell   n   W    m   ";
+  out << "tau_sim    tau_fp     p_sim      p_fp       succ_sim   succ_fp    "
+         "checks\n";
 }
 
-void CellValidationTableSink::cell(const CellValidationCellResult& r) {
-  std::size_t failed = 0;
-  for (const CellValidationCheck& c : r.checks) {
-    if (!c.ok) ++failed;
-  }
-  out_ << fmt("%4zu %3d %4d %4d   %.7f  %.7f  %.7f  %.7f  %.7f  %.7f  ",
-              r.cell.index, r.cell.contenders, r.cell.cw_min, r.cell.stages,
-              r.sim.attempt_probability[0], r.model.attempt_probability[0],
-              r.sim.collision_probability[0],
-              r.model.collision_probability[0],
-              static_cast<double>(r.sim.success_slots) /
-                  static_cast<double>(r.sim.slots),
-              r.model.success_prob);
+void table_row(std::ostream& out, const CellValidationSpec& /*spec*/,
+               const CellValidationCellResult& r) {
+  const std::size_t failed = util::failed_count(r.checks);
+  out << fmt("%4zu %3d %4d %4d   %.7f  %.7f  %.7f  %.7f  %.7f  %.7f  ",
+             r.cell.index, r.cell.contenders, r.cell.cw_min, r.cell.stages,
+             r.sim.attempt_probability[0], r.model.attempt_probability[0],
+             r.sim.collision_probability[0],
+             r.model.collision_probability[0],
+             static_cast<double>(r.sim.success_slots) /
+                 static_cast<double>(r.sim.slots),
+             r.model.success_prob);
   if (failed == 0) {
-    out_ << fmt("%zu/%zu ok\n", r.checks.size(), r.checks.size());
+    out << fmt("%zu/%zu ok\n", r.checks.size(), r.checks.size());
   } else {
-    out_ << fmt("%zu FAILED:", failed);
+    out << fmt("%zu FAILED:", failed);
     for (const CellValidationCheck& c : r.checks) {
       if (c.ok) continue;
-      out_ << fmt(" %s(|%.5f-%.5f|>%.5f)", c.name.c_str(), c.simulated,
-                  c.analytic, c.tolerance);
+      out << fmt(" %s(|%.5f-%.5f|>%.5f)", c.name.c_str(), c.simulated,
+                 c.analytic, c.tolerance);
     }
-    out_ << "\n";
+    out << "\n";
   }
 }
 
-void CellValidationJsonlSink::cell(const CellValidationCellResult& r) {
-  out_ << "{\"cell\":" << r.cell.index << ",\"n\":" << r.cell.contenders
-       << ",\"cw_min\":" << r.cell.cw_min << ",\"stages\":" << r.cell.stages
-       << ",\"seed\":" << r.cell.seed
-       << ",\"passed\":" << (r.passed() ? "true" : "false")
-       << fmt(",\"iterations\":%d", r.model.iterations) << ",\"checks\":[";
-  for (std::size_t i = 0; i < r.checks.size(); ++i) {
-    const CellValidationCheck& c = r.checks[i];
-    if (i > 0) out_ << ",";
-    out_ << fmt("{\"name\":\"%s\",\"simulated\":%.17g,\"analytic\":%.17g,"
-                "\"tolerance\":%.17g,\"ok\":%s}",
-                c.name.c_str(), c.simulated, c.analytic, c.tolerance,
-                c.ok ? "true" : "false");
-  }
-  out_ << "]}\n";
+util::Record to_record(const CellValidationCellResult& r) {
+  util::Record out;
+  out.add("cell", r.cell.index)
+      .add("n", r.cell.contenders)
+      .add("cw_min", r.cell.cw_min)
+      .add("stages", r.cell.stages)
+      .add("seed", r.cell.seed)
+      .add("passed", r.passed())
+      .add("iterations", r.model.iterations)
+      .add("checks", util::to_array(r.checks));
+  return out;
 }
 
 CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
@@ -202,49 +173,14 @@ CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
   const std::vector<CellValidationCell> cells =
       enumerate_validation_cells(spec);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
   CellValidationSummary summary;
-  summary.cells = cells.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<CellValidationCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<CellValidationCellResult> r) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(r);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      const CellValidationCellResult& result = *slots[next_flush];
-      if (result.passed()) ++summary.passed_cells;
-      for (const CellValidationCheck& c : result.checks) {
-        if (!c.ok) ++summary.failed_checks;
-      }
-      sink.cell(result);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_one = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<CellValidationCellResult>(
-                               run_cell_validation_cell(spec, cells[index])));
-  };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_one(i);
-  }
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  util::stream_grid(
+      pool_, spec, cells.size(),
+      [&](std::size_t i) { return run_cell_validation_cell(spec, cells[i]); },
+      sink, summary,
+      [&](const CellValidationCellResult& r) {
+        util::tally(summary, r.checks);
+      });
   return summary;
 }
 

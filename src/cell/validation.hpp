@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "util/check.hpp"
+#include "util/sink.hpp"
 #include "wifi/dcf_model.hpp"
 #include "wifi/dcf_sim.hpp"
 
@@ -72,70 +74,29 @@ struct CellValidationCell {
 [[nodiscard]] std::vector<CellValidationCell> enumerate_validation_cells(
     const CellValidationSpec& spec);
 
-/// One simulated-vs-analytic comparison.
-struct CellValidationCheck {
-  std::string name;
-  double simulated = 0.0;
-  double analytic = 0.0;
-  double tolerance = 0.0;  ///< acceptance band halfwidth.
-  bool ok = false;
-};
+using CellValidationCheck = util::Check;
 
 struct CellValidationCellResult {
   CellValidationCell cell;
   wifi::MultiDcfSolution model;
   wifi::MultiDcfSimResult sim;
   std::vector<CellValidationCheck> checks;
-  [[nodiscard]] bool passed() const;
+  [[nodiscard]] bool passed() const { return util::failed_count(checks) == 0; }
 };
 
-/// Consumer of validation results; calls arrive strictly in cell order.
-class CellValidationSink {
- public:
-  virtual ~CellValidationSink() = default;
-  virtual void begin(const CellValidationSpec& /*spec*/) {}
-  virtual void cell(const CellValidationCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumers of validation results (util/sink.hpp); calls arrive strictly
+/// in cell order.
+using CellValidationSink =
+    util::Sink<CellValidationSpec, CellValidationCellResult>;
 
-/// Human-readable aligned table, one row per grid cell.
-class CellValidationTableSink : public CellValidationSink {
- public:
-  explicit CellValidationTableSink(std::ostream& out) : out_(out) {}
-  void begin(const CellValidationSpec& spec) override;
-  void cell(const CellValidationCellResult& result) override;
+/// One grid cell as a record (JSONL at %.17g, CSV flattening).
+[[nodiscard]] util::Record to_record(const CellValidationCellResult& result);
+/// The aligned table, one row per grid cell.
+void table_header(std::ostream& out, const CellValidationSpec& spec);
+void table_row(std::ostream& out, const CellValidationSpec& spec,
+               const CellValidationCellResult& result);
 
- private:
-  std::ostream& out_;
-};
-
-/// One JSON object per cell per line at %.17g.
-class CellValidationJsonlSink : public CellValidationSink {
- public:
-  explicit CellValidationJsonlSink(std::ostream& out) : out_(out) {}
-  void cell(const CellValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class CellValidationCollectSink : public CellValidationSink {
- public:
-  void cell(const CellValidationCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<CellValidationCellResult> results;
-};
-
-struct CellValidationSummary {
-  std::size_t cells = 0;
-  std::size_t passed_cells = 0;
-  std::size_t failed_checks = 0;
-  unsigned threads = 1;
-  double wall_s = 0.0;
-  [[nodiscard]] bool all_passed() const { return passed_cells == cells; }
-};
+using CellValidationSummary = util::GridSummary;
 
 /// Runs one grid cell end to end (solve + simulate + band checks).  Pure
 /// in (spec, cell); exposed for tests.

@@ -10,9 +10,6 @@
 
 namespace tv::core {
 
-namespace {
-
-/// Deterministic per-flow IV sized for the cipher.
 std::vector<std::uint8_t> flow_iv_for(const crypto::BlockCipher& cipher,
                                       std::uint64_t seed) {
   std::vector<std::uint8_t> iv(cipher.block_size());
@@ -24,7 +21,13 @@ std::vector<std::uint8_t> flow_iv_for(const crypto::BlockCipher& cipher,
   return iv;
 }
 
-}  // namespace
+double decode_psnr(const Workload& workload,
+                   const std::vector<video::ReceivedFrameData>& frames) {
+  const video::Decoder decoder{workload.codec};
+  const video::FrameSequence decoded = decoder.decode_stream(
+      workload.stream.width, workload.stream.height, frames);
+  return video::sequence_psnr(workload.clip, decoded);
+}
 
 double default_sensitivity(video::MotionLevel motion) {
   switch (motion) {

@@ -25,6 +25,10 @@ namespace tv::util {
 class ThreadPool;
 }
 
+namespace tv::crypto {
+class BlockCipher;
+}
+
 namespace tv::core {
 
 /// A reusable, deterministic video workload.
@@ -51,6 +55,18 @@ struct Workload {
 [[nodiscard]] Workload build_workload(video::MotionLevel motion,
                                       int gop_size, int frames,
                                       std::uint64_t seed, double fps = 30.0);
+
+/// Decode received frame data with the workload's codec and score it
+/// against the original clip (sequence PSNR, dB).
+[[nodiscard]] double decode_psnr(
+    const Workload& workload,
+    const std::vector<video::ReceivedFrameData>& frames);
+
+/// Deterministic per-flow IV sized for the cipher.  A sender and a
+/// receiver that share (algorithm, seed) agree on the keystream without
+/// any wire exchange (the out-of-band key-setup assumption of Section 3).
+[[nodiscard]] std::vector<std::uint8_t> flow_iv_for(
+    const crypto::BlockCipher& cipher, std::uint64_t seed);
 
 /// What a single experiment should measure.
 struct ExperimentSpec {

@@ -1,8 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -13,63 +10,25 @@ namespace tv::core {
 
 namespace {
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
+using util::fmt;
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Full-precision statistics object for JSONL ("null" when no samples, so
-/// quality-off sweeps stay parseable).
-std::string json_stats(const util::RunningStats& s) {
-  if (s.count() == 0) return "null";
-  return fmt("{\"n\":%zu,\"mean\":%.17g,\"ci95\":%.17g,\"min\":%.17g,"
-             "\"max\":%.17g}",
-             s.count(), s.mean(), s.ci95_halfwidth(), s.min(), s.max());
-}
-
-std::string csv_stats(const util::RunningStats& s) {
-  if (s.count() == 0) return ",";
-  return fmt("%.10g,%.10g", s.mean(), s.ci95_halfwidth());
-}
-
-/// Stage aggregates as one JSON object keyed by stage; histograms are
-/// sparse [[bin, count], ...] pairs (bin edges are fixed, see
-/// TimeHistogram::bin_lower_s).
-std::string json_stage_stats(const StageAggregates& stages) {
-  std::string out = "{";
+/// Stage aggregates keyed by stage; histograms are sparse [[bin, count],
+/// ...] pairs (bin edges are fixed, see TimeHistogram::bin_lower_s).
+util::Record stage_record(const StageAggregates& stages) {
+  util::Record out;
   for (std::size_t s = 0; s < kStageCount; ++s) {
     const StageAggregates::Entry& entry = stages.stages[s];
-    if (s != 0) out += ",";
-    out += fmt("\"%s\":{\"events\":%llu,\"time_s\":",
-               stage_key(static_cast<Stage>(s)),
-               static_cast<unsigned long long>(entry.events));
-    out += json_stats(entry.time_s);
-    out += ",\"hist\":[";
-    bool first = true;
+    util::Value::Array hist;
     for (int bin = 0; bin < TimeHistogram::kBins; ++bin) {
       if (entry.histogram.count(bin) == 0) continue;
-      if (!first) out += ",";
-      first = false;
-      out += fmt("[%d,%llu]", bin,
-                 static_cast<unsigned long long>(entry.histogram.count(bin)));
+      hist.push_back(util::Value::Array{bin, entry.histogram.count(bin)});
     }
-    out += "]}";
+    util::Record stage;
+    stage.add("events", entry.events)
+        .add("time_s", entry.time_s)
+        .add("hist", std::move(hist));
+    out.add(stage_key(static_cast<Stage>(s)), std::move(stage));
   }
-  out += "}";
   return out;
 }
 
@@ -135,137 +94,88 @@ std::vector<SweepCell> enumerate_cells(const SweepSpec& spec) {
   return cells;
 }
 
-void TableSink::begin(const SweepSpec& spec) {
-  quality_ = spec.evaluate_quality;
-  out_ << fmt("%-4s %-6s %-4s %-10s %-7s %-8s %-4s %-18s %-16s", "cell",
-              "motion", "gop", "policy", "alg", "device", "tx",
-              "delay ms", "power W");
-  if (quality_) out_ << fmt(" %-14s %-14s", "rx dB", "eaves dB");
-  out_ << fmt(" %-7s %s\n", "reps", "fail");
+void table_header(std::ostream& out, const SweepSpec& spec) {
+  out << fmt("%-4s %-6s %-4s %-10s %-7s %-8s %-4s %-18s %-16s", "cell",
+             "motion", "gop", "policy", "alg", "device", "tx", "delay ms",
+             "power W");
+  if (spec.evaluate_quality) out << fmt(" %-14s %-14s", "rx dB", "eaves dB");
+  out << fmt(" %-7s %s\n", "reps", "fail");
 }
 
-void TableSink::cell(const CellResult& r) {
+void table_row(std::ostream& out, const SweepSpec& spec,
+               const CellResult& r) {
   const auto& e = r.result;
-  out_ << fmt("%-4zu %-6s %-4d %-10s %-7s %-8s %-4s %-18s %-16s",
-              r.cell.index, video::to_string(r.cell.motion), r.cell.gop_size,
-              r.cell.policy.spec().c_str(),
-              std::string{crypto::to_string(r.cell.policy.algorithm)}.c_str(),
-              r.cell.device.key.c_str(), transport_key(r.cell.transport),
-              fmt("%.2f ±%.2f", e.delay_ms.mean(),
-                  e.delay_ms.ci95_halfwidth())
-                  .c_str(),
-              fmt("%.3f ±%.3f", e.power_w.mean(), e.power_w.ci95_halfwidth())
-                  .c_str());
-  if (quality_) {
-    out_ << fmt(" %-14s %-14s",
-                fmt("%.2f ±%.2f", e.receiver_psnr_db.mean(),
-                    e.receiver_psnr_db.ci95_halfwidth())
-                    .c_str(),
-                fmt("%.2f ±%.2f", e.eavesdropper_psnr_db.mean(),
-                    e.eavesdropper_psnr_db.ci95_halfwidth())
-                    .c_str());
+  out << fmt("%-4zu %-6s %-4d %-10s %-7s %-8s %-4s %-18s %-16s",
+             r.cell.index, video::to_string(r.cell.motion), r.cell.gop_size,
+             r.cell.policy.spec().c_str(),
+             std::string{crypto::to_string(r.cell.policy.algorithm)}.c_str(),
+             r.cell.device.key.c_str(), transport_key(r.cell.transport),
+             fmt("%.2f ±%.2f", e.delay_ms.mean(), e.delay_ms.ci95_halfwidth())
+                 .c_str(),
+             fmt("%.3f ±%.3f", e.power_w.mean(), e.power_w.ci95_halfwidth())
+                 .c_str());
+  if (spec.evaluate_quality) {
+    out << fmt(" %-14s %-14s",
+               fmt("%.2f ±%.2f", e.receiver_psnr_db.mean(),
+                   e.receiver_psnr_db.ci95_halfwidth())
+                   .c_str(),
+               fmt("%.2f ±%.2f", e.eavesdropper_psnr_db.mean(),
+                   e.eavesdropper_psnr_db.ci95_halfwidth())
+                   .c_str());
   }
-  out_ << fmt(" %-7s %zu\n",
-              fmt("%d/%d", e.completed_repetitions,
-                  e.completed_repetitions + e.failed_repetitions)
-                  .c_str(),
-              e.failures.size());
+  out << fmt(" %-7s %zu\n",
+             fmt("%d/%d", e.completed_repetitions,
+                 e.completed_repetitions + e.failed_repetitions)
+                 .c_str(),
+             e.failures.size());
   if (e.stage_stats) {
-    out_ << "     stages:";
+    out << "     stages:";
     for (std::size_t s = 0; s < kStageCount; ++s) {
       const StageAggregates::Entry& entry = e.stage_stats->stages[s];
-      out_ << fmt(" %s n=%llu mean=%.3gms", stage_key(static_cast<Stage>(s)),
-                  static_cast<unsigned long long>(entry.events),
-                  entry.time_s.mean() * 1e3);
+      out << fmt(" %s n=%llu mean=%.3gms", stage_key(static_cast<Stage>(s)),
+                 static_cast<unsigned long long>(entry.events),
+                 entry.time_s.mean() * 1e3);
     }
-    out_ << "\n";
+    out << "\n";
   }
 }
 
-void JsonlSink::cell(const CellResult& r) {
+util::Record to_record(const CellResult& r) {
   const auto& e = r.result;
-  out_ << "{\"cell\":" << r.cell.index << ",\"motion\":\""
-       << video::to_string(r.cell.motion) << "\",\"gop\":" << r.cell.gop_size
-       << ",\"policy\":\"" << json_escape(r.cell.policy.spec())
-       << "\",\"algorithm\":\"" << crypto::to_string(r.cell.policy.algorithm)
-       << "\",\"device\":\"" << json_escape(r.cell.device.key)
-       << "\",\"transport\":\"" << transport_key(r.cell.transport)
-       << "\",\"seed\":" << r.cell.seed
-       << ",\"completed\":" << e.completed_repetitions
-       << ",\"failed\":" << e.failed_repetitions
-       << ",\"failures\":" << e.failures.size()
-       << fmt(",\"counters\":{\"retransmissions\":%zu,\"deadline_drops\":%zu,"
-              "\"outage_drops\":%zu,\"degraded_packets\":%zu}",
-              e.total_retransmissions, e.total_deadline_drops,
-              e.total_outage_drops, e.total_degraded_packets)
-       << ",\"encrypted_packet_fraction\":"
-       << fmt("%.17g", e.encryption.packet_fraction())
-       << ",\"delay_ms\":" << json_stats(e.delay_ms)
-       << ",\"duration_s\":" << json_stats(e.duration_s)
-       << ",\"power_w\":" << json_stats(e.power_w)
-       << ",\"receiver_psnr_db\":" << json_stats(e.receiver_psnr_db)
-       << ",\"receiver_mos\":" << json_stats(e.receiver_mos)
-       << ",\"eavesdropper_psnr_db\":" << json_stats(e.eavesdropper_psnr_db)
-       << ",\"eavesdropper_mos\":" << json_stats(e.eavesdropper_mos);
-  if (e.stage_stats) {
-    out_ << ",\"stages\":" << json_stage_stats(*e.stage_stats);
-  }
-  out_ << fmt(",\"predicted\":{\"delay_ms\":%.17g,\"eavesdropper_psnr_db\":"
-              "%.17g,\"power_w\":%.17g}}\n",
-              e.predicted_delay.mean_delay_ms,
-              e.predicted_eavesdropper.psnr_db,
-              e.predicted_power.mean_power_w);
-}
+  util::Record counters;
+  counters.add("retransmissions", e.total_retransmissions)
+      .add("deadline_drops", e.total_deadline_drops)
+      .add("outage_drops", e.total_outage_drops)
+      .add("degraded_packets", e.total_degraded_packets);
+  util::Record predicted;
+  predicted.add("delay_ms", e.predicted_delay.mean_delay_ms)
+      .add("eavesdropper_psnr_db", e.predicted_eavesdropper.psnr_db)
+      .add("power_w", e.predicted_power.mean_power_w);
 
-void CsvSink::begin(const SweepSpec& spec) {
-  stage_stats_ = spec.collect_stage_stats;
-  out_ << "cell,motion,gop,policy,algorithm,device,transport,seed,"
-          "completed,failed,failures,retransmissions,deadline_drops,"
-          "outage_drops,degraded_packets,delay_ms_mean,delay_ms_ci95,"
-          "power_w_mean,power_w_ci95,receiver_psnr_db_mean,"
-          "receiver_psnr_db_ci95,eavesdropper_psnr_db_mean,"
-          "eavesdropper_psnr_db_ci95,predicted_delay_ms,"
-          "predicted_eavesdropper_psnr_db,predicted_power_w";
-  if (stage_stats_) {
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      const char* key = stage_key(static_cast<Stage>(s));
-      out_ << fmt(",%s_events,%s_time_mean_s", key, key);
-    }
-  }
-  out_ << "\n";
-}
-
-void CsvSink::cell(const CellResult& r) {
-  const auto& e = r.result;
-  out_ << fmt("%zu,%s,%d,%s,%s,%s,%s,%llu,%d,%d,%zu,%zu,%zu,%zu,%zu,",
-              r.cell.index, video::to_string(r.cell.motion), r.cell.gop_size,
-              r.cell.policy.spec().c_str(),
-              std::string{crypto::to_string(r.cell.policy.algorithm)}.c_str(),
-              r.cell.device.key.c_str(), transport_key(r.cell.transport),
-              static_cast<unsigned long long>(r.cell.seed),
-              e.completed_repetitions, e.failed_repetitions,
-              e.failures.size(), e.total_retransmissions,
-              e.total_deadline_drops, e.total_outage_drops,
-              e.total_degraded_packets)
-       << csv_stats(e.delay_ms) << "," << csv_stats(e.power_w) << ","
-       << csv_stats(e.receiver_psnr_db) << ","
-       << csv_stats(e.eavesdropper_psnr_db) << ","
-       << fmt("%.10g,%.10g,%.10g", e.predicted_delay.mean_delay_ms,
-              e.predicted_eavesdropper.psnr_db,
-              e.predicted_power.mean_power_w);
-  if (stage_stats_) {
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      if (e.stage_stats) {
-        const StageAggregates::Entry& entry = e.stage_stats->stages[s];
-        out_ << fmt(",%llu,%.10g",
-                    static_cast<unsigned long long>(entry.events),
-                    entry.time_s.mean());
-      } else {
-        out_ << ",,";
-      }
-    }
-  }
-  out_ << "\n";
+  util::Record out;
+  out.add("cell", r.cell.index)
+      .add("motion", video::to_string(r.cell.motion))
+      .add("gop", r.cell.gop_size)
+      .add("policy", r.cell.policy.spec())
+      .add("algorithm", crypto::to_string(r.cell.policy.algorithm))
+      .add("device", r.cell.device.key)
+      .add("transport", transport_key(r.cell.transport))
+      .add("seed", r.cell.seed)
+      .add("completed", e.completed_repetitions)
+      .add("failed", e.failed_repetitions)
+      .add("failures", e.failures.size())
+      .add("counters", std::move(counters))
+      .add("encrypted_packet_fraction", e.encryption.packet_fraction())
+      .add("delay_ms", e.delay_ms)
+      .add("duration_s", e.duration_s)
+      .add("power_w", e.power_w)
+      .add("receiver_psnr_db", e.receiver_psnr_db)
+      .add("receiver_mos", e.receiver_mos)
+      .add("eavesdropper_psnr_db", e.eavesdropper_psnr_db)
+      .add("eavesdropper_mos", e.eavesdropper_mos);
+  if (e.stage_stats) out.add("stages", stage_record(*e.stage_stats));
+  out.add("predicted", std::move(predicted));
+  return out;
 }
 
 std::shared_ptr<const Workload> WorkloadCache::get(video::MotionLevel motion,
@@ -321,25 +231,6 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     core::validate(pipeline);
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (and free each result once emitted).
-  std::vector<std::unique_ptr<CellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<CellResult> result) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(result);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      sink.cell(*slots[next_flush]);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
   auto run_cell = [&](std::size_t index) {
     const SweepCell& cell = cells[index];
     ExperimentSpec es;
@@ -356,26 +247,11 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     const std::shared_ptr<const Workload> workload =
         cache_.get(cell.motion, cell.gop_size, spec.frames, spec.seed,
                    spec.fps);
-    auto result = std::make_unique<CellResult>();
-    result->cell = cell;
-    result->result = run_experiment(es, *workload, pool_);
-    store_and_flush(index, std::move(result));
+    return CellResult{cell, run_experiment(es, *workload, pool_)};
   };
-
-  if (pool_ != nullptr && cells.size() > 1) {
-    pool_->parallel_for(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
-  sink.end();
-
   SweepSummary summary;
-  summary.cells = cells.size();
+  util::stream_grid(pool_, spec, cells.size(), run_cell, sink, summary);
   summary.workloads = cache_.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-  summary.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
   return summary;
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -87,58 +88,20 @@ struct CellResult {
   ExperimentResult result;
 };
 
-/// Consumer of sweep results.  SweepRunner serializes the calls and makes
-/// them strictly in cell-index order, so implementations need no locking
-/// and their output is deterministic.
-class ResultSink {
- public:
-  virtual ~ResultSink() = default;
-  virtual void begin(const SweepSpec& /*spec*/) {}
-  virtual void cell(const CellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumers of sweep results (util/sink.hpp).  SweepRunner makes the
+/// calls strictly in cell-index order, so sinks need no locking and their
+/// output is deterministic.
+using ResultSink = util::Sink<SweepSpec, CellResult>;
+using JsonlSink = util::JsonlSink<SweepSpec, CellResult>;
+using CollectSink = util::CollectSink<SweepSpec, CellResult>;
 
-/// Human-readable aligned table.
-class TableSink : public ResultSink {
- public:
-  explicit TableSink(std::ostream& out) : out_(out) {}
-  void begin(const SweepSpec& spec) override;
-  void cell(const CellResult& result) override;
-
- private:
-  std::ostream& out_;
-  bool quality_ = true;
-};
-
-/// One JSON object per cell per line, full statistics at %.17g so two runs
-/// can be compared byte for byte.
-class JsonlSink : public ResultSink {
- public:
-  explicit JsonlSink(std::ostream& out) : out_(out) {}
-  void cell(const CellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// Spreadsheet-friendly CSV with a header row.
-class CsvSink : public ResultSink {
- public:
-  explicit CsvSink(std::ostream& out) : out_(out) {}
-  void begin(const SweepSpec& spec) override;
-  void cell(const CellResult& result) override;
-
- private:
-  std::ostream& out_;
-  bool stage_stats_ = false;
-};
-
-/// In-memory sink for programmatic consumers (benches, tests).
-class CollectSink : public ResultSink {
- public:
-  void cell(const CellResult& result) override { results.push_back(result); }
-  std::vector<CellResult> results;
-};
+/// One cell as a record: JSONL at %.17g (byte-comparable across runs and
+/// thread counts) and its CSV flattening.
+[[nodiscard]] util::Record to_record(const CellResult& result);
+/// The aligned table: header once, then one row per cell.
+void table_header(std::ostream& out, const SweepSpec& spec);
+void table_row(std::ostream& out, const SweepSpec& spec,
+               const CellResult& result);
 
 /// Thread-safe build-once workload cache keyed by (motion, gop, frames,
 /// seed, fps).  Concurrent requests for the same key block on one build;
@@ -158,12 +121,7 @@ class WorkloadCache {
   std::map<Key, std::shared_future<std::shared_ptr<const Workload>>> cache_;
 };
 
-struct SweepSummary {
-  std::size_t cells = 0;
-  std::size_t workloads = 0;  ///< distinct workloads in the cache.
-  unsigned threads = 1;
-  double wall_s = 0.0;
-};
+using SweepSummary = util::GridSummary;
 
 /// Executes SweepSpecs.  Reuse one runner across related sweeps to share
 /// its workload cache.

@@ -10,19 +10,10 @@
 #include "util/arena.hpp"
 #include "live/stream_map.hpp"
 #include "util/rng.hpp"
-#include "video/quality.hpp"
 
 namespace tv::live {
 
 namespace {
-
-double decode_psnr(const core::Workload& workload,
-                   const std::vector<video::ReceivedFrameData>& frames) {
-  const video::Decoder decoder{workload.codec};
-  const video::FrameSequence decoded = decoder.decode_stream(
-      workload.stream.width, workload.stream.height, frames);
-  return video::sequence_psnr(workload.clip, decoded);
-}
 
 constexpr std::uint32_t kSsrcBase = 0x74561D00;
 
@@ -147,7 +138,7 @@ LoadReport run_load(const LoadConfig& config) {
                        : static_cast<double>(summary.delivered) /
                              static_cast<double>(wire.size());
       if (config.evaluate_psnr && !it->second->packets.empty()) {
-        summary.psnr_db = decode_psnr(
+        summary.psnr_db = core::decode_psnr(
             workload, reassemble_wire(map, it->second->packets, cipher.get(),
                                       flow_iv));
       }

@@ -12,21 +12,8 @@
 #include "live/receiver_session.hpp"
 #include "live/stream_map.hpp"
 #include "util/rng.hpp"
-#include "video/quality.hpp"
 
 namespace tv::live {
-
-namespace {
-
-double decode_psnr(const core::Workload& workload,
-                   const std::vector<video::ReceivedFrameData>& frames) {
-  const video::Decoder decoder{workload.codec};
-  const video::FrameSequence decoded = decoder.decode_stream(
-      workload.stream.width, workload.stream.height, frames);
-  return video::sequence_psnr(workload.clip, decoded);
-}
-
-}  // namespace
 
 LoopbackReport run_loopback(const LoopbackConfig& config) {
   // ---- Build the workload and the wire stream (policy + encryption).
@@ -95,10 +82,10 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   const int frame_count = static_cast<int>(workload.stream.frames.size());
 
   // ---- In-memory reference PSNRs over the same wire packets.
-  report.memory_receiver_psnr_db = decode_psnr(
+  report.memory_receiver_psnr_db = core::decode_psnr(
       workload, net::reassemble(packets, transfer.receiver_delivered,
                                 frame_count, cipher.get(), flow_iv));
-  report.memory_eavesdropper_psnr_db = decode_psnr(
+  report.memory_eavesdropper_psnr_db = core::decode_psnr(
       workload, net::reassemble(packets, transfer.eavesdropper_captured,
                                 frame_count, nullptr, flow_iv));
 
@@ -186,11 +173,11 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   (void)loop.pump();  // drain anything the flush put on the wire.
 
   const std::vector<net::ReceivedPacket> received = receiver.finish();
-  report.live_receiver_psnr_db = decode_psnr(
+  report.live_receiver_psnr_db = core::decode_psnr(
       workload, reassemble_wire(map, received, cipher.get(), flow_iv,
                                 config.shaping.hide_markers));
   report.live_eavesdropper_psnr_db =
-      decode_psnr(workload, tap.reassemble(map));
+      core::decode_psnr(workload, tap.reassemble(map));
 
   report.sender = sender.report();
   report.proxy = proxy.report();

@@ -4,17 +4,6 @@
 
 namespace tv::live {
 
-std::vector<std::uint8_t> flow_iv_for(const crypto::BlockCipher& cipher,
-                                      std::uint64_t seed) {
-  std::vector<std::uint8_t> iv(cipher.block_size());
-  std::uint64_t state = seed ^ 0x1234567890abcdefULL;
-  for (auto& b : iv) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    b = static_cast<std::uint8_t>(state >> 56);
-  }
-  return iv;
-}
-
 StreamMap StreamMap::of(const std::vector<net::VideoPacket>& packets,
                         int frame_count) {
   if (packets.empty()) {

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "crypto/block_cipher.hpp"
 #include "net/packetizer.hpp"
 #include "net/receiver.hpp"
@@ -60,12 +61,9 @@ class StreamMap {
   int frame_count_ = 0;
 };
 
-/// Deterministic per-flow IV sized for the cipher — the same derivation
-/// core::run_experiment uses, so a live sender and a live receiver that
-/// share (algorithm, seed) agree on the keystream without any wire
-/// exchange (the out-of-band key-setup assumption of Section 3).
-[[nodiscard]] std::vector<std::uint8_t> flow_iv_for(
-    const crypto::BlockCipher& cipher, std::uint64_t seed);
+/// The per-flow IV derivation core::run_experiment uses, so a live sender
+/// and a live receiver that share (algorithm, seed) agree on the keystream.
+using core::flow_iv_for;
 
 /// Rebuild per-frame byte availability from packets received off the wire.
 ///

@@ -1,11 +1,11 @@
 #include "policy/policy.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "net/rtp.hpp"
+#include "util/record.hpp"
 
 namespace tv::policy {
 
@@ -14,9 +14,7 @@ namespace {
 /// "20" for 0.2, "12.5" for 0.125 — shortest representation of the
 /// percentage, so spec() stays readable and round-trips exactly enough.
 std::string format_pct(double fraction) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", fraction * 100.0);
-  return buf;
+  return util::fmt("%g", fraction * 100.0);
 }
 
 /// Parse a percentage like "20" or "12.5" into a fraction; throws on
@@ -223,9 +221,7 @@ std::string ShapingPolicy::spec() const {
   }
   if (hide_markers) append("hidemark");
   if (jitter_stddev_s > 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "jit%gms", jitter_stddev_s * 1000.0);
-    append(buf);
+    append(util::fmt("jit%gms", jitter_stddev_s * 1000.0));
   }
   return out;
 }

@@ -1,11 +1,6 @@
 #include "sim/validation.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/calibration.hpp"
@@ -23,24 +18,7 @@ namespace {
 constexpr std::uint64_t kSenderStream = 1;
 constexpr std::uint64_t kEavesdropperStream = 2;
 
-std::string fmt(const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+using util::fmt;
 
 core::TrafficCalibration make_traffic(const ValidationSpec& spec,
                                       const ValidationCell& cell) {
@@ -117,13 +95,8 @@ EavesdropperSimSpec make_eavesdropper_spec(const ValidationSpec& spec,
 
 void add_check(ValidationCellResult& r, std::string name, double simulated,
                double analytic, double tolerance) {
-  ValidationCheck c;
-  c.name = std::move(name);
-  c.simulated = simulated;
-  c.analytic = analytic;
-  c.tolerance = tolerance;
-  c.ok = std::abs(simulated - analytic) <= tolerance;
-  r.checks.push_back(std::move(c));
+  r.checks.push_back(
+      util::check(std::move(name), simulated, analytic, tolerance));
 }
 
 }  // namespace
@@ -179,13 +152,6 @@ std::vector<ValidationCell> enumerate_cells(const ValidationSpec& spec) {
     }
   }
   return cells;
-}
-
-bool ValidationCellResult::passed() const {
-  for (const ValidationCheck& c : checks) {
-    if (!c.ok) return false;
-  }
-  return true;
 }
 
 ValidationCellResult run_validation_cell(const ValidationSpec& spec,
@@ -340,21 +306,21 @@ ValidationCellResult run_validation_cell(const ValidationSpec& spec,
   return r;
 }
 
-// --- Sinks. ----------------------------------------------------------------
+// --- Output. ---------------------------------------------------------------
 
-void ValidationTableSink::begin(const ValidationSpec& spec) {
-  out_ << fmt("validation grid: %zu cells, %llu events/cell, z = %.3g\n",
-              spec.cell_count(),
-              static_cast<unsigned long long>(spec.events), spec.z);
-  out_ << fmt("%-4s %-6s %-6s %-10s %-7s %-21s %-17s %-15s %-19s %-6s %s\n",
-              "cell", "l1", "l2", "policy", "alg", "E[W] sim/ana (ms)",
-              "rho sim/ana", "P_I sim/ana", "MSE sim/ana", "checks", "ok");
+void table_header(std::ostream& out, const ValidationSpec& spec) {
+  out << fmt("validation grid: %zu cells, %llu events/cell, z = %.3g\n",
+             spec.cell_count(), static_cast<unsigned long long>(spec.events),
+             spec.z);
+  out << fmt("%-4s %-6s %-6s %-10s %-7s %-21s %-17s %-15s %-19s %-6s %s\n",
+             "cell", "l1", "l2", "policy", "alg", "E[W] sim/ana (ms)",
+             "rho sim/ana", "P_I sim/ana", "MSE sim/ana", "checks", "ok");
 }
 
-void ValidationTableSink::cell(const ValidationCellResult& r) {
-  std::size_t ok = 0;
-  for (const ValidationCheck& c : r.checks) ok += c.ok ? 1 : 0;
-  out_ << fmt(
+void table_row(std::ostream& out, const ValidationSpec& /*spec*/,
+               const ValidationCellResult& r) {
+  const std::size_t ok = r.checks.size() - util::failed_count(r.checks);
+  out << fmt(
       "%-4zu %-6g %-6g %-10s %-7s %-21s %-17s %-15s %-19s %-6s %s\n",
       r.cell.index, r.cell.lambda1, r.cell.lambda2,
       r.cell.policy.spec().c_str(),
@@ -372,62 +338,57 @@ void ValidationTableSink::cell(const ValidationCellResult& r) {
       r.passed() ? "PASS" : "FAIL");
   for (const ValidationCheck& c : r.checks) {
     if (c.ok) continue;
-    out_ << fmt("     FAIL %s: simulated %.17g vs analytic %.17g "
-                "(|diff| %.3g > tol %.3g)\n",
-                c.name.c_str(), c.simulated, c.analytic,
-                std::abs(c.simulated - c.analytic), c.tolerance);
+    out << fmt("     FAIL %s: simulated %.17g vs analytic %.17g "
+               "(|diff| %.3g > tol %.3g)\n",
+               c.name.c_str(), c.simulated, c.analytic,
+               std::abs(c.simulated - c.analytic), c.tolerance);
   }
 }
 
-void ValidationJsonlSink::cell(const ValidationCellResult& r) {
-  out_ << "{\"cell\":" << r.cell.index
-       << fmt(",\"lambda1\":%.17g,\"lambda2\":%.17g", r.cell.lambda1,
-              r.cell.lambda2)
-       << ",\"policy\":\"" << json_escape(r.cell.policy.spec())
-       << "\",\"algorithm\":\"" << crypto::to_string(r.cell.policy.algorithm)
-       << "\",\"seed\":" << r.cell.seed
-       << fmt(",\"sender\":{\"wait\":%.17g,\"wait_ci\":%.17g,"
-              "\"wait_state1\":%.17g,\"wait_state2\":%.17g,"
-              "\"service\":%.17g,\"sojourn\":%.17g,\"utilization\":%.17g,"
-              "\"state1_fraction\":%.17g,\"arrival_state1_fraction\":%.17g,"
-              "\"served\":%llu}",
-              r.sender.wait.mean(),
-              r.sender.wait_batch_means.ci95_halfwidth(),
-              r.sender.wait_state1.mean(), r.sender.wait_state2.mean(),
-              r.sender.service.mean(), r.sender.sojourn.mean(),
-              r.sender.utilization(), r.sender.state1_fraction(),
-              r.sender.arrival_state1_fraction(),
-              static_cast<unsigned long long>(r.sender.served))
-       << fmt(",\"eavesdropper\":{\"i_frame_success\":%.17g,"
-              "\"p_frame_success\":%.17g,\"flow_mse\":%.17g,"
-              "\"mean_psnr_db\":%.17g,\"substitution_distance\":%.17g,"
-              "\"gops\":%llu}",
-              r.eavesdropper.i_frame_success.mean(),
-              r.eavesdropper.p_frame_success.mean(),
-              r.eavesdropper.flow_mse.mean(), r.eavesdropper.mean_psnr_db(),
-              r.eavesdropper.substitution_distance.mean(),
-              static_cast<unsigned long long>(r.eavesdropper.gops))
-       << fmt(",\"analytic\":{\"wait\":%.17g,\"wait_state1\":%.17g,"
-              "\"wait_state2\":%.17g,\"service\":%.17g,"
-              "\"utilization\":%.17g,\"state1_fraction\":%.17g,"
-              "\"arrival_state1_fraction\":%.17g,\"i_frame_success\":%.17g,"
-              "\"p_frame_success\":%.17g,\"flow_mse\":%.17g}",
-              r.analytic_wait, r.analytic_wait_state1, r.analytic_wait_state2,
-              r.analytic_service_mean, r.analytic_utilization,
-              r.analytic_state1_fraction, r.analytic_arrival_state1_fraction,
-              r.analytic_i_frame_success, r.analytic_p_frame_success,
-              r.analytic_flow_mse)
-       << ",\"checks\":[";
-  for (std::size_t i = 0; i < r.checks.size(); ++i) {
-    const ValidationCheck& c = r.checks[i];
-    if (i > 0) out_ << ',';
-    out_ << "{\"name\":\"" << json_escape(c.name)
-         << fmt("\",\"simulated\":%.17g,\"analytic\":%.17g,"
-                "\"tolerance\":%.17g,\"ok\":%s}",
-                c.simulated, c.analytic, c.tolerance,
-                c.ok ? "true" : "false");
-  }
-  out_ << "],\"passed\":" << (r.passed() ? "true" : "false") << "}\n";
+util::Record to_record(const ValidationCellResult& r) {
+  util::Record sender;
+  sender.add("wait", r.sender.wait.mean())
+      .add("wait_ci", r.sender.wait_batch_means.ci95_halfwidth())
+      .add("wait_state1", r.sender.wait_state1.mean())
+      .add("wait_state2", r.sender.wait_state2.mean())
+      .add("service", r.sender.service.mean())
+      .add("sojourn", r.sender.sojourn.mean())
+      .add("utilization", r.sender.utilization())
+      .add("state1_fraction", r.sender.state1_fraction())
+      .add("arrival_state1_fraction", r.sender.arrival_state1_fraction())
+      .add("served", r.sender.served);
+  util::Record eavesdropper;
+  eavesdropper.add("i_frame_success", r.eavesdropper.i_frame_success.mean())
+      .add("p_frame_success", r.eavesdropper.p_frame_success.mean())
+      .add("flow_mse", r.eavesdropper.flow_mse.mean())
+      .add("mean_psnr_db", r.eavesdropper.mean_psnr_db())
+      .add("substitution_distance",
+           r.eavesdropper.substitution_distance.mean())
+      .add("gops", r.eavesdropper.gops);
+  util::Record analytic;
+  analytic.add("wait", r.analytic_wait)
+      .add("wait_state1", r.analytic_wait_state1)
+      .add("wait_state2", r.analytic_wait_state2)
+      .add("service", r.analytic_service_mean)
+      .add("utilization", r.analytic_utilization)
+      .add("state1_fraction", r.analytic_state1_fraction)
+      .add("arrival_state1_fraction", r.analytic_arrival_state1_fraction)
+      .add("i_frame_success", r.analytic_i_frame_success)
+      .add("p_frame_success", r.analytic_p_frame_success)
+      .add("flow_mse", r.analytic_flow_mse);
+  util::Record out;
+  out.add("cell", r.cell.index)
+      .add("lambda1", r.cell.lambda1)
+      .add("lambda2", r.cell.lambda2)
+      .add("policy", r.cell.policy.spec())
+      .add("algorithm", crypto::to_string(r.cell.policy.algorithm))
+      .add("seed", r.cell.seed)
+      .add("sender", std::move(sender))
+      .add("eavesdropper", std::move(eavesdropper))
+      .add("analytic", std::move(analytic))
+      .add("checks", util::to_array(r.checks))
+      .add("passed", r.passed());
+  return out;
 }
 
 // --- Runner. ---------------------------------------------------------------
@@ -444,50 +405,14 @@ ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
     make_eavesdropper_spec(spec, cell).validate();
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  sink.begin(spec);
-
-  ValidationSummary summary;
-  summary.cells = cells.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-
-  // Cells complete in any order; slots + next_flush turn that back into
-  // strictly in-order sink calls (the determinism contract).
-  std::vector<std::unique_ptr<ValidationCellResult>> slots(cells.size());
-  std::size_t next_flush = 0;
-  std::mutex flush_mu;
-  auto store_and_flush = [&](std::size_t index,
-                             std::unique_ptr<ValidationCellResult> result) {
-    std::lock_guard lock{flush_mu};
-    slots[index] = std::move(result);
-    while (next_flush < slots.size() && slots[next_flush]) {
-      const ValidationCellResult& r = *slots[next_flush];
-      if (r.passed()) ++summary.passed_cells;
-      for (const ValidationCheck& c : r.checks) {
-        if (!c.ok) ++summary.failed_checks;
-      }
-      sink.cell(r);
-      slots[next_flush].reset();
-      ++next_flush;
-    }
-  };
-
-  auto run_cell = [&](std::size_t index) {
-    store_and_flush(index, std::make_unique<ValidationCellResult>(
-                               run_validation_cell(spec, cells[index])));
-  };
-
   // Traced runs execute serially so the event stream arrives in cell order.
-  if (pool_ != nullptr && cells.size() > 1 && spec.trace == nullptr) {
-    pool_->parallel_for(cells.size(), run_cell);
-  } else {
-    for (std::size_t i = 0; i < cells.size(); ++i) run_cell(i);
-  }
-  sink.end();
-
-  summary.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  ValidationSummary summary;
+  util::stream_grid(
+      spec.trace == nullptr ? pool_ : nullptr, spec, cells.size(),
+      [&](std::size_t i) { return run_validation_cell(spec, cells[i]); },
+      sink, summary,
+      [&](const ValidationCellResult& r) { util::tally(summary, r.checks); });
+  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
   return summary;
 }
 

@@ -28,6 +28,8 @@
 #include "policy/policy.hpp"
 #include "sim/eavesdropper_sim.hpp"
 #include "sim/sender_sim.hpp"
+#include "util/check.hpp"
+#include "util/sink.hpp"
 
 namespace tv::util {
 class ThreadPool;
@@ -114,14 +116,7 @@ struct ValidationCell {
 [[nodiscard]] std::vector<ValidationCell> enumerate_cells(
     const ValidationSpec& spec);
 
-/// One simulated-vs-analytic comparison.
-struct ValidationCheck {
-  std::string name;
-  double simulated = 0.0;
-  double analytic = 0.0;
-  double tolerance = 0.0;  ///< acceptance band halfwidth.
-  bool ok = false;
-};
+using ValidationCheck = util::Check;
 
 struct ValidationCellResult {
   ValidationCell cell;
@@ -142,58 +137,22 @@ struct ValidationCellResult {
   std::vector<double> analytic_gop_state_pmf;  ///< eq. (22) occupancy.
 
   std::vector<ValidationCheck> checks;
-  [[nodiscard]] bool passed() const;
+  [[nodiscard]] bool passed() const { return util::failed_count(checks) == 0; }
 };
 
-/// Consumer of validation results; calls arrive strictly in cell order
-/// (same contract as core::ResultSink).
-class ValidationSink {
- public:
-  virtual ~ValidationSink() = default;
-  virtual void begin(const ValidationSpec& /*spec*/) {}
-  virtual void cell(const ValidationCellResult& result) = 0;
-  virtual void end() {}
-};
+/// Consumers of validation results (util/sink.hpp); calls arrive strictly
+/// in cell order (same contract as core::ResultSink).
+using ValidationSink = util::Sink<ValidationSpec, ValidationCellResult>;
 
-/// Human-readable aligned table, one row per cell.
-class ValidationTableSink : public ValidationSink {
- public:
-  explicit ValidationTableSink(std::ostream& out) : out_(out) {}
-  void begin(const ValidationSpec& spec) override;
-  void cell(const ValidationCellResult& result) override;
+/// One cell as a record: JSONL at %.17g, byte-comparable across runs and
+/// thread counts, and its CSV flattening.
+[[nodiscard]] util::Record to_record(const ValidationCellResult& result);
+/// The aligned table, one row per cell (plus one line per failed check).
+void table_header(std::ostream& out, const ValidationSpec& spec);
+void table_row(std::ostream& out, const ValidationSpec& spec,
+               const ValidationCellResult& result);
 
- private:
-  std::ostream& out_;
-};
-
-/// One JSON object per cell per line at %.17g, byte-comparable across runs
-/// and thread counts.
-class ValidationJsonlSink : public ValidationSink {
- public:
-  explicit ValidationJsonlSink(std::ostream& out) : out_(out) {}
-  void cell(const ValidationCellResult& result) override;
-
- private:
-  std::ostream& out_;
-};
-
-/// In-memory sink for tests and programmatic consumers.
-class ValidationCollectSink : public ValidationSink {
- public:
-  void cell(const ValidationCellResult& result) override {
-    results.push_back(result);
-  }
-  std::vector<ValidationCellResult> results;
-};
-
-struct ValidationSummary {
-  std::size_t cells = 0;
-  std::size_t passed_cells = 0;
-  std::size_t failed_checks = 0;
-  unsigned threads = 1;
-  double wall_s = 0.0;
-  [[nodiscard]] bool all_passed() const { return passed_cells == cells; }
-};
+using ValidationSummary = util::GridSummary;
 
 /// Runs one cell end to end (analytic solve + both simulators).  Pure in
 /// (spec, cell); exposed for tests.

@@ -120,4 +120,31 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs `run(i)` for every i in [0, n) — on `pool` when given, serially
+/// otherwise — and hands each result to `emit(result)` strictly in index
+/// order, so grid output is deterministic at any thread count.  Results
+/// that finish early wait in a slot and are freed once emitted; `emit`
+/// calls are serialized.
+template <typename Run, typename Emit>
+void run_ordered(ThreadPool* pool, std::size_t n, Run&& run, Emit&& emit) {
+  if (pool == nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) emit(run(i));
+    return;
+  }
+  using Result = std::invoke_result_t<Run&, std::size_t>;
+  std::vector<std::unique_ptr<Result>> slots(n);
+  std::size_t next_flush = 0;
+  std::mutex flush_mu;
+  pool->parallel_for(n, [&](std::size_t i) {
+    auto result = std::make_unique<Result>(run(i));
+    std::lock_guard lock{flush_mu};
+    slots[i] = std::move(result);
+    while (next_flush < n && slots[next_flush]) {
+      emit(std::move(*slots[next_flush]));
+      slots[next_flush].reset();
+      ++next_flush;
+    }
+  });
+}
+
 }  // namespace tv::util

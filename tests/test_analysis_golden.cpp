@@ -9,11 +9,11 @@
 // output must be identical across Release, ASan and TSan builds and any
 // --threads value.
 //
-// Only the .jsonl is tracked (.gitignore excludes *.pcap); the capture
-// is itself a deterministic function of the coordinates below, so on a
-// fresh checkout the test first rebuilds it with the live testbed and
-// the tracked .jsonl still pins the loopback + analysis chain end to
-// end.  After an intentional behaviour change, regenerate with
+// Both fixtures are tracked.  The capture is itself a deterministic
+// function of the coordinates below, so when it is missing the test first
+// rebuilds it with the live testbed and the .jsonl still pins the
+// loopback + analysis chain end to end.  After an intentional behaviour
+// change, regenerate with
 //
 //     TV_UPDATE_GOLDEN=1 ./build/tests/tv_analysis_tests
 //         --gtest_filter='AnalysisGolden.*'   (one command line)
@@ -21,19 +21,14 @@
 // and review the fixture diff.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "analysis/sweep.hpp"
 #include "core/experiment.hpp"
+#include "golden.hpp"
 #include "live/loopback.hpp"
 #include "net/pcap.hpp"
-
-#ifndef TV_TEST_DATA_DIR
-#error "TV_TEST_DATA_DIR must point at tests/data"
-#endif
 
 namespace tv::analysis {
 namespace {
@@ -62,22 +57,11 @@ LeakageSpec spec_of(const GoldenCoordinates& g) {
   return spec;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 TEST(AnalysisGolden, PcapAnalysisMatchesFixture) {
-  const std::string data_dir{TV_TEST_DATA_DIR};
-  const std::string pcap_path = data_dir + "/analysis_golden.pcap";
-  const std::string golden_path = data_dir + "/analysis_golden.jsonl";
+  const std::string pcap_path = test::data_path("analysis_golden.pcap");
   const GoldenCoordinates g;
 
-  const bool update = std::getenv("TV_UPDATE_GOLDEN") != nullptr;
-  if (update || read_file(pcap_path).empty()) {
+  if (test::updating_golden() || test::read_file(pcap_path).empty()) {
     // (Re)build the capture with the live testbed: the replay-mode
     // loopback writes exactly what its eavesdropper tap heard, and is
     // deterministic in the coordinates, so the untracked pcap fixture
@@ -94,7 +78,7 @@ TEST(AnalysisGolden, PcapAnalysisMatchesFixture) {
     ASSERT_GT(report.tap.captured, 0u);
   }
 
-  const std::string pcap_bytes = read_file(pcap_path);
+  const std::string pcap_bytes = test::read_file(pcap_path);
   ASSERT_FALSE(pcap_bytes.empty())
       << "missing fixture " << pcap_path
       << "; regenerate with TV_UPDATE_GOLDEN=1";
@@ -113,26 +97,9 @@ TEST(AnalysisGolden, PcapAnalysisMatchesFixture) {
       g.motion, g.gop_size, g.frames, g.seed, spec.pipeline.fps);
 
   std::ostringstream out;
-  LeakageJsonlSink sink{out};
+  util::JsonlSink<LeakageSpec, LeakageCellResult> sink{out};
   sink.cell(run_leakage_cell(spec, cell, workload, &wire));
-  const std::string actual = out.str();
-  ASSERT_FALSE(actual.empty());
-
-  if (update) {
-    std::ofstream golden{golden_path, std::ios::binary};
-    ASSERT_TRUE(golden) << "cannot write " << golden_path;
-    golden << actual;
-    GTEST_SKIP() << "fixtures regenerated under " << data_dir;
-  }
-
-  const std::string expected = read_file(golden_path);
-  ASSERT_FALSE(expected.empty())
-      << "missing fixture " << golden_path
-      << "; regenerate with TV_UPDATE_GOLDEN=1";
-  EXPECT_EQ(actual, expected)
-      << "pcap analysis diverged from " << golden_path
-      << "\nIf the change is intentional, regenerate the fixtures with "
-         "TV_UPDATE_GOLDEN=1 and review the diff.";
+  test::check_golden(test::data_path("analysis_golden.jsonl"), out.str());
 }
 
 }  // namespace

@@ -133,13 +133,13 @@ TEST(AnalysisSweep, RunnerOutputIsByteIdenticalAtAnyThreadCount) {
   spec.gop_size = 8;
 
   std::ostringstream serial_out;
-  LeakageJsonlSink serial_sink{serial_out};
+  util::JsonlSink<LeakageSpec, LeakageCellResult> serial_sink{serial_out};
   LeakageRunner serial{nullptr};
   const LeakageSummary s1 = serial.run(spec, serial_sink);
 
   util::ThreadPool pool{4};
   std::ostringstream pooled_out;
-  LeakageJsonlSink pooled_sink{pooled_out};
+  util::JsonlSink<LeakageSpec, LeakageCellResult> pooled_sink{pooled_out};
   LeakageRunner pooled{&pool};
   const LeakageSummary s4 = pooled.run(spec, pooled_sink);
 
@@ -155,11 +155,11 @@ TEST(AnalysisSweep, TeeSinkFansOutToEveryFormat) {
   spec.shapings = {policy::ShapingPolicy{}};
 
   std::ostringstream table_out, jsonl_out, csv_out;
-  LeakageTableSink table{table_out};
-  LeakageJsonlSink jsonl{jsonl_out};
-  LeakageCsvSink csv{csv_out};
-  LeakageCollectSink collect;
-  LeakageTeeSink tee;
+  util::TableSink<LeakageSpec, LeakageCellResult> table{table_out};
+  util::JsonlSink<LeakageSpec, LeakageCellResult> jsonl{jsonl_out};
+  util::CsvSink<LeakageSpec, LeakageCellResult> csv{csv_out};
+  util::CollectSink<LeakageSpec, LeakageCellResult> collect;
+  util::TeeSink<LeakageSpec, LeakageCellResult> tee;
   tee.add(&table);
   tee.add(&jsonl);
   tee.add(&csv);

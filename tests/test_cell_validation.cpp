@@ -89,7 +89,7 @@ TEST(CellValidation, DefaultGridAllCellsPass) {
   const CellValidationSpec spec;
   util::ThreadPool pool{4};
   CellValidationRunner runner{&pool};
-  CellValidationCollectSink sink;
+  util::CollectSink<CellValidationSpec, CellValidationCellResult> sink;
   const CellValidationSummary summary = runner.run(spec, sink);
   EXPECT_EQ(summary.cells, spec.cell_count());
   EXPECT_EQ(summary.failed_checks, 0u);
@@ -106,7 +106,7 @@ TEST(CellValidation, RunnerOutputIsThreadInvariant) {
 
   std::ostringstream serial;
   {
-    CellValidationJsonlSink sink{serial};
+    util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{serial};
     CellValidationRunner runner;
     const auto summary = runner.run(spec, sink);
     EXPECT_EQ(summary.threads, 1u);
@@ -115,7 +115,7 @@ TEST(CellValidation, RunnerOutputIsThreadInvariant) {
   std::ostringstream pooled;
   {
     util::ThreadPool pool{8};
-    CellValidationJsonlSink sink{pooled};
+    util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{pooled};
     CellValidationRunner runner{&pool};
     const auto summary = runner.run(spec, sink);
     EXPECT_EQ(summary.threads, 8u);
@@ -128,7 +128,7 @@ TEST(CellValidation, RunnerOutputIsThreadInvariant) {
 TEST(CellValidation, JsonlSinkEmitsOneObjectPerCell) {
   const CellValidationSpec spec = tiny_spec();
   std::ostringstream out;
-  CellValidationJsonlSink sink{out};
+  util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{out};
   CellValidationRunner runner;
   (void)runner.run(spec, sink);
   const std::string s = out.str();

@@ -186,9 +186,9 @@ TEST(Sinks, FormatsContainTheCells) {
   std::ostringstream table, jsonl, csv;
   {
     SweepRunner runner;
-    TableSink t{table};
+    util::TableSink<SweepSpec, CellResult> t{table};
     JsonlSink j{jsonl};
-    CsvSink c{csv};
+    util::CsvSink<SweepSpec, CellResult> c{csv};
     runner.run(spec, t);
     runner.run(spec, j);
     runner.run(spec, c);

@@ -20,17 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "live/loopback.hpp"
 #include "policy/policy.hpp"
-
-#ifndef TV_TEST_DATA_DIR
-#error "TV_TEST_DATA_DIR must point at tests/data"
-#endif
 
 namespace tv::live {
 namespace {
@@ -87,30 +82,7 @@ std::string summary_line(const LoopbackReport& r) {
   return std::string{buf};
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return {};
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void report_first_diff(const std::string& actual, const std::string& expected,
-                       const std::string& path) {
-  std::istringstream a{actual}, e{expected};
-  std::string al, el;
-  int line = 1;
-  while (std::getline(a, al) && std::getline(e, el) && al == el) ++line;
-  FAIL() << "live loopback output diverged from " << path << " at line "
-         << line << "\n  expected: " << el << "\n  actual:   " << al
-         << "\nIf the change is intentional, regenerate the fixtures with "
-            "TV_UPDATE_GOLDEN=1 and review the diff.";
-}
-
 TEST(LiveGolden, TraceAndCaptureMatchFixtures) {
-  const std::string data_dir{TV_TEST_DATA_DIR};
-  const std::string trace_path = data_dir + "/live_loopback_golden.jsonl";
-  const std::string pcap_golden = data_dir + "/live_loopback_golden.pcap";
   const std::string pcap_tmp =
       testing::TempDir() + "tv_live_golden_capture.pcap";
 
@@ -120,33 +92,12 @@ TEST(LiveGolden, TraceAndCaptureMatchFixtures) {
   const LoopbackReport report = run_loopback(config);
 
   const std::string actual = summary_line(report) + "\n" + trace_out.str();
-  const std::string actual_pcap = read_file(pcap_tmp);
+  const std::string actual_pcap = test::read_file(pcap_tmp);
   std::remove(pcap_tmp.c_str());
-  ASSERT_FALSE(actual.empty());
-  ASSERT_FALSE(actual_pcap.empty());
 
-  if (std::getenv("TV_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out{trace_path, std::ios::binary};
-    ASSERT_TRUE(out) << "cannot write " << trace_path;
-    out << actual;
-    std::ofstream pout{pcap_golden, std::ios::binary};
-    ASSERT_TRUE(pout) << "cannot write " << pcap_golden;
-    pout << actual_pcap;
-    GTEST_SKIP() << "fixtures regenerated under " << data_dir;
-  }
-
-  const std::string expected = read_file(trace_path);
-  ASSERT_FALSE(expected.empty())
-      << "missing fixture " << trace_path
-      << "; regenerate with TV_UPDATE_GOLDEN=1";
-  if (actual != expected) report_first_diff(actual, expected, trace_path);
-
-  const std::string expected_pcap = read_file(pcap_golden);
-  ASSERT_FALSE(expected_pcap.empty())
-      << "missing fixture " << pcap_golden
-      << "; regenerate with TV_UPDATE_GOLDEN=1";
-  EXPECT_EQ(actual_pcap, expected_pcap)
-      << "eavesdropper pcap bytes diverged from " << pcap_golden;
+  test::check_golden(test::data_path("live_loopback_golden.jsonl"), actual);
+  test::check_golden(test::data_path("live_loopback_golden.pcap"),
+                     actual_pcap);
 }
 
 }  // namespace

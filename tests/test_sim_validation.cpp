@@ -62,7 +62,7 @@ TEST(ValidationSpec, RejectsDegenerateSpecs) {
 
 TEST(ValidationRunner, TinyGridConvergesToAnalyticPredictions) {
   const ValidationSpec spec = tiny_spec();
-  ValidationCollectSink sink;
+  util::CollectSink<ValidationSpec, ValidationCellResult> sink;
   const ValidationSummary summary = ValidationRunner{}.run(spec, sink);
   EXPECT_EQ(summary.cells, spec.cell_count());
   EXPECT_EQ(summary.threads, 1u);
@@ -85,14 +85,14 @@ TEST(ValidationRunner, JsonlOutputIsByteIdenticalAcrossThreadCounts) {
 
   std::ostringstream serial;
   {
-    ValidationJsonlSink sink{serial};
+    util::JsonlSink<ValidationSpec, ValidationCellResult> sink{serial};
     (void)ValidationRunner{}.run(spec, sink);
   }
 
   std::ostringstream pooled;
   {
     util::ThreadPool pool{3};
-    ValidationJsonlSink sink{pooled};
+    util::JsonlSink<ValidationSpec, ValidationCellResult> sink{pooled};
     const ValidationSummary summary = ValidationRunner{&pool}.run(spec, sink);
     EXPECT_EQ(summary.threads, 3u);
   }
@@ -108,7 +108,7 @@ TEST(ValidationRunner, FailsFastOnUnstableCells) {
   unstable.policies = {{policy::Mode::kAll, crypto::Algorithm::kTripleDes,
                         0.0}};
   unstable.algorithms = {crypto::Algorithm::kTripleDes};
-  ValidationCollectSink sink;
+  util::CollectSink<ValidationSpec, ValidationCellResult> sink;
   EXPECT_THROW((void)ValidationRunner{}.run(unstable, sink),
                std::domain_error);
   EXPECT_TRUE(sink.results.empty());  // fail-fast: no cell ever ran.

@@ -25,7 +25,7 @@ TEST(ValidationGrid, FullGridMatchesAnalyticModel) {
   ASSERT_EQ(spec.cell_count(), 16u);
 
   util::ThreadPool pool;
-  ValidationCollectSink sink;
+  util::CollectSink<ValidationSpec, ValidationCellResult> sink;
   const ValidationSummary summary =
       ValidationRunner{&pool}.run(spec, sink);
 

@@ -14,16 +14,11 @@
 // and inspect the fixture diff.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/sweep.hpp"
-
-#ifndef TV_TEST_DATA_DIR
-#error "TV_TEST_DATA_DIR must point at tests/data"
-#endif
+#include "golden.hpp"
 
 namespace tv::core {
 namespace {
@@ -54,34 +49,8 @@ std::string run_golden_sweep() {
 }
 
 TEST(SweepGolden, JsonlOutputMatchesFixture) {
-  const std::string path = std::string{TV_TEST_DATA_DIR} +
-                           "/sweep_golden.jsonl";
-  const std::string actual = run_golden_sweep();
-  ASSERT_FALSE(actual.empty());
-
-  if (std::getenv("TV_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out{path, std::ios::binary};
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "fixture regenerated at " << path;
-  }
-
-  std::ifstream in{path, std::ios::binary};
-  ASSERT_TRUE(in) << "missing fixture " << path
-                  << "; regenerate with TV_UPDATE_GOLDEN=1";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  if (actual == expected.str()) return;
-
-  // Narrow the report to the first diverging line.
-  std::istringstream a{actual}, e{expected.str()};
-  std::string al, el;
-  int line = 1;
-  while (std::getline(a, al) && std::getline(e, el) && al == el) ++line;
-  FAIL() << "sweep JSONL diverged from " << path << " at line " << line
-         << "\n  expected: " << el << "\n  actual:   " << al
-         << "\nIf the change is intentional, regenerate the fixture with "
-            "TV_UPDATE_GOLDEN=1 and review the diff.";
+  test::check_golden(test::data_path("sweep_golden.jsonl"),
+                     run_golden_sweep());
 }
 
 }  // namespace

@@ -119,5 +119,24 @@ TEST(ThreadPool, RunPendingTaskFromOutside) {
   EXPECT_TRUE(ran.load());
 }
 
+TEST(RunOrdered, EmitsEveryResultInIndexOrder) {
+  // Later indices finish first, so the pooled run must hold them back.
+  const auto run = [](std::size_t i) {
+    volatile double sink = 0.0;
+    for (std::size_t k = 0; k < (64 - i) * 2000; ++k) sink = sink + 1.0;
+    return i * i;
+  };
+  ThreadPool four{4};
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    std::vector<std::size_t> emitted;
+    run_ordered(pool, 64, run,
+                [&](std::size_t value) { emitted.push_back(value); });
+    ASSERT_EQ(emitted.size(), 64u);
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+      EXPECT_EQ(emitted[i], i * i);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tv::util

@@ -99,7 +99,7 @@ FlagSet simulate_validation_flagset() {
       .flag("ngops", "N", "GOPs per simulated flow")
       .flag("eaves-reps", "N", "simulated eavesdropper flows per cell")
       .flag("z", "Z", "acceptance multiplier on CI halfwidths")
-      .flag("format", "table|jsonl", "output format (default table)")
+      .flag("format", "table|jsonl|csv", "output format (default table)")
       .flag("out", "FILE", "write results to FILE instead of stdout")
       .flag("seed", "S", "root RNG seed (default 1)")
       .flag("trace", "FILE",
@@ -194,7 +194,7 @@ FlagSet cell_validate_flagset() {
       .flag("warmup", "N", "discarded cold-start slots (default 20000)")
       .flag("z", "Z", "acceptance multiplier on the SE estimate")
       .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("format", "table|jsonl", "output format (default table)")
+      .flag("format", "table|jsonl|csv", "output format (default table)")
       .flag("out", "FILE", "write results to FILE instead of stdout")
       .flag("seed", "S", "root RNG seed (default 1)");
   return fs;
@@ -331,6 +331,91 @@ struct TraceOutput {
   }
 };
 
+/// Each item of the comma list --<flag> through `parse`; `fallback` when
+/// the list is absent or empty.
+template <class Parse>
+auto list_flag(const Flags& args, const char* flag, Parse parse,
+               std::vector<std::invoke_result_t<Parse, std::string>> fallback) {
+  decltype(fallback) items;
+  for (const auto& item : args.get_list(flag)) items.push_back(parse(item));
+  return items.empty() ? fallback : items;
+}
+
+/// Parses policy specs whose cipher is `alg`.
+auto policy_parser(crypto::Algorithm alg) {
+  return [alg](const std::string& spec) {
+    return policy::policy_from_string(spec, alg);
+  };
+}
+
+/// The --threads worker pool of a grid command; null (serial) for one
+/// thread.
+std::unique_ptr<util::ThreadPool> pool_from(const Flags& args) {
+  const int threads = args.get_int(
+      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
+  if (threads < 1) {
+    throw util::FlagError{"invalid value for --threads: must be >= 1"};
+  }
+  if (threads == 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(static_cast<unsigned>(threads));
+}
+
+/// The stream named by --<flag>=FILE, opened into `file`; `fallback` when
+/// the flag is absent.
+std::ostream* open_output(const Flags& args, const char* flag,
+                          std::ofstream& file, std::ostream* fallback) {
+  const std::string path = args.get(flag, "");
+  if (path.empty()) return fallback;
+  file.open(path);
+  if (!file) {
+    throw util::FlagError{std::string{"cannot open --"} + flag +
+                          " file: " + path};
+  }
+  return &file;
+}
+
+/// The grid sink --format selects (table, jsonl or csv) writing to `out`.
+template <class Sink>
+std::unique_ptr<Sink> make_sink(const std::string& format,
+                                std::ostream& out) {
+  using Spec = typename Sink::spec_type;
+  using Row = typename Sink::row_type;
+  if (format == "table") {
+    return std::make_unique<util::TableSink<Spec, Row>>(out);
+  }
+  if (format == "jsonl") {
+    return std::make_unique<util::JsonlSink<Spec, Row>>(out);
+  }
+  if (format == "csv") return std::make_unique<util::CsvSink<Spec, Row>>(out);
+  throw util::FlagError{"invalid value for --format: '" + format +
+                        "' (expected table, jsonl or csv)"};
+}
+
+/// Runs a grid command's runner on the --threads pool into the sink
+/// --format selects, writing to --out (stdout by default).
+template <class Runner, class Sink>
+auto run_grid(const Flags& args, const typename Sink::spec_type& spec) {
+  const auto pool = pool_from(args);
+  std::ofstream file;
+  std::ostream* out = open_output(args, "out", file, &std::cout);
+  const auto sink = make_sink<Sink>(args.get("format", "table"), *out);
+  Runner runner{pool.get()};
+  const auto summary = runner.run(spec, *sink);
+  out->flush();
+  return summary;
+}
+
+/// Prints a validation grid's tally; the exit status is 0 iff every check
+/// passed.
+int report_checks(const char* grid, const util::GridSummary& summary) {
+  std::fprintf(stderr,
+               "# %s: %zu/%zu cells passed, %zu failed check(s), "
+               "%u thread(s), %.2f s\n",
+               grid, summary.passed_cells, summary.cells,
+               summary.failed_checks, summary.threads, summary.wall_s);
+  return summary.all_passed() ? 0 : 1;
+}
+
 // Validation mode of `simulate` (docs/validation.md): run the discrete-
 // event sender and eavesdropper simulators over a (lambda1, lambda2,
 // policy, cipher) grid and compare every statistic against the analytic
@@ -343,19 +428,11 @@ int cmd_simulate_validation(const Flags& args) {
   sim::ValidationSpec spec;
   if (args.has("lambda1s")) spec.lambda1s = args.get_double_list("lambda1s");
   if (args.has("lambda2s")) spec.lambda2s = args.get_double_list("lambda2s");
-  if (args.has("algs")) {
-    spec.algorithms.clear();
-    for (const auto& a : args.get_list("algs")) {
-      spec.algorithms.push_back(crypto::algorithm_from_string(a));
-    }
-  }
-  if (args.has("policies")) {
-    spec.policies.clear();
-    for (const auto& p : args.get_list("policies")) {
-      spec.policies.push_back(
-          policy::policy_from_string(p, spec.algorithms.front()));
-    }
-  }
+  spec.algorithms = list_flag(args, "algs", crypto::algorithm_from_string,
+                              spec.algorithms);
+  spec.policies = list_flag(args, "policies",
+                            policy_parser(spec.algorithms.front()),
+                            spec.policies);
   if (args.has("device")) {
     spec.device = core::device_from_string(args.get("device", "samsung"));
   }
@@ -372,46 +449,10 @@ int cmd_simulate_validation(const Flags& args) {
   TraceOutput trace;
   spec.trace = trace.open(args);
 
-  const int threads = args.get_int(
-      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
-  if (threads < 1) {
-    throw util::FlagError{"invalid value for --threads: must be >= 1"};
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      throw util::FlagError{"cannot open --out file: " + out_path};
-    }
-    out = &file;
-  }
-
-  const std::string format = args.get("format", "table");
-  std::unique_ptr<sim::ValidationSink> sink;
-  if (format == "table") {
-    sink = std::make_unique<sim::ValidationTableSink>(*out);
-  } else if (format == "jsonl") {
-    sink = std::make_unique<sim::ValidationJsonlSink>(*out);
-  } else {
-    throw util::FlagError{"invalid value for --format: '" + format +
-                          "' (expected table or jsonl)"};
-  }
-
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  sim::ValidationRunner runner{pool ? &*pool : nullptr};
-  const sim::ValidationSummary summary = runner.run(spec, *sink);
-  out->flush();
+  const auto summary =
+      run_grid<sim::ValidationRunner, sim::ValidationSink>(args, spec);
   trace.file.flush();
-  std::fprintf(stderr,
-               "# validation: %zu/%zu cells passed, %zu failed check(s), "
-               "%u thread(s), %.2f s\n",
-               summary.passed_cells, summary.cells, summary.failed_checks,
-               summary.threads, summary.wall_s);
-  return summary.all_passed() ? 0 : 1;
+  return report_checks("validation", summary);
 }
 
 int cmd_simulate(const Flags& args) {
@@ -508,42 +549,18 @@ int cmd_sweep(const Flags& args) {
   fs.check(args);
 
   core::SweepSpec spec;
-  spec.motions.clear();
-  for (const auto& m : args.get_list("motions")) {
-    spec.motions.push_back(video::motion_from_string(m));
-  }
-  if (spec.motions.empty()) spec.motions = {video::MotionLevel::kLow};
-
+  spec.motions = list_flag(args, "motions", video::motion_from_string,
+                           {video::MotionLevel::kLow});
   if (args.has("gops")) spec.gop_sizes = args.get_int_list("gops");
-
-  spec.algorithms.clear();
-  for (const auto& a : args.get_list("algs")) {
-    spec.algorithms.push_back(crypto::algorithm_from_string(a));
-  }
-  if (spec.algorithms.empty()) {
-    spec.algorithms = {crypto::Algorithm::kAes256};
-  }
-
-  spec.policies.clear();
-  for (const auto& p : args.get_list("policies")) {
-    spec.policies.push_back(
-        policy::policy_from_string(p, spec.algorithms.front()));
-  }
-  if (spec.policies.empty()) {
-    spec.policies = policy::headline_policies(spec.algorithms.front());
-  }
-
-  spec.devices.clear();
-  for (const auto& d : args.get_list("devices")) {
-    spec.devices.push_back(core::device_from_string(d));
-  }
-  if (spec.devices.empty()) spec.devices = {core::samsung_galaxy_s2()};
-
-  spec.transports.clear();
-  for (const auto& t : args.get_list("transports")) {
-    spec.transports.push_back(core::transport_from_string(t));
-  }
-  if (spec.transports.empty()) spec.transports = {core::Transport::kRtpUdp};
+  spec.algorithms = list_flag(args, "algs", crypto::algorithm_from_string,
+                              {crypto::Algorithm::kAes256});
+  const crypto::Algorithm alg = spec.algorithms.front();
+  spec.policies = list_flag(args, "policies", policy_parser(alg),
+                            policy::headline_policies(alg));
+  spec.devices = list_flag(args, "devices", core::device_from_string,
+                           {core::samsung_galaxy_s2()});
+  spec.transports = list_flag(args, "transports", core::transport_from_string,
+                              {core::Transport::kRtpUdp});
 
   core::PipelineConfig channel_defaults;
   spec.channels = {channel_from_flags(args, channel_defaults)};
@@ -557,41 +574,8 @@ int cmd_sweep(const Flags& args) {
     spec.seed_mode = core::SweepSpec::SeedMode::kShared;
   }
 
-  const int threads = args.get_int(
-      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
-  if (threads < 1) {
-    throw util::FlagError{"invalid value for --threads: must be >= 1"};
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      throw util::FlagError{"cannot open --out file: " + out_path};
-    }
-    out = &file;
-  }
-
-  const std::string format = args.get("format", "table");
-  std::unique_ptr<core::ResultSink> sink;
-  if (format == "table") {
-    sink = std::make_unique<core::TableSink>(*out);
-  } else if (format == "jsonl") {
-    sink = std::make_unique<core::JsonlSink>(*out);
-  } else if (format == "csv") {
-    sink = std::make_unique<core::CsvSink>(*out);
-  } else {
-    throw util::FlagError{"invalid value for --format: '" + format +
-                          "' (expected table, jsonl or csv)"};
-  }
-
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  core::SweepRunner runner{pool ? &*pool : nullptr};
-  const core::SweepSummary summary = runner.run(spec, *sink);
-  out->flush();
+  const auto summary =
+      run_grid<core::SweepRunner, core::ResultSink>(args, spec);
   std::fprintf(stderr,
                "# sweep: %zu cells x %d reps, %zu workload(s), "
                "%u thread(s), %.2f s\n",
@@ -622,45 +606,10 @@ int cmd_cell_validate(const Flags& args) {
   spec.z = args.get_double("z", spec.z);
   spec.seed = args.get_uint64("seed", spec.seed);
 
-  const int threads = args.get_int(
-      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
-  if (threads < 1) {
-    throw util::FlagError{"invalid value for --threads: must be >= 1"};
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      throw util::FlagError{"cannot open --out file: " + out_path};
-    }
-    out = &file;
-  }
-
-  const std::string format = args.get("format", "table");
-  std::unique_ptr<cell::CellValidationSink> sink;
-  if (format == "table") {
-    sink = std::make_unique<cell::CellValidationTableSink>(*out);
-  } else if (format == "jsonl") {
-    sink = std::make_unique<cell::CellValidationJsonlSink>(*out);
-  } else {
-    throw util::FlagError{"invalid value for --format: '" + format +
-                          "' (expected table or jsonl)"};
-  }
-
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  cell::CellValidationRunner runner{pool ? &*pool : nullptr};
-  const cell::CellValidationSummary summary = runner.run(spec, *sink);
-  out->flush();
-  std::fprintf(stderr,
-               "# cell validation: %zu/%zu cells passed, %zu failed "
-               "check(s), %u thread(s), %.2f s\n",
-               summary.passed_cells, summary.cells, summary.failed_checks,
-               summary.threads, summary.wall_s);
-  return summary.all_passed() ? 0 : 1;
+  const auto summary =
+      run_grid<cell::CellValidationRunner, cell::CellValidationSink>(
+          args, spec);
+  return report_checks("cell validation", summary);
 }
 
 int cmd_cell(const Flags& args) {
@@ -677,36 +626,16 @@ int cmd_cell(const Flags& args) {
   cell::CellSpec& base = spec.base;
   base.background_stations = args.get_int("background", 0);
 
-  base.motions.clear();
-  for (const auto& m : args.get_list("motions")) {
-    base.motions.push_back(video::motion_from_string(m));
-  }
-  if (base.motions.empty()) base.motions = {video::MotionLevel::kLow};
-
+  base.motions = list_flag(args, "motions", video::motion_from_string,
+                           {video::MotionLevel::kLow});
   if (args.has("gops")) base.gop_sizes = args.get_int_list("gops");
-
-  base.algorithms.clear();
-  for (const auto& a : args.get_list("algs")) {
-    base.algorithms.push_back(crypto::algorithm_from_string(a));
-  }
-  if (base.algorithms.empty()) {
-    base.algorithms = {crypto::Algorithm::kAes256};
-  }
-
-  base.policies.clear();
-  for (const auto& p : args.get_list("policies")) {
-    base.policies.push_back(
-        policy::policy_from_string(p, base.algorithms.front()));
-  }
-  if (base.policies.empty()) {
-    base.policies = {{policy::Mode::kIFrames, base.algorithms.front(), 0.0}};
-  }
-
-  base.devices.clear();
-  for (const auto& d : args.get_list("devices")) {
-    base.devices.push_back(core::device_from_string(d));
-  }
-  if (base.devices.empty()) base.devices = {core::samsung_galaxy_s2()};
+  base.algorithms = list_flag(args, "algs", crypto::algorithm_from_string,
+                              {crypto::Algorithm::kAes256});
+  const crypto::Algorithm alg = base.algorithms.front();
+  base.policies = list_flag(args, "policies", policy_parser(alg),
+                            {{policy::Mode::kIFrames, alg, 0.0}});
+  base.devices = list_flag(args, "devices", core::device_from_string,
+                           {core::samsung_galaxy_s2()});
 
   if (args.has("deadlines")) {
     base.deadlines_s = args.get_double_list("deadlines");
@@ -731,46 +660,12 @@ int cmd_cell(const Flags& args) {
   TraceOutput trace;
   base.trace = trace.open(args);
 
-  const int threads = args.get_int(
-      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
-  if (threads < 1) {
-    throw util::FlagError{"invalid value for --threads: must be >= 1"};
-  }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      throw util::FlagError{"cannot open --out file: " + out_path};
-    }
-    out = &file;
-  }
-
-  const std::string format = args.get("format", "table");
-  std::unique_ptr<cell::CellSink> sink;
-  if (format == "table") {
-    sink = std::make_unique<cell::CellTableSink>(*out);
-  } else if (format == "jsonl") {
-    sink = std::make_unique<cell::CellJsonlSink>(*out);
-  } else if (format == "csv") {
-    sink = std::make_unique<cell::CellCsvSink>(*out);
-  } else {
-    throw util::FlagError{"invalid value for --format: '" + format +
-                          "' (expected table, jsonl or csv)"};
-  }
-
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  cell::CellRunner runner{pool ? &*pool : nullptr};
-  const cell::CellSweepSummary summary = runner.run(spec, *sink);
-  out->flush();
+  const auto summary = run_grid<cell::CellRunner, cell::CellSink>(args, spec);
   trace.file.flush();
   std::fprintf(stderr,
                "# cell: %zu point(s) x %d reps, %zu workload(s), "
                "%u thread(s), %.2f s\n",
-               summary.points, base.repetitions, summary.workloads,
+               summary.cells, base.repetitions, summary.workloads,
                summary.threads, summary.wall_s);
   return 0;
 }
@@ -934,59 +829,25 @@ int cmd_analyze(const Flags& args) {
       core::device_from_string(args.get("device", "samsung"));
   spec.seed = args.get_uint64("seed", 1);
   spec.adversary.trajectory_window_s = args.get_double("window", 0.25);
-  for (const auto& p : args.get_list("policies")) {
-    spec.policies.push_back(policy::policy_from_string(p, alg));
-  }
-  for (const auto& s : args.get_list("shapings")) {
-    spec.shapings.push_back(policy::shaping_from_string(s));
-  }
+  spec.policies = list_flag(args, "policies", policy_parser(alg), {});
+  spec.shapings = list_flag(args, "shapings", policy::shaping_from_string, {});
 
   std::ofstream file;
-  std::ostream* out = &std::cout;
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      throw util::FlagError{"cannot open --out file: " + out_path};
-    }
-    out = &file;
-  }
-
-  const std::string format = args.get("format", "table");
-  std::unique_ptr<analysis::LeakageSink> primary;
-  if (format == "table") {
-    primary = std::make_unique<analysis::LeakageTableSink>(*out);
-  } else if (format == "jsonl") {
-    primary = std::make_unique<analysis::LeakageJsonlSink>(*out);
-  } else if (format == "csv") {
-    primary = std::make_unique<analysis::LeakageCsvSink>(*out);
-  } else {
-    throw util::FlagError{"invalid value for --format: '" + format +
-                          "' (expected table, jsonl or csv)"};
-  }
+  std::ostream* out = open_output(args, "out", file, &std::cout);
+  const auto primary =
+      make_sink<analysis::LeakageSink>(args.get("format", "table"), *out);
   // --json/--csv tee full-precision copies next to the primary output.
-  analysis::LeakageTeeSink tee;
+  util::TeeSink<analysis::LeakageSpec, analysis::LeakageCellResult> tee;
   tee.add(primary.get());
   std::ofstream json_file, csv_file;
-  std::optional<analysis::LeakageJsonlSink> json_sink;
-  std::optional<analysis::LeakageCsvSink> csv_sink;
-  const std::string json_path = args.get("json", "");
-  if (!json_path.empty()) {
-    json_file.open(json_path);
-    if (!json_file) {
-      throw util::FlagError{"cannot open --json file: " + json_path};
-    }
-    json_sink.emplace(json_file);
-    tee.add(&*json_sink);
+  std::unique_ptr<analysis::LeakageSink> json_sink, csv_sink;
+  if (std::ostream* json = open_output(args, "json", json_file, nullptr)) {
+    json_sink = make_sink<analysis::LeakageSink>("jsonl", *json);
+    tee.add(json_sink.get());
   }
-  const std::string csv_path = args.get("csv", "");
-  if (!csv_path.empty()) {
-    csv_file.open(csv_path);
-    if (!csv_file) {
-      throw util::FlagError{"cannot open --csv file: " + csv_path};
-    }
-    csv_sink.emplace(csv_file);
-    tee.add(&*csv_sink);
+  if (std::ostream* csv = open_output(args, "csv", csv_file, nullptr)) {
+    csv_sink = make_sink<analysis::LeakageSink>("csv", *csv);
+    tee.add(csv_sink.get());
   }
 
   if (!args.positional().empty()) {
@@ -1025,14 +886,8 @@ int cmd_analyze(const Flags& args) {
   }
 
   // ---- sweep mode: the full leakage-vs-cost grid.
-  const int threads = args.get_int(
-      "threads", static_cast<int>(util::ThreadPool::default_thread_count()));
-  if (threads < 1) {
-    throw util::FlagError{"invalid value for --threads: must be >= 1"};
-  }
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  analysis::LeakageRunner runner{pool ? &*pool : nullptr};
+  const auto pool = pool_from(args);
+  analysis::LeakageRunner runner{pool.get()};
   const analysis::LeakageSummary summary = runner.run(spec, tee);
   out->flush();
   std::fprintf(stderr, "# analyze: %zu cells, %u thread(s), %.2f s\n",
