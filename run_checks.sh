@@ -34,7 +34,9 @@
 #   * --cell-smoke runs the `cell` label (the multi-flow contention
 #     engine, docs/cell.md) plus the `thriftyvid cell --validate`
 #     cross-check grid and a 100-flow capacity cell, in both the plain
-#     and the ASan+UBSan builds, each under a hard timeout.
+#     and the ASan+UBSan builds, each under a hard timeout.  The plain
+#     build also schedules an overloaded 50 000-flow cell under a 20 s
+#     timeout, the guard against a scheduler that is quadratic in flows.
 #   * --analysis-smoke runs the `analysis` label (the traffic-analysis
 #     adversary, docs/adversary.md) plus the full pcap round trip: a
 #     deterministic `live loopback --pcap` capture piped through
@@ -204,6 +206,14 @@ if [[ "${mode}" == "--cell-smoke" ]]; then
   validate_args=(cell --validate)
   sweep_args=(cell --flows=100 --background=5 --frames=16 --gops=8
               --reps=1 --deadlines=20 --quality=off --format=csv --seed=1)
+  # Two demand classes (I and all with deadlines 4 and 8 s) and 50 000
+  # flows: ~175k scheduler rounds that shed all but ~300 flows.  The
+  # demand-class scheduler takes ~0.6 s on a 4-core x86-64 box; a
+  # flow-by-flow scan takes ~35 s there, so the 20 s timeout fails it.
+  overload_args=(cell --flows=50000 --motions=low --gops=8 --frames=16
+                 --policies=I,all --algs=AES256 --devices=samsung
+                 --deadlines=4,8 --reps=1 --quality=off --format=csv
+                 --seed=1)
 
   echo "=== cell smoke: plain build ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
@@ -211,6 +221,7 @@ if [[ "${mode}" == "--cell-smoke" ]]; then
   ctest --test-dir build --output-on-failure -j "${jobs}" -L cell
   timeout 120 ./build/tools/thriftyvid "${validate_args[@]}"
   timeout 300 ./build/tools/thriftyvid "${sweep_args[@]}" >/dev/null
+  timeout 20 ./build/tools/thriftyvid "${overload_args[@]}" >/dev/null
 
   echo "=== cell smoke: ASan + UBSan build ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

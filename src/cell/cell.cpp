@@ -1,6 +1,7 @@
 #include "cell/cell.hpp"
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -18,24 +19,27 @@ namespace {
 
 using util::fmt;
 
-/// Mean on-air bytes (payload + RTP/UDP/IP) of a packetization.
-double mean_wire_bytes(const std::vector<net::VideoPacket>& packets) {
-  if (packets.empty()) return 0.0;
-  double total = 0.0;
-  for (const net::VideoPacket& p : packets) {
-    total += static_cast<double>(p.wire_bytes());
-  }
-  return total / static_cast<double>(packets.size());
-}
+/// The packet statistics of one workload the scheduler's demands need.
+struct PacketMeans {
+  double i_packet_share = 0.0;
+  double wire_bytes = 0.0;     ///< on-air bytes (payload + RTP/UDP/IP).
+  double payload_bytes = 0.0;
+};
 
-double i_packet_share(const std::vector<net::VideoPacket>& packets) {
-  if (packets.empty()) return 0.0;
+PacketMeans packet_means(const std::vector<net::VideoPacket>& packets) {
+  PacketMeans m;
+  if (packets.empty()) return m;
+  const double count = static_cast<double>(packets.size());
   std::size_t i_packets = 0;
   for (const net::VideoPacket& p : packets) {
     if (p.is_i_frame) ++i_packets;
+    m.wire_bytes += static_cast<double>(p.wire_bytes());
+    m.payload_bytes += static_cast<double>(p.payload.size());
   }
-  return static_cast<double>(i_packets) /
-         static_cast<double>(packets.size());
+  m.i_packet_share = static_cast<double>(i_packets) / count;
+  m.wire_bytes /= count;
+  m.payload_bytes /= count;
+  return m;
 }
 
 }  // namespace
@@ -98,28 +102,31 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
   }
 
   // The scheduler's view of each flow: first moments of eq. (3)'s stages.
+  // The packet means depend only on the workload, so they are taken once
+  // per distinct workload; the population sum still runs in flow order.
+  std::map<const core::Workload*, PacketMeans> means;
   std::vector<FlowDemand> demands(n);
   double population_wire_bytes = 0.0;
   for (std::size_t f = 0; f < n; ++f) {
     const core::Workload& w = *workloads[f];
+    auto it = means.find(&w);
+    if (it == means.end()) {
+      it = means.emplace(&w, packet_means(w.packets)).first;
+    }
+    const PacketMeans& m = it->second;
     FlowDemand& d = demands[f];
     d.index = f;
     d.policy = configs[f].policy;
     d.deadline_s = configs[f].deadline_s;
     d.clip_duration_s = static_cast<double>(spec.frames) / spec.fps;
     d.packet_count = w.packets.size();
-    d.i_packet_share = i_packet_share(w.packets);
-    const double wire = mean_wire_bytes(w.packets);
-    population_wire_bytes += wire;
-    double payload = 0.0;
-    for (const net::VideoPacket& p : w.packets) {
-      payload += static_cast<double>(p.payload.size());
-    }
-    payload /= static_cast<double>(w.packets.size());
+    d.i_packet_share = m.i_packet_share;
+    population_wire_bytes += m.wire_bytes;
     d.encryption_mean_s = configs[f].device.encryption_seconds(
-        configs[f].policy.algorithm, static_cast<std::size_t>(payload));
+        configs[f].policy.algorithm,
+        static_cast<std::size_t>(m.payload_bytes));
     d.transmission_mean_s = wifi::transmission_time_s(
-        spec.phy, static_cast<std::size_t>(wire));
+        spec.phy, static_cast<std::size_t>(m.wire_bytes));
   }
 
   ContentionConfig contention;

@@ -9,7 +9,9 @@
 // first walk it down the policy::degrade_step ladder (shedding encryption
 // latency) and then — past the ladder floor — defer it, which shrinks the
 // contending population for everyone left.  Deterministic: ties break on
-// the lowest flow index and no randomness is consumed.
+// the lowest flow index and no randomness is consumed.  Flows whose
+// demands are equal up to the index share one prediction, so a round
+// costs O(demand classes), not O(flows) (docs/cell.md).
 #pragma once
 
 #include <cstddef>

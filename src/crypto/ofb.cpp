@@ -101,14 +101,6 @@ void ofb_transform(const BlockCipher& cipher, std::span<const std::uint8_t> iv,
   stream.apply(out);
 }
 
-std::vector<std::uint8_t> ofb_transform(const BlockCipher& cipher,
-                                        std::span<const std::uint8_t> iv,
-                                        std::span<const std::uint8_t> data) {
-  std::vector<std::uint8_t> out(data.begin(), data.end());
-  ofb_transform(cipher, iv, out, out);
-  return out;
-}
-
 void ofb_transform_inplace(const BlockCipher& cipher,
                            std::span<const std::uint8_t> iv,
                            std::span<std::uint8_t> data) {

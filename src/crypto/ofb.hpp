@@ -28,13 +28,6 @@ void ofb_transform(const BlockCipher& cipher, std::span<const std::uint8_t> iv,
                    std::span<const std::uint8_t> data,
                    std::span<std::uint8_t> out);
 
-/// Deprecated one-shot returning a fresh vector; prefer the span-out
-/// overload (or ofb_transform_inplace) which does not allocate per call.
-/// Kept as a thin wrapper for tests and exploratory code.
-[[nodiscard]] std::vector<std::uint8_t> ofb_transform(
-    const BlockCipher& cipher, std::span<const std::uint8_t> iv,
-    std::span<const std::uint8_t> data);
-
 /// In-place variant writing into `data`.
 void ofb_transform_inplace(const BlockCipher& cipher,
                            std::span<const std::uint8_t> iv,

@@ -35,7 +35,9 @@ TEST(Ofb, NistSp80038aAes128Vector) {
       0x3b, 0x3f, 0xd9, 0x2e, 0xb7, 0x2d, 0xad, 0x20,
       0x33, 0x34, 0x49, 0xf8, 0xe8, 0x3c, 0xfb, 0x4a};
   const Aes aes{key};
-  EXPECT_EQ(ofb_transform(aes, iv, plaintext), expected);
+  std::vector<std::uint8_t> ciphertext(plaintext.size());
+  ofb_transform(aes, iv, plaintext, ciphertext);
+  EXPECT_EQ(ciphertext, expected);
 }
 
 class OfbInvolution
@@ -46,11 +48,14 @@ TEST_P(OfbInvolution, ApplyingTwiceRestoresInput) {
   const auto cipher = make_cipher_from_seed(alg, 7);
   const auto iv = random_bytes(cipher->block_size(), 11);
   const auto plaintext = random_bytes(size, 13);
-  const auto ciphertext = ofb_transform(*cipher, iv, plaintext);
+  auto ciphertext = plaintext;
+  ofb_transform_inplace(*cipher, iv, ciphertext);
   if (size > 0) {
     EXPECT_NE(ciphertext, plaintext);
   }
-  EXPECT_EQ(ofb_transform(*cipher, iv, ciphertext), plaintext);
+  auto decrypted = ciphertext;
+  ofb_transform_inplace(*cipher, iv, decrypted);
+  EXPECT_EQ(decrypted, plaintext);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -70,7 +75,8 @@ TEST(Ofb, ChunkedStreamMatchesOneShot) {
   const auto cipher = make_cipher_from_seed(Algorithm::kAes256, 3);
   const auto iv = random_bytes(16, 4);
   auto data = random_bytes(1000, 5);
-  const auto oneshot = ofb_transform(*cipher, iv, data);
+  auto oneshot = data;
+  ofb_transform_inplace(*cipher, iv, oneshot);
 
   OfbStream stream{*cipher, iv};
   auto chunked = data;
@@ -90,8 +96,10 @@ TEST(Ofb, KeystreamIndependentOfPlaintext) {
   const auto iv = random_bytes(16, 22);
   const auto p1 = random_bytes(256, 23);
   const auto p2 = random_bytes(256, 24);
-  const auto c1 = ofb_transform(*cipher, iv, p1);
-  const auto c2 = ofb_transform(*cipher, iv, p2);
+  auto c1 = p1;
+  ofb_transform_inplace(*cipher, iv, c1);
+  auto c2 = p2;
+  ofb_transform_inplace(*cipher, iv, c2);
   for (std::size_t i = 0; i < 256; ++i) {
     EXPECT_EQ(c1[i] ^ p1[i], c2[i] ^ p2[i]);
   }
@@ -103,9 +111,11 @@ TEST(Ofb, ErrorsDoNotPropagate) {
   const auto cipher = make_cipher_from_seed(Algorithm::kAes256, 31);
   const auto iv = random_bytes(16, 32);
   const auto plaintext = random_bytes(400, 33);
-  auto ciphertext = ofb_transform(*cipher, iv, plaintext);
+  auto ciphertext = plaintext;
+  ofb_transform_inplace(*cipher, iv, ciphertext);
   ciphertext[100] ^= 0x10;
-  const auto decoded = ofb_transform(*cipher, iv, ciphertext);
+  auto decoded = ciphertext;
+  ofb_transform_inplace(*cipher, iv, decoded);
   for (std::size_t i = 0; i < plaintext.size(); ++i) {
     if (i == 100) {
       EXPECT_EQ(decoded[i], plaintext[i] ^ 0x10);
@@ -130,7 +140,8 @@ TEST(Ofb, RejectsWrongIvSize) {
   const auto cipher = make_cipher_from_seed(Algorithm::kAes128, 51);
   const auto short_iv = random_bytes(8, 52);
   std::vector<std::uint8_t> data(16, 0);
-  EXPECT_THROW((void)ofb_transform(*cipher, short_iv, data), std::invalid_argument);
+  EXPECT_THROW(ofb_transform_inplace(*cipher, short_iv, data),
+               std::invalid_argument);
   EXPECT_THROW((void)segment_iv(*cipher, short_iv, 0), std::invalid_argument);
 }
 

@@ -91,8 +91,8 @@ TEST(Keystream, OfbOutputLooksUniform) {
   // eavesdropper any residual video structure.
   const auto cipher = make_cipher_from_seed(Algorithm::kAes256, 31);
   std::vector<std::uint8_t> iv(16, 0x9c);
-  std::vector<std::uint8_t> zeros(200000, 0);
-  const auto ks = ofb_transform(*cipher, iv, zeros);
+  std::vector<std::uint8_t> ks(200000, 0);
+  ofb_transform_inplace(*cipher, iv, ks);
   double mean = 0.0;
   long ones = 0;
   for (std::uint8_t b : ks) {
@@ -132,7 +132,8 @@ TEST(Keystream, EncryptedVideoPayloadLosesItsStructure) {
   for (auto b : payload) plain_mean += b;
   plain_mean /= static_cast<double>(payload.size());
   ASSERT_LT(plain_mean, 32.0);  // clearly structured input.
-  const auto ct = ofb_transform(*cipher, iv, payload);
+  auto ct = payload;
+  ofb_transform_inplace(*cipher, iv, ct);
   double ct_mean = 0.0;
   for (auto b : ct) ct_mean += b;
   ct_mean /= static_cast<double>(ct.size());
@@ -143,10 +144,10 @@ TEST(Keystream, DistinctSegmentIvsGiveUncorrelatedStreams) {
   const auto cipher = make_cipher_from_seed(Algorithm::kAes256, 51);
   std::vector<std::uint8_t> flow_iv(16, 0x77);
   std::vector<std::uint8_t> zeros(4096, 0);
-  const auto k1 =
-      ofb_transform(*cipher, segment_iv(*cipher, flow_iv, 1), zeros);
-  const auto k2 =
-      ofb_transform(*cipher, segment_iv(*cipher, flow_iv, 2), zeros);
+  auto k1 = zeros;
+  ofb_transform_inplace(*cipher, segment_iv(*cipher, flow_iv, 1), k1);
+  auto k2 = zeros;
+  ofb_transform_inplace(*cipher, segment_iv(*cipher, flow_iv, 2), k2);
   // Hamming distance between the streams ~ 50% of bits.
   const double frac =
       static_cast<double>(hamming(k1, k2)) / (8.0 * zeros.size());
