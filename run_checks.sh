@@ -25,7 +25,11 @@
 #   * --chaos-smoke runs the `chaos` label (supervised multi-session
 #     server + seeded fault injection) plus a 200-session `live load`
 #     chaos run, in both the plain and the ASan+UBSan builds, each under
-#     a hard timeout.  Same watchdog rationale as --live-smoke.
+#     a hard timeout.  Same watchdog rationale as --live-smoke.  The
+#     plain build also serves 5000 sessions under a 15 s timeout and
+#     diffs the report against tests/data/live_load_5000.txt, the guard
+#     against a server whose per-datagram cost grows with the sessions
+#     it has served.
 #   * --bench-smoke builds Release, runs the hot-path micro-suite with
 #     --quick --json under a hard timeout, and validates the emitted
 #     JSON against the tv-bench-hotpath-v1 schema (keys present, numbers
@@ -332,6 +336,17 @@ if [[ "${mode}" == "--chaos-smoke" ]]; then
   cmake --build build -j "${jobs}"
   ctest --test-dir build --output-on-failure -j "${jobs}" -L chaos
   timeout 120 ./build/tools/thriftyvid "${smoke_args[@]}"
+
+  # 5000 sessions take ~3 s on 4 cores with the server's running backlog
+  # count and ~45 s with a rescan of every session served per datagram.
+  # run_load opens one client socket per session up front, hence the
+  # raised open-file limit.
+  (
+    ulimit -n 8192
+    timeout 15 ./build/tools/thriftyvid live load --sessions=5000 \
+        --ramp=100 --seed=1 > build/chaos_smoke_load5000.txt
+  )
+  diff tests/data/live_load_5000.txt build/chaos_smoke_load5000.txt
 
   echo "=== chaos smoke: ASan + UBSan build ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

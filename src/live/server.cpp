@@ -1,6 +1,7 @@
 #include "live/server.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "net/rtp.hpp"
@@ -130,6 +131,13 @@ void Server::handle_control(const ControlMsg& msg, const Endpoint& from) {
   }
 }
 
+template <typename Op>
+void Server::with_receiver(Session& session, Op op) {
+  const std::size_t before = session.receiver.buffered();
+  std::invoke(op, session.receiver, session.received);
+  buffered_ = buffered_ - before + session.receiver.buffered();
+}
+
 void Server::handle_data(Datagram&& datagram) {
   const auto header = net::RtpHeader::try_parse(datagram.payload);
   if (!header) {
@@ -154,20 +162,17 @@ void Server::handle_data(Datagram&& datagram) {
     trace_event("srv_streaming", header->ssrc, 0.0);
   }
   session.last_heard_s = loop_.now_s();
-  session.receiver.push(datagram.payload);
-  auto ready = session.receiver.drain_ready();
-  session.received.insert(session.received.end(),
-                          std::make_move_iterator(ready.begin()),
-                          std::make_move_iterator(ready.end()));
+  with_receiver(session, [&](net::Receiver& receiver,
+                             std::vector<net::ReceivedPacket>& received) {
+    receiver.push(std::move(datagram.payload));
+    receiver.drain_ready_into(received);
+  });
 }
 
 void Server::close_session(std::uint32_t ssrc, Session& session,
                            std::uint32_t aux) {
   session.state = SessionState::kDraining;
-  auto rest = session.receiver.flush();
-  session.received.insert(session.received.end(),
-                          std::make_move_iterator(rest.begin()),
-                          std::make_move_iterator(rest.end()));
+  with_receiver(session, &net::Receiver::flush_into);
   session.reported_sent = aux;
   session.state = SessionState::kClosed;
   session.outcome = SessionOutcome::kCompleted;
@@ -201,10 +206,7 @@ void Server::arm_watchdog(std::uint32_t ssrc, Session& session) {
         const double deadline = s.last_heard_s + config_.idle_timeout_s;
         if (deadline <= loop_.now_s()) {
           // Silent uploader: reap it so the admission token comes back.
-          auto rest = s.receiver.flush();
-          s.received.insert(s.received.end(),
-                            std::make_move_iterator(rest.begin()),
-                            std::make_move_iterator(rest.end()));
+          with_receiver(s, &net::Receiver::flush_into);
           s.state = SessionState::kFailed;
           s.outcome = SessionOutcome::kWatchdogKilled;
           --active_;
@@ -231,14 +233,6 @@ void Server::send_control(ControlMsg::Type type, std::uint32_t ssrc,
   (void)socket_.send_to(to, msg.serialize());
 }
 
-std::size_t Server::backlog() const {
-  std::size_t total = deferred_.size();
-  for (const auto& [ssrc, session] : sessions_) {
-    total += session.receiver.buffered();
-  }
-  return total;
-}
-
 void Server::update_backlog() {
   const std::size_t depth = backlog();
   report_.max_backlog = std::max(report_.max_backlog, depth);
@@ -259,10 +253,7 @@ std::vector<ServerSessionResult> Server::finish() {
   for (auto& [ssrc, session] : sessions_) {
     if (session.state == SessionState::kConnecting ||
         session.state == SessionState::kStreaming) {
-      auto rest = session.receiver.flush();
-      session.received.insert(session.received.end(),
-                              std::make_move_iterator(rest.begin()),
-                              std::make_move_iterator(rest.end()));
+      with_receiver(session, &net::Receiver::flush_into);
     }
     ServerSessionResult result;
     result.ssrc = ssrc;

@@ -120,8 +120,15 @@ class Server {
   void close_session(std::uint32_t ssrc, Session& session, std::uint32_t aux);
   void arm_watchdog(std::uint32_t ssrc, Session& session);
   void drain_deferred();
+  /// The one place a session receiver's buffered() changes: applies
+  /// `op(session.receiver, session.received)` and moves `buffered_` by
+  /// the receiver's buffered() difference.
+  template <typename Op>
+  void with_receiver(Session& session, Op op);
   void update_backlog();
-  [[nodiscard]] std::size_t backlog() const;
+  [[nodiscard]] std::size_t backlog() const {
+    return deferred_.size() + buffered_;
+  }
   void trace_event(const char* kind, std::uint32_t ssrc, double value);
 
   EventLoop& loop_;
@@ -130,6 +137,9 @@ class Server {
   util::Rng ctrl_rng_;
   std::map<std::uint32_t, Session> sessions_;
   std::deque<Datagram> deferred_;  ///< datagrams queued during a stall.
+  /// Sum of receiver.buffered() over every session, kept exact by
+  /// with_receiver() so backlog() never rescans sessions_.
+  std::size_t buffered_ = 0;
   std::size_t active_ = 0;
   bool overloaded_ = false;
   ServerReport report_;

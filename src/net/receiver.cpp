@@ -87,9 +87,7 @@ void Receiver::push(std::vector<std::uint8_t>&& datagram) {
   commit(std::move(packet));
 }
 
-std::vector<ReceivedPacket> Receiver::drain_ready() {
-  std::vector<ReceivedPacket> out;
-  out.reserve(ready_.size());
+void Receiver::drain_ready_into(std::vector<ReceivedPacket>& out) {
   while (!ready_.empty()) {
     out.push_back(std::move(ready_.front()));
     ready_.pop_front();
@@ -99,11 +97,10 @@ std::vector<ReceivedPacket> Receiver::drain_ready() {
     buffer_.erase(buffer_.begin());
     ++next_release_;
   }
-  return out;
 }
 
-std::vector<ReceivedPacket> Receiver::flush() {
-  std::vector<ReceivedPacket> out = drain_ready();
+void Receiver::flush_into(std::vector<ReceivedPacket>& out) {
+  drain_ready_into(out);
   while (!buffer_.empty()) {
     auto it = buffer_.begin();
     if (it->first != next_release_) {
@@ -114,6 +111,17 @@ std::vector<ReceivedPacket> Receiver::flush() {
     buffer_.erase(it);
     ++next_release_;
   }
+}
+
+std::vector<ReceivedPacket> Receiver::drain_ready() {
+  std::vector<ReceivedPacket> out;
+  drain_ready_into(out);
+  return out;
+}
+
+std::vector<ReceivedPacket> Receiver::flush() {
+  std::vector<ReceivedPacket> out;
+  flush_into(out);
   return out;
 }
 

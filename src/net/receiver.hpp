@@ -28,8 +28,8 @@ struct ReceiverConfig {
 /// A packet the receiver accepted, with its wraparound-corrected
 /// (64-bit extended) sequence number.  Owns the full datagram bytes —
 /// stored exactly once, moved (never re-copied) through the reorder
-/// buffer and out of drain_ready()/flush(); `payload()` is a view past
-/// the 12-byte header.
+/// buffer and out of drain_ready_into()/flush_into(); `payload()` is a
+/// view past the 12-byte header.
 struct ReceivedPacket {
   std::int64_t extended_sequence = 0;
   RtpHeader header;
@@ -69,16 +69,22 @@ class Receiver {
   void push(std::vector<std::uint8_t>&& datagram);
 
   /// Packets releasable without giving up on any gap (consecutive run
-  /// from the release point), in stream order.
-  [[nodiscard]] std::vector<ReceivedPacket> drain_ready();
+  /// from the release point), appended to `out` in stream order.
+  void drain_ready_into(std::vector<ReceivedPacket>& out);
 
-  /// End of stream: release everything buffered, skipping gaps.
+  /// End of stream: release everything buffered, skipping gaps,
+  /// appended to `out` in stream order.
+  void flush_into(std::vector<ReceivedPacket>& out);
+
+  /// drain_ready_into() / flush_into() into a fresh vector.
+  [[nodiscard]] std::vector<ReceivedPacket> drain_ready();
   [[nodiscard]] std::vector<ReceivedPacket> flush();
 
   [[nodiscard]] const ReceiverStats& stats() const { return stats_; }
 
   /// Packets currently held (reorder buffer + released-but-undrained).
-  /// The live server's overload detector sums this across sessions.
+  /// The live server's overload detector keeps a running sum of this
+  /// across sessions (live::Server::with_receiver).
   [[nodiscard]] std::size_t buffered() const {
     return buffer_.size() + ready_.size();
   }

@@ -63,6 +63,23 @@ TEST(Receiver, DrainHoldsBackAcrossGaps) {
   EXPECT_EQ(sequences(got), (std::vector<std::int64_t>{1, 2}));
 }
 
+TEST(Receiver, IntoVariantsAppendAndEmptyBuffered) {
+  // The live server drains every session into one growing vector and
+  // keeps a running sum of buffered(), so both must hold exactly.
+  Receiver rx;
+  std::vector<ReceivedPacket> out;
+  rx.push(datagram(0));
+  rx.push(datagram(2));
+  rx.push(datagram(3));  // 1 is missing: 2 and 3 wait.
+  rx.drain_ready_into(out);
+  EXPECT_EQ(sequences(out), (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(rx.buffered(), 2u);
+  rx.flush_into(out);
+  EXPECT_EQ(sequences(out), (std::vector<std::int64_t>{0, 2, 3}));
+  EXPECT_EQ(rx.buffered(), 0u);
+  EXPECT_EQ(rx.stats().given_up, 1u);
+}
+
 TEST(Receiver, DuplicatesAreSuppressed) {
   Receiver rx;
   rx.push(datagram(0));
