@@ -6,7 +6,6 @@
 
 #include "bench/common.hpp"
 #include "video/quality.hpp"
-#include "util/arena.hpp"
 
 using namespace tv;
 
@@ -42,23 +41,12 @@ int main(int argc, char** argv) {
     for (const auto& pol :
          policy::headline_policies(crypto::Algorithm::kAes256)) {
       // Rebuild the eavesdropper's decode for this policy.
-      util::Arena arena;
-      std::vector<net::VideoPacket> packets =
-          net::clone_packets(workload.packets, arena);
-      const auto selected = pol.select(packets);
-      const auto cipher =
-          crypto::make_cipher_from_seed(pol.algorithm, options.seed);
-      std::vector<std::uint8_t> iv(cipher->block_size(), 0x42);
-      net::encrypt_selected(packets, selected, *cipher, iv);
+      const core::Flow flow{workload, pol, options.seed};
       auto spec = bench::make_spec(workload, pol, device, options, false);
       const auto transfer =
-          core::simulate_transfer(spec.pipeline, packets, options.seed);
-      const auto frames = net::reassemble(
-          packets, transfer.eavesdropper_captured,
-          static_cast<int>(workload.stream.frames.size()), nullptr, iv);
-      const video::Decoder decoder{workload.codec};
-      const auto seen = decoder.decode_stream(workload.stream.width,
-                                              workload.stream.height, frames);
+          core::simulate_transfer(spec.pipeline, flow.packets(), options.seed);
+      const auto seen =
+          flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
       show_pair(workload.clip[static_cast<std::size_t>(mid)],
                 seen[static_cast<std::size_t>(mid)],
                 policy::to_string(pol.mode));

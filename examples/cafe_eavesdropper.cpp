@@ -7,7 +7,6 @@
 
 #include "core/experiment.hpp"
 #include "video/quality.hpp"
-#include "util/arena.hpp"
 
 using namespace tv;
 
@@ -36,23 +35,13 @@ int main() {
         {policy::Mode::kIPlusFractionP, crypto::Algorithm::kAes256, 0.20},
     };
     for (const auto& pol : policies) {
-      util::Arena arena;
-      std::vector<net::VideoPacket> packets =
-          net::clone_packets(workload.packets, arena);
-      const auto selected = pol.select(packets);
-      const auto cipher = crypto::make_cipher_from_seed(pol.algorithm, 99);
-      std::vector<std::uint8_t> iv(cipher->block_size(), 0x17);
-      net::encrypt_selected(packets, selected, *cipher, iv);
-
+      const core::Flow flow{workload, pol, 99};
       core::PipelineConfig pipeline;
       pipeline.device = core::samsung_galaxy_s2();
-      const auto transfer = core::simulate_transfer(pipeline, packets, 1234);
-      const auto captured = net::reassemble(
-          packets, transfer.eavesdropper_captured,
-          static_cast<int>(workload.stream.frames.size()), nullptr, iv);
-      const video::Decoder decoder{workload.codec};
-      const auto seen = decoder.decode_stream(
-          workload.stream.width, workload.stream.height, captured);
+      const auto transfer =
+          core::simulate_transfer(pipeline, flow.packets(), 1234);
+      const auto seen =
+          flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
       char title[128];
       std::snprintf(title, sizeof title,
                     "eavesdropper under '%s'  (clip PSNR %.1f dB, MOS %.2f)",

@@ -12,7 +12,6 @@
 #include "core/experiment.hpp"
 #include "net/pcap.hpp"
 #include "video/y4m.hpp"
-#include "util/arena.hpp"
 
 using namespace tv;
 
@@ -23,28 +22,15 @@ int main() {
                                              120, 8);
   policy::EncryptionPolicy pol{policy::Mode::kIFrames,
                                crypto::Algorithm::kAes256, 0.0};
-  tv::util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  const auto selected = pol.select(packets);
-  const auto cipher = crypto::make_cipher_from_seed(pol.algorithm, 4242);
-  std::vector<std::uint8_t> iv(cipher->block_size(), 0x5c);
-  net::encrypt_selected(packets, selected, *cipher, iv);
+  const core::Flow flow{workload, pol, 4242};
+  const std::vector<net::VideoPacket>& packets = flow.packets();
 
   core::PipelineConfig pipeline;
   pipeline.device = core::samsung_galaxy_s2();
   const auto transfer = core::simulate_transfer(pipeline, packets, 1);
-  const int frames = static_cast<int>(workload.stream.frames.size());
-  const video::Decoder decoder{workload.codec};
-
-  const auto rx_frames = net::reassemble(packets, transfer.receiver_delivered,
-                                         frames, cipher.get(), iv);
-  const auto rx = decoder.decode_stream(workload.stream.width,
-                                        workload.stream.height, rx_frames);
-  const auto ev_frames = net::reassemble(
-      packets, transfer.eavesdropper_captured, frames, nullptr, iv);
-  const auto ev = decoder.decode_stream(workload.stream.width,
-                                        workload.stream.height, ev_frames);
+  const auto rx = flow.decode(transfer.receiver_delivered, /*decrypt=*/true);
+  const auto ev =
+      flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
 
   video::write_y4m_file("out/original.y4m", workload.clip);
   video::write_y4m_file("out/receiver.y4m", rx);

@@ -33,14 +33,8 @@ int main() {
               traffic.mmpp.lambda1, traffic.mmpp.lambda2, traffic.mmpp.r12,
               traffic.mmpp.r21);
 
-  core::DistortionInputs di;
-  di.gop_size = workload.codec.gop_size;
-  di.n_gops = static_cast<int>(workload.stream.frames.size()) /
-              workload.codec.gop_size;
-  di.sensitivity_fraction = core::default_sensitivity(report.level);
-  di.base_mse = workload.base_mse;
-  di.null_mse = workload.null_mse;
-  di.inter = workload.inter;
+  const core::DistortionInputs di = core::distortion_inputs_of(
+      workload, core::default_sensitivity(report.level));
 
   core::AdvisorRequest request;
   request.max_eavesdropper_psnr_db = 18.0;  // "unviewable" ceiling.

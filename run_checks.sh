@@ -46,6 +46,10 @@
 #     deterministic `live loopback --pcap` capture piped through
 #     `thriftyvid analyze`, with the emitted JSONL checked for schema
 #     validity and the no-countermeasure I-frame recall floor (>= 0.9).
+#     It also runs `thriftyvid export` under 3DES and AES256 at one seed:
+#     the two eavesdropper pcaps must carry different timestamps (the
+#     transfer is priced with the chosen cipher's encryption time), and
+#     a re-run at the same seed must write byte-identical files.
 #     Both the plain and the ASan+UBSan builds, each under a hard
 #     timeout.
 #   * --clean-clone extracts `git archive HEAD` into a temporary directory
@@ -258,8 +262,21 @@ if [[ "${mode}" == "--analysis-smoke" ]]; then
     timeout 300 "./${build}/tools/thriftyvid" analyze "${pcap}" \
       --policy=I --gop=16 --frames=48 --seed=1 \
       --format=jsonl --out="${jsonl}"
+
+    # `export` prices the transfer with the cipher --alg names, and is
+    # deterministic in --seed.
+    local export_args=(export --frames=60 --gop=30 --policy=I --seed=1)
+    local alg
+    for alg in 3DES AES256; do
+      rm -rf "${build}/export_smoke_${alg}" "${build}/export_smoke_${alg}_rerun"
+      timeout 300 "./${build}/tools/thriftyvid" "${export_args[@]}" \
+        --alg="${alg}" --outdir="${build}/export_smoke_${alg}"
+      timeout 300 "./${build}/tools/thriftyvid" "${export_args[@]}" \
+        --alg="${alg}" --outdir="${build}/export_smoke_${alg}_rerun"
+      diff -r "${build}/export_smoke_${alg}" "${build}/export_smoke_${alg}_rerun"
+    done
     if ! command -v python3 >/dev/null 2>&1; then
-      echo "=== analysis smoke: python3 not installed; skipping JSONL check ==="
+      echo "=== analysis smoke: python3 not installed; skipping JSONL and pcap checks ==="
       return 0
     fi
     python3 - "${jsonl}" <<'PY'
@@ -300,6 +317,30 @@ for line in lines:
 
 print(f"analysis smoke: {sys.argv[1]} is schema-valid "
       f"({len(lines)} leakage record(s))")
+PY
+
+    python3 - "${build}/export_smoke_3DES/eavesdropper.pcap" \
+      "${build}/export_smoke_AES256/eavesdropper.pcap" <<'PY'
+import struct, sys
+
+def stamps(path):
+    with open(path, "rb") as f:
+        data = f.read()
+    out, at = [], 24  # global header
+    while at + 16 <= len(data):
+        sec, usec, incl, _ = struct.unpack_from("<IIII", data, at)
+        out.append((sec, usec))
+        at += 16 + incl
+    return out
+
+slow, fast = stamps(sys.argv[1]), stamps(sys.argv[2])
+if not slow or not fast:
+    sys.exit("analysis smoke: export wrote an empty capture")
+if slow == fast:
+    sys.exit("analysis smoke: export --alg=3DES and --alg=AES256 captures "
+             "have identical timestamps")
+print(f"analysis smoke: export pcaps differ by cipher "
+      f"({len(slow)} and {len(fast)} records)")
 PY
   }
 

@@ -114,13 +114,11 @@ double psnr_proxy(const InferenceResult& r, const CaptureFeatures& f,
   traffic.mean_p_packets_per_frame =
       p_frames > 0.0 ? p_packets / p_frames : 1.0;
 
-  core::DistortionInputs di;
+  // The reference's content terms under the observed stream geometry.
+  core::DistortionInputs di = core::distortion_inputs_of(
+      reference, core::default_sensitivity(r.motion_est));
   di.gop_size = gop;
   di.n_gops = std::max(1, static_cast<int>(r.frames.size()) / gop);
-  di.sensitivity_fraction = core::default_sensitivity(r.motion_est);
-  di.base_mse = reference.base_mse;
-  di.null_mse = reference.null_mse;
-  di.inter = reference.inter;
 
   const double q_i = i_packets > 0.0 ? i_marked / i_packets : 0.0;
   const double q_p = p_packets > 0.0 ? p_marked / p_packets : 0.0;

@@ -1,15 +1,12 @@
 #include "analysis/sweep.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "core/experiment.hpp"
-#include "crypto/suite.hpp"
 #include "energy/energy_model.hpp"
 #include "live/sender.hpp"
-#include "live/stream_map.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -85,39 +82,16 @@ LeakageCellResult run_leakage_cell(
   LeakageCellResult r;
   r.cell = cell;
 
-  // ---- Sender side, exactly as live::run_loopback stages it: clone,
-  // pad (before encryption — the trailer must end up inside the
-  // ciphertext), select, encrypt, transfer, degrade-revert, hide markers.
-  util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  net::pad_to_bucket(packets, arena, cell.shaping.pad_bucket_bytes);
-  const std::vector<bool> selected = cell.policy.select(packets);
-  const auto cipher =
-      crypto::make_cipher_from_seed(cell.policy.algorithm, cell.seed);
-  const auto flow_iv = live::flow_iv_for(*cipher, cell.seed);
-  net::encrypt_selected(packets, selected, *cipher, flow_iv);
+  // ---- Sender side, exactly as live::run_loopback stages it: the
+  // flow (pad, encrypt), the transfer, then what the sender ships.
+  core::Flow flow{workload, cell.policy, cell.seed, cell.shaping};
+  const std::vector<net::VideoPacket>& packets = flow.packets();
 
   core::PipelineConfig pipeline = spec.pipeline;
   pipeline.algorithm = cell.policy.algorithm;
   const core::TransferResult transfer =
       core::simulate_transfer(pipeline, packets, cell.seed);
-
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (i < transfer.degraded_cleartext.size() &&
-        transfer.degraded_cleartext[i]) {
-      std::memcpy(packets[i].payload.data(),
-                  workload.packets[i].payload.data(),
-                  packets[i].content_size());
-      if (packets[i].pad_bytes > 0) {
-        (void)net::rtp_write_pad_trailer(packets[i].payload,
-                                         packets[i].content_size());
-      }
-      packets[i].encrypted = false;
-      packets[i].payload.set_marker(false);
-    }
-  }
-  if (cell.shaping.hide_markers) net::hide_wire_markers(packets);
+  flow.ship(transfer);
 
   r.packet_count = packets.size();
   for (const net::VideoPacket& p : packets) {
@@ -156,10 +130,9 @@ LeakageCellResult run_leakage_cell(
   // by decoding what the snooper captured.
   r.truth = ground_truth_of(workload, packets, send_times,
                             spec.adversary.trajectory_window_s);
-  const int frame_count = static_cast<int>(workload.stream.frames.size());
   r.truth.eavesdropper_psnr_db = core::decode_psnr(
-      workload, net::reassemble(packets, transfer.eavesdropper_captured,
-                                frame_count, nullptr, flow_iv));
+      workload,
+      flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
   r.metrics = score_leakage(r.inference, r.truth);
 
   // ---- The countermeasures' price, in the paper's currency.  Padding

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "crypto/suite.hpp"
-#include "util/arena.hpp"
 #include "energy/energy_model.hpp"
 #include "util/thread_pool.hpp"
 #include "video/quality.hpp"
@@ -201,21 +200,11 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
     if (!decision.admitted) return;  // deferred: no airtime, no statistics.
 
     const core::Workload& w = *workloads[f];
-    // Per-flow arena: one bump-allocated clone of the shared plaintext
-    // packets, encrypted in place for this flow only, dropped wholesale
-    // when the task ends.  Keeps 10k-flow sweeps off the global heap.
-    util::Arena arena;
-    std::vector<net::VideoPacket> packets = net::clone_packets(w.packets, arena);
-    const std::vector<bool> selected = out.policy.select(packets);
-    const std::uint64_t cipher_seed =
-        util::derive_seed(spec.seed, kCipherStream, f);
-    const auto cipher =
-        crypto::make_cipher_from_seed(out.policy.algorithm, cipher_seed);
-    const auto flow_iv = core::flow_iv_for(*cipher, cipher_seed);
-    net::encrypt_selected(packets, selected, *cipher, flow_iv);
-
-    const int frame_count = static_cast<int>(w.stream.frames.size());
-    const video::Decoder decoder{w.codec};
+    // The flow's own arena-backed clone of the shared plaintext, encrypted
+    // for this flow only and dropped wholesale when the task ends.  Keeps
+    // 10k-flow sweeps off the global heap.
+    const core::Flow flow{w, out.policy,
+                          util::derive_seed(spec.seed, kCipherStream, f)};
 
     core::PipelineConfig base = spec.pipeline;
     base.device = cfg.device;
@@ -242,7 +231,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
       core::TransferResult transfer;
       try {
         transfer = core::simulate_transfer(
-            pipeline, packets, flow_transfer_seed(spec.seed, f, r),
+            pipeline, flow.packets(), flow_transfer_seed(spec.seed, f, r),
             stamp ? &*stamp : nullptr);
       } catch (const std::exception&) {
         ++out.failed_repetitions;
@@ -264,19 +253,12 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
       out.energy_j.add(energy.total_j());
 
       if (spec.evaluate_quality) {
-        const auto rx_frames =
-            net::reassemble(packets, transfer.receiver_delivered, frame_count,
-                            cipher.get(), flow_iv);
-        const video::FrameSequence rx = decoder.decode_stream(
-            w.stream.width, w.stream.height, rx_frames);
-        out.receiver_psnr_db.add(video::sequence_psnr(w.clip, rx));
-
-        const auto ev_frames =
-            net::reassemble(packets, transfer.eavesdropper_captured,
-                            frame_count, nullptr, flow_iv);
-        const video::FrameSequence ev = decoder.decode_stream(
-            w.stream.width, w.stream.height, ev_frames);
-        out.eavesdropper_psnr_db.add(video::sequence_psnr(w.clip, ev));
+        out.receiver_psnr_db.add(video::sequence_psnr(
+            w.clip,
+            flow.decode(transfer.receiver_delivered, /*decrypt=*/true)));
+        out.eavesdropper_psnr_db.add(video::sequence_psnr(
+            w.clip,
+            flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false)));
       }
     }
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/suite.hpp"
@@ -19,6 +20,65 @@ std::vector<std::uint8_t> flow_iv_for(const crypto::BlockCipher& cipher,
     b = static_cast<std::uint8_t>(state >> 56);
   }
   return iv;
+}
+
+DistortionInputs distortion_inputs_of(const Workload& workload,
+                                      double sensitivity_fraction) {
+  DistortionInputs di;
+  di.gop_size = workload.codec.gop_size;
+  di.n_gops = static_cast<int>(workload.stream.frames.size()) /
+              workload.codec.gop_size;
+  di.sensitivity_fraction = sensitivity_fraction;
+  di.base_mse = workload.base_mse;
+  di.null_mse = workload.null_mse;
+  di.inter = workload.inter;
+  return di;
+}
+
+Flow::Flow(const Workload& workload, const policy::EncryptionPolicy& policy,
+           std::uint64_t seed, const policy::ShapingPolicy& shaping)
+    : workload_(workload),
+      hide_markers_(shaping.hide_markers),
+      packets_(net::clone_packets(workload.packets, arena_)),
+      cipher_(crypto::make_cipher_from_seed(policy.algorithm, seed)),
+      iv_(flow_iv_for(*cipher_, seed)) {
+  shaping.validate();
+  net::pad_to_bucket(packets_, arena_, shaping.pad_bucket_bytes);
+  net::encrypt_selected(packets_, policy.select(packets_), *cipher_, iv_);
+}
+
+void Flow::ship(const TransferResult& transfer) {
+  const std::vector<bool>& degraded = transfer.degraded_cleartext;
+  for (std::size_t i = 0; i < packets_.size() && i < degraded.size(); ++i) {
+    if (!degraded[i]) continue;
+    net::VideoPacket& p = packets_[i];
+    // Padded clones are larger than the pristine originals: restore the
+    // content prefix, then re-write the pad trailer the encryption pass
+    // scrambled.
+    std::memcpy(p.payload.data(), workload_.packets[i].payload.data(),
+                p.content_size());
+    if (p.pad_bytes > 0) {
+      (void)net::rtp_write_pad_trailer(p.payload, p.content_size());
+    }
+    p.encrypted = false;
+    p.payload.set_marker(false);
+  }
+  if (hide_markers_) net::hide_wire_markers(packets_);
+}
+
+std::vector<video::ReceivedFrameData> Flow::frames(
+    const std::vector<bool>& delivered, bool decrypt) const {
+  return net::reassemble(packets_, delivered,
+                         static_cast<int>(workload_.stream.frames.size()),
+                         decrypt ? cipher_.get() : nullptr, iv_);
+}
+
+video::FrameSequence Flow::decode(const std::vector<bool>& delivered,
+                                  bool decrypt) const {
+  const video::Decoder decoder{workload_.codec};
+  return decoder.decode_stream(workload_.stream.width,
+                               workload_.stream.height,
+                               frames(delivered, decrypt));
 }
 
 double decode_psnr(const Workload& workload,
@@ -109,23 +169,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.label = spec.policy.label();
 
-  // Apply the policy's packet selection and encrypt for real — on a
-  // private clone so the shared workload's plaintext bytes stay intact.
-  util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  const std::vector<bool> selected = spec.policy.select(packets);
-  const auto cipher =
-      crypto::make_cipher_from_seed(spec.policy.algorithm, spec.seed);
-  const auto flow_iv = flow_iv_for(*cipher, spec.seed);
-  net::encrypt_selected(packets, selected, *cipher, flow_iv);
+  // Apply the policy's packet selection and encrypt for real — on the
+  // flow's private clone, so the shared workload's plaintext stays intact.
+  const Flow flow{workload, spec.policy, spec.seed};
+  const std::vector<net::VideoPacket>& packets = flow.packets();
   result.encryption = net::encryption_stats(packets);
 
   PipelineConfig pipeline = spec.pipeline;
   pipeline.algorithm = spec.policy.algorithm;
-
-  const int frame_count = static_cast<int>(workload.stream.frames.size());
-  const video::Decoder decoder{workload.codec};
 
   // Repetitions are mutually independent: each draws its own seed from
   // (spec.seed, rep), reads only shared const state, and writes only its
@@ -186,20 +237,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
     if (spec.evaluate_quality) {
       // Legitimate receiver: decrypts what it gets.
-      const auto rx_frames =
-          net::reassemble(packets, transfer.receiver_delivered, frame_count,
-                          cipher.get(), flow_iv);
-      const video::FrameSequence rx = decoder.decode_stream(
-          workload.stream.width, workload.stream.height, rx_frames);
+      const video::FrameSequence rx =
+          flow.decode(transfer.receiver_delivered, /*decrypt=*/true);
       out.rx_psnr.add(video::sequence_psnr(workload.clip, rx));
       out.rx_mos.add(video::sequence_mos(workload.clip, rx));
 
       // Eavesdropper: overhears, cannot decrypt.
-      const auto ev_frames =
-          net::reassemble(packets, transfer.eavesdropper_captured,
-                          frame_count, nullptr, flow_iv);
-      const video::FrameSequence ev = decoder.decode_stream(
-          workload.stream.width, workload.stream.height, ev_frames);
+      const video::FrameSequence ev =
+          flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
       out.ev_psnr.add(video::sequence_psnr(workload.clip, ev));
       out.ev_mos.add(video::sequence_mos(workload.clip, ev));
     }
@@ -255,13 +300,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   result.predicted_power = predict_power(
       pipeline.device, spec.policy.algorithm, traffic, service, q_i, q_p);
 
-  DistortionInputs di;
-  di.gop_size = workload.codec.gop_size;
-  di.n_gops = frame_count / workload.codec.gop_size;
-  di.sensitivity_fraction = spec.sensitivity_fraction;
-  di.base_mse = workload.base_mse;
-  di.null_mse = workload.null_mse;
-  di.inter = workload.inter;
+  const DistortionInputs di =
+      distortion_inputs_of(workload, spec.sensitivity_fraction);
 
   const bool tcp = pipeline.transport == Transport::kHttpTcp;
   // Per-packet delivery rates at each node.  Under the reliable transport

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,8 +36,8 @@ namespace tv::core {
 /// A reusable, deterministic video workload.
 ///
 /// Move-only: `arena` owns the wire bytes of `packets`, which are views
-/// (net::PacketBuf) into it.  Experiments never mutate the workload's
-/// packets — they clone_packets() into their own arena before encrypting.
+/// (net::PacketBuf) into it.  Nothing mutates the workload's packets: each
+/// core::Flow encrypts its own clone.
 struct Workload {
   video::MotionLevel motion = video::MotionLevel::kLow;
   video::CodecConfig codec;
@@ -67,6 +69,58 @@ struct Workload {
 /// any wire exchange (the out-of-band key-setup assumption of Section 3).
 [[nodiscard]] std::vector<std::uint8_t> flow_iv_for(
     const crypto::BlockCipher& cipher, std::uint64_t seed);
+
+/// The analytic distortion model's per-content inputs (Section 4.4) for a
+/// workload: its GOP geometry, coding and no-reference distortion, and
+/// fitted D(d).
+[[nodiscard]] DistortionInputs distortion_inputs_of(
+    const Workload& workload, double sensitivity_fraction);
+
+/// One flow of a workload under a policy: the sender's wire image and what
+/// each listener rebuilds from it (Fig. 3).  Construction clones the
+/// workload's packets into the flow's own arena, pads them to
+/// `shaping.pad_bucket_bytes` (so the pad trailer ends up inside the
+/// ciphertext), then encrypts the policy's selection under the key and IV
+/// both ends derive from (policy.algorithm, seed).  The workload must
+/// outlive the flow; a const Flow may be decoded from several threads.
+class Flow {
+ public:
+  /// Throws std::invalid_argument on an invalid `shaping`.
+  Flow(const Workload& workload, const policy::EncryptionPolicy& policy,
+       std::uint64_t seed, const policy::ShapingPolicy& shaping = {});
+
+  /// The wire packets: what simulate_transfer prices and a sender sends.
+  [[nodiscard]] const std::vector<net::VideoPacket>& packets() const {
+    return packets_;
+  }
+  /// The flow key and IV, for a receiver of live datagrams
+  /// (live::reassemble_wire).
+  [[nodiscard]] const crypto::BlockCipher& cipher() const { return *cipher_; }
+  [[nodiscard]] std::span<const std::uint8_t> iv() const { return iv_; }
+
+  /// Make the wire image what `transfer` sent: packets it degraded under
+  /// queue pressure go out in clear (plaintext restored, pad trailer
+  /// re-written, marker cleared).  With `shaping.hide_markers` every wire
+  /// marker is cleared; the `encrypted` metadata keeps the truth.
+  void ship(const TransferResult& transfer);
+
+  /// The frame data a listener that heard `delivered` rebuilds.  The
+  /// receiver decrypts; to the eavesdropper (`decrypt` false) encrypted
+  /// payloads are erasures.
+  [[nodiscard]] std::vector<video::ReceivedFrameData> frames(
+      const std::vector<bool>& delivered, bool decrypt) const;
+  /// frames() through the workload's decoder.
+  [[nodiscard]] video::FrameSequence decode(const std::vector<bool>& delivered,
+                                            bool decrypt) const;
+
+ private:
+  const Workload& workload_;
+  bool hide_markers_;
+  util::Arena arena_;
+  std::vector<net::VideoPacket> packets_;
+  std::unique_ptr<crypto::BlockCipher> cipher_;
+  std::vector<std::uint8_t> iv_;
+};
 
 /// What a single experiment should measure.
 struct ExperimentSpec {

@@ -47,8 +47,11 @@ enum class Transport { kRtpUdp, kHttpTcp };
 /// `eavesdropper_loss_prob` knobs with per-listener Gilbert-Elliott
 /// chains (bursty, correlated losses) and adds scheduled AP-outage
 /// windows during which no listener hears anything.  With
-/// `mean_burst_length <= 1` the chains degenerate to exactly the legacy
-/// i.i.d. losses, so burstiness can be swept at a fixed loss rate.
+/// `mean_burst_length <= 1` the chains keep the legacy i.i.d. per-packet
+/// law, so burstiness can be swept at a fixed loss rate — but not its
+/// draws: the chains draw from their own stream, while the legacy knobs
+/// draw from the transfer RNG and so shift every later backoff and
+/// transmission draw.
 struct ChannelModel {
   wifi::GilbertElliottParams receiver;
   wifi::GilbertElliottParams eavesdropper;

@@ -6,8 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "crypto/suite.hpp"
-#include "util/arena.hpp"
 #include "live/stream_map.hpp"
 #include "util/rng.hpp"
 
@@ -32,14 +30,8 @@ LoadReport run_load(const LoadConfig& config) {
   const core::Workload workload =
       core::build_workload(config.motion, config.gop_size, config.frames,
                            config.seed, config.pipeline.fps);
-  util::Arena arena;
-  std::vector<net::VideoPacket> wire =
-      net::clone_packets(workload.packets, arena);
-  const std::vector<bool> selected = config.policy.select(wire);
-  const auto cipher =
-      crypto::make_cipher_from_seed(config.policy.algorithm, config.seed);
-  const auto flow_iv = flow_iv_for(*cipher, config.seed);
-  net::encrypt_selected(wire, selected, *cipher, flow_iv);
+  const core::Flow flow{workload, config.policy, config.seed};
+  const std::vector<net::VideoPacket>& wire = flow.packets();
 
   core::PipelineConfig pipeline = config.pipeline;
   pipeline.algorithm = config.policy.algorithm;
@@ -139,8 +131,8 @@ LoadReport run_load(const LoadConfig& config) {
                              static_cast<double>(wire.size());
       if (config.evaluate_psnr && !it->second->packets.empty()) {
         summary.psnr_db = core::decode_psnr(
-            workload, reassemble_wire(map, it->second->packets, cipher.get(),
-                                      flow_iv));
+            workload, reassemble_wire(map, it->second->packets,
+                                      &flow.cipher(), flow.iv()));
       }
     }
     switch (summary.client.outcome) {

@@ -1,13 +1,11 @@
 #include "live/loopback.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/calibration.hpp"
 #include "core/predictor.hpp"
-#include "crypto/suite.hpp"
 #include "live/event_loop.hpp"
 #include "live/receiver_session.hpp"
 #include "live/stream_map.hpp"
@@ -20,20 +18,11 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   const core::Workload workload =
       core::build_workload(config.motion, config.gop_size, config.frames,
                            config.seed, config.pipeline.fps);
-  util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  // Shaping, step 1: pad before encryption so the pad trailer — and with
-  // it the true payload length — ends up inside the ciphertext.  The
-  // padded sizes then flow through simulate_transfer, so the knob's
-  // delay/energy price is charged by the same models as everything else.
-  config.shaping.validate();
-  net::pad_to_bucket(packets, arena, config.shaping.pad_bucket_bytes);
-  const std::vector<bool> selected = config.policy.select(packets);
-  const auto cipher =
-      crypto::make_cipher_from_seed(config.policy.algorithm, config.seed);
-  const auto flow_iv = flow_iv_for(*cipher, config.seed);
-  net::encrypt_selected(packets, selected, *cipher, flow_iv);
+  // Shaping, step 1: the flow pads before it encrypts.  The padded sizes
+  // flow through simulate_transfer, so the knob's delay/energy price is
+  // charged by the same models as everything else.
+  core::Flow flow{workload, config.policy, config.seed, config.shaping};
+  const std::vector<net::VideoPacket>& packets = flow.packets();
 
   core::PipelineConfig pipeline = config.pipeline;
   pipeline.algorithm = config.policy.algorithm;
@@ -44,30 +33,9 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   const core::TransferResult transfer =
       core::simulate_transfer(pipeline, packets, config.seed, config.trace);
 
-  // Queue-pressure degradation shipped some packets in clear: the wire
-  // stream must reflect that (payload back to plaintext, marker off).
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (i < transfer.degraded_cleartext.size() &&
-        transfer.degraded_cleartext[i]) {
-      // Restore the plaintext bytes into this clone's wire region and
-      // clear the marker bit there too — the wire image is what the
-      // sender transmits.  Padded clones are larger than the pristine
-      // originals: restore the content prefix, then re-write the pad
-      // trailer the encryption pass scrambled.
-      std::memcpy(packets[i].payload.data(),
-                  workload.packets[i].payload.data(),
-                  packets[i].content_size());
-      if (packets[i].pad_bytes > 0) {
-        (void)net::rtp_write_pad_trailer(packets[i].payload,
-                                         packets[i].content_size());
-      }
-      packets[i].encrypted = false;
-      packets[i].payload.set_marker(false);
-    }
-  }
-  // Shaping, step 2: hide the wire markers.  Metadata keeps the truth —
-  // the StreamMap built below carries it out-of-band to the receiver.
-  if (config.shaping.hide_markers) net::hide_wire_markers(packets);
+  // Degraded packets go out in clear; shaping, step 2 hides the wire
+  // markers.  The StreamMap below carries the true flags out-of-band.
+  flow.ship(transfer);
 
   LoopbackReport report;
   report.packet_count = packets.size();
@@ -83,23 +51,17 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
 
   // ---- In-memory reference PSNRs over the same wire packets.
   report.memory_receiver_psnr_db = core::decode_psnr(
-      workload, net::reassemble(packets, transfer.receiver_delivered,
-                                frame_count, cipher.get(), flow_iv));
+      workload, flow.frames(transfer.receiver_delivered, /*decrypt=*/true));
   report.memory_eavesdropper_psnr_db = core::decode_psnr(
-      workload, net::reassemble(packets, transfer.eavesdropper_captured,
-                                frame_count, nullptr, flow_iv));
+      workload,
+      flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
 
   // ---- Analytic predictions (Section 4.4 distortion model).
   {
     const core::TrafficCalibration traffic = core::calibrate_traffic(
         packets, transfer.timings, workload.fps, /*sample_packets=*/0);
-    core::DistortionInputs di;
-    di.gop_size = workload.codec.gop_size;
-    di.n_gops = frame_count / workload.codec.gop_size;
-    di.sensitivity_fraction = core::default_sensitivity(config.motion);
-    di.base_mse = workload.base_mse;
-    di.null_mse = workload.null_mse;
-    di.inter = workload.inter;
+    const core::DistortionInputs di = core::distortion_inputs_of(
+        workload, core::default_sensitivity(config.motion));
     const double p_s_rx = 1.0 - pipeline.receiver_loss_prob;
     const double p_s_ev = 1.0 - pipeline.eavesdropper_loss_prob;
     report.predicted_receiver_psnr_db =
@@ -174,7 +136,7 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
 
   const std::vector<net::ReceivedPacket> received = receiver.finish();
   report.live_receiver_psnr_db = core::decode_psnr(
-      workload, reassemble_wire(map, received, cipher.get(), flow_iv,
+      workload, reassemble_wire(map, received, &flow.cipher(), flow.iv(),
                                 config.shaping.hide_markers));
   report.live_eavesdropper_psnr_db =
       core::decode_psnr(workload, tap.reassemble(map));

@@ -25,8 +25,9 @@ namespace tv::wifi {
 /// `mean_burst_length` the expected number of consecutive packet slots
 /// spent in the Bad state once entered (the mean sojourn, in packets).
 /// A `mean_burst_length` of 1 (or less) degenerates to i.i.d. Bernoulli
-/// losses at `mean_loss_prob`, which is exactly the pipeline's legacy
-/// channel — so sweeping burstiness up from 1 isolates the effect of
+/// losses at `mean_loss_prob` — the same per-packet law as the pipeline's
+/// legacy channel, though not the same draws (the chain has its own RNG
+/// stream) — so sweeping burstiness up from 1 isolates the effect of
 /// loss correlation at a fixed loss rate.
 struct GilbertElliottParams {
   double mean_loss_prob = 0.0;

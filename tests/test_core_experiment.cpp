@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/advisor.hpp"
 
 namespace tv::core {
@@ -162,6 +164,66 @@ TEST(Experiment, EncryptionStatsMatchPolicy) {
   EXPECT_DOUBLE_EQ(r.encryption.byte_fraction(), 1.0);
   const auto none = run_experiment(spec_for(w, policy::Mode::kNone), w);
   EXPECT_DOUBLE_EQ(none.encryption.packet_fraction(), 0.0);
+}
+
+TEST(Flow, ShipSendsDegradedPacketsInClearAndHidesMarkers) {
+  const auto& w = slow_workload();
+  const policy::EncryptionPolicy pol{policy::Mode::kAll,
+                                     crypto::Algorithm::kTripleDes, 0.0};
+  Flow flow{w, pol, 5, policy::shaping_from_string("pad256+hidemark")};
+
+  // A slow cipher behind a fast producer builds a queue, so the policy
+  // gate degrades some of the encrypted P packets.
+  PipelineConfig pipeline;
+  pipeline.device = samsung_galaxy_s2();
+  pipeline.algorithm = pol.algorithm;
+  pipeline.fps = 120.0;
+  pipeline.frame_jitter_mean_s = 0.0;
+  pipeline.degrade_sojourn_s = 0.05;
+  const TransferResult transfer =
+      simulate_transfer(pipeline, flow.packets(), 9);
+  ASSERT_GT(transfer.degraded_packets, 0u);
+  flow.ship(transfer);
+
+  std::size_t degraded = 0;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flow.packets().size(); ++i) {
+    const net::VideoPacket& p = flow.packets()[i];
+    const net::RtpHeader header = net::RtpHeader::parse(p.payload.wire());
+    EXPECT_FALSE(header.marker) << i;  // hidemark: no wire oracle.
+    if (!transfer.degraded_cleartext[i]) {
+      EXPECT_TRUE(p.encrypted) << i;
+      ++kept;
+      continue;
+    }
+    ++degraded;
+    EXPECT_FALSE(p.encrypted) << i;
+    const util::ByteView plain = w.packets[i].payload.payload();
+    ASSERT_EQ(p.content_size(), plain.size()) << i;
+    EXPECT_TRUE(std::equal(plain.begin(), plain.end(), p.payload.begin()))
+        << i;
+    EXPECT_EQ(net::rtp_unpadded_size(header, p.payload.payload()),
+              p.content_size())
+        << i;
+  }
+  EXPECT_EQ(degraded, transfer.degraded_packets);
+  EXPECT_GT(kept, 0u);
+
+  // Everything delivered: the receiver rebuilds the intact stream.
+  const video::FrameSequence rx = flow.decode(
+      std::vector<bool>(flow.packets().size(), true), /*decrypt=*/true);
+  std::vector<video::ReceivedFrameData> intact;
+  for (const auto& f : w.stream.frames) {
+    intact.push_back(video::ReceivedFrameData::intact(f.data));
+  }
+  const video::FrameSequence expected = video::Decoder{w.codec}.decode_stream(
+      w.stream.width, w.stream.height, intact);
+  ASSERT_EQ(rx.size(), expected.size());
+  for (std::size_t f = 0; f < rx.size(); ++f) {
+    EXPECT_EQ(rx[f].y_plane(), expected[f].y_plane()) << f;
+    EXPECT_EQ(rx[f].u_plane(), expected[f].u_plane()) << f;
+    EXPECT_EQ(rx[f].v_plane(), expected[f].v_plane()) << f;
+  }
 }
 
 TEST(Advisor, RecommendsCheapestConfidentialPolicy) {

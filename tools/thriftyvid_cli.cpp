@@ -39,7 +39,6 @@
 #include "util/thread_pool.hpp"
 #include "video/motion.hpp"
 #include "video/y4m.hpp"
-#include "util/arena.hpp"
 
 using namespace tv;
 using util::Flags;
@@ -685,14 +684,8 @@ int cmd_advise(const Flags& args) {
   const auto service = core::calibrate_service(workload.packets,
                                                probe.timings, pipeline,
                                                traffic);
-  core::DistortionInputs di;
-  di.gop_size = workload.codec.gop_size;
-  di.n_gops = static_cast<int>(workload.stream.frames.size()) /
-              workload.codec.gop_size;
-  di.sensitivity_fraction = core::default_sensitivity(workload.motion);
-  di.base_mse = workload.base_mse;
-  di.null_mse = workload.null_mse;
-  di.inter = workload.inter;
+  const core::DistortionInputs di = core::distortion_inputs_of(
+      workload, core::default_sensitivity(workload.motion));
 
   core::AdvisorRequest request;
   request.algorithm = alg;
@@ -732,30 +725,16 @@ int cmd_export(const Flags& args) {
   const std::string outdir = args.get("outdir", "out");
   std::filesystem::create_directories(outdir);
 
-  util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  const auto selected = pol.select(packets);
-  const auto cipher =
-      crypto::make_cipher_from_seed(pol.algorithm, args.get_uint64("seed", 1));
-  std::vector<std::uint8_t> iv(cipher->block_size(), 0x5c);
-  net::encrypt_selected(packets, selected, *cipher, iv);
+  const std::uint64_t seed = args.get_uint64("seed", 1);
+  const core::Flow flow{workload, pol, seed};
 
   core::PipelineConfig pipeline;
   pipeline.device = core::device_from_string(args.get("device", "samsung"));
-  const auto transfer = core::simulate_transfer(pipeline, packets,
-                                                args.get_uint64("seed", 1));
-  const int frames = static_cast<int>(workload.stream.frames.size());
-  const video::Decoder decoder{workload.codec};
-
-  const auto rx = decoder.decode_stream(
-      workload.stream.width, workload.stream.height,
-      net::reassemble(packets, transfer.receiver_delivered, frames,
-                      cipher.get(), iv));
-  const auto ev = decoder.decode_stream(
-      workload.stream.width, workload.stream.height,
-      net::reassemble(packets, transfer.eavesdropper_captured, frames,
-                      nullptr, iv));
+  pipeline.algorithm = pol.algorithm;
+  const auto transfer = core::simulate_transfer(pipeline, flow.packets(), seed);
+  const auto rx = flow.decode(transfer.receiver_delivered, /*decrypt=*/true);
+  const auto ev =
+      flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
 
   video::write_y4m_file(outdir + "/original.y4m", workload.clip);
   video::write_y4m_file(outdir + "/receiver.y4m", rx);
@@ -764,7 +743,8 @@ int cmd_export(const Flags& args) {
   for (const auto& t : transfer.timings) stamps.push_back(t.completion);
   net::write_pcap_file(
       outdir + "/eavesdropper.pcap",
-      net::capture_of(packets, transfer.eavesdropper_captured, stamps));
+      net::capture_of(flow.packets(), transfer.eavesdropper_captured,
+                      stamps));
   std::printf("wrote %s/{original,receiver,eavesdropper}.y4m and "
               "eavesdropper.pcap  (policy %s, rx %.1f dB, eaves %.1f dB)\n",
               outdir.c_str(), pol.label().c_str(),
@@ -1127,13 +1107,8 @@ int cmd_live_send(const Flags& args) {
   const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
   const auto pol = policy::policy_from_string(args.get("policy", "I"), alg);
   const std::uint64_t seed = args.get_uint64("seed", 1);
-  util::Arena arena;
-  std::vector<net::VideoPacket> packets =
-      net::clone_packets(workload.packets, arena);
-  const auto selected = pol.select(packets);
-  const auto cipher = crypto::make_cipher_from_seed(alg, seed);
-  const auto flow_iv = live::flow_iv_for(*cipher, seed);
-  net::encrypt_selected(packets, selected, *cipher, flow_iv);
+  const core::Flow flow{workload, pol, seed};
+  const std::vector<net::VideoPacket>& packets = flow.packets();
 
   core::PipelineConfig pipeline;
   pipeline.device = core::device_from_string(args.get("device", "samsung"));
@@ -1171,8 +1146,11 @@ int cmd_live_recv(const Flags& args) {
       args.get_uint64("seed", 1));
   const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
   const std::uint64_t seed = args.get_uint64("seed", 1);
-  const auto cipher = crypto::make_cipher_from_seed(alg, seed);
-  const auto flow_iv = live::flow_iv_for(*cipher, seed);
+  // The receiver's side of the flow: it selects nothing, but holds the
+  // key and IV the sender derived from the same (algorithm, seed).
+  const core::Flow flow{
+      workload, policy::EncryptionPolicy{policy::Mode::kNone, alg, 0.0},
+      seed};
   const int frame_count = static_cast<int>(workload.stream.frames.size());
   const live::StreamMap map = live::StreamMap::of(workload.packets,
                                                   frame_count);
@@ -1195,12 +1173,11 @@ int cmd_live_recv(const Flags& args) {
               "%zu invalid)\n",
               received.size(), stats.datagrams, stats.duplicates,
               stats.reordered, stats.invalid);
-  const video::Decoder decoder{workload.codec};
-  const auto decoded = decoder.decode_stream(
-      workload.stream.width, workload.stream.height,
-      live::reassemble_wire(map, received, cipher.get(), flow_iv));
   std::printf("receiver PSNR: %.2f dB\n",
-              video::sequence_psnr(workload.clip, decoded));
+              core::decode_psnr(workload,
+                                live::reassemble_wire(map, received,
+                                                      &flow.cipher(),
+                                                      flow.iv())));
   return 0;
 }
 
