@@ -40,7 +40,12 @@
 #     cross-check grid and a 100-flow capacity cell, in both the plain
 #     and the ASan+UBSan builds, each under a hard timeout.  The plain
 #     build also schedules an overloaded 50 000-flow cell under a 20 s
-#     timeout, the guard against a scheduler that is quadratic in flows.
+#     timeout, the guard against a scheduler that is quadratic in flows,
+#     and runs a `sweep` and a `cell` grid whose cells share workloads
+#     from a cold start at --threads=1 and --threads=4, each under a
+#     60 s timeout: stdout must be byte-identical across thread counts.
+#     The timeout is the watchdog against a grid task that builds a
+#     workload on the pool and waits on itself (docs/sweeps.md);
 #   * --analysis-smoke runs the `analysis` label (the traffic-analysis
 #     adversary, docs/adversary.md) plus the full pcap round trip: a
 #     deterministic `live loopback --pcap` capture piped through
@@ -230,6 +235,20 @@ if [[ "${mode}" == "--cell-smoke" ]]; then
   timeout 120 ./build/tools/thriftyvid "${validate_args[@]}"
   timeout 300 ./build/tools/thriftyvid "${sweep_args[@]}" >/dev/null
   timeout 20 ./build/tools/thriftyvid "${overload_args[@]}" >/dev/null
+  # Cold cache on a pool: two motions x two GOPs, many cells per workload.
+  cold_grid_diff() {
+    timeout 60 ./build/tools/thriftyvid "$@" --threads=1 \
+      >build/cell_smoke_cold_t1.jsonl
+    timeout 60 ./build/tools/thriftyvid "$@" --threads=4 \
+      >build/cell_smoke_cold_t4.jsonl
+    cmp build/cell_smoke_cold_t1.jsonl build/cell_smoke_cold_t4.jsonl
+  }
+  cold_grid_diff sweep --motions=low,high --gops=8,15 \
+    --policies=none,I,all --algs=AES128,AES256 --transports=udp,tcp \
+    --frames=30 --reps=1 --format=jsonl --seed=3
+  cold_grid_diff cell --flows=16,64 --motions=low,high --gops=8,15 \
+    --policies=none,I,all --frames=30 --reps=1 --deadlines=4,8 \
+    --format=jsonl --seed=3
 
   echo "=== cell smoke: ASan + UBSan build ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

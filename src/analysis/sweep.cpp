@@ -219,7 +219,7 @@ LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
   // grid isolates the policy/shaping axes from content variation.
   const core::Workload workload =
       core::build_workload(spec.motion, spec.gop_size, spec.frames,
-                           spec.seed, spec.pipeline.fps);
+                           spec.seed, spec.pipeline.fps, pool_);
 
   LeakageSummary summary;
   util::stream_grid(

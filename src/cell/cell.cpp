@@ -1,5 +1,7 @@
 #include "cell/cell.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -263,11 +265,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
     }
   };
 
-  if (pool != nullptr && n > 1 && !instrumented) {
-    pool->parallel_for(n, run_flow);
-  } else {
-    for (std::size_t f = 0; f < n; ++f) run_flow(f);
-  }
+  util::parallel_for(instrumented ? nullptr : pool, n, run_flow);
 
   // Deterministic fold in flow order.
   CellResult result;
@@ -396,6 +394,22 @@ util::Record to_record(const CapacityPoint& p) {
 
 CellSweepSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
   spec.validate();
+  // Build every workload of the largest point before any point runs (see
+  // core::WorkloadCache).  Flow f's (motion, GOP) cycles with f, so the
+  // first motions x GOPs flows name every pair a point can use.
+  const auto t0 = std::chrono::steady_clock::now();
+  const CellSpec& base = spec.base;
+  const std::size_t flows = std::min(
+      static_cast<std::size_t>(*std::max_element(spec.flow_counts.begin(),
+                                                 spec.flow_counts.end())),
+      base.motions.size() * base.gop_sizes.size());
+  std::vector<core::WorkloadKey> keys;
+  for (std::size_t f = 0; f < flows; ++f) {
+    const FlowConfig c = resolve_flow(base, f);
+    keys.push_back({c.motion, c.gop_size, base.frames, base.seed, base.fps});
+  }
+  cache_.prebuild(keys);
+
   // Points run strictly in order (the sink contract): no pool at the point
   // level; the pool parallelizes the flows inside each point, which is
   // where the work is.
@@ -410,6 +424,9 @@ CellSweepSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
       sink, summary);
   summary.workloads = cache_.size();
   summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
+  summary.wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
   return summary;
 }
 

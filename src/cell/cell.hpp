@@ -226,7 +226,8 @@ using CellSweepSummary = util::GridSummary;
 /// workload cache); the pool parallelizes the flows inside each point.
 class CellRunner {
  public:
-  explicit CellRunner(util::ThreadPool* pool = nullptr) : pool_(pool) {}
+  explicit CellRunner(util::ThreadPool* pool = nullptr)
+      : pool_(pool), cache_(pool) {}
 
   CellSweepSummary run(const CapacitySpec& spec, CellSink& sink);
 

@@ -99,7 +99,8 @@ double default_sensitivity(video::MotionLevel motion) {
 }
 
 Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
-                        std::uint64_t seed, double fps) {
+                        std::uint64_t seed, double fps,
+                        util::ThreadPool* pool) {
   if (frames < gop_size) {
     throw std::invalid_argument{"build_workload: need at least one GOP"};
   }
@@ -118,26 +119,18 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
 
   const video::SceneGenerator scene{video::SceneParameters::preset(motion),
                                     seed};
-  w.clip = scene.render_clip(frames);
+  w.clip = scene.render_clip(frames, pool);
 
+  // The encoder reports each frame's reconstruction MSE; its
+  // reconstruction is what a decode of the intact stream yields, so the
+  // coding distortion floor needs no second decode.
+  std::vector<double> recon_mse;
   const video::Encoder encoder{w.codec};
-  w.stream = encoder.encode(w.clip);
+  w.stream = encoder.encode(w.clip, pool, &recon_mse);
   w.packets = net::packetize(w.stream, w.arena, net::kDefaultMtu, fps);
-
-  // Coding distortion floor: decode the intact stream and compare.
   {
-    const video::Decoder decoder{w.codec};
-    std::vector<video::ReceivedFrameData> intact;
-    intact.reserve(w.stream.frames.size());
-    for (const auto& f : w.stream.frames) {
-      intact.push_back(video::ReceivedFrameData::intact(f.data));
-    }
-    const video::FrameSequence lossless =
-        decoder.decode_stream(w.stream.width, w.stream.height, intact);
     double mse = 0.0;
-    for (std::size_t i = 0; i < w.clip.size(); ++i) {
-      mse += video::luma_mse(w.clip[i], lossless[i]);
-    }
+    for (const double m : recon_mse) mse += m;
     w.base_mse = mse / static_cast<double>(w.clip.size());
   }
 
@@ -156,7 +149,8 @@ Workload build_workload(video::MotionLevel motion, int gop_size, int frames,
   const int max_distance =
       std::min<int>(gop_size, static_cast<int>(w.clip.size()) - 1);
   w.inter = distortion::DistanceDistortion::fit(
-      distortion::measure_substitution_distortion(w.clip, max_distance), 5);
+      distortion::measure_substitution_distortion(w.clip, max_distance, pool),
+      5);
   return w;
 }
 
@@ -251,11 +245,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     out.transfer = std::move(transfer);
   };
 
-  if (pool != nullptr && reps.size() > 1 && !instrumented) {
-    pool->parallel_for(reps.size(), run_rep);
-  } else {
-    for (std::size_t i = 0; i < reps.size(); ++i) run_rep(i);
-  }
+  util::parallel_for(instrumented ? nullptr : pool, reps.size(), run_rep);
   if (spec.collect_stage_stats) result.stage_stats = collector.stats;
 
   // Deterministic fold in repetition order.

@@ -53,10 +53,13 @@ struct Workload {
 
 /// Generate, encode, packetize and characterize a clip.  Deterministic in
 /// `seed`.  `frames` should be a multiple of the GOP size (Table 1 clips
-/// are 300 frames at 30 fps).
+/// are 300 frames at 30 fps).  With `pool`, the render, the encode's
+/// macroblock rows and the distance fit run on it; the workload is
+/// bit-identical to the serial build.
 [[nodiscard]] Workload build_workload(video::MotionLevel motion,
                                       int gop_size, int frames,
-                                      std::uint64_t seed, double fps = 30.0);
+                                      std::uint64_t seed, double fps = 30.0,
+                                      util::ThreadPool* pool = nullptr);
 
 /// Decode received frame data with the workload's codec and score it
 /// against the original clip (sequence PSNR, dB).

@@ -1,5 +1,7 @@
 #include "core/sweep.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -182,7 +184,7 @@ std::shared_ptr<const Workload> WorkloadCache::get(video::MotionLevel motion,
                                                    int gop_size, int frames,
                                                    std::uint64_t seed,
                                                    double fps) {
-  const Key key{static_cast<int>(motion), gop_size, frames, seed, fps};
+  const WorkloadKey key{motion, gop_size, frames, seed, fps};
   std::shared_future<std::shared_ptr<const Workload>> future;
   std::promise<std::shared_ptr<const Workload>> promise;
   bool builder = false;
@@ -202,12 +204,21 @@ std::shared_ptr<const Workload> WorkloadCache::get(video::MotionLevel motion,
     // siblings needing this key block on the future below.
     try {
       promise.set_value(std::make_shared<const Workload>(
-          build_workload(motion, gop_size, frames, seed, fps)));
+          build_workload(motion, gop_size, frames, seed, fps, pool_)));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
   }
   return future.get();  // rethrows a build failure to every waiter.
+}
+
+void WorkloadCache::prebuild(std::vector<WorkloadKey> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  util::parallel_for(pool_, keys.size(), [&](std::size_t i) {
+    const WorkloadKey& k = keys[i];
+    (void)get(k.motion, k.gop_size, k.frames, k.seed, k.fps);
+  });
 }
 
 std::size_t WorkloadCache::size() const {
@@ -231,6 +242,16 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
     core::validate(pipeline);
   }
 
+  // Every workload is built before the cells fan out (see WorkloadCache).
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<WorkloadKey> keys;
+  keys.reserve(cells.size());
+  for (const SweepCell& cell : cells) {
+    keys.push_back({cell.motion, cell.gop_size, spec.frames, spec.seed,
+                    spec.fps});
+  }
+  cache_.prebuild(keys);
+
   auto run_cell = [&](std::size_t index) {
     const SweepCell& cell = cells[index];
     ExperimentSpec es;
@@ -252,6 +273,9 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
   SweepSummary summary;
   util::stream_grid(pool_, spec, cells.size(), run_cell, sink, summary);
   summary.workloads = cache_.size();
+  summary.wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
   return summary;
 }
 

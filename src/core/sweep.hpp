@@ -11,6 +11,7 @@
 // fully serial — produces bit-identical statistics and sink output.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -18,7 +19,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <tuple>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -103,22 +103,45 @@ void table_header(std::ostream& out, const SweepSpec& spec);
 void table_row(std::ostream& out, const SweepSpec& spec,
                const CellResult& result);
 
+/// Identifies one workload: build_workload's arguments.
+struct WorkloadKey {
+  video::MotionLevel motion = video::MotionLevel::kLow;
+  int gop_size = 30;
+  int frames = 300;
+  std::uint64_t seed = 1;
+  double fps = 30.0;
+
+  auto operator<=>(const WorkloadKey&) const = default;
+};
+
 /// Thread-safe build-once workload cache keyed by (motion, gop, frames,
 /// seed, fps).  Concurrent requests for the same key block on one build;
-/// the result is shared read-only.
+/// the result is shared read-only.  Builds run on the cache's pool.
+///
+/// A pool task must never build: while a build waits on its own
+/// parallel_for it runs other queued tasks, and a task that then asks for
+/// the key being built would block on its own thread's future.  Grid
+/// runners therefore prebuild() every key before fanning out, and their
+/// tasks only ever find finished workloads.
 class WorkloadCache {
  public:
+  explicit WorkloadCache(util::ThreadPool* pool = nullptr) : pool_(pool) {}
+
   [[nodiscard]] std::shared_ptr<const Workload> get(video::MotionLevel motion,
                                                     int gop_size, int frames,
                                                     std::uint64_t seed,
                                                     double fps = 30.0);
+  /// Build every distinct key of `keys` not cached yet, one pool task per
+  /// key.  Call from outside the pool.  Rethrows the first build failure.
+  void prebuild(std::vector<WorkloadKey> keys);
   /// Number of distinct workloads built (or being built) so far.
   [[nodiscard]] std::size_t size() const;
 
  private:
-  using Key = std::tuple<int, int, int, std::uint64_t, double>;
+  util::ThreadPool* pool_;
   mutable std::mutex mu_;
-  std::map<Key, std::shared_future<std::shared_ptr<const Workload>>> cache_;
+  std::map<WorkloadKey, std::shared_future<std::shared_ptr<const Workload>>>
+      cache_;
 };
 
 using SweepSummary = util::GridSummary;
@@ -129,7 +152,8 @@ class SweepRunner {
  public:
   /// `pool == nullptr` runs serially (through the same fold paths, so the
   /// statistics are identical either way).
-  explicit SweepRunner(util::ThreadPool* pool = nullptr) : pool_(pool) {}
+  explicit SweepRunner(util::ThreadPool* pool = nullptr)
+      : pool_(pool), cache_(pool) {}
 
   /// Runs every cell, streaming results to `sink` in cell order.
   /// Validates the spec and every cell's pipeline configuration up front.

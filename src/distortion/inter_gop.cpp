@@ -3,26 +3,33 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace tv::distortion {
 
 DistanceSamples measure_substitution_distortion(
-    const video::FrameSequence& clip, int max_distance) {
+    const video::FrameSequence& clip, int max_distance,
+    util::ThreadPool* pool) {
   if (max_distance < 1 ||
       clip.size() <= static_cast<std::size_t>(max_distance)) {
     throw std::invalid_argument{
         "measure_substitution_distortion: clip too short for max_distance"};
   }
+  const std::size_t n = static_cast<std::size_t>(max_distance);
   DistanceSamples samples;
-  for (int d = 1; d <= max_distance; ++d) {
+  samples.distances.resize(n);
+  samples.mse.resize(n);
+  // One independent sum per distance, each folded in t order.
+  const auto measure = [&](std::size_t i) {
+    const std::size_t d = i + 1;
     double acc = 0.0;
-    std::size_t count = 0;
-    for (std::size_t t = static_cast<std::size_t>(d); t < clip.size(); ++t) {
-      acc += video::luma_mse(clip[t], clip[t - static_cast<std::size_t>(d)]);
-      ++count;
+    for (std::size_t t = d; t < clip.size(); ++t) {
+      acc += video::luma_mse(clip[t], clip[t - d]);
     }
-    samples.distances.push_back(static_cast<double>(d));
-    samples.mse.push_back(acc / static_cast<double>(count));
-  }
+    samples.distances[i] = static_cast<double>(d);
+    samples.mse[i] = acc / static_cast<double>(clip.size() - d);
+  };
+  util::parallel_for(pool, n, measure);
   return samples;
 }
 

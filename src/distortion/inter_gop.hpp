@@ -13,6 +13,10 @@
 #include "util/polynomial.hpp"
 #include "video/frame.hpp"
 
+namespace tv::util {
+class ThreadPool;
+}
+
 namespace tv::distortion {
 
 /// (distance, mean MSE) samples measured from a clip.
@@ -23,9 +27,11 @@ struct DistanceSamples {
 
 /// Average luma MSE between each frame t and frame t-d, for d = 1..max
 /// (the paper's "artificially created frame losses ... substitutions from
-/// various distances").
+/// various distances").  With `pool` the distances run on it; each
+/// distance's sum is folded in t order either way, so the samples match.
 [[nodiscard]] DistanceSamples measure_substitution_distortion(
-    const video::FrameSequence& clip, int max_distance);
+    const video::FrameSequence& clip, int max_distance,
+    util::ThreadPool* pool = nullptr);
 
 /// The fitted distance-to-distortion curve.  Evaluation clamps the
 /// distance into [1, saturation_distance]: the polynomial is only trusted

@@ -120,6 +120,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs `body(i)` for every i in [0, n): on `pool` when given, serially in
+/// index order otherwise.
+template <typename F>
+void parallel_for(ThreadPool* pool, std::size_t n, F&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
 /// Runs `run(i)` for every i in [0, n) — on `pool` when given, serially
 /// otherwise — and hands each result to `emit(result)` strictly in index
 /// order, so grid output is deterministic at any thread count.  Results

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
 #include "video/bitstream.hpp"
 #include "video/dct.hpp"
 
@@ -122,28 +123,12 @@ MbGeometry mb_geometry(int mb_x, int mb_y) {
   return g;
 }
 
-// Sum of absolute differences of a 16x16 luma block at (bx,by) in `cur`
-// against (bx+dx, by+dy) in `ref` (clamped reads).
-double sad_16x16(const Frame& cur, const Frame& ref, int bx, int by, int dx,
-                 int dy) {
-  double acc = 0.0;
-  for (int r = 0; r < 16; ++r) {
-    const int ry = clampi(by + dy + r, 0, ref.height() - 1);
-    for (int c = 0; c < 16; ++c) {
-      const int rx = clampi(bx + dx + c, 0, ref.width() - 1);
-      acc += std::abs(static_cast<double>(cur.y(bx + c, by + r)) -
-                      static_cast<double>(ref.y(rx, ry)));
-    }
-  }
-  return acc;
-}
-
 // Three-step search around (0,0); returns the best full-pel vector.
 std::pair<int, int> motion_search(const Frame& cur, const Frame& ref, int bx,
                                   int by, int range) {
   int best_dx = 0;
   int best_dy = 0;
-  double best = sad_16x16(cur, ref, bx, by, 0, 0) - 128.0;  // zero-mv bias.
+  int best = sad_16x16(cur, ref, bx, by, 0, 0) - 128;  // zero-mv bias.
   for (int step = std::max(1, range / 2); step >= 1; step /= 2) {
     const int cx = best_dx;
     const int cy = best_dy;
@@ -152,7 +137,7 @@ std::pair<int, int> motion_search(const Frame& cur, const Frame& ref, int bx,
         if (sx == 0 && sy == 0) continue;
         const int dx = clampi(cx + sx * step, -range, range);
         const int dy = clampi(cy + sy * step, -range, range);
-        const double cost = sad_16x16(cur, ref, bx, by, dx, dy);
+        const int cost = sad_16x16(cur, ref, bx, by, dx, dy);
         if (cost < best) {
           best = cost;
           best_dx = dx;
@@ -201,6 +186,40 @@ QuantBlock quantize_difference(const Block8x8& source,
 }
 
 }  // namespace
+
+int sad_16x16(const Frame& cur, const Frame& ref, int bx, int by, int dx,
+              int dy) {
+  const int x0 = bx + dx;
+  const int y0 = by + dy;
+  const std::size_t cur_w = static_cast<std::size_t>(cur.width());
+  const std::size_t ref_w = static_cast<std::size_t>(ref.width());
+  const std::uint8_t* a = cur.y_plane().data() +
+                          static_cast<std::size_t>(by) * cur_w +
+                          static_cast<std::size_t>(bx);
+  int acc = 0;
+  if (x0 >= 0 && y0 >= 0 && x0 + 16 <= ref.width() &&
+      y0 + 16 <= ref.height()) {
+    // Interior: no clamping, so each row is one vectorizable SAD.
+    const std::uint8_t* b = ref.y_plane().data() +
+                            static_cast<std::size_t>(y0) * ref_w +
+                            static_cast<std::size_t>(x0);
+    for (int r = 0; r < 16; ++r, a += cur_w, b += ref_w) {
+      for (int c = 0; c < 16; ++c) {
+        acc += std::abs(static_cast<int>(a[c]) - static_cast<int>(b[c]));
+      }
+    }
+    return acc;
+  }
+  for (int r = 0; r < 16; ++r, a += cur_w) {
+    const int ry = clampi(y0 + r, 0, ref.height() - 1);
+    for (int c = 0; c < 16; ++c) {
+      const int rx = clampi(x0 + c, 0, ref.width() - 1);
+      acc += std::abs(static_cast<int>(a[c]) -
+                      static_cast<int>(ref.y(rx, ry)));
+    }
+  }
+  return acc;
+}
 
 std::size_t EncodedStream::total_bytes() const {
   std::size_t total = 0;
@@ -263,7 +282,193 @@ Encoder::Encoder(CodecConfig config) : config_(config) {
   }
 }
 
-EncodedStream Encoder::encode(const FrameSequence& clip) const {
+namespace {
+
+// Code one macroblock intra: flat mid-gray prediction, all six blocks.
+void code_intra_mb(ByteWriter& row, const Frame& source, const MbGeometry& g,
+                   PlaneRef ry, PlaneRef ru, PlaneRef rv, double qstep) {
+  const int width = source.width();
+  const int height = source.height();
+  Block8x8 flat{};
+  flat.fill(128.0);
+  for (int b = 0; b < 4; ++b) {
+    const Block8x8 src =
+        read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+    const QuantBlock q = quantize_difference(src, flat, qstep, false);
+    code_coefficients(row, q);
+    reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+  }
+  const Block8x8 src_u =
+      read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
+  const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
+  code_coefficients(row, qu);
+  reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
+  const Block8x8 src_v =
+      read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
+  const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
+  code_coefficients(row, qv);
+  reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+}
+
+// Encode macroblock row `mb_y` of `source` as one independent slice.  It
+// predicts only from `recon` (the previous reconstruction) and writes only
+// row `mb_y`'s blocks of `next_recon`, so the rows of a frame may run
+// concurrently.
+std::vector<std::uint8_t> encode_row(const CodecConfig& config,
+                                     const Frame& source, const Frame& recon,
+                                     Frame& next_recon, bool is_i, int mb_y) {
+  const int width = source.width();
+  const int height = source.height();
+  const int mb_cols = width / 16;
+  const double qstep = is_i ? config.i_qstep : config.p_qstep;
+  PlaneRef ry{&next_recon.y_plane(), width, height};
+  PlaneRef ru{&next_recon.u_plane(), width / 2, height / 2};
+  PlaneRef rv{&next_recon.v_plane(), width / 2, height / 2};
+
+  ByteWriter row;
+  int pending_skips = 0;
+  auto flush_skips = [&]() {
+    // Skip runs are coded as mode byte + varint(extra skips); patching
+    // varints in place is fiddly, so buffer the run and emit on flush.
+    if (pending_skips == 0) return;
+    row.put_u8(kModeSkipRun);
+    row.put_varint(static_cast<std::uint64_t>(pending_skips - 1));
+    pending_skips = 0;
+  };
+
+  for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
+    const MbGeometry g = mb_geometry(mb_x, mb_y);
+
+    if (is_i) {
+      code_intra_mb(row, source, g, ry, ru, rv, qstep);
+      continue;
+    }
+
+    // Inter MB: try the zero-motion skip first — if the zero-mv residual
+    // quantizes to nothing everywhere, the MB is a skip and no search is
+    // needed (this is what makes static content cheap).
+    int dx = 0;
+    int dy = 0;
+    {
+      bool zero_skippable = true;
+      for (int b = 0; b < 4 && zero_skippable; ++b) {
+        const Block8x8 pred =
+            read_block(recon.y_plane(), width, height, g.lx[b], g.ly[b]);
+        const Block8x8 src =
+            read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+        zero_skippable = all_zero(quantize_difference(src, pred, qstep, true));
+      }
+      if (zero_skippable) {
+        const Block8x8 pu =
+            read_block(recon.u_plane(), width / 2, height / 2, g.cx, g.cy);
+        const Block8x8 su =
+            read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
+        zero_skippable = all_zero(quantize_difference(su, pu, qstep, true));
+      }
+      if (zero_skippable) {
+        const Block8x8 pv =
+            read_block(recon.v_plane(), width / 2, height / 2, g.cx, g.cy);
+        const Block8x8 sv =
+            read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
+        zero_skippable = all_zero(quantize_difference(sv, pv, qstep, true));
+      }
+      if (!zero_skippable) {
+        const auto best = motion_search(source, recon, mb_x * 16, mb_y * 16,
+                                        config.search_range);
+        dx = best.first;
+        dy = best.second;
+      }
+    }
+
+    // Intra refresh: when even the best motion-compensated prediction is
+    // poor (new content), code the MB intra like an I-frame MB.
+    if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
+        config.intra_refresh_sad * 256.0) {
+      flush_skips();
+      row.put_u8(kModeIntra);
+      code_intra_mb(row, source, g, ry, ru, rv, qstep);
+      continue;
+    }
+
+    Block8x8 pred_y[4];
+    QuantBlock qy[4];
+    for (int b = 0; b < 4; ++b) {
+      pred_y[b] = read_block(recon.y_plane(), width, height, g.lx[b] + dx,
+                             g.ly[b] + dy);
+      const Block8x8 src =
+          read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
+      qy[b] = quantize_difference(src, pred_y[b], qstep, true);
+    }
+    const int cdx = dx / 2;
+    const int cdy = dy / 2;
+    const Block8x8 pred_u = read_block(recon.u_plane(), width / 2, height / 2,
+                                       g.cx + cdx, g.cy + cdy);
+    const Block8x8 src_u =
+        read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
+    const QuantBlock qu = quantize_difference(src_u, pred_u, qstep, true);
+    const Block8x8 pred_v = read_block(recon.v_plane(), width / 2, height / 2,
+                                       g.cx + cdx, g.cy + cdy);
+    const Block8x8 src_v =
+        read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
+    const QuantBlock qv = quantize_difference(src_v, pred_v, qstep, true);
+
+    const bool skippable = dx == 0 && dy == 0 && all_zero(qy[0]) &&
+                           all_zero(qy[1]) && all_zero(qy[2]) &&
+                           all_zero(qy[3]) && all_zero(qu) && all_zero(qv);
+    if (skippable) {
+      ++pending_skips;
+      for (int b = 0; b < 4; ++b) {
+        reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+      }
+      reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
+      reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
+      continue;
+    }
+
+    flush_skips();
+    row.put_u8(kModeInter);
+    row.put_signed(dx);
+    row.put_signed(dy);
+    std::uint8_t cbp = 0;
+    for (int b = 0; b < 4; ++b) {
+      if (!all_zero(qy[b])) cbp |= static_cast<std::uint8_t>(1U << b);
+    }
+    if (!all_zero(qu)) cbp |= 1U << 4;
+    if (!all_zero(qv)) cbp |= 1U << 5;
+    row.put_u8(cbp);
+    for (int b = 0; b < 4; ++b) {
+      if (cbp & (1U << b)) code_coefficients(row, qy[b]);
+      reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+    }
+    if (cbp & (1U << 4)) code_coefficients(row, qu);
+    reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
+    if (cbp & (1U << 5)) code_coefficients(row, qv);
+    reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
+  }
+  flush_skips();
+  return row.take();
+}
+
+// Decode one intra macroblock (code_intra_mb's inverse).
+void decode_intra_mb(ByteReader& row, const MbGeometry& g, PlaneRef ry,
+                     PlaneRef ru, PlaneRef rv, double qstep) {
+  Block8x8 flat{};
+  flat.fill(128.0);
+  for (int b = 0; b < 4; ++b) {
+    const QuantBlock q = decode_coefficients(row);
+    reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+  }
+  const QuantBlock qu = decode_coefficients(row);
+  reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
+  const QuantBlock qv = decode_coefficients(row);
+  reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+}
+
+}  // namespace
+
+EncodedStream Encoder::encode(const FrameSequence& clip,
+                              util::ThreadPool* pool,
+                              std::vector<double>* recon_mse) const {
   if (clip.empty()) throw std::invalid_argument{"encode: empty clip"};
   const int width = clip.front().width();
   const int height = clip.front().height();
@@ -278,190 +483,27 @@ EncodedStream Encoder::encode(const FrameSequence& clip) const {
   stream.width = width;
   stream.height = height;
   stream.frames.reserve(clip.size());
+  if (recon_mse != nullptr) {
+    recon_mse->clear();
+    recon_mse->reserve(clip.size());
+  }
 
-  const int mb_cols = width / 16;
   const int mb_rows = height / 16;
   Frame recon(width, height);  // encoder-side decoded reference.
+  std::vector<std::vector<std::uint8_t>> slices(
+      static_cast<std::size_t>(mb_rows));
 
   for (std::size_t fi = 0; fi < clip.size(); ++fi) {
     const Frame& source = clip[fi];
     const bool is_i = (fi % static_cast<std::size_t>(config_.gop_size)) == 0;
-    const double qstep = is_i ? config_.i_qstep : config_.p_qstep;
     Frame next_recon(width, height);
 
-    PlaneRef ry{&next_recon.y_plane(), width, height};
-    PlaneRef ru{&next_recon.u_plane(), width / 2, height / 2};
-    PlaneRef rv{&next_recon.v_plane(), width / 2, height / 2};
-
-    // Encode every macroblock row as an independent slice.
-    std::vector<std::vector<std::uint8_t>> slices;
-    slices.reserve(static_cast<std::size_t>(mb_rows));
-
-    for (int mb_y = 0; mb_y < mb_rows; ++mb_y) {
-      ByteWriter row;
-      int pending_skips = 0;
-      std::size_t skip_patch_pos = 0;  // unused when pending_skips == 0.
-      std::vector<std::uint8_t> row_bytes;
-
-      auto flush_skips = [&]() {
-        // Skip runs are coded as mode byte + varint(extra skips); patching
-        // varints in place is fiddly, so buffer the run and emit on flush.
-        if (pending_skips == 0) return;
-        row.put_u8(kModeSkipRun);
-        row.put_varint(static_cast<std::uint64_t>(pending_skips - 1));
-        pending_skips = 0;
-        (void)skip_patch_pos;
-      };
-
-      for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
-        const MbGeometry g = mb_geometry(mb_x, mb_y);
-
-        if (is_i) {
-          // Intra MB: predict from flat mid-gray; code all six blocks.
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const QuantBlock q = quantize_difference(src, flat, qstep, false);
-            code_coefficients(row, q);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const Block8x8 src_u = read_block(source.u_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
-          code_coefficients(row, qu);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const Block8x8 src_v = read_block(source.v_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
-          code_coefficients(row, qv);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
-          continue;
-        }
-
-        // Inter MB: try the zero-motion skip first — if the zero-mv
-        // residual quantizes to nothing everywhere, the MB is a skip and no
-        // search is needed (this is what makes static content cheap).
-        int dx = 0;
-        int dy = 0;
-        {
-          bool zero_skippable = true;
-          for (int b = 0; b < 4 && zero_skippable; ++b) {
-            const Block8x8 pred =
-                read_block(recon.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            zero_skippable = all_zero(quantize_difference(src, pred, qstep, true));
-          }
-          if (zero_skippable) {
-            const Block8x8 pu = read_block(recon.u_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            const Block8x8 su = read_block(source.u_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            zero_skippable = all_zero(quantize_difference(su, pu, qstep, true));
-          }
-          if (zero_skippable) {
-            const Block8x8 pv = read_block(recon.v_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            const Block8x8 sv = read_block(source.v_plane(), width / 2,
-                                           height / 2, g.cx, g.cy);
-            zero_skippable = all_zero(quantize_difference(sv, pv, qstep, true));
-          }
-          if (!zero_skippable) {
-            const auto best = motion_search(source, recon, mb_x * 16,
-                                            mb_y * 16, config_.search_range);
-            dx = best.first;
-            dy = best.second;
-          }
-        }
-
-        // Intra refresh: when even the best motion-compensated prediction
-        // is poor (new content), code the MB intra like an I-frame MB.
-        if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
-            config_.intra_refresh_sad * 256.0) {
-          flush_skips();
-          row.put_u8(kModeIntra);
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const Block8x8 src =
-                read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-            const QuantBlock q = quantize_difference(src, flat, qstep, false);
-            code_coefficients(row, q);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const Block8x8 src_u = read_block(source.u_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
-          code_coefficients(row, qu);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const Block8x8 src_v = read_block(source.v_plane(), width / 2,
-                                            height / 2, g.cx, g.cy);
-          const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
-          code_coefficients(row, qv);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
-          continue;
-        }
-
-        Block8x8 pred_y[4];
-        QuantBlock qy[4];
-        for (int b = 0; b < 4; ++b) {
-          pred_y[b] = read_block(recon.y_plane(), width, height, g.lx[b] + dx,
-                                 g.ly[b] + dy);
-          const Block8x8 src =
-              read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-          qy[b] = quantize_difference(src, pred_y[b], qstep, true);
-        }
-        const int cdx = dx / 2;
-        const int cdy = dy / 2;
-        const Block8x8 pred_u = read_block(recon.u_plane(), width / 2,
-                                           height / 2, g.cx + cdx, g.cy + cdy);
-        const Block8x8 src_u =
-            read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
-        const QuantBlock qu = quantize_difference(src_u, pred_u, qstep, true);
-        const Block8x8 pred_v = read_block(recon.v_plane(), width / 2,
-                                           height / 2, g.cx + cdx, g.cy + cdy);
-        const Block8x8 src_v =
-            read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
-        const QuantBlock qv = quantize_difference(src_v, pred_v, qstep, true);
-
-        const bool skippable = dx == 0 && dy == 0 && all_zero(qy[0]) &&
-                               all_zero(qy[1]) && all_zero(qy[2]) &&
-                               all_zero(qy[3]) && all_zero(qu) && all_zero(qv);
-        if (skippable) {
-          ++pending_skips;
-          for (int b = 0; b < 4; ++b) {
-            reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
-          }
-          reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-          reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
-          continue;
-        }
-
-        flush_skips();
-        row.put_u8(kModeInter);
-        row.put_signed(dx);
-        row.put_signed(dy);
-        std::uint8_t cbp = 0;
-        for (int b = 0; b < 4; ++b) {
-          if (!all_zero(qy[b])) cbp |= static_cast<std::uint8_t>(1U << b);
-        }
-        if (!all_zero(qu)) cbp |= 1U << 4;
-        if (!all_zero(qv)) cbp |= 1U << 5;
-        row.put_u8(cbp);
-        for (int b = 0; b < 4; ++b) {
-          if (cbp & (1U << b)) code_coefficients(row, qy[b]);
-          reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
-        }
-        if (cbp & (1U << 4)) code_coefficients(row, qu);
-        reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-        if (cbp & (1U << 5)) code_coefficients(row, qv);
-        reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
-      }
-      flush_skips();
-      slices.push_back(row.take());
-    }
+    // Every macroblock row is an independent slice; rows are joined in row
+    // order below, so the frame is the same however they were scheduled.
+    util::parallel_for(pool, slices.size(), [&](std::size_t mb_y) {
+      slices[mb_y] = encode_row(config_, source, recon, next_recon, is_i,
+                                static_cast<int>(mb_y));
+    });
 
     // Assemble the frame: header (magic, type, index, dims, slice table)
     // followed by the slices.
@@ -484,6 +526,9 @@ EncodedStream Encoder::encode(const FrameSequence& clip) const {
     out.is_i = is_i;
     out.data = frame.take();
     stream.frames.push_back(std::move(out));
+    if (recon_mse != nullptr) {
+      recon_mse->push_back(luma_mse(source, next_recon));
+    }
     recon = std::move(next_recon);
   }
   return stream;
@@ -587,16 +632,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
       for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
         const MbGeometry g = mb_geometry(mb_x, mb_y);
         if (header.is_i) {
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const QuantBlock q = decode_coefficients(row);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const QuantBlock qu = decode_coefficients(row);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const QuantBlock qv = decode_coefficients(row);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+          decode_intra_mb(row, g, ry, ru, rv, qstep);
           ++result.decoded_macroblocks;
           continue;
         }
@@ -613,16 +649,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
           continue;
         }
         if (mode == kModeIntra) {
-          Block8x8 flat{};
-          flat.fill(128.0);
-          for (int b = 0; b < 4; ++b) {
-            const QuantBlock q = decode_coefficients(row);
-            reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
-          }
-          const QuantBlock qu = decode_coefficients(row);
-          reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-          const QuantBlock qv = decode_coefficients(row);
-          reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
+          decode_intra_mb(row, g, ry, ru, rv, qstep);
           ++result.decoded_macroblocks;
           continue;
         }

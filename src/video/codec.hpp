@@ -21,6 +21,10 @@
 
 #include "video/frame.hpp"
 
+namespace tv::util {
+class ThreadPool;
+}
+
 namespace tv::video {
 
 /// Encoder tuning knobs.  Defaults give CIF I-frames of roughly 8-20 kB and
@@ -77,12 +81,25 @@ struct ReceivedFrameData {
   [[nodiscard]] bool range_ok(std::size_t begin, std::size_t end) const;
 };
 
+/// Sum of absolute differences between the 16x16 luma block at (bx, by)
+/// of `cur` and the block at (bx + dx, by + dy) of `ref`, reads clamped to
+/// `ref`'s edges: the motion search's cost.  Exact integer arithmetic.
+[[nodiscard]] int sad_16x16(const Frame& cur, const Frame& ref, int bx, int by,
+                            int dx, int dy);
+
 class Encoder {
  public:
   explicit Encoder(CodecConfig config);
 
   /// Encode a clip into an IPP...P stream.  Frames must share dimensions.
-  [[nodiscard]] EncodedStream encode(const FrameSequence& clip) const;
+  /// With `pool`, each frame's macroblock rows (independent slices) are
+  /// coded on it; the stream is the same either way.  `recon_mse`, when
+  /// given, receives one value per frame: the luma MSE of the encoder's
+  /// reconstruction against the source, which is what a decode of the
+  /// intact stream scores.
+  [[nodiscard]] EncodedStream encode(
+      const FrameSequence& clip, util::ThreadPool* pool = nullptr,
+      std::vector<double>* recon_mse = nullptr) const;
 
  private:
   CodecConfig config_;

@@ -1,5 +1,6 @@
 #include "video/frame.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -33,12 +34,22 @@ double luma_mse(const Frame& a, const Frame& b) {
   }
   const auto& ya = a.y_plane();
   const auto& yb = b.y_plane();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < ya.size(); ++i) {
-    const double d = static_cast<double>(ya[i]) - static_cast<double>(yb[i]);
-    acc += d * d;
+  // Integer squared differences: exact, and equal to a double running sum
+  // for any frame below 2^53 / 255^2 pixels (every partial sum is then an
+  // integer a double holds exactly).  Chunks of 2^16 pixels keep each
+  // partial sum inside a uint32, which the autovectorizer handles cheaply.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::uint64_t acc = 0;
+  for (std::size_t begin = 0; begin < ya.size(); begin += kChunk) {
+    const std::size_t end = std::min(ya.size(), begin + kChunk);
+    std::uint32_t part = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const int d = static_cast<int>(ya[i]) - static_cast<int>(yb[i]);
+      part += static_cast<std::uint32_t>(d * d);
+    }
+    acc += part;
   }
-  return acc / static_cast<double>(ya.size());
+  return static_cast<double>(acc) / static_cast<double>(ya.size());
 }
 
 double psnr_from_mse(double mse) {

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tv::video {
 
@@ -131,6 +132,11 @@ std::vector<SceneGenerator::Object> SceneGenerator::objects_for_scene(
 
 Frame SceneGenerator::render(int index) const {
   Frame frame(params_.width, params_.height);
+  render_into(index, frame);
+  return frame;
+}
+
+void SceneGenerator::render_into(int index, Frame& frame) const {
   const std::uint64_t scene =
       params_.scene_cut_period > 0
           ? static_cast<std::uint64_t>(index / params_.scene_cut_period)
@@ -141,23 +147,37 @@ Frame SceneGenerator::render(int index) const {
   const double pan_x = params_.pan_speed * frame_in_scene;
   const double pan_y = 0.37 * params_.pan_speed * frame_in_scene;
 
+  // Each object's center in this frame.  Objects wrap around the frame so
+  // they never leave the picture.
+  struct Placed {
+    const Object* object;
+    double ox;
+    double oy;
+    double reach;  ///< beyond this |dx| or |dy| a point is surely outside.
+  };
   const std::vector<Object> objects = objects_for_scene(scene);
+  std::vector<Placed> placed;
+  placed.reserve(objects.size());
+  for (const Object& o : objects) {
+    const double cx = o.x0 + o.vx * frame_in_scene;
+    const double cy = o.y0 + o.vy * frame_in_scene;
+    const double w = params_.width;
+    const double h = params_.height;
+    placed.push_back({&o, cx - w * std::floor(cx / w),
+                      cy - h * std::floor(cy / h), o.radius + 1.0});
+  }
 
   // Luma plane: background + objects + sensor noise.
   for (int yy = 0; yy < params_.height; ++yy) {
     for (int xx = 0; xx < params_.width; ++xx) {
       double value = background_luma(xx + pan_x, yy + pan_y,
                                      params_.texture_scale, bg_seed);
-      for (const Object& o : objects) {
-        const double cx = o.x0 + o.vx * frame_in_scene;
-        const double cy = o.y0 + o.vy * frame_in_scene;
-        // Objects wrap around the frame so they never leave the picture.
-        const double w = params_.width;
-        const double h = params_.height;
-        const double ox = cx - w * std::floor(cx / w);
-        const double oy = cy - h * std::floor(cy / h);
-        const double dx = xx - ox;
-        const double dy = yy - oy;
+      for (const Placed& p : placed) {
+        const double dx = xx - p.ox;
+        const double dy = yy - p.oy;
+        // Skipping is exact: such a point has dist >= |dx| > radius.
+        if (std::abs(dx) > p.reach || std::abs(dy) > p.reach) continue;
+        const Object& o = *p.object;
         const double dist = std::sqrt(dx * dx + dy * dy);
         if (dist < o.radius) {
           const double tex = value_noise(dx + 100.0, dy + 100.0, 6.0,
@@ -190,15 +210,11 @@ Frame SceneGenerator::render(int index) const {
       double cr = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
                                              params_.texture_scale * 3.0,
                                              bg_seed ^ 0xfeedULL);
-      for (const Object& o : objects) {
-        const double cx = o.x0 + o.vx * frame_in_scene;
-        const double cy = o.y0 + o.vy * frame_in_scene;
-        const double w = params_.width;
-        const double h = params_.height;
-        const double ox = cx - w * std::floor(cx / w);
-        const double oy = cy - h * std::floor(cy / h);
-        const double dx = wx - ox;
-        const double dy = wy - oy;
+      for (const Placed& p : placed) {
+        const double dx = wx - p.ox;
+        const double dy = wy - p.oy;
+        if (std::abs(dx) > p.reach || std::abs(dy) > p.reach) continue;
+        const Object& o = *p.object;
         if (dx * dx + dy * dy < o.radius * o.radius) {
           cb = o.cb;
           cr = o.cr;
@@ -208,13 +224,20 @@ Frame SceneGenerator::render(int index) const {
       frame.v(xx, yy) = clamp_pixel(cr);
     }
   }
-  return frame;
 }
 
-FrameSequence SceneGenerator::render_clip(int count) const {
+FrameSequence SceneGenerator::render_clip(int count,
+                                          util::ThreadPool* pool) const {
+  // Frames are allocated here, on the calling thread, and only filled on
+  // the pool: rendering is a pure function of the index.
   FrameSequence clip;
   clip.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) clip.push_back(render(i));
+  for (int i = 0; i < count; ++i) {
+    clip.emplace_back(params_.width, params_.height);
+  }
+  util::parallel_for(pool, clip.size(), [&](std::size_t i) {
+    render_into(static_cast<int>(i), clip[i]);
+  });
   return clip;
 }
 

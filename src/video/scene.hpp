@@ -15,6 +15,10 @@
 
 #include "video/frame.hpp"
 
+namespace tv::util {
+class ThreadPool;
+}
+
 namespace tv::video {
 
 /// Paper's three content classes (Section 4.3.2, Fig. 2).
@@ -50,8 +54,10 @@ class SceneGenerator {
   /// (params, seed, index), so frames can be generated in any order.
   [[nodiscard]] Frame render(int index) const;
 
-  /// Render frames [0, count).
-  [[nodiscard]] FrameSequence render_clip(int count) const;
+  /// Render frames [0, count), on `pool` when given (same frames either
+  /// way).
+  [[nodiscard]] FrameSequence render_clip(
+      int count, util::ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const SceneParameters& parameters() const { return params_; }
 
@@ -69,6 +75,9 @@ class SceneGenerator {
   };
 
   [[nodiscard]] std::vector<Object> objects_for_scene(std::uint64_t scene) const;
+  /// Render frame `index` into `frame`, which already has the clip's
+  /// dimensions; every pixel is overwritten.
+  void render_into(int index, Frame& frame) const;
 
   SceneParameters params_;
   std::uint64_t seed_;

@@ -12,6 +12,7 @@
 #include "cell/contention.hpp"
 #include "cell/scheduler.hpp"
 #include "core/pipeline.hpp"
+#include "core/sweep.hpp"
 #include "crypto/suite.hpp"
 #include "net/packetizer.hpp"
 #include "util/thread_pool.hpp"
@@ -229,6 +230,84 @@ CellSpec small_cell() {
   spec.evaluate_quality = false;
   spec.seed = 33;
   return spec;
+}
+
+// Forwards to a JSONL sink and records how many workloads the runner's
+// cache held when the grid began streaming.
+template <class Spec, class Row>
+class WarmAtBeginSink : public util::Sink<Spec, Row> {
+ public:
+  WarmAtBeginSink(std::ostream& out, const core::WorkloadCache& cache)
+      : jsonl_(out), cache_(cache) {}
+  void begin(const Spec& spec) override {
+    built_at_begin = cache_.size();
+    jsonl_.begin(spec);
+  }
+  void cell(const Row& row) override { jsonl_.cell(row); }
+  void end() override { jsonl_.end(); }
+
+  std::size_t built_at_begin = 0;
+
+ private:
+  util::JsonlSink<Spec, Row> jsonl_;
+  const core::WorkloadCache& cache_;
+};
+
+// A cold cache on a pool: a grid task that built a workload could, while
+// its build's parallel_for helps, pick up a sibling task that needs the
+// same key and block on its own future.  Both runners build every key
+// before they fan out, so each run must finish and match the serial run,
+// and the cache must already be warm when the first row streams.
+TEST(WorkloadCache, ColdGridOnPoolNeverSelfWaits) {
+  using policy::Mode;
+  core::SweepSpec sweep;  // 4 policies x 2 algorithms x 2 transports.
+  sweep.motions = {video::MotionLevel::kLow};
+  sweep.gop_sizes = {8};
+  sweep.policies = {{Mode::kNone, crypto::Algorithm::kAes256, 0.0},
+                    {Mode::kIFrames, crypto::Algorithm::kAes256, 0.0},
+                    {Mode::kPFrames, crypto::Algorithm::kAes256, 0.0},
+                    {Mode::kAll, crypto::Algorithm::kAes256, 0.0}};
+  sweep.algorithms = {crypto::Algorithm::kAes128,
+                      crypto::Algorithm::kAes256};
+  sweep.transports = {core::Transport::kRtpUdp, core::Transport::kHttpTcp};
+  sweep.frames = 16;
+  sweep.repetitions = 1;
+  sweep.evaluate_quality = false;
+  sweep.seed = 41;
+  ASSERT_GE(sweep.cell_count(), 16u);
+
+  CapacitySpec capacity;  // 48 flows over two points, one workload.
+  capacity.flow_counts = {16, 32};
+  capacity.base = small_cell();
+  capacity.base.repetitions = 1;
+
+  const auto sweep_jsonl = [&](util::ThreadPool* pool) {
+    std::ostringstream out;
+    core::SweepRunner runner{pool};
+    WarmAtBeginSink<core::SweepSpec, core::CellResult> sink{
+        out, runner.workloads()};
+    (void)runner.run(sweep, sink);
+    EXPECT_EQ(sink.built_at_begin, 1u);
+    EXPECT_EQ(runner.workloads().size(), 1u);
+    return out.str();
+  };
+  const auto cell_jsonl = [&](util::ThreadPool* pool) {
+    std::ostringstream out;
+    CellRunner runner{pool};
+    WarmAtBeginSink<CapacitySpec, CapacityPoint> sink{out,
+                                                      runner.workloads()};
+    (void)runner.run(capacity, sink);
+    EXPECT_EQ(sink.built_at_begin, 1u);
+    EXPECT_EQ(runner.workloads().size(), 1u);
+    return out.str();
+  };
+  const std::string sweep_serial = sweep_jsonl(nullptr);
+  const std::string cell_serial = cell_jsonl(nullptr);
+  for (unsigned threads : {2U, 4U, 8U}) {
+    util::ThreadPool pool{threads};
+    EXPECT_EQ(sweep_jsonl(&pool), sweep_serial) << threads << " threads";
+    EXPECT_EQ(cell_jsonl(&pool), cell_serial) << threads << " threads";
+  }
 }
 
 TEST(CellSpecValidate, RejectsBadSpecs) {

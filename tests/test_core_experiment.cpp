@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "core/advisor.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tv::core {
 namespace {
@@ -265,6 +266,52 @@ TEST(Advisor, RecommendsCheapestConfidentialPolicy) {
 TEST(Workload, ValidatesInputs) {
   EXPECT_THROW((void)build_workload(video::MotionLevel::kLow, 30, 10, 1),
                std::invalid_argument);
+}
+
+TEST(Workload, PooledBuildMatchesSerialBuild) {
+  const Workload serial =
+      build_workload(video::MotionLevel::kMedium, 15, 30, 77);
+
+  // base_mse comes from the encoder's reconstruction; it must equal the
+  // floor a decode of the intact stream gives.
+  {
+    std::vector<video::ReceivedFrameData> intact;
+    for (const auto& f : serial.stream.frames) {
+      intact.push_back(video::ReceivedFrameData::intact(f.data));
+    }
+    const video::FrameSequence lossless =
+        video::Decoder{serial.codec}.decode_stream(
+            serial.stream.width, serial.stream.height, intact);
+    double mse = 0.0;
+    for (std::size_t i = 0; i < serial.clip.size(); ++i) {
+      mse += video::luma_mse(serial.clip[i], lossless[i]);
+    }
+    EXPECT_EQ(serial.base_mse, mse / static_cast<double>(serial.clip.size()));
+  }
+
+  for (unsigned threads : {1U, 2U, 4U, 8U}) {
+    util::ThreadPool pool{threads};
+    const Workload pooled = build_workload(video::MotionLevel::kMedium, 15,
+                                           30, 77, 30.0, &pool);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ASSERT_EQ(pooled.stream.frames.size(), serial.stream.frames.size());
+    for (std::size_t i = 0; i < serial.stream.frames.size(); ++i) {
+      EXPECT_EQ(pooled.stream.frames[i].data, serial.stream.frames[i].data);
+    }
+    ASSERT_EQ(pooled.packets.size(), serial.packets.size());
+    for (std::size_t i = 0; i < serial.packets.size(); ++i) {
+      const auto a = pooled.packets[i].payload.wire();
+      const auto b = serial.packets[i].payload.wire();
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "packet " << i;
+    }
+    EXPECT_EQ(pooled.base_mse, serial.base_mse);
+    EXPECT_EQ(pooled.null_mse, serial.null_mse);
+    EXPECT_EQ(pooled.inter.polynomial().coefficients(),
+              serial.inter.polynomial().coefficients());
+    EXPECT_EQ(pooled.inter.saturation_distance(),
+              serial.inter.saturation_distance());
+  }
 }
 
 TEST(Experiment, ValidatesRepetitions) {

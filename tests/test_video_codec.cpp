@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/quality.hpp"
 #include "video/scene.hpp"
@@ -88,6 +91,99 @@ TEST(Codec, DecoderMatchesEncoderReconstructionExactly) {
   const auto b = decoder.decode_stream(128, 96, intact_stream(stream));
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(luma_mse(a[i], b[i]), 0.0);
+  }
+}
+
+TEST(Codec, ReconMseEqualsIntactDecodeBitForBit) {
+  // build_workload takes its coding-distortion floor from the encoder's
+  // reconstruction instead of decoding the intact stream a second time.
+  for (auto level : {MotionLevel::kLow, MotionLevel::kMedium,
+                     MotionLevel::kHigh}) {
+    const auto clip = test_clip(level, 30, 12);
+    for (int gop : {1, 8, 15, 30}) {
+      CodecConfig config;
+      config.gop_size = gop;
+      std::vector<double> recon_mse;
+      const EncodedStream stream =
+          Encoder{config}.encode(clip, nullptr, &recon_mse);
+      const FrameSequence decoded =
+          Decoder{config}.decode_stream(128, 96, intact_stream(stream));
+      ASSERT_EQ(recon_mse.size(), clip.size());
+      for (std::size_t i = 0; i < clip.size(); ++i) {
+        EXPECT_EQ(recon_mse[i], luma_mse(clip[i], decoded[i]))
+            << to_string(level) << " gop " << gop << " frame " << i;
+      }
+    }
+  }
+}
+
+TEST(Codec, PooledEncodeMatchesSerial) {
+  const auto clip = test_clip(MotionLevel::kHigh, 20, 13);
+  const Encoder encoder{CodecConfig{.gop_size = 10}};
+  std::vector<double> serial_mse;
+  const EncodedStream serial = encoder.encode(clip, nullptr, &serial_mse);
+  for (unsigned threads : {1U, 2U, 4U, 8U}) {
+    util::ThreadPool pool{threads};
+    std::vector<double> pooled_mse;
+    const EncodedStream pooled = encoder.encode(clip, &pool, &pooled_mse);
+    ASSERT_EQ(pooled.frames.size(), serial.frames.size());
+    for (std::size_t i = 0; i < serial.frames.size(); ++i) {
+      EXPECT_EQ(pooled.frames[i].data, serial.frames[i].data)
+          << threads << " threads, frame " << i;
+    }
+    EXPECT_EQ(pooled_mse, serial_mse) << threads << " threads";
+  }
+}
+
+// The double-accumulating SAD the motion search used before its integer
+// kernel: the oracle it must match exactly.
+double sad_double_oracle(const Frame& cur, const Frame& ref, int bx, int by,
+                         int dx, int dy) {
+  const auto clamp = [](int v, int lo, int hi) {
+    return v < lo ? lo : (v > hi ? hi : v);
+  };
+  double acc = 0.0;
+  for (int r = 0; r < 16; ++r) {
+    const int ry = clamp(by + dy + r, 0, ref.height() - 1);
+    for (int c = 0; c < 16; ++c) {
+      const int rx = clamp(bx + dx + c, 0, ref.width() - 1);
+      acc += std::abs(static_cast<double>(cur.y(bx + c, by + r)) -
+                      static_cast<double>(ref.y(rx, ry)));
+    }
+  }
+  return acc;
+}
+
+TEST(Codec, SadMatchesDoubleOracleIncludingClampedEdges) {
+  util::Rng rng{0xad};
+  Frame cur(64, 48);
+  Frame ref(64, 48);
+  Frame black(64, 48);
+  Frame white(64, 48);
+  for (Frame* f : {&cur, &ref}) {
+    for (auto& p : f->y_plane()) {
+      p = static_cast<std::uint8_t>(rng.uniform_int(256));
+    }
+  }
+  black.fill(0, 128, 128);
+  white.fill(255, 128, 128);
+  const std::pair<const Frame*, const Frame*> pairs[] = {
+      {&cur, &ref}, {&ref, &cur}, {&black, &white}};
+  // Every macroblock, with offsets well past each picture edge so both the
+  // interior fast path and every clamped read are exercised.
+  for (const auto& [a, b] : pairs) {
+    for (int by = 0; by + 16 <= 48; by += 16) {
+      for (int bx = 0; bx + 16 <= 64; bx += 16) {
+        for (int dy = -20; dy <= 20; ++dy) {
+          for (int dx = -20; dx <= 20; ++dx) {
+            ASSERT_EQ(static_cast<double>(sad_16x16(*a, *b, bx, by, dx, dy)),
+                      sad_double_oracle(*a, *b, bx, by, dx, dy))
+                << "block (" << bx << "," << by << ") mv (" << dx << ","
+                << dy << ")";
+          }
+        }
+      }
+    }
   }
 }
 

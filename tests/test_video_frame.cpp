@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+
+#include "util/rng.hpp"
 
 namespace tv::video {
 namespace {
@@ -45,6 +48,46 @@ TEST(LumaMse, ConstantOffsetSquared) {
   a.fill(100, 128, 128);
   b.fill(110, 0, 255);  // chroma must not matter for luma MSE.
   EXPECT_DOUBLE_EQ(luma_mse(a, b), 100.0);
+}
+
+// The double-accumulating loop luma_mse used before its integer kernel:
+// the oracle it must match bit for bit.
+double luma_mse_double_oracle(const Frame& a, const Frame& b) {
+  const auto& ya = a.y_plane();
+  const auto& yb = b.y_plane();
+  double acc = 0.0;
+  for (std::size_t i = 0; i < ya.size(); ++i) {
+    const double d = static_cast<double>(ya[i]) - static_cast<double>(yb[i]);
+    acc += d * d;
+  }
+  return acc / static_cast<double>(ya.size());
+}
+
+TEST(LumaMse, IntegerKernelMatchesDoubleOracle) {
+  util::Rng rng{0x5eed};
+  // 16x16 is one partial chunk; CIF and 640x480 span several 2^16-pixel
+  // chunks, the last one partial.
+  for (const auto& [w, h] : {std::pair{16, 16}, std::pair{352, 288},
+                             std::pair{640, 480}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Frame a(w, h);
+      Frame b(w, h);
+      for (auto& p : a.y_plane()) {
+        p = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+      for (auto& p : b.y_plane()) {
+        p = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+      EXPECT_EQ(luma_mse(a, b), luma_mse_double_oracle(a, b)) << w << "x" << h;
+    }
+    // Extremes: every difference is +-255, the largest partial sums.
+    Frame black(w, h);
+    Frame white(w, h);
+    black.fill(0, 128, 128);
+    white.fill(255, 128, 128);
+    EXPECT_EQ(luma_mse(black, white), 255.0 * 255.0);
+    EXPECT_EQ(luma_mse(white, black), luma_mse_double_oracle(white, black));
+  }
 }
 
 TEST(LumaMse, RejectsDimensionMismatch) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/motion.hpp"
 
@@ -27,6 +30,36 @@ TEST(Scene, RenderIsIndexPure) {
   const Frame direct = g.render(40);
   const auto clip = g.render_clip(41);
   EXPECT_DOUBLE_EQ(luma_mse(direct, clip[40]), 0.0);
+}
+
+// FNV-1a over every plane of every frame.
+std::uint64_t clip_digest(const FrameSequence& clip) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Frame& f : clip) {
+    for (const auto* plane : {&f.y_plane(), &f.u_plane(), &f.v_plane()}) {
+      for (const std::uint8_t b : *plane) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Scene, RenderClipMatchesPinnedDigests) {
+  // Digests of the renderer as it was before objects far from a pixel were
+  // skipped and clips were rendered on a pool; the skip must be exact.
+  const std::pair<MotionLevel, std::uint64_t> pinned[] = {
+      {MotionLevel::kLow, 0xe0b7022096db1605ULL},
+      {MotionLevel::kMedium, 0x8510c5a698467288ULL},
+      {MotionLevel::kHigh, 0x6575a15b8ac74577ULL}};
+  util::ThreadPool pool{4};
+  for (const auto& [level, digest] : pinned) {
+    const SceneGenerator g{SceneParameters::preset(level), 7};
+    EXPECT_EQ(clip_digest(g.render_clip(30)), digest) << to_string(level);
+    EXPECT_EQ(clip_digest(g.render_clip(30, &pool)), digest)
+        << to_string(level) << " on a pool";
+  }
 }
 
 TEST(Scene, FrameDifferencesOrderByMotionLevel) {
