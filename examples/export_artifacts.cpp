@@ -39,9 +39,9 @@ int main() {
   std::vector<double> timestamps;
   timestamps.reserve(packets.size());
   for (const auto& t : transfer.timings) timestamps.push_back(t.completion);
-  net::write_pcap_file(
-      "out/eavesdropper.pcap",
-      net::capture_of(packets, transfer.eavesdropper_captured, timestamps));
+  const auto captures =
+      net::capture_of(packets, transfer.eavesdropper_captured, timestamps);
+  net::write_pcap_file("out/eavesdropper.pcap", captures);
 
   std::printf("wrote out/original.y4m (%zu frames)\n", workload.clip.size());
   std::printf("wrote out/receiver.y4m      PSNR %.1f dB\n",
@@ -49,9 +49,7 @@ int main() {
   std::printf("wrote out/eavesdropper.y4m  PSNR %.1f dB (policy %s)\n",
               video::sequence_psnr(workload.clip, ev), pol.label().c_str());
   std::printf("wrote out/eavesdropper.pcap (%zu packets captured)\n",
-              net::capture_of(packets, transfer.eavesdropper_captured,
-                              timestamps)
-                  .size());
+              captures.size());
   std::printf("open the .y4m files with ffplay and the .pcap with wireshark\n");
   return 0;
 }

@@ -9,7 +9,11 @@
 #
 # Test tiers are selected by ctest labels (see docs/validation.md):
 #   * default passes run everything except the `slow` label (the full-grid
-#     convergence test, minutes of simulation under sanitizers);
+#     convergence test, minutes of simulation under sanitizers).  The
+#     default pass first runs the orphan-header guard: it fails when a
+#     header under src/ has no includer in src/, tools/, bench/ or
+#     examples/ other than its own .cpp — library code that only its own
+#     tests reach is dead weight, so delete it rather than keep it;
 #   * --validation-only runs the `validation` and `cell` labels — the
 #     simulator, property-based, golden-file and fixed-point-vs-DES
 #     cross-check suites, including the slow grid;
@@ -21,7 +25,14 @@
 #     plus the loopback e2e binary under a hard timeout, in both the
 #     plain and the ASan+UBSan builds.  The timeout is the watchdog: the
 #     virtual-clock loop must terminate by going idle, never by waiting
-#     on the wall clock, so a hang is a bug, not slowness;
+#     on the wall clock, so a hang is a bug, not slowness.  The plain
+#     build also runs `live recv --bind=0.0.0.0:PORT` and sends to it with
+#     `live send` at the host's first non-loopback IPv4, requiring more
+#     than 0 packets received: the send path of the three-host run in
+#     docs/live.md (skipped with a notice when the host has no such
+#     address).  On one host Linux delivers to its own address even from
+#     a 127.0.0.1-bound socket, so this exercises the path but cannot see
+#     the sender's bind;
 #   * --chaos-smoke runs the `chaos` label (supervised multi-session
 #     server + seeded fault injection) plus a 200-session `live load`
 #     chaos run, in both the plain and the ASan+UBSan builds, each under
@@ -29,7 +40,8 @@
 #     plain build also serves 5000 sessions under a 15 s timeout and
 #     diffs the report against tests/data/live_load_5000.txt, the guard
 #     against a server whose per-datagram cost grows with the sessions
-#     it has served.
+#     it has served, and checks that `live load --queue-cap=-1` fails
+#     with exit 1 instead of casting the size to a huge cap.
 #   * --bench-smoke builds Release, runs the hot-path micro-suite with
 #     --quick --json under a hard timeout, and validates the emitted
 #     JSON against the tv-bench-hotpath-v1 schema (keys present, numbers
@@ -408,6 +420,18 @@ if [[ "${mode}" == "--chaos-smoke" ]]; then
   )
   diff tests/data/live_load_5000.txt build/chaos_smoke_load5000.txt
 
+  # Size flags are non-negative: -1 must be rejected, not cast to 2^64-1
+  # (which silently disables shedding).
+  rc=0
+  ./build/tools/thriftyvid live load --sessions=4 --queue-cap=-1 \
+    2>build/chaos_smoke_negative.txt || rc=$?
+  if [[ "${rc}" -ne 1 ]]; then
+    echo "chaos smoke: live load --queue-cap=-1 exited ${rc}, expected 1" >&2
+    exit 1
+  fi
+  grep -qF "invalid value for --queue-cap: '-1' (expected a non-negative integer)" \
+    build/chaos_smoke_negative.txt
+
   echo "=== chaos smoke: ASan + UBSan build ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DTHRIFTYVID_SANITIZE=ON -DTHRIFTYVID_WERROR=ON
@@ -431,6 +455,29 @@ if [[ "${mode}" == "--live-smoke" ]]; then
   cmake --build build -j "${jobs}"
   ctest --test-dir build --output-on-failure -j "${jobs}" -L live
   timeout 120 ./build/tools/thriftyvid "${smoke_args[@]}"
+
+  # `live send` to a non-loopback address, as in the three-host run of
+  # docs/live.md.  The host's own first non-loopback IPv4 stands in for
+  # the receiving machine.
+  host_ip=$(ip -4 -o addr show scope global 2>/dev/null |
+              awk '{ split($4, a, "/"); print a[1]; exit }' || true)
+  if [[ -z "${host_ip}" ]]; then
+    echo "=== live smoke: no non-loopback IPv4 address; skipping live send check ==="
+  else
+    port=$((20000 + RANDOM % 20000))
+    timeout 60 ./build/tools/thriftyvid live recv --bind="0.0.0.0:${port}" \
+      --idle-timeout=3 --frames=16 --gop=8 >build/live_smoke_recv.txt &
+    recv_pid=$!
+    sleep 2  # let the receiver bind before the first datagram.
+    timeout 60 ./build/tools/thriftyvid live send --to="${host_ip}:${port}" \
+      --frames=16 --gop=8
+    wait "${recv_pid}"
+    cat build/live_smoke_recv.txt
+    if ! grep -Eq '^received [1-9][0-9]* packets' build/live_smoke_recv.txt; then
+      echo "live smoke: nothing received from live send to ${host_ip}" >&2
+      exit 1
+    fi
+  fi
 
   echo "=== live smoke: ASan + UBSan build ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -533,6 +580,20 @@ if [[ "${mode}" == "--coverage" ]]; then
 fi
 
 if [[ "${mode}" != "--sanitize-only" && "${mode}" != "--tsan-only" ]]; then
+  echo "=== orphan-header guard ==="
+  orphans=()
+  while IFS= read -r header; do
+    includers=$(grep -rlF --include='*.cpp' --include='*.hpp' \
+                  "#include \"${header#src/}\"" src tools bench examples |
+                grep -vxF -e "${header}" -e "${header%.hpp}.cpp" || true)
+    [[ -n "${includers}" ]] || orphans+=("${header}")
+  done < <(find src -name '*.hpp' | sort)
+  if (( ${#orphans[@]} > 0 )); then
+    printf 'orphan header (no includer but its own .cpp): %s\n' \
+      "${orphans[@]}" >&2
+    exit 1
+  fi
+
   echo "=== plain build + tests ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
   cmake --build build -j "${jobs}"

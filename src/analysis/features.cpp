@@ -27,14 +27,13 @@ std::int64_t unwrap_sequence(std::uint16_t seq, std::int64_t last) {
 }
 
 PacketObservation observe(double time_s, const net::RtpHeader& header,
-                          std::size_t payload_size,
                           std::span<const std::uint8_t> payload,
                           std::int64_t extended) {
   PacketObservation p;
   p.capture_time_s = time_s;
   p.extended_sequence = extended;
   p.rtp_timestamp = header.timestamp;
-  p.wire_payload_bytes = payload_size;
+  p.wire_payload_bytes = payload.size();
   p.marker = header.marker;
   p.padding_bit = header.padding;
   // The adversary strips a pad trailer only when it can actually read
@@ -44,7 +43,7 @@ PacketObservation observe(double time_s, const net::RtpHeader& header,
   // keystream left and either strips a bogus amount or (on an
   // inconsistent count) nothing: exactly the noise the countermeasure
   // is paid to create.
-  p.inferred_content_bytes = payload_size;
+  p.inferred_content_bytes = payload.size();
   if (header.padding && !header.marker) {
     if (const auto content = net::rtp_unpadded_size(header, payload)) {
       p.inferred_content_bytes = *content;
@@ -55,17 +54,21 @@ PacketObservation observe(double time_s, const net::RtpHeader& header,
 
 }  // namespace
 
-CaptureFeatures extract_features(const std::vector<net::WireRtpPacket>& wire) {
+CaptureFeatures extract_features(const std::vector<net::RawCapture>& captures) {
   CaptureFeatures out;
-  if (wire.empty()) return out;
-  out.packets.reserve(wire.size());
-  std::int64_t last = wire.front().header.sequence_number;
-  for (const net::WireRtpPacket& w : wire) {
-    const std::int64_t ext = unwrap_sequence(w.header.sequence_number, last);
+  out.packets.reserve(captures.size());
+  std::int64_t last = -1;  // no RTP packet seen yet.
+  for (const net::RawCapture& cap : captures) {
+    const auto header = net::RtpHeader::try_parse(cap.datagram);
+    if (!header) continue;  // not RTP — same skip rule as net::extract_rtp.
+    if (last < 0) last = header->sequence_number;
+    const std::int64_t ext = unwrap_sequence(header->sequence_number, last);
     last = std::max(last, ext);
-    out.packets.push_back(observe(w.timestamp_s, w.header, w.payload.size(),
-                                  w.payload, ext));
+    out.packets.push_back(observe(
+        cap.timestamp_s, *header,
+        std::span{cap.datagram}.subspan(net::RtpHeader::kSize), ext));
   }
+  if (out.packets.empty()) return out;
 
   // Deduplicate by extended sequence, keeping the first observation, and
   // order by sequence: frame grouping below then walks the stream in
@@ -132,22 +135,6 @@ CaptureFeatures extract_features(const std::vector<net::WireRtpPacket>& wire) {
   out.padding_bit_fraction = static_cast<double>(padded) /
                              static_cast<double>(out.packets.size());
   return out;
-}
-
-CaptureFeatures extract_features(const std::vector<net::RawCapture>& captures) {
-  std::vector<net::WireRtpPacket> wire;
-  wire.reserve(captures.size());
-  for (const net::RawCapture& cap : captures) {
-    const auto header = net::RtpHeader::try_parse(cap.datagram);
-    if (!header) continue;  // not RTP — same skip rule as extract_rtp.
-    net::WireRtpPacket w;
-    w.timestamp_s = cap.timestamp_s;
-    w.header = *header;
-    w.payload.assign(cap.datagram.begin() + net::RtpHeader::kSize,
-                     cap.datagram.end());
-    wire.push_back(std::move(w));
-  }
-  return extract_features(wire);
 }
 
 }  // namespace tv::analysis

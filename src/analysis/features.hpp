@@ -60,16 +60,12 @@ struct CaptureFeatures {
   }
 };
 
-/// Extract features from RTP packets recovered off a capture
-/// (net::extract_rtp).  Duplicate sequences keep the first observation;
-/// packets are re-ordered by extended sequence.  Deterministic: a pure
-/// function of the input.
-[[nodiscard]] CaptureFeatures extract_features(
-    const std::vector<net::WireRtpPacket>& wire);
-
-/// Convenience overload for raw overheard datagrams (the live tap's
-/// in-memory record): datagrams that do not parse as RTP are skipped,
-/// exactly like extract_rtp skips non-RTP frames.
+/// Extract features from a capture's overheard datagrams (the live tap's
+/// record, or net::extract_rtp of a pcap file).  Datagrams that do not
+/// parse as RTP are skipped, exactly like extract_rtp skips non-RTP
+/// frames.  Duplicate sequences keep the first observation; packets are
+/// re-ordered by extended sequence.  Deterministic: a pure function of
+/// the input.
 [[nodiscard]] CaptureFeatures extract_features(
     const std::vector<net::RawCapture>& captures);
 

@@ -11,6 +11,10 @@ namespace tv::analysis {
 
 namespace {
 
+/// Seed of the self-calibration workload (content terms for the PSNR
+/// proxy).  Fixed: the adversary owns it, it is not the flow's seed.
+constexpr std::uint64_t kCalibrationSeed = 0xADA97;
+
 /// Deterministic 2-means over frame sizes: centroids start at the min
 /// and max, iterate to a fixed point (at most 64 rounds — sizes are a
 /// small finite set, it converges long before that).  Returns the two
@@ -90,7 +94,7 @@ double psnr_proxy(const InferenceResult& r, const CaptureFeatures& f,
                                  : static_cast<int>(r.frames.size()),
                              2, 64);
   const core::Workload reference = core::build_workload(
-      r.motion_est, gop, 2 * gop, config.calibration_seed, config.fps);
+      r.motion_est, gop, 2 * gop, kCalibrationSeed, config.fps);
 
   // Observable traffic shape: packets per frame by estimated class, and
   // per-class encrypted fractions from the visible markers.

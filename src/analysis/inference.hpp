@@ -34,9 +34,6 @@ struct AdversaryConfig {
   /// at least this factor; below it the size contrast is considered
   /// flattened (e.g. by padding) and no I-frames are reported.
   double cluster_separation = 1.5;
-  /// Seed of the self-calibration workload (content terms for the PSNR
-  /// proxy).  Fixed: the adversary owns it, it is not the flow's seed.
-  std::uint64_t calibration_seed = 0xADA97;
 };
 
 /// One frame as the adversary labelled it.

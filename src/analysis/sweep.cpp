@@ -78,7 +78,7 @@ std::vector<LeakageCell> enumerate_leakage_cells(const LeakageSpec& spec) {
 LeakageCellResult run_leakage_cell(
     const LeakageSpec& spec, const LeakageCell& cell,
     const core::Workload& workload,
-    const std::vector<net::WireRtpPacket>* external_capture) {
+    const std::vector<net::RawCapture>* external_capture) {
   LeakageCellResult r;
   r.cell = cell;
 
@@ -107,22 +107,13 @@ LeakageCellResult run_leakage_cell(
   std::vector<double> jittered = send_times;
   live::jitter_schedule(jittered, cell.shaping.jitter_stddev_s, cell.seed);
 
-  std::vector<net::RawCapture> captures;
-  captures.reserve(packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    if (i >= transfer.eavesdropper_captured.size() ||
-        !transfer.eavesdropper_captured[i]) {
-      continue;
-    }
-    const util::ByteView wire = packets[i].payload.wire();
-    captures.push_back(net::RawCapture{
-        jittered[i], std::vector<std::uint8_t>{wire.begin(), wire.end()}});
-  }
+  const std::vector<net::RawCapture> captures =
+      net::capture_of(packets, transfer.eavesdropper_captured, jittered);
   r.captured_packets = captures.size();
 
-  const CaptureFeatures features = external_capture != nullptr
-                                       ? extract_features(*external_capture)
-                                       : extract_features(captures);
+  const CaptureFeatures features =
+      extract_features(external_capture != nullptr ? *external_capture
+                                                   : captures);
   r.inference = infer_stream(features, spec.adversary);
 
   // ---- Ground truth from the sender's own state: unjittered schedule,

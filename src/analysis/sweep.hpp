@@ -87,7 +87,7 @@ struct LeakageCellResult {
 [[nodiscard]] LeakageCellResult run_leakage_cell(
     const LeakageSpec& spec, const LeakageCell& cell,
     const core::Workload& workload,
-    const std::vector<net::WireRtpPacket>* external_capture = nullptr);
+    const std::vector<net::RawCapture>* external_capture = nullptr);
 
 /// Consumers of cell results (util/sink.hpp); calls arrive strictly in
 /// cell order.

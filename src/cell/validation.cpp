@@ -19,12 +19,16 @@ double proportion_se(double p, double trials) {
   return std::sqrt(clamped * (1.0 - clamped) / trials);
 }
 
+/// Acceptance band beyond z standard errors: an allowance for the
+/// decoupling bias, and a floor for near-zero statistics.
+constexpr double kRelativeSlack = 0.06;
+constexpr double kAbsoluteFloor = 5e-4;
+
 void add_check(CellValidationCellResult& r, const CellValidationSpec& spec,
                std::string name, double simulated, double analytic,
                double se) {
-  const double tolerance = spec.z * se +
-                           spec.relative_slack * std::abs(analytic) +
-                           spec.absolute_floor;
+  const double tolerance =
+      spec.z * se + kRelativeSlack * std::abs(analytic) + kAbsoluteFloor;
   r.checks.push_back(
       util::check(std::move(name), simulated, analytic, tolerance));
 }
@@ -60,7 +64,7 @@ void CellValidationSpec::validate() const {
     throw std::invalid_argument{"CellValidationSpec: bad background class"};
   }
   if (slots == 0) throw std::invalid_argument{"CellValidationSpec: no slots"};
-  if (z <= 0.0 || relative_slack < 0.0 || absolute_floor < 0.0) {
+  if (z <= 0.0) {
     throw std::invalid_argument{"CellValidationSpec: bad acceptance band"};
   }
 }

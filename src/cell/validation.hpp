@@ -52,8 +52,6 @@ struct CellValidationSpec {
   std::uint64_t slots = 300000;   ///< measured slots per cell.
   std::uint64_t warmup = 20000;   ///< discarded cold-start slots.
   double z = 3.0;                 ///< multiplier on the SE estimate.
-  double relative_slack = 0.06;   ///< decoupling-bias allowance.
-  double absolute_floor = 5e-4;   ///< band floor for near-zero statistics.
   std::uint64_t seed = 1;
 
   /// Throws std::invalid_argument on empty axes or unusable knobs.

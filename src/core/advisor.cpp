@@ -15,7 +15,8 @@ AdvisorResult advise(const AdvisorRequest& request,
   candidates.push_back({Mode::kNone, request.algorithm, 0.0});
   candidates.push_back({Mode::kIFrames, request.algorithm, 0.0});
   candidates.push_back({Mode::kPFrames, request.algorithm, 0.0});
-  for (double f : request.p_fractions) {
+  // Candidate fractions for the I+a%P sweep (Fig. 9 / Table 2).
+  for (double f : {0.10, 0.15, 0.20, 0.25, 0.30, 0.50}) {
     candidates.push_back({Mode::kIPlusFractionP, request.algorithm, f});
   }
   candidates.push_back({Mode::kAll, request.algorithm, 0.0});

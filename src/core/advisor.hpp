@@ -21,8 +21,6 @@ struct AdvisorRequest {
   /// What to minimize among qualifying policies.
   enum class Objective { kDelay, kPower } objective = Objective::kDelay;
   crypto::Algorithm algorithm = crypto::Algorithm::kAes256;
-  /// Candidate fractions for the I+a%P sweep (Fig. 9 / Table 2).
-  std::vector<double> p_fractions = {0.10, 0.15, 0.20, 0.25, 0.30, 0.50};
 };
 
 struct PolicyEvaluation {

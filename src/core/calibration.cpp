@@ -143,7 +143,7 @@ ServiceCalibration calibrate_service(
       const std::size_t wire = static_cast<std::size_t>(typical_payload) +
                                net::RtpHeader::kSize + net::kIpUdpOverhead;
       mean = wifi::transmission_time_s(config.phy, wire);
-      stddev = config.tx_jitter_stddev_s;
+      stddev = kTxJitterStddevS;
     }
   };
   fill_tx(i_class.tx, traffic.mean_i_payload, out.tx_i_mean, out.tx_i_stddev);

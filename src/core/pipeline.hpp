@@ -77,35 +77,40 @@ struct FailureEvent {
 
 [[nodiscard]] const char* to_string(FailureEvent::Kind kind);
 
+/// Producer read model: per-segment overhead + per-byte time.  The
+/// overhead is exponentially distributed (syscalls, JNI, disk cache).
+inline constexpr double kReadOverheadS = 180e-6;
+inline constexpr double kReadPerByteS = 22e-9;
+/// Gaussian jitter on each transmission time.
+inline constexpr double kTxJitterStddevS = 20e-6;
+/// TCP mode: per-packet overhead for ACK processing and congestion-window
+/// pacing.
+inline constexpr double kTcpPerPacketOverheadS = 1.6e-3;
+
 /// Everything the sender-side DES needs besides the packets themselves.
 struct PipelineConfig {
   DeviceProfile device;
   crypto::Algorithm algorithm = crypto::Algorithm::kAes256;
   Transport transport = Transport::kRtpUdp;
   double fps = 30.0;
-  /// Producer read model: per-segment overhead + per-byte time.  The
-  /// overhead is exponentially distributed (syscalls, JNI, disk cache),
-  /// and each frame's release carries an exponential scheduling jitter —
-  /// which is also what makes the 2-MMPP a good fit for the arrivals.
-  double read_overhead_s = 180e-6;
-  double read_per_byte_s = 22e-9;
+  /// Each frame's release carries an exponential scheduling jitter on top
+  /// of the read model (kReadOverheadS, kReadPerByteS) — which is also
+  /// what makes the 2-MMPP a good fit for the arrivals.
   double frame_jitter_mean_s = 22e-3;
   /// MAC model (Section 4.2.2): per-attempt success and backoff wait rate.
   double mac_success_prob = 0.78;
   double backoff_rate = 420.0;  ///< lambda_b (1/s).
   /// PHY for transmission times (effective rate on a contended cafe WLAN).
   wifi::PhyParameters phy{.data_rate_mbps = 4.0};
-  double tx_jitter_stddev_s = 20e-6;
   /// Independent channel-error loss probabilities per on-air packet
   /// (the legacy i.i.d. model, used whenever `channel` is not set).
   double receiver_loss_prob = 0.003;
   double eavesdropper_loss_prob = 0.01;
   /// Bursty-loss / AP-outage channel model (opt-in; see ChannelModel).
   std::optional<ChannelModel> channel;
-  /// TCP mode: extra recovery latency charged per retransmission, plus a
-  /// per-packet overhead for ACK processing and congestion-window pacing.
+  /// TCP mode: extra recovery latency charged per retransmission (plus
+  /// kTcpPerPacketOverheadS on every packet).
   double tcp_retx_penalty_s = 18e-3;
-  double tcp_per_packet_overhead_s = 1.6e-3;
   int tcp_max_attempts = 8;
   /// ARQ resilience: each successive retransmission wait is the penalty
   /// scaled by this factor (1.0 = the legacy flat penalty), capped at

@@ -61,7 +61,7 @@ class ProducerStage {
         // The exponential rates are loop-invariant; computing each division
         // once up front yields the exact double the per-packet division
         // produced, so the draws are unchanged bit for bit.
-        read_rate_(1.0 / config.read_overhead_s),
+        read_rate_(1.0 / kReadOverheadS),
         jitter_rate_(config.frame_jitter_mean_s > 0.0
                          ? 1.0 / config.frame_jitter_mean_s
                          : 0.0) {}
@@ -81,7 +81,7 @@ class ProducerStage {
     }
     const double read_time =
         rng.exponential(read_rate_) +
-        config_.read_per_byte_s * static_cast<double>(packet.payload.size());
+        kReadPerByteS * static_cast<double>(packet.payload.size());
     frame_cursor_ += read_time;
     if (trace_ != nullptr) {
       trace_->event({Stage::kProducer, "release",
@@ -189,7 +189,7 @@ class ServiceStage {
   [[nodiscard]] double transmit(std::size_t index, double mean_s,
                                 double now_s, util::Rng& rng) const {
     const double t_t = ServiceModel::draw_transmission(
-        rng, mean_s, config_.tx_jitter_stddev_s);
+        rng, mean_s, kTxJitterStddevS);
     if (trace_ != nullptr) {
       trace_->event({Stage::kService, "transmit",
                      static_cast<std::int64_t>(index), -1, now_s + t_t, t_t});
@@ -297,7 +297,7 @@ class TransportStage {
     return config_.transport == Transport::kHttpTcp;
   }
   [[nodiscard]] double per_packet_overhead_s() const {
-    return reliable() ? config_.tcp_per_packet_overhead_s : 0.0;
+    return reliable() ? kTcpPerPacketOverheadS : 0.0;
   }
 
   enum class Verdict {

@@ -52,7 +52,7 @@ void EavesdropperTap::hear(double time_s,
 }
 
 std::size_t EavesdropperTap::write_pcap(const std::string& path) const {
-  return net::write_pcap_datagrams_file(path, captures_);
+  return net::write_pcap_file(path, captures_);
 }
 
 std::vector<video::ReceivedFrameData> EavesdropperTap::reassemble(
@@ -61,10 +61,8 @@ std::vector<video::ReceivedFrameData> EavesdropperTap::reassemble(
   // same reorder/dedup machinery as the legitimate receiver, just no key.
   net::Receiver receiver;
   for (const net::RawCapture& cap : captures_) receiver.push(cap.datagram);
-  auto packets = receiver.drain_ready();
-  auto tail = receiver.flush();
-  packets.insert(packets.end(), std::make_move_iterator(tail.begin()),
-                 std::make_move_iterator(tail.end()));
+  std::vector<net::ReceivedPacket> packets;
+  receiver.flush_into(packets);
   const std::array<std::uint8_t, 16> no_iv{};
   return reassemble_wire(map, packets, nullptr, no_iv);
 }

@@ -31,9 +31,7 @@ void ReceiverSession::on_readable() {
                             last_arrival_s_, bytes});
     }
   }
-  auto ready = receiver_.drain_ready();
-  received_.insert(received_.end(), std::make_move_iterator(ready.begin()),
-                   std::make_move_iterator(ready.end()));
+  receiver_.drain_ready_into(received_);
 }
 
 void ReceiverSession::arm_idle_deadline() {
@@ -56,9 +54,7 @@ std::vector<net::ReceivedPacket> ReceiverSession::finish() {
     loop_.unwatch(socket_.fd());
     watching_ = false;
   }
-  auto tail = receiver_.flush();
-  received_.insert(received_.end(), std::make_move_iterator(tail.begin()),
-                   std::make_move_iterator(tail.end()));
+  receiver_.flush_into(received_);
   return std::move(received_);
 }
 

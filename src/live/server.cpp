@@ -41,7 +41,7 @@ void Server::on_readable() {
       // runs stay deterministic instead of racing the kernel buffer)
       // but processing is deferred to the window end, bounded by the
       // stall backlog cap with drop-oldest shedding.
-      if (deferred_.size() >= config_.stall_backlog_cap) {
+      if (deferred_.size() >= kStallBacklogCap) {
         deferred_.pop_front();
         ++report_.stall_dropped;
         trace_event("srv_stall_shed", 0, static_cast<double>(deferred_.size()));

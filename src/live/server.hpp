@@ -29,6 +29,9 @@
 
 namespace tv::live {
 
+/// Datagrams a receiver stall defers before shedding the oldest.
+inline constexpr std::size_t kStallBacklogCap = 8192;
+
 struct ServerConfig {
   Endpoint bind;  ///< default loopback, ephemeral port.
   std::size_t max_sessions = 64;  ///< admission token budget.
@@ -44,8 +47,9 @@ struct ServerConfig {
 
   // Receiver-side chaos (driven by the harness's seed):
   double ctrl_drop_prob = 0.0;  ///< control replies lost on the way out.
-  std::vector<wifi::OutageWindow> stalls;  ///< processing stops; input queues.
-  std::size_t stall_backlog_cap = 8192;    ///< deferred datagrams kept.
+  /// Processing stops; input queues (at most kStallBacklogCap deferred
+  /// datagrams, oldest shed first).
+  std::vector<wifi::OutageWindow> stalls;
 
   std::uint64_t seed = 1;
   core::TraceSink* trace = nullptr;

@@ -2,21 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
+
+#include "net/rtp.hpp"
 
 namespace tv::net {
-
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kCorruptHeader: return "corrupt-header";
-    case FaultKind::kCorruptPayload: return "corrupt-payload";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kReorder: return "reorder";
-  }
-  return "?";
-}
 
 void FaultPlan::validate() const {
   for (double p : {drop_prob, corrupt_header_prob, corrupt_payload_prob,
@@ -29,10 +18,6 @@ void FaultPlan::validate() const {
   if (max_bit_flips < 1) {
     throw std::invalid_argument{"FaultPlan: max_bit_flips must be >= 1"};
   }
-  if (max_reorder_displacement < 1) {
-    throw std::invalid_argument{
-        "FaultPlan: max_reorder_displacement must be >= 1"};
-  }
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
@@ -40,28 +25,17 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
   plan_.validate();
 }
 
-InjectionResult FaultInjector::apply(
-    const std::vector<VideoPacket>& packets) {
-  return apply_raw(packets_to_datagrams(packets));
-}
-
-AppliedFaults FaultInjector::damage(std::vector<std::uint8_t>& d,
-                                    std::size_t index,
-                                    std::vector<InjectedFault>* faults) {
+AppliedFaults FaultInjector::apply_one(std::vector<std::uint8_t>& d) {
   AppliedFaults applied;
   if (rng_.bernoulli(plan_.drop_prob)) {
-    if (faults != nullptr) faults->push_back({FaultKind::kDrop, index, 0});
     applied.dropped = true;
-    return applied;
+    return applied;  // nothing delivered: no more draws.
   }
   if (!d.empty() && rng_.bernoulli(plan_.corrupt_header_prob)) {
     const std::size_t header_bytes = std::min(d.size(), RtpHeader::kSize);
     const auto bit =
         static_cast<std::uint32_t>(rng_.uniform_int(header_bytes * 8));
     d[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (faults != nullptr) {
-      faults->push_back({FaultKind::kCorruptHeader, index, bit});
-    }
     ++applied.damaged;
   }
   if (d.size() > RtpHeader::kSize &&
@@ -74,84 +48,26 @@ AppliedFaults FaultInjector::damage(std::vector<std::uint8_t>& d,
           rng_.uniform_int(payload_bits));
       const std::size_t byte = RtpHeader::kSize + bit / 8;
       d[byte] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      if (faults != nullptr) {
-        faults->push_back({FaultKind::kCorruptPayload, index, bit});
-      }
       ++applied.damaged;
     }
   }
   if (!d.empty() && rng_.bernoulli(plan_.truncate_prob)) {
     // Cut anywhere, including below the RTP header: the receiver must
     // treat a runt datagram as garbage, not crash on it.
-    const auto new_len =
-        static_cast<std::uint32_t>(rng_.uniform_int(d.size()));
-    d.resize(new_len);
-    if (faults != nullptr) {
-      faults->push_back({FaultKind::kTruncate, index, new_len});
-    }
+    d.resize(static_cast<std::uint32_t>(rng_.uniform_int(d.size())));
     ++applied.damaged;
   }
-  return applied;
-}
-
-AppliedFaults FaultInjector::apply_one(std::vector<std::uint8_t>& datagram) {
-  AppliedFaults applied = damage(datagram, 0, nullptr);
-  if (applied.dropped) return applied;  // nothing delivered: no more draws.
   applied.duplicated = rng_.bernoulli(plan_.duplicate_prob);
-  // Reorder pass over the delivered singleton (or identical twin): the
-  // content cannot change — both copies are byte-equal — but the draws
-  // must happen so batch and per-datagram feeding share one RNG stream.
-  const std::size_t delivered = applied.duplicated ? 2 : 1;
-  for (std::size_t pos = 0; pos < delivered; ++pos) {
-    if (!rng_.bernoulli(plan_.reorder_prob)) continue;
-    const std::size_t room = delivered - 1 - pos;
-    if (room == 0) continue;
-    (void)rng_.uniform_int(std::min<std::uint64_t>(
-        room, static_cast<std::uint64_t>(plan_.max_reorder_displacement)));
+  // One reorder draw per delivered copy, plus a displacement draw when the
+  // first of two byte-equal copies is marked.  They move nothing (the
+  // caller reorders), but every seeded proxy and chaos run is pinned to
+  // this RNG stream.
+  const bool first_marked = rng_.bernoulli(plan_.reorder_prob);
+  if (applied.duplicated) {
+    if (first_marked) (void)rng_.uniform_int(1);
+    (void)rng_.bernoulli(plan_.reorder_prob);
   }
   return applied;
-}
-
-InjectionResult FaultInjector::apply_raw(
-    std::vector<std::vector<std::uint8_t>> datagrams) {
-  InjectionResult result;
-  result.datagrams.reserve(datagrams.size());
-  result.origins.reserve(datagrams.size());
-
-  for (std::size_t i = 0; i < datagrams.size(); ++i) {
-    auto& d = datagrams[i];
-    if (damage(d, i, &result.faults).dropped) continue;
-    result.datagrams.push_back(d);
-    result.origins.push_back(i);
-    if (rng_.bernoulli(plan_.duplicate_prob)) {
-      result.datagrams.push_back(std::move(d));
-      result.origins.push_back(i);
-      result.faults.push_back({FaultKind::kDuplicate, i, 0});
-    }
-  }
-
-  // Reordering pass: displace marked datagrams later in delivery order.
-  // Applied after drops/duplicates so displacement distances refer to
-  // what is actually delivered.
-  for (std::size_t pos = 0; pos < result.datagrams.size(); ++pos) {
-    if (!rng_.bernoulli(plan_.reorder_prob)) continue;
-    const std::size_t room = result.datagrams.size() - 1 - pos;
-    if (room == 0) continue;
-    const std::size_t shift =
-        1 + rng_.uniform_int(std::min<std::uint64_t>(
-                room, static_cast<std::uint64_t>(
-                          plan_.max_reorder_displacement)));
-    const std::size_t dest = pos + shift;
-    std::rotate(result.datagrams.begin() + static_cast<std::ptrdiff_t>(pos),
-                result.datagrams.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
-                result.datagrams.begin() + static_cast<std::ptrdiff_t>(dest) + 1);
-    std::rotate(result.origins.begin() + static_cast<std::ptrdiff_t>(pos),
-                result.origins.begin() + static_cast<std::ptrdiff_t>(pos) + 1,
-                result.origins.begin() + static_cast<std::ptrdiff_t>(dest) + 1);
-    result.faults.push_back({FaultKind::kReorder, result.origins[dest],
-                             static_cast<std::uint32_t>(dest)});
-  }
-  return result;
 }
 
 }  // namespace tv::net

@@ -2,33 +2,20 @@
 //
 // An open-WiFi eavesdropper (and, during fades, the legitimate receiver)
 // sees a hostile version of the sender's stream: bit-corrupted payloads
-// and headers, duplicated frames from MAC-level retransmissions, packets
-// reordered by driver queues, and truncated captures.  The FaultInjector
-// turns a clean packetized stream into exactly such a damaged datagram
-// sequence, driven by a declarative FaultPlan and a single seed, so that
-// every damaged trace is reproducible byte for byte.  Its output feeds
-// tv::net::Receiver, which must survive all of it without throwing.
+// and headers, duplicated frames from MAC-level retransmissions and
+// truncated captures.  The FaultInjector damages one datagram at a time,
+// driven by a declarative FaultPlan and a single seed, so that every
+// damaged trace is reproducible byte for byte.  Reordering is the
+// caller's job (live::ImpairmentProxy holds datagrams back).
+// tv::net::Receiver must survive all of it without throwing.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "net/packetizer.hpp"
 #include "util/rng.hpp"
 
 namespace tv::net {
-
-/// What happened to one datagram (for the reproducible fault trace).
-enum class FaultKind : std::uint8_t {
-  kDrop,            ///< datagram never delivered.
-  kCorruptHeader,   ///< bit flips inside the 12-byte RTP header.
-  kCorruptPayload,  ///< bit flips inside the payload.
-  kTruncate,        ///< datagram cut short (possibly below header size).
-  kDuplicate,       ///< delivered twice.
-  kReorder,         ///< displaced later in the delivery order.
-};
-
-[[nodiscard]] const char* to_string(FaultKind kind);
 
 /// Declarative description of how hostile the path is.  Probabilities
 /// are independent per datagram; several faults can hit the same one.
@@ -39,32 +26,13 @@ struct FaultPlan {
   double truncate_prob = 0.0;
   double duplicate_prob = 0.0;
   double reorder_prob = 0.0;
-  int max_bit_flips = 8;              ///< per corrupted payload.
-  int max_reorder_displacement = 4;   ///< positions a packet may slip.
+  int max_bit_flips = 8;  ///< per corrupted payload.
 
   void validate() const;  ///< throws std::invalid_argument on bad values.
 };
 
-/// One applied fault: which original packet, what was done, one detail
-/// word (bit index for corruption, new length for truncation, new
-/// position for reordering).
-struct InjectedFault {
-  FaultKind kind = FaultKind::kDrop;
-  std::size_t packet_index = 0;
-  std::uint32_t detail = 0;
-};
-
-/// The damaged stream: datagrams in delivery order, the original packet
-/// index each one came from, and the full fault trace.
-struct InjectionResult {
-  std::vector<std::vector<std::uint8_t>> datagrams;
-  std::vector<std::size_t> origins;   ///< parallel to `datagrams`.
-  std::vector<InjectedFault> faults;  ///< in application order.
-};
-
-/// What apply_one did to a single datagram — the in-place counterpart of
-/// the InjectionResult fault trace, reduced to what per-datagram callers
-/// (the live proxy, the chaos sender) act on.
+/// What apply_one did to a single datagram, reduced to what per-datagram
+/// callers (the live proxy, the chaos sender) act on.
 struct AppliedFaults {
   bool dropped = false;     ///< datagram must not be delivered.
   bool duplicated = false;  ///< deliver the (damaged) datagram twice.
@@ -75,28 +43,11 @@ class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, std::uint64_t seed);
 
-  /// Copy each packet's wire image (RTP header + payload, contiguous in
-  /// its arena) and damage the stream per the plan.  Deterministic: same
-  /// plan + seed + input => identical result, including the fault trace.
-  [[nodiscard]] InjectionResult apply(
-      const std::vector<VideoPacket>& packets);
-
-  /// Damage an already-serialized datagram sequence (origins = index).
-  [[nodiscard]] InjectionResult apply_raw(
-      std::vector<std::vector<std::uint8_t>> datagrams);
-
-  /// Damage one datagram in place — no per-call vector-of-vectors churn.
-  /// Draws the RNG in exactly the order apply_raw would for a one-element
-  /// batch, so a stream fed datagram-by-datagram (the live proxy) stays
-  /// byte-identical with one fed as a batch.
+  /// Damage one datagram in place.  Deterministic: same plan + seed +
+  /// datagram sequence => identical damage.
   [[nodiscard]] AppliedFaults apply_one(std::vector<std::uint8_t>& datagram);
 
  private:
-  /// Drop/corrupt/truncate/duplicate draws for one datagram (the
-  /// per-datagram half of apply_raw); `index` labels the fault trace.
-  AppliedFaults damage(std::vector<std::uint8_t>& d, std::size_t index,
-                       std::vector<InjectedFault>* faults);
-
   FaultPlan plan_;
   util::Rng rng_;
 };

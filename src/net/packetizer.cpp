@@ -101,17 +101,6 @@ void pad_to_bucket(std::vector<VideoPacket>& packets, util::Arena& arena,
   }
 }
 
-std::vector<std::vector<std::uint8_t>> packets_to_datagrams(
-    std::span<const VideoPacket> packets) {
-  std::vector<std::vector<std::uint8_t>> datagrams;
-  datagrams.reserve(packets.size());
-  for (const VideoPacket& p : packets) {
-    const util::ByteView wire = p.payload.wire();
-    datagrams.emplace_back(wire.begin(), wire.end());
-  }
-  return datagrams;
-}
-
 void encrypt_selected(std::vector<VideoPacket>& packets,
                       const std::vector<bool>& selected,
                       const crypto::BlockCipher& cipher,

@@ -102,13 +102,6 @@ struct VideoPacket {
 void pad_to_bucket(std::vector<VideoPacket>& packets, util::Arena& arena,
                    std::size_t bucket, std::size_t mtu = kDefaultMtu);
 
-/// Owned wire datagrams (RTP header + payload) for each packet, each
-/// allocated at exactly its final size — no growth-by-insert.  The fault
-/// injector and offline capture tools damage or archive these copies
-/// without touching the packets' arena-backed originals.
-[[nodiscard]] std::vector<std::vector<std::uint8_t>> packets_to_datagrams(
-    std::span<const VideoPacket> packets);
-
 /// Encrypt the payloads of the packets selected by `selected` (same length
 /// as `packets`) with per-packet OFB keystreams derived from `flow_iv` and
 /// the RTP sequence number, and set their marker bits — in place, both in

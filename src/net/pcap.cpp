@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <span>
 #include <stdexcept>
 
 #include "net/rtp.hpp"
@@ -48,11 +49,10 @@ std::uint16_t internet_checksum(const std::uint8_t* data, std::size_t len) {
 }
 
 /// Ethernet II + IPv4 + UDP envelope around an RTP datagram's bytes,
-/// rebuilt into `frame` (cleared first) so batch writers reuse one
-/// buffer across records.  `ip_id` fills the IPv4 identification field.
+/// rebuilt into `frame` (cleared first) so the writer reuses one buffer
+/// across records.  `ip_id` fills the IPv4 identification field.
 void envelope_datagram_into(std::vector<std::uint8_t>& frame,
                             std::span<const std::uint8_t> rtp_datagram,
-                            const CaptureEndpoints& endpoints,
                             std::uint16_t ip_id) {
   frame.clear();
   // Exactly one allocation, sized up front — the frame layout is fixed.
@@ -75,27 +75,19 @@ void envelope_datagram_into(std::vector<std::uint8_t>& frame,
   frame.push_back(64);       // TTL.
   frame.push_back(17);       // protocol UDP.
   put_u16be(frame, 0);       // checksum placeholder.
-  put_u32be(frame, endpoints.src_ip);
-  put_u32be(frame, endpoints.dst_ip);
+  put_u32be(frame, 0xC0A80102);  // 192.168.1.2 (the phone).
+  put_u32be(frame, 0xC0A80101);  // 192.168.1.1 (the server/AP).
   const std::uint16_t csum = internet_checksum(&frame[ip_begin], 20);
   frame[ip_begin + 10] = static_cast<std::uint8_t>(csum >> 8);
   frame[ip_begin + 11] = static_cast<std::uint8_t>(csum & 0xff);
 
   // UDP header (checksum 0 = unused, legal for IPv4).
-  put_u16be(frame, endpoints.src_port);
-  put_u16be(frame, endpoints.dst_port);
+  put_u16be(frame, 5004);  // source port.
+  put_u16be(frame, 5004);  // destination port.
   put_u16be(frame, udp_len);
   put_u16be(frame, 0);
 
   frame.insert(frame.end(), rtp_datagram.begin(), rtp_datagram.end());
-}
-
-std::vector<std::uint8_t> envelope_datagram(
-    std::span<const std::uint8_t> rtp_datagram,
-    const CaptureEndpoints& endpoints, std::uint16_t ip_id) {
-  std::vector<std::uint8_t> frame;
-  envelope_datagram_into(frame, rtp_datagram, endpoints, ip_id);
-  return frame;
 }
 
 void write_global_header(std::ostream& out) {
@@ -149,51 +141,8 @@ std::size_t write_record(std::ostream& out,
 
 }  // namespace
 
-std::vector<std::uint8_t> wire_frame(const VideoPacket& packet,
-                                     const CaptureEndpoints& endpoints) {
-  // The packet's wire image (RTP header + payload) is already contiguous
-  // in its arena — envelope it directly, no intermediate datagram.
-  return envelope_datagram(packet.payload.wire(), endpoints,
-                           packet.sequence);
-}
-
-std::span<const std::uint8_t> wire_frame(const VideoPacket& packet,
-                                         const CaptureEndpoints& endpoints,
-                                         std::vector<std::uint8_t>& out) {
-  envelope_datagram_into(out, packet.payload.wire(), endpoints,
-                         packet.sequence);
-  return out;
-}
-
 std::size_t write_pcap(std::ostream& out,
-                       const std::vector<CapturedPacket>& packets,
-                       const CaptureEndpoints& endpoints) {
-  write_global_header(out);
-  std::size_t clamped = 0;
-  double previous_ts = 0.0;
-  std::vector<std::uint8_t> scratch;  // one frame buffer for every record.
-  for (const CapturedPacket& cap : packets) {
-    if (cap.packet == nullptr) {
-      throw std::invalid_argument{"write_pcap: null packet"};
-    }
-    const auto frame = wire_frame(*cap.packet, endpoints, scratch);
-    clamped += write_record(out, frame, cap.timestamp_s, &previous_ts);
-  }
-  if (!out) throw std::runtime_error{"write_pcap: stream failure"};
-  return clamped;
-}
-
-std::size_t write_pcap_file(const std::string& path,
-                            const std::vector<CapturedPacket>& packets,
-                            const CaptureEndpoints& endpoints) {
-  std::ofstream out{path, std::ios::binary};
-  if (!out) throw std::runtime_error{"write_pcap_file: cannot open " + path};
-  return write_pcap(out, packets, endpoints);
-}
-
-std::size_t write_pcap_datagrams(std::ostream& out,
-                                 const std::vector<RawCapture>& captures,
-                                 const CaptureEndpoints& endpoints) {
+                       const std::vector<RawCapture>& captures) {
   write_global_header(out);
   std::size_t clamped = 0;
   double previous_ts = 0.0;
@@ -204,35 +153,33 @@ std::size_t write_pcap_datagrams(std::ostream& out,
     const std::uint16_t ip_id =
         header ? header->sequence_number : fallback_id;
     ++fallback_id;
-    envelope_datagram_into(scratch, cap.datagram, endpoints, ip_id);
+    envelope_datagram_into(scratch, cap.datagram, ip_id);
     clamped += write_record(out, scratch, cap.timestamp_s, &previous_ts);
   }
-  if (!out) throw std::runtime_error{"write_pcap_datagrams: stream failure"};
+  if (!out) throw std::runtime_error{"write_pcap: stream failure"};
   return clamped;
 }
 
-std::size_t write_pcap_datagrams_file(const std::string& path,
-                                      const std::vector<RawCapture>& captures,
-                                      const CaptureEndpoints& endpoints) {
+std::size_t write_pcap_file(const std::string& path,
+                            const std::vector<RawCapture>& captures) {
   std::ofstream out{path, std::ios::binary};
-  if (!out) {
-    throw std::runtime_error{"write_pcap_datagrams_file: cannot open " + path};
-  }
-  return write_pcap_datagrams(out, captures, endpoints);
+  if (!out) throw std::runtime_error{"write_pcap_file: cannot open " + path};
+  return write_pcap(out, captures);
 }
 
-std::vector<CapturedPacket> capture_of(
-    const std::vector<VideoPacket>& packets,
-    const std::vector<bool>& captured,
-    const std::vector<double>& timestamps) {
+std::vector<RawCapture> capture_of(const std::vector<VideoPacket>& packets,
+                                   const std::vector<bool>& captured,
+                                   const std::vector<double>& timestamps) {
   if (captured.size() != packets.size() ||
       timestamps.size() != packets.size()) {
     throw std::invalid_argument{"capture_of: size mismatch"};
   }
-  std::vector<CapturedPacket> out;
+  std::vector<RawCapture> out;
+  out.reserve(packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (!captured[i]) continue;
-    out.push_back(CapturedPacket{timestamps[i], &packets[i]});
+    const util::ByteView wire = packets[i].payload.wire();
+    out.push_back(RawCapture{timestamps[i], {wire.begin(), wire.end()}});
   }
   return out;
 }
@@ -330,8 +277,8 @@ PcapFile read_pcap_file(const std::string& path) {
   return read_pcap(in);
 }
 
-std::vector<WireRtpPacket> extract_rtp(const PcapFile& capture) {
-  std::vector<WireRtpPacket> out;
+std::vector<RawCapture> extract_rtp(const PcapFile& capture) {
+  std::vector<RawCapture> out;
   for (const PcapRecord& record : capture.records) {
     const std::vector<std::uint8_t>& f = record.frame;
     // Ethernet II + minimal IPv4: enough bytes, IPv4 ethertype, proto UDP.
@@ -347,13 +294,9 @@ std::vector<WireRtpPacket> extract_rtp(const PcapFile& capture) {
     if (udp_len < 8 || f.size() < udp_begin + udp_len) continue;
     const std::span<const std::uint8_t> payload{f.data() + udp_begin + 8,
                                                 udp_len - 8};
-    const auto header = RtpHeader::try_parse(payload);
-    if (!header) continue;
-    WireRtpPacket packet;
-    packet.timestamp_s = record.timestamp_s;
-    packet.header = *header;
-    packet.payload.assign(payload.begin() + RtpHeader::kSize, payload.end());
-    out.push_back(std::move(packet));
+    if (!RtpHeader::try_parse(payload)) continue;
+    out.push_back(RawCapture{record.timestamp_s,
+                             {payload.begin(), payload.end()}});
   }
   return out;
 }

@@ -11,20 +11,12 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "net/packetizer.hpp"
 
 namespace tv::net {
-
-/// One captured packet with its capture timestamp.
-struct CapturedPacket {
-  double timestamp_s = 0.0;
-  const VideoPacket* packet = nullptr;
-};
 
 /// Snap length declared in every capture this writer produces (tcpdump's
 /// classic default).  Frames longer than this are clamped on write — the
@@ -33,9 +25,10 @@ struct CapturedPacket {
 /// incl_len exceeds the declared snaplen (which readers may reject).
 inline constexpr std::uint32_t kPcapSnapLen = 65535;
 
-/// A raw overheard datagram (RTP header + payload as heard on the wire)
-/// with its capture timestamp — what the live impairment proxy's
-/// eavesdropper tap records before any reassembly.
+/// One overheard datagram (RTP header + payload as heard on the wire)
+/// with its capture timestamp: what the eavesdropper's tcpdump records,
+/// whether the flow was simulated (capture_of), heard by the live tap or
+/// read back from a file (extract_rtp).
 struct RawCapture {
   double timestamp_s = 0.0;
   std::vector<std::uint8_t> datagram;
@@ -68,70 +61,34 @@ struct PcapFile {
 [[nodiscard]] PcapFile read_pcap(std::istream& in);
 [[nodiscard]] PcapFile read_pcap_file(const std::string& path);
 
-/// One RTP packet recovered from a capture's UDP payloads.
-struct WireRtpPacket {
-  double timestamp_s = 0.0;
-  RtpHeader header;
-  std::vector<std::uint8_t> payload;
-};
-
-/// Extract the RTP packets from an Ethernet/IPv4/UDP capture, skipping
-/// frames that are not UDP or whose payload does not parse as a fixed RTP
+/// The RTP datagrams in an Ethernet/IPv4/UDP capture, skipping frames
+/// that are not UDP or whose payload does not parse as a fixed RTP
 /// header.  This is the offline half of the eavesdropper: score a capture
 /// produced by the live proxy (or tcpdump) without the sockets.
-[[nodiscard]] std::vector<WireRtpPacket> extract_rtp(const PcapFile& capture);
+[[nodiscard]] std::vector<RawCapture> extract_rtp(const PcapFile& capture);
 
-/// Addressing used when synthesizing the Ethernet/IP/UDP envelope.
-struct CaptureEndpoints {
-  std::uint32_t src_ip = 0xC0A80102;  ///< 192.168.1.2 (the phone).
-  std::uint32_t dst_ip = 0xC0A80101;  ///< 192.168.1.1 (the server/AP).
-  std::uint16_t src_port = 5004;
-  std::uint16_t dst_port = 5004;
-};
-
-/// Write a pcap capture of the given packets.  Packets should be in
-/// timestamp order (tcpdump writes what it hears, in order); an empty
-/// list yields a valid, empty capture.  Timestamps that would make the
-/// file invalid — negative, or running backwards past an earlier record
-/// — are clamped (to zero / the previous record's time); the return
-/// value is the number of records that needed clamping, so callers can
-/// flag a suspect capture instead of silently shipping one tcpdump
-/// rejects.
+/// Write a pcap capture of overheard datagrams, each enveloped in a
+/// synthesized Ethernet/IPv4/UDP frame from the phone (192.168.1.2:5004)
+/// to the server/AP (192.168.1.1:5004) whose IPv4 identification field
+/// reuses the RTP sequence number when the datagram parses, else a
+/// running counter.  Captures should be in timestamp order (tcpdump
+/// writes what it hears, in order); an empty list yields a valid, empty
+/// capture.  Timestamps that would make the file invalid — negative, or
+/// running backwards past an earlier record — are clamped (to zero / the
+/// previous record's time), and so are frames longer than the snaplen;
+/// the return value is the number of records that needed clamping, so
+/// callers can flag a suspect capture instead of silently shipping one
+/// tcpdump rejects.
 std::size_t write_pcap(std::ostream& out,
-                       const std::vector<CapturedPacket>& packets,
-                       const CaptureEndpoints& endpoints = {});
+                       const std::vector<RawCapture>& captures);
 std::size_t write_pcap_file(const std::string& path,
-                            const std::vector<CapturedPacket>& packets,
-                            const CaptureEndpoints& endpoints = {});
+                            const std::vector<RawCapture>& captures);
 
-/// Write a capture of raw overheard datagrams (each an RTP header +
-/// payload as heard on the wire), synthesizing the same Ethernet/IPv4/UDP
-/// envelope as write_pcap.  The IPv4 identification field reuses the RTP
-/// sequence number when the datagram parses, else a running counter.
-/// Same clamping contract (and return value) as write_pcap.
-std::size_t write_pcap_datagrams(std::ostream& out,
-                                 const std::vector<RawCapture>& captures,
-                                 const CaptureEndpoints& endpoints = {});
-std::size_t write_pcap_datagrams_file(const std::string& path,
-                                      const std::vector<RawCapture>& captures,
-                                      const CaptureEndpoints& endpoints = {});
-
-/// Build the capture list for a node from a transfer: every packet whose
-/// `captured[i]` flag is set, stamped with its completion time.
-[[nodiscard]] std::vector<CapturedPacket> capture_of(
+/// The capture a node records of a transfer: the wire image of every
+/// packet whose `captured[i]` flag is set, stamped with `timestamps[i]`.
+/// Throws std::invalid_argument when the three sizes differ.
+[[nodiscard]] std::vector<RawCapture> capture_of(
     const std::vector<VideoPacket>& packets,
     const std::vector<bool>& captured, const std::vector<double>& timestamps);
-
-/// Serialize one packet's on-the-wire bytes (Ethernet + IPv4 + UDP + RTP +
-/// payload) — also used by the pcap writer.  Single exact-size allocation:
-/// the packet's contiguous wire image is enveloped directly.
-[[nodiscard]] std::vector<std::uint8_t> wire_frame(
-    const VideoPacket& packet, const CaptureEndpoints& endpoints);
-
-/// Span-out overload: rebuild the frame into `out` (cleared first) so
-/// batch writers reuse one buffer across records; returns a view of it.
-std::span<const std::uint8_t> wire_frame(const VideoPacket& packet,
-                                         const CaptureEndpoints& endpoints,
-                                         std::vector<std::uint8_t>& out);
 
 }  // namespace tv::net

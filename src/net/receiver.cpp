@@ -113,16 +113,4 @@ void Receiver::flush_into(std::vector<ReceivedPacket>& out) {
   }
 }
 
-std::vector<ReceivedPacket> Receiver::drain_ready() {
-  std::vector<ReceivedPacket> out;
-  drain_ready_into(out);
-  return out;
-}
-
-std::vector<ReceivedPacket> Receiver::flush() {
-  std::vector<ReceivedPacket> out;
-  flush_into(out);
-  return out;
-}
-
 }  // namespace tv::net

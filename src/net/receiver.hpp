@@ -4,7 +4,7 @@
 // The sender's packetizer emits clean, ordered packets; the network does
 // not deliver them that way.  This receiver accepts raw datagrams in
 // arrival order — possibly corrupted, truncated, duplicated or reordered
-// (see net/fault_injector.hpp) — and releases valid packets in stream
+// (see net/fault_injector.hpp and live/proxy.hpp) — and releases valid packets in stream
 // order.  Malformed input is counted and dropped, never thrown on: a
 // cafe-WiFi capture must not be able to crash the pipeline.
 #pragma once
@@ -75,10 +75,6 @@ class Receiver {
   /// End of stream: release everything buffered, skipping gaps,
   /// appended to `out` in stream order.
   void flush_into(std::vector<ReceivedPacket>& out);
-
-  /// drain_ready_into() / flush_into() into a fresh vector.
-  [[nodiscard]] std::vector<ReceivedPacket> drain_ready();
-  [[nodiscard]] std::vector<ReceivedPacket> flush();
 
   [[nodiscard]] const ReceiverStats& stats() const { return stats_; }
 

@@ -154,14 +154,6 @@ std::vector<double> Flags::get_double_list(const std::string& key) const {
   return items;
 }
 
-void Flags::check_known(std::initializer_list<std::string_view> known) const {
-  for (const auto& [key, value] : options_) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      throw FlagError{"unknown option --" + key};
-    }
-  }
-}
-
 FlagSet::FlagSet(std::string command, std::string summary)
     : command_(std::move(command)), summary_(std::move(summary)) {}
 

@@ -8,11 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace tv::util {
@@ -53,9 +51,6 @@ class Flags {
   /// Comma-separated numeric list; empty vector when the flag is absent.
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& key) const;
-
-  /// Throws FlagError naming the first option not in `known`.
-  void check_known(std::initializer_list<std::string_view> known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -20,6 +20,15 @@ constexpr std::uint8_t kModeSkipRun = 0;
 constexpr std::uint8_t kModeInter = 1;
 constexpr std::uint8_t kModeIntra = 2;
 
+/// Full-pel motion search radius.
+constexpr int kSearchRange = 8;
+/// Mean per-pixel SAD above which a P-frame macroblock is coded intra
+/// instead of inter (new content after cuts / fast motion) — the same
+/// refresh mechanism H.264 encoders use.  Fast content therefore remains
+/// partially reconstructible from P-frames alone, which is exactly why
+/// the paper needs I+20%P encryption for fast-motion video.
+constexpr double kIntraRefreshSad = 10.0;
+
 int clampi(int v, int lo, int hi) { return v < lo ? lo : (v > hi ? hi : v); }
 
 // Read an 8x8 block from a plane with coordinate clamping (needed for
@@ -374,7 +383,7 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
       }
       if (!zero_skippable) {
         const auto best = motion_search(source, recon, mb_x * 16, mb_y * 16,
-                                        config.search_range);
+                                        kSearchRange);
         dx = best.first;
         dy = best.second;
       }
@@ -383,7 +392,7 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
     // Intra refresh: when even the best motion-compensated prediction is
     // poor (new content), code the MB intra like an I-frame MB.
     if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
-        config.intra_refresh_sad * 256.0) {
+        kIntraRefreshSad * 256.0) {
       flush_skips();
       row.put_u8(kModeIntra);
       code_intra_mb(row, source, g, ry, ru, rv, qstep);

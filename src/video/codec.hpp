@@ -34,13 +34,6 @@ struct CodecConfig {
   int gop_size = 30;        ///< frames per GOP (Table 1: 30 or 50).
   double i_qstep = 14.0;    ///< quantizer step for intra blocks.
   double p_qstep = 18.0;    ///< quantizer step for inter residuals.
-  int search_range = 8;     ///< full-pel motion search radius.
-  /// Mean per-pixel SAD above which a P-frame macroblock is coded intra
-  /// instead of inter (new content after cuts / fast motion) — the same
-  /// refresh mechanism H.264 encoders use.  Fast content therefore remains
-  /// partially reconstructible from P-frames alone, which is exactly why
-  /// the paper needs I+20%P encryption for fast-motion video.
-  double intra_refresh_sad = 10.0;
 };
 
 /// One compressed frame.

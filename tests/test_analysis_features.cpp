@@ -15,23 +15,21 @@
 namespace tv::analysis {
 namespace {
 
-net::WireRtpPacket wire_packet(std::uint16_t sequence,
-                               std::uint32_t timestamp,
-                               std::size_t payload_bytes,
-                               bool marker = false, bool padding = false,
-                               double time_s = 0.0) {
-  net::WireRtpPacket p;
-  p.timestamp_s = time_s;
-  p.header.sequence_number = sequence;
-  p.header.timestamp = timestamp;
-  p.header.marker = marker;
-  p.header.padding = padding;
-  p.payload.assign(payload_bytes, 0x11);
+net::RawCapture wire_packet(std::uint16_t sequence, std::uint32_t timestamp,
+                            std::size_t payload_bytes, bool marker = false,
+                            bool padding = false, double time_s = 0.0) {
+  net::RtpHeader header;
+  header.sequence_number = sequence;
+  header.timestamp = timestamp;
+  header.marker = marker;
+  header.padding = padding;
+  net::RawCapture p{time_s, header.serialize()};
+  p.datagram.insert(p.datagram.end(), payload_bytes, 0x11);
   return p;
 }
 
 TEST(AnalysisFeatures, GroupsPacketsIntoFramesBySequenceAndTimestamp) {
-  std::vector<net::WireRtpPacket> wire;
+  std::vector<net::RawCapture> wire;
   wire.push_back(wire_packet(0, 0, 1000, false, false, 0.00));
   wire.push_back(wire_packet(1, 0, 400, false, false, 0.01));
   wire.push_back(wire_packet(2, 3000, 200, false, false, 0.04));
@@ -51,7 +49,7 @@ TEST(AnalysisFeatures, GroupsPacketsIntoFramesBySequenceAndTimestamp) {
 }
 
 TEST(AnalysisFeatures, ReordersAndDeduplicatesBySequence) {
-  std::vector<net::WireRtpPacket> wire;
+  std::vector<net::RawCapture> wire;
   wire.push_back(wire_packet(2, 0, 300));
   wire.push_back(wire_packet(0, 0, 100));
   wire.push_back(wire_packet(1, 0, 200));
@@ -67,7 +65,7 @@ TEST(AnalysisFeatures, ReordersAndDeduplicatesBySequence) {
 }
 
 TEST(AnalysisFeatures, UnwrapsSequenceAcrossThe16BitBoundary) {
-  std::vector<net::WireRtpPacket> wire;
+  std::vector<net::RawCapture> wire;
   wire.push_back(wire_packet(65534, 0, 100));
   wire.push_back(wire_packet(65535, 0, 100));
   wire.push_back(wire_packet(0, 0, 100));
@@ -82,7 +80,7 @@ TEST(AnalysisFeatures, UnwrapsSequenceAcrossThe16BitBoundary) {
 }
 
 TEST(AnalysisFeatures, EstimatesLossFromSequenceGaps) {
-  std::vector<net::WireRtpPacket> wire;
+  std::vector<net::RawCapture> wire;
   for (std::uint16_t s = 0; s < 10; ++s) {
     if (s == 3 || s == 7) continue;  // two packets the snooper missed.
     wire.push_back(wire_packet(s, 0, 100));
@@ -95,16 +93,16 @@ TEST(AnalysisFeatures, EstimatesLossFromSequenceGaps) {
 TEST(AnalysisFeatures, StripsReadablePadTrailerOnly) {
   // Cleartext padded packet: P bit set, marker clear, trailer readable.
   auto readable = wire_packet(0, 0, 100, /*marker=*/false, /*padding=*/true);
-  readable.payload.back() = 25;
+  readable.datagram.back() = 25;
   // Encrypted padded packet: the marker says the trailer is ciphertext.
   auto encrypted = wire_packet(1, 0, 100, /*marker=*/true, /*padding=*/true);
-  encrypted.payload.back() = 25;
+  encrypted.datagram.back() = 25;
   // P bit set but the count is inconsistent with the payload size.
   auto bogus = wire_packet(2, 0, 100, /*marker=*/false, /*padding=*/true);
-  bogus.payload.back() = 0;
+  bogus.datagram.back() = 0;
 
   const CaptureFeatures f =
-      extract_features(std::vector<net::WireRtpPacket>{
+      extract_features(std::vector<net::RawCapture>{
           readable, encrypted, bogus});
   ASSERT_EQ(f.packets.size(), 3u);
   EXPECT_EQ(f.packets[0].inferred_content_bytes, 75u);
@@ -114,7 +112,7 @@ TEST(AnalysisFeatures, StripsReadablePadTrailerOnly) {
 }
 
 TEST(AnalysisFeatures, MarkerFractionIsTheVisibleEncryptionFingerprint) {
-  std::vector<net::WireRtpPacket> wire;
+  std::vector<net::RawCapture> wire;
   wire.push_back(wire_packet(0, 0, 100, /*marker=*/true));
   wire.push_back(wire_packet(1, 0, 100, /*marker=*/false));
   wire.push_back(wire_packet(2, 0, 100, /*marker=*/true));

@@ -84,7 +84,7 @@ TEST(AnalysisGolden, PcapAnalysisMatchesFixture) {
       << "; regenerate with TV_UPDATE_GOLDEN=1";
 
   const net::PcapFile capture = net::read_pcap_file(pcap_path);
-  const std::vector<net::WireRtpPacket> wire = net::extract_rtp(capture);
+  const std::vector<net::RawCapture> wire = net::extract_rtp(capture);
   ASSERT_FALSE(wire.empty());
 
   const LeakageSpec spec = spec_of(g);

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/host_calibration.hpp"
 #include "crypto/aes_ni.hpp"
 #include "crypto/ofb.hpp"
 #include "crypto/suite.hpp"
@@ -252,31 +251,6 @@ TEST(CostModel, RelativeCostOrderingMatchesMeasurement) {
   const double des3 = measure_cycles_per_byte(Algorithm::kTripleDes);
   EXPECT_LT(aes128, aes256) << "aes128=" << aes128 << " aes256=" << aes256;
   EXPECT_LT(aes256, des3) << "aes256=" << aes256 << " 3des=" << des3;
-}
-
-TEST(HostCalibration, MeasuresSaneProfile) {
-  const auto m = core::measure_host_crypto(Algorithm::kAes128,
-                                           CipherBackend::kScalar, 1 << 16);
-  EXPECT_EQ(m.backend, CipherBackend::kScalar);
-  EXPECT_GT(m.throughput_mb_s, 0.0);
-  EXPECT_GE(m.per_packet_overhead_s, 0.0);
-  EXPECT_GE(m.jitter_stddev_s, 0.0);
-
-  const auto resolved =
-      core::measure_host_crypto(Algorithm::kAes128, CipherBackend::kAuto,
-                                1 << 16);
-  EXPECT_EQ(resolved.backend, aes_ni_available() ? CipherBackend::kAesNi
-                                                 : CipherBackend::kScalar);
-
-  const auto profile = core::calibrated_host_profile(CipherBackend::kScalar);
-  EXPECT_EQ(profile.key, "host");
-  for (Algorithm alg : kAlgorithms) {
-    EXPECT_GT(profile.speed(alg).throughput_mb_s, 0.0) << to_string(alg);
-    // encryption_seconds must grow with payload so the service model stays
-    // well ordered.
-    EXPECT_LT(profile.encryption_seconds(alg, 100),
-              profile.encryption_seconds(alg, 100000));
-  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/trace.hpp"
+#include "net/rtp.hpp"
 #include "net/pcap.hpp"
 #include "policy/policy.hpp"
 
@@ -129,7 +130,9 @@ TEST(LiveLoopback, EavesdropperPcapRoundTripsThroughTheReader) {
   // The capture shows the paper's signal: marker bits flag exactly the
   // still-encrypted payloads, and some of both kinds were overheard.
   std::size_t marked = 0;
-  for (const auto& p : rtp) marked += p.header.marker ? 1u : 0u;
+  for (const auto& p : rtp) {
+    marked += net::RtpHeader::parse(p.datagram).marker ? 1u : 0u;
+  }
   EXPECT_GT(marked, 0u);
   EXPECT_LT(marked, rtp.size());
   std::remove(config.pcap_path.c_str());

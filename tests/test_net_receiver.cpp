@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "net/fault_injector.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace tv::net {
@@ -23,6 +23,18 @@ std::vector<std::uint8_t> datagram(std::uint16_t seq,
   return bytes;
 }
 
+std::vector<ReceivedPacket> drain(Receiver& rx) {
+  std::vector<ReceivedPacket> out;
+  rx.drain_ready_into(out);
+  return out;
+}
+
+std::vector<ReceivedPacket> flush(Receiver& rx) {
+  std::vector<ReceivedPacket> out;
+  rx.flush_into(out);
+  return out;
+}
+
 std::vector<std::int64_t> sequences(const std::vector<ReceivedPacket>& v) {
   std::vector<std::int64_t> out;
   for (const auto& p : v) out.push_back(p.extended_sequence);
@@ -32,7 +44,7 @@ std::vector<std::int64_t> sequences(const std::vector<ReceivedPacket>& v) {
 TEST(Receiver, InOrderStreamPassesThrough) {
   Receiver rx;
   for (std::uint16_t s = 0; s < 10; ++s) rx.push(datagram(s));
-  const auto got = rx.drain_ready();
+  const auto got = drain(rx);
   EXPECT_EQ(sequences(got), (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6,
                                                        7, 8, 9}));
   EXPECT_EQ(rx.stats().accepted, 10u);
@@ -45,7 +57,7 @@ TEST(Receiver, ReorderBufferHealsOutOfOrderArrival) {
   for (std::uint16_t s : {0, 1, 3, 2, 5, 4, 6}) {
     rx.push(datagram(static_cast<std::uint16_t>(s)));
   }
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   EXPECT_EQ(sequences(got),
             (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(rx.stats().reordered, 2u);  // packets 2 and 4 arrived late.
@@ -56,10 +68,10 @@ TEST(Receiver, DrainHoldsBackAcrossGaps) {
   Receiver rx;
   rx.push(datagram(0));
   rx.push(datagram(2));  // 1 is missing.
-  auto got = rx.drain_ready();
+  auto got = drain(rx);
   EXPECT_EQ(sequences(got), (std::vector<std::int64_t>{0}));
   rx.push(datagram(1));  // gap fills; 1 and 2 both become releasable.
-  got = rx.drain_ready();
+  got = drain(rx);
   EXPECT_EQ(sequences(got), (std::vector<std::int64_t>{1, 2}));
 }
 
@@ -85,10 +97,10 @@ TEST(Receiver, DuplicatesAreSuppressed) {
   rx.push(datagram(0));
   rx.push(datagram(1));
   rx.push(datagram(1));  // duplicate while buffered.
-  (void)rx.drain_ready();
+  (void)drain(rx);
   rx.push(datagram(1));  // duplicate after release.
   rx.push(datagram(2));
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   EXPECT_EQ(sequences(got), (std::vector<std::int64_t>{2}));
   EXPECT_EQ(rx.stats().duplicates, 1u);
   EXPECT_EQ(rx.stats().too_late, 1u);
@@ -102,7 +114,7 @@ TEST(Receiver, SequenceWraparoundExtendsMonotonically) {
     rx.push(datagram(static_cast<std::uint16_t>(s)));
   }
   for (std::uint16_t s = 0; s <= 3; ++s) rx.push(datagram(s));
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   ASSERT_EQ(got.size(), 7u);
   const auto seqs = sequences(got);
   for (std::size_t i = 1; i < seqs.size(); ++i) {
@@ -119,7 +131,7 @@ TEST(Receiver, WraparoundTolleratesReorderingAcrossTheSeam) {
   rx.push(datagram(65534));
   rx.push(datagram(0));      // two ahead (wrap).
   rx.push(datagram(65535));  // straggler from before the wrap.
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   EXPECT_EQ(sequences(got),
             (std::vector<std::int64_t>{65534, 65535, 65536}));
   EXPECT_EQ(rx.stats().reordered, 1u);
@@ -130,7 +142,7 @@ TEST(Receiver, DuplicateDetectedAcrossWraparound) {
   rx.push(datagram(65535));
   rx.push(datagram(0));
   rx.push(datagram(0));  // dup of the post-wrap packet.
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   EXPECT_EQ(got.size(), 2u);
   EXPECT_EQ(rx.stats().duplicates, 1u);
 }
@@ -155,7 +167,7 @@ TEST(Receiver, MarkerBitAndDedupSurviveSequenceWraparound) {
   rx.push(marked(0, true));       // encrypted, post-wrap.
   rx.push(marked(0, true));       // duplicate of the post-wrap packet.
   rx.push(marked(1, false));
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(sequences(got),
             (std::vector<std::int64_t>{65534, 65535, 65536, 65537}));
@@ -170,14 +182,14 @@ TEST(Receiver, MarkerBitAndDedupSurviveSequenceWraparound) {
 TEST(Receiver, BoundedBufferGivesUpOnOldGaps) {
   Receiver rx{{.reorder_capacity = 4}};
   rx.push(datagram(0));
-  (void)rx.drain_ready();
+  (void)drain(rx);
   // Sequence 1 never arrives; 2..6 overflow the 4-packet buffer.
   for (std::uint16_t s = 2; s <= 6; ++s) rx.push(datagram(s));
-  const auto got = rx.drain_ready();
+  const auto got = drain(rx);
   ASSERT_FALSE(got.empty());
   EXPECT_EQ(got.front().extended_sequence, 2);
   EXPECT_EQ(rx.stats().given_up, 1u);  // gave up on sequence 1.
-  const auto rest = rx.flush();
+  const auto rest = flush(rx);
   EXPECT_EQ(got.size() + rest.size(), 5u);
 }
 
@@ -192,7 +204,7 @@ TEST(Receiver, MalformedDatagramsNeverThrow) {
   csrc[0] |= 0x03;  // CSRC count the fixed header cannot represent.
   rx.push(csrc);
   rx.push(datagram(5));  // one good packet.
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   EXPECT_EQ(got.size(), 1u);
   EXPECT_EQ(rx.stats().invalid, 4u);
   EXPECT_EQ(rx.stats().accepted, 1u);
@@ -201,7 +213,7 @@ TEST(Receiver, MalformedDatagramsNeverThrow) {
 TEST(Receiver, PayloadSurvivesTheTrip) {
   Receiver rx;
   rx.push(datagram(9, 0x5C, 100));
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   ASSERT_EQ(got.size(), 1u);
   const auto payload = got[0].payload();
   EXPECT_EQ(payload.size(), 100u);
@@ -212,21 +224,35 @@ TEST(Receiver, PayloadSurvivesTheTrip) {
 
 // --- FaultInjector-driven robustness -----------------------------------
 
-util::Arena& test_arena() {
-  static util::Arena arena;  // lives for the whole test binary.
-  return arena;
-}
-
-std::vector<VideoPacket> make_stream(std::size_t n) {
-  std::vector<VideoPacket> packets;
+// What a hostile path delivers for `n` clean datagrams: apply_one damages
+// each in place, and a one-slot hold-back (the live proxy's reordering)
+// releases a marked datagram after the next one.
+std::vector<std::vector<std::uint8_t>> damaged_stream(const FaultPlan& plan,
+                                                      std::uint64_t seed,
+                                                      std::size_t n) {
+  FaultInjector injector{plan, seed};
+  util::Rng reorder{seed + 0x5e0de17};
+  std::vector<std::vector<std::uint8_t>> out;
+  std::optional<std::vector<std::uint8_t>> held;
   for (std::size_t i = 0; i < n; ++i) {
-    VideoPacket p;
-    p.sequence = static_cast<std::uint16_t>(i);
-    p.timestamp = static_cast<std::uint32_t>(3000 * i);
-    p.allocate_payload(test_arena(), 64, static_cast<std::uint8_t>(i));
-    packets.push_back(std::move(p));
+    auto d = datagram(static_cast<std::uint16_t>(i),
+                      static_cast<std::uint8_t>(i), 64);
+    const AppliedFaults applied = injector.apply_one(d);
+    if (applied.dropped) continue;
+    for (int copy = 0; copy < (applied.duplicated ? 2 : 1); ++copy) {
+      if (!held && reorder.bernoulli(plan.reorder_prob)) {
+        held = d;
+        continue;
+      }
+      out.push_back(d);
+      if (held) {
+        out.push_back(std::move(*held));
+        held.reset();
+      }
+    }
   }
-  return packets;
+  if (held) out.push_back(std::move(*held));
+  return out;
 }
 
 TEST(FaultInjector, DeterministicPerSeed) {
@@ -237,31 +263,23 @@ TEST(FaultInjector, DeterministicPerSeed) {
   plan.truncate_prob = 0.1;
   plan.duplicate_prob = 0.1;
   plan.reorder_prob = 0.2;
-  const auto stream = make_stream(200);
-  const auto a = FaultInjector{plan, 77}.apply(stream);
-  const auto b = FaultInjector{plan, 77}.apply(stream);
-  EXPECT_EQ(a.datagrams, b.datagrams);
-  EXPECT_EQ(a.origins, b.origins);
-  ASSERT_EQ(a.faults.size(), b.faults.size());
-  for (std::size_t i = 0; i < a.faults.size(); ++i) {
-    EXPECT_EQ(a.faults[i].kind, b.faults[i].kind);
-    EXPECT_EQ(a.faults[i].packet_index, b.faults[i].packet_index);
-    EXPECT_EQ(a.faults[i].detail, b.faults[i].detail);
-  }
-  const auto c = FaultInjector{plan, 78}.apply(stream);
-  EXPECT_NE(a.datagrams, c.datagrams);
+  const auto a = damaged_stream(plan, 77, 200);
+  EXPECT_EQ(a, damaged_stream(plan, 77, 200));
+  EXPECT_NE(a, damaged_stream(plan, 78, 200));
 }
 
 TEST(FaultInjector, CleanPlanIsIdentity) {
-  const auto stream = make_stream(50);
-  const auto r = FaultInjector{FaultPlan{}, 1}.apply(stream);
-  ASSERT_EQ(r.datagrams.size(), 50u);
-  EXPECT_TRUE(r.faults.empty());
-  for (std::size_t i = 0; i < r.datagrams.size(); ++i) {
-    EXPECT_EQ(r.origins[i], i);
-    const auto h = RtpHeader::parse(r.datagrams[i]);
-    EXPECT_EQ(h.sequence_number, i);
+  FaultInjector injector{FaultPlan{}, 1};
+  for (std::uint16_t i = 0; i < 50; ++i) {
+    const auto clean = datagram(i, static_cast<std::uint8_t>(i), 64);
+    auto d = clean;
+    const AppliedFaults applied = injector.apply_one(d);
+    EXPECT_FALSE(applied.dropped);
+    EXPECT_FALSE(applied.duplicated);
+    EXPECT_EQ(applied.damaged, 0);
+    EXPECT_EQ(d, clean);
   }
+  EXPECT_EQ(damaged_stream(FaultPlan{}, 1, 50).size(), 50u);
 }
 
 TEST(FaultInjector, ReceiverSurvivesHeavyFaultLoadAndKeepsOrder) {
@@ -271,23 +289,23 @@ TEST(FaultInjector, ReceiverSurvivesHeavyFaultLoadAndKeepsOrder) {
   plan.truncate_prob = 0.1;
   plan.duplicate_prob = 0.15;
   plan.reorder_prob = 0.25;
-  const auto stream = make_stream(300);
+  constexpr std::size_t kPackets = 300;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto damaged = FaultInjector{plan, seed}.apply(stream);
+    const auto damaged = damaged_stream(plan, seed, kPackets);
     Receiver rx;
     std::vector<ReceivedPacket> got;
-    for (const auto& d : damaged.datagrams) {
+    for (const auto& d : damaged) {
       rx.push(d);
-      for (auto& p : rx.drain_ready()) got.push_back(std::move(p));
+      rx.drain_ready_into(got);
     }
-    for (auto& p : rx.flush()) got.push_back(std::move(p));
+    rx.flush_into(got);
     // Whatever survives must come out strictly increasing and unique.
     for (std::size_t i = 1; i < got.size(); ++i) {
       EXPECT_GT(got[i].extended_sequence, got[i - 1].extended_sequence);
     }
-    EXPECT_EQ(rx.stats().datagrams, damaged.datagrams.size());
-    EXPECT_LE(got.size(), stream.size());
-    EXPECT_GT(got.size(), stream.size() / 2);  // most of it survives.
+    EXPECT_EQ(rx.stats().datagrams, damaged.size());
+    EXPECT_LE(got.size(), kPackets);
+    EXPECT_GT(got.size(), kPackets / 2);  // most of it survives.
   }
 }
 
@@ -303,7 +321,7 @@ TEST(Receiver, CorruptedThenCleanCopyOfSameSequenceDedupsOnFirstArrival) {
   rx.push(datagram(1, /*fill=*/0x00));  // corrupted payload arrives first.
   rx.push(datagram(1, /*fill=*/0xAB));  // clean copy arrives second.
   rx.push(datagram(2));
-  const auto got = rx.flush();
+  const auto got = flush(rx);
   ASSERT_EQ(sequences(got), (std::vector<std::int64_t>{0, 1, 2}));
   EXPECT_EQ(rx.stats().duplicates, 1u);
   // First arrival wins: the payload is the corrupted fill.

@@ -106,17 +106,6 @@ TEST(Flags, DoubleListParsesAndValidates) {
   EXPECT_THROW((void)f.get_double_list("bad"), FlagError);
 }
 
-TEST(Flags, CheckKnownNamesTheOffender) {
-  const auto f = parse({"--reps=3", "--typo=1"});
-  try {
-    f.check_known({"reps", "seed"});
-    FAIL() << "expected FlagError";
-  } catch (const FlagError& e) {
-    EXPECT_NE(std::string(e.what()).find("--typo"), std::string::npos);
-  }
-  EXPECT_NO_THROW(f.check_known({"reps", "typo"}));
-}
-
 TEST(FlagSet, HelpTextListsEveryRegisteredFlagAligned) {
   FlagSet fs{"prog demo", "Demo command for the help generator."};
   fs.flag("reps", "N", "repetition count")

@@ -836,7 +836,7 @@ int cmd_analyze(const Flags& args) {
     // matches the 'live loopback' invocation that wrote the capture.
     const std::string pcap_path = args.positional().front();
     const net::PcapFile capture = net::read_pcap_file(pcap_path);
-    const std::vector<net::WireRtpPacket> wire = net::extract_rtp(capture);
+    const std::vector<net::RawCapture> wire = net::extract_rtp(capture);
 
     spec.policies = {
         policy::policy_from_string(args.get("policy", "I"), alg)};
@@ -1119,7 +1119,9 @@ int cmd_live_send(const Flags& args) {
 
   live::EventLoop loop{live::ClockMode::kMonotonic};
   live::UdpSocket socket;
-  socket.bind(live::Endpoint{0x7f000001, 0});
+  // Any local address: the kernel picks the interface that routes to --to
+  // (a loopback-bound socket cannot reach another host).
+  socket.bind(live::Endpoint{0, 0});
   live::SenderSession sender{
       loop, socket,
       live::SenderConfig{to, 0x74561D01, sink}, packets,
@@ -1220,7 +1222,7 @@ int cmd_live_proxy(const Flags& args) {
   const std::string pcap_path = args.get("pcap", "");
   if (!pcap_path.empty()) {
     const std::size_t clamped =
-        net::write_pcap_datagrams_file(pcap_path, tap.captures());
+        net::write_pcap_file(pcap_path, tap.captures());
     std::printf("pcap: %s (%zu clamped records)\n", pcap_path.c_str(),
                 clamped);
   }
@@ -1234,8 +1236,7 @@ int cmd_live_load(const Flags& args) {
 
   live::LoadConfig config;
   config.sessions = args.get_int("sessions", 8);
-  config.max_sessions =
-      static_cast<std::size_t>(args.get_int("max-sessions", 0));
+  config.max_sessions = args.get_uint64("max-sessions", 0);
   config.motion = video::motion_from_string(args.get("motion", "low"));
   config.gop_size = args.get_int("gop", 8);
   config.frames = args.get_int("frames", 16);
@@ -1249,17 +1250,13 @@ int cmd_live_load(const Flags& args) {
   if (args.has("chaos")) {
     config.chaos = live::chaos_plan_from_string(args.get("chaos", ""));
   }
-  config.supervisor.queue_cap =
-      static_cast<std::size_t>(args.get_int("queue-cap", 64));
-  config.supervisor.degrade_depth =
-      static_cast<std::size_t>(args.get_int("degrade-depth", 32));
+  config.supervisor.queue_cap = args.get_uint64("queue-cap", 64);
+  config.supervisor.degrade_depth = args.get_uint64("degrade-depth", 32);
   config.supervisor.stall_timeout_s = args.get_double("stall-timeout", 5.0);
   config.supervisor.max_send_retries = args.get_int("retry-max", 8);
   config.server_idle_timeout_s = args.get_double("idle-timeout", 5.0);
-  config.overload_high =
-      static_cast<std::size_t>(args.get_int("overload-high", 4096));
-  config.overload_low =
-      static_cast<std::size_t>(args.get_int("overload-low", 1024));
+  config.overload_high = args.get_uint64("overload-high", 4096);
+  config.overload_low = args.get_uint64("overload-low", 1024);
   config.evaluate_psnr = args.has("psnr");
 
   TraceOutput trace;
