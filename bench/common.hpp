@@ -69,12 +69,9 @@ struct BenchOptions {
                                  char** argv) {
     BenchOptions o;
     try {
-      const auto args = util::Flags::parse(argc, argv);
-      fs.check(args);
-      if (args.get_bool("help", false)) {
-        std::fputs(fs.help_text().c_str(), stdout);
-        std::exit(0);
-      }
+      const auto parsed = fs.parse(argc, argv);
+      if (!parsed) std::exit(0);
+      const util::Flags& args = *parsed;
       if (args.get_bool("quick", false)) {
         o.quick = true;
         o.frames = 120;

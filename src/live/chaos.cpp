@@ -1,7 +1,8 @@
 #include "live/chaos.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
+
+#include "util/flags.hpp"
 
 namespace tv::live {
 
@@ -15,42 +16,12 @@ void check_prob(double value, const char* name) {
 }
 
 double parse_number(const std::string& text, const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size()) {
+  const auto value = util::parse_double(text);
+  if (!value) {
     throw std::invalid_argument{"chaos spec: bad value for '" + key +
                                 "': " + text};
   }
-  return value;
-}
-
-/// "START:DUR;START:DUR;..." -> outage windows.
-std::vector<wifi::OutageWindow> parse_windows(const std::string& text,
-                                              const std::string& key) {
-  std::vector<wifi::OutageWindow> windows;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t semi = text.find(';', pos);
-    const std::string item = text.substr(
-        pos, semi == std::string::npos ? std::string::npos : semi - pos);
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument{"chaos spec: '" + key +
-                                  "' wants START:DURATION, got: " + item};
-    }
-    wifi::OutageWindow window;
-    window.start_s = parse_number(item.substr(0, colon), key);
-    window.duration_s = parse_number(item.substr(colon + 1), key);
-    if (window.start_s < 0.0 || window.duration_s <= 0.0) {
-      throw std::invalid_argument{"chaos spec: '" + key +
-                                  "' window must have start >= 0, "
-                                  "duration > 0"};
-    }
-    windows.push_back(window);
-    if (semi == std::string::npos) break;
-    pos = semi + 1;
-  }
-  return windows;
+  return *value;
 }
 
 }  // namespace
@@ -72,13 +43,7 @@ ChaosPlan chaos_plan_from_string(const std::string& spec) {
   wifi::GilbertElliottParams channel;
   bool have_channel = false;
 
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string item = spec.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    pos = comma == std::string::npos ? spec.size() : comma + 1;
-    if (item.empty()) continue;
+  for (const std::string& item : util::split(spec, ',')) {
     const std::size_t eq = item.find('=');
     if (eq == std::string::npos) {
       throw std::invalid_argument{"chaos spec: want key=value, got: " + item};
@@ -113,10 +78,9 @@ ChaosPlan chaos_plan_from_string(const std::string& spec) {
       plan.ctrl_drop_prob = parse_number(value, key);
     } else if (key == "kill") {
       plan.kill_prob = parse_number(value, key);
-    } else if (key == "outage") {
-      plan.outages = parse_windows(value, key);
-    } else if (key == "stall") {
-      plan.stalls = parse_windows(value, key);
+    } else if (key == "outage" || key == "stall") {
+      (key == "outage" ? plan.outages : plan.stalls) =
+          wifi::parse_outage_windows(value, ';', "chaos spec '" + key + "'");
     } else {
       throw std::invalid_argument{"chaos spec: unknown key: " + key};
     }

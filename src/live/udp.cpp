@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
 
@@ -62,12 +63,12 @@ std::optional<Endpoint> parse_endpoint(const std::string& text) {
   std::string host = colon == std::string::npos ? "" : text.substr(0, colon);
   const std::string port_text =
       colon == std::string::npos ? text : text.substr(colon + 1);
-  if (port_text.empty()) return std::nullopt;
-  for (char c : port_text) {
-    if (c < '0' || c > '9') return std::nullopt;
+  unsigned port = 0;
+  const char* const end = port_text.data() + port_text.size();
+  const auto [ptr, ec] = std::from_chars(port_text.data(), end, port);
+  if (port_text.empty() || ec != std::errc{} || ptr != end || port > 65535) {
+    return std::nullopt;
   }
-  const unsigned long port = std::stoul(port_text);
-  if (port > 65535) return std::nullopt;
 
   Endpoint endpoint;
   endpoint.port = static_cast<std::uint16_t>(port);

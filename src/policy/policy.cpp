@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "net/rtp.hpp"
+#include "util/flags.hpp"
 #include "util/record.hpp"
 
 namespace tv::policy {
@@ -20,16 +21,12 @@ std::string format_pct(double fraction) {
 /// Parse a percentage like "20" or "12.5" into a fraction; throws on
 /// malformed or out-of-range input.
 double parse_pct(std::string_view text, std::string_view full_spec) {
-  const std::string value{text};
-  errno = 0;
-  char* end = nullptr;
-  const double pct = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || errno != 0 ||
-      pct < 0.0 || pct > 100.0) {
+  const auto pct = util::parse_double(std::string{text});
+  if (!pct || *pct < 0.0 || *pct > 100.0) {
     throw std::invalid_argument{"bad percentage in policy spec: " +
                                 std::string{full_spec}};
   }
-  return pct / 100.0;
+  return *pct / 100.0;
 }
 
 /// Deterministic stride selector: returns true for the k-th eligible item
@@ -276,16 +273,13 @@ ShapingPolicy shaping_from_string(std::string_view spec) {
     } else if (part.rfind("jit", 0) == 0 && part.size() > 5 &&
                part.substr(part.size() - 2) == "ms") {
       take_rank(2);
-      const std::string digits{part.substr(3, part.size() - 5)};
-      errno = 0;
-      char* end = nullptr;
-      const double ms = std::strtod(digits.c_str(), &end);
-      if (digits.empty() || end != digits.c_str() + digits.size() ||
-          errno != 0 || !(ms > 0.0)) {
+      const auto ms =
+          util::parse_double(std::string{part.substr(3, part.size() - 5)});
+      if (!ms || !(*ms > 0.0)) {
         throw std::invalid_argument{"bad jitter in shaping spec: " +
                                     std::string{spec}};
       }
-      out.jitter_stddev_s = ms / 1000.0;
+      out.jitter_stddev_s = *ms / 1000.0;
     } else {
       throw std::invalid_argument{
           "unknown shaping knob: " + std::string{part} +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tv::util {
@@ -26,16 +27,27 @@ T parse_integral(const std::string& key, const std::string& value,
   return parsed;
 }
 
-// A whole token that strtod consumes entirely ("-5", "-.5", "-1e3"):
-// a negative numeric positional, not a mistyped flag.
-bool is_numeric_token(const std::string& arg) {
+}  // namespace
+
+std::optional<double> parse_double(const std::string& text) {
   errno = 0;
   char* end = nullptr;
-  (void)std::strtod(arg.c_str(), &end);
-  return end == arg.c_str() + arg.size() && errno == 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno != 0) {
+    return std::nullopt;
+  }
+  return value;
 }
 
-}  // namespace
+std::vector<std::string> split(const std::string& text, char separator) {
+  std::vector<std::string> items;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find(separator, pos), text.size());
+    if (end > pos) items.push_back(text.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return items;
+}
 
 Flags Flags::parse(int argc, char** argv, int from) {
   Flags flags;
@@ -52,7 +64,7 @@ Flags Flags::parse(int argc, char** argv, int from) {
                         " (each flag may be given once)"};
       }
     } else if (arg.size() > 1 && arg.front() == '-' &&
-               !is_numeric_token(arg)) {
+               !parse_double(arg)) {
       // "-threads" is almost certainly a mistyped "--threads"; rejecting it
       // beats silently treating it as a positional.  Negative numbers stay
       // positional.
@@ -92,14 +104,9 @@ std::uint64_t Flags::get_uint64(const std::string& key,
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
-  const std::string& value = it->second;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-    bad_value(key, value, "a number");
-  }
-  return parsed;
+  const auto parsed = parse_double(it->second);
+  if (!parsed) bad_value(key, it->second, "a number");
+  return *parsed;
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {
@@ -117,18 +124,8 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
 
 std::vector<std::string> Flags::get_list(const std::string& key) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return {};
-  std::vector<std::string> items;
-  const std::string& value = it->second;
-  std::size_t pos = 0;
-  while (pos <= value.size()) {
-    const auto comma = value.find(',', pos);
-    const auto end = comma == std::string::npos ? value.size() : comma;
-    if (end > pos) items.push_back(value.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return items;
+  return it == options_.end() ? std::vector<std::string>{}
+                              : split(it->second, ',');
 }
 
 std::vector<int> Flags::get_int_list(const std::string& key) const {
@@ -143,13 +140,9 @@ std::vector<int> Flags::get_int_list(const std::string& key) const {
 std::vector<double> Flags::get_double_list(const std::string& key) const {
   std::vector<double> items;
   for (const std::string& item : get_list(key)) {
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (item.empty() || end != item.c_str() + item.size() || errno != 0) {
-      bad_value(key, item, "a comma-separated list of numbers");
-    }
-    items.push_back(parsed);
+    const auto parsed = parse_double(item);
+    if (!parsed) bad_value(key, item, "a comma-separated list of numbers");
+    items.push_back(*parsed);
   }
   return items;
 }
@@ -197,6 +190,23 @@ void FlagSet::check(const Flags& flags) const {
                       " --help)"};
     }
   }
+}
+
+std::optional<Flags> FlagSet::parse(int argc, char** argv, int from) const {
+  Flags flags = Flags::parse(argc, argv, from);
+  if (flags.get_bool("help", false)) {
+    std::fputs(help_text().c_str(), stdout);
+    return std::nullopt;
+  }
+  check(flags);
+  return flags;
+}
+
+bool FlagSet::given(const Flags& flags, const std::string& name) const {
+  const bool is_switch = std::any_of(
+      entries_.begin(), entries_.end(),
+      [&](const Entry& e) { return e.name == name && e.value_hint.empty(); });
+  return is_switch ? flags.get_bool(name, false) : flags.has(name);
 }
 
 }  // namespace tv::util

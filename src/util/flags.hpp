@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,15 @@ class FlagError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The number std::strtod reads from all of `text`, without overflow;
+/// nullopt for anything else ("", "1x", "1e999").  Every flag and spec
+/// parser reads numbers through it, so they agree on what one is.
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
+
+/// The non-empty items of `text` between `separator`s ("a,,b," -> a, b).
+[[nodiscard]] std::vector<std::string> split(const std::string& text,
+                                             char separator);
 
 class Flags {
  public:
@@ -92,6 +102,16 @@ class FlagSet {
   /// `--help` is always accepted (front ends handle it before parsing
   /// values).
   void check(const Flags& flags) const;
+
+  /// The step every front end takes before reading values: parse
+  /// argv[from..argc); on `--help` print help_text() to stdout and return
+  /// nullopt (the caller exits 0); otherwise check() and return the flags.
+  [[nodiscard]] std::optional<Flags> parse(int argc, char** argv,
+                                           int from = 1) const;
+
+  /// Whether `name` is given: a switch (empty value hint) reads through
+  /// Flags::get_bool, any other flag counts when present.
+  [[nodiscard]] bool given(const Flags& flags, const std::string& name) const;
 
  private:
   struct Entry {

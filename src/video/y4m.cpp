@@ -1,10 +1,34 @@
 #include "video/y4m.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace tv::video {
+
+namespace {
+
+/// Largest accepted W or H: a 16384x16384 4:2:0 frame is 384 MiB, so a
+/// header cannot make the reader allocate without bound.
+constexpr int kMaxDimension = 16384;
+
+/// The decimal that is all of tag[from, to), within [lo, hi]; throws
+/// naming the tag otherwise.
+int tag_value(const std::string& tag, std::size_t from, std::size_t to,
+              int lo, int hi) {
+  int value = 0;
+  const char* const end = tag.data() + to;
+  const auto [ptr, ec] = std::from_chars(tag.data() + from, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    throw std::runtime_error{"read_y4m: bad header tag '" + tag + "'"};
+  }
+  return value;
+}
+
+}  // namespace
 
 void write_y4m(std::ostream& out, const FrameSequence& clip, int fps) {
   if (clip.empty()) throw std::invalid_argument{"write_y4m: empty clip"};
@@ -51,13 +75,14 @@ Y4mClip read_y4m(std::istream& in) {
   std::string tag;
   while (tokens >> tag) {
     switch (tag[0]) {
-      case 'W': width = std::stoi(tag.substr(1)); break;
-      case 'H': height = std::stoi(tag.substr(1)); break;
+      case 'W': width = tag_value(tag, 1, tag.size(), 1, kMaxDimension); break;
+      case 'H': height = tag_value(tag, 1, tag.size(), 1, kMaxDimension); break;
       case 'F': {
-        const auto colon = tag.find(':');
-        clip.fps_numerator = std::stoi(tag.substr(1, colon - 1));
-        if (colon != std::string::npos) {
-          clip.fps_denominator = std::stoi(tag.substr(colon + 1));
+        const auto colon = std::min(tag.find(':'), tag.size());
+        clip.fps_numerator = tag_value(tag, 1, colon, 1, INT_MAX);
+        if (colon < tag.size()) {
+          clip.fps_denominator =
+              tag_value(tag, colon + 1, tag.size(), 1, INT_MAX);
         }
         break;
       }

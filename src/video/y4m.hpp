@@ -29,7 +29,8 @@ struct Y4mClip {
 
 /// Read a YUV4MPEG2 stream (C420/C420jpeg/C420mpeg2 only; other chroma
 /// taggings throw std::runtime_error).  Frame dimensions must be multiples
-/// of 16 to be usable by the codec.
+/// of 16 to be usable by the codec, and at most 16384; W, H and both F
+/// terms must be positive decimals, or the error names the bad tag.
 [[nodiscard]] Y4mClip read_y4m(std::istream& in);
 [[nodiscard]] Y4mClip read_y4m_file(const std::string& path);
 

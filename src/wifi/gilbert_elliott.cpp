@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/flags.hpp"
+
 namespace tv::wifi {
 
 double GilbertElliottParams::stationary_bad_prob() const {
@@ -60,6 +62,27 @@ bool in_outage(const std::vector<OutageWindow>& outages, double t) {
     if (w.contains(t)) return true;
   }
   return false;
+}
+
+std::vector<OutageWindow> parse_outage_windows(const std::string& text,
+                                               char separator,
+                                               const std::string& what) {
+  std::vector<OutageWindow> windows;
+  for (const std::string& item : util::split(text, separator)) {
+    const std::size_t colon = item.find(':');
+    const auto start = util::parse_double(item.substr(0, colon));
+    const auto duration = colon == std::string::npos
+                              ? std::nullopt
+                              : util::parse_double(item.substr(colon + 1));
+    if (!start || !duration || !(*start >= 0.0) || !(*duration > 0.0)) {
+      throw std::invalid_argument{
+          "invalid value for " + what + ": '" + item +
+          "' (expected START:DURATION in seconds, START >= 0, "
+          "DURATION > 0)"};
+    }
+    windows.push_back({*start, *duration});
+  }
+  return windows;
 }
 
 GilbertElliottChannel::GilbertElliottChannel(

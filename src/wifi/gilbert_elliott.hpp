@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -68,6 +69,13 @@ struct OutageWindow {
 /// True if `t` falls inside any of the windows.
 [[nodiscard]] bool in_outage(const std::vector<OutageWindow>& outages,
                              double t);
+
+/// Parses "START:DURATION<sep>START:DURATION..." (seconds; empty items are
+/// skipped).  Each window needs START >= 0 and DURATION > 0; anything else
+/// throws std::invalid_argument naming `what` (e.g. "--outage") and the
+/// bad item.
+[[nodiscard]] std::vector<OutageWindow> parse_outage_windows(
+    const std::string& text, char separator, const std::string& what);
 
 /// The chain itself: one instance per listener, advanced once per
 /// on-air packet.  Deterministic in its seed.

@@ -65,6 +65,8 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW((void)chaos_plan_from_string("outage=5:-1"),
                std::invalid_argument);
+  EXPECT_THROW((void)chaos_plan_from_string("stall=2:0"),
+               std::invalid_argument);
 }
 
 TEST(ChaosPlan, ValidateRejectsOutOfRangeProbabilities) {

@@ -297,6 +297,8 @@ TEST(Udp, ParseEndpointAcceptsTheThreeForms) {
   EXPECT_FALSE(parse_endpoint("not-an-endpoint"));
   EXPECT_FALSE(parse_endpoint("10.0.0.1:notaport"));
   EXPECT_FALSE(parse_endpoint("10.0.0.1:99999"));
+  EXPECT_FALSE(parse_endpoint("10.0.0.1:99999999999999999999"));
+  EXPECT_FALSE(parse_endpoint("10.0.0.1:+80"));
 }
 
 TEST(Udp, RoundTripsADatagramAndReportsSource) {

@@ -152,5 +152,38 @@ TEST(FlagSet, CheckNamesTheOffenderAndPointsAtHelp) {
   }
 }
 
+TEST(FlagSet, ParseChecksUnlessHelpIsAsked) {
+  FlagSet fs{"prog demo", "Demo."};
+  fs.flag("reps", "N", "repetition count");
+  const auto run = [&](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    return fs.parse(static_cast<int>(argv.size()),
+                    const_cast<char**>(argv.data()));
+  };
+  const auto args = run({"--reps=3"});
+  ASSERT_TRUE(args.has_value());
+  EXPECT_EQ(args->get_int("reps", 0), 3);
+  EXPECT_THROW((void)run({"--typo=1"}), FlagError);
+  // --help wins over an unknown flag; --help=0 does not ask for help.
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(run({"--typo=1", "--help"}).has_value());
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), fs.help_text());
+  EXPECT_TRUE(run({"--help=0"}).has_value());
+}
+
+TEST(FlagSet, GivenReadsSwitchesAsBooleansAndValuesByPresence) {
+  FlagSet fs{"prog demo", "Demo."};
+  fs.flag("validate", "", "a switch").flag("events", "N", "a value");
+  EXPECT_TRUE(fs.given(parse({"--validate"}), "validate"));
+  EXPECT_TRUE(fs.given(parse({"--validate=yes"}), "validate"));
+  EXPECT_FALSE(fs.given(parse({"--validate=0"}), "validate"));
+  EXPECT_FALSE(fs.given(parse({"--validate=no"}), "validate"));
+  EXPECT_FALSE(fs.given(parse({}), "validate"));
+  EXPECT_THROW((void)fs.given(parse({"--validate=maybe"}), "validate"),
+               FlagError);
+  EXPECT_TRUE(fs.given(parse({"--events=0"}), "events"));
+  EXPECT_FALSE(fs.given(parse({}), "events"));
+}
+
 }  // namespace
 }  // namespace tv::util

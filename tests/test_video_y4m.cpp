@@ -76,6 +76,48 @@ TEST(Y4m, RejectsBadStreams) {
   EXPECT_THROW((void)read_y4m(odd), std::runtime_error);
 }
 
+TEST(Y4m, RejectsMalformedHeaderTagsByName) {
+  const auto message_of = [](const std::string& header) {
+    std::istringstream in{header + "\nFRAME\n"};
+    try {
+      (void)read_y4m(in);
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  EXPECT_EQ(message_of("YUV4MPEG2 W H48 F30:1 C420"),
+            "read_y4m: bad header tag 'W'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W64 H4x8 F30:1 C420"),
+            "read_y4m: bad header tag 'H4x8'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W99999999999 H48 F30:1 C420"),
+            "read_y4m: bad header tag 'W99999999999'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W-64 H48 F30:1 C420"),
+            "read_y4m: bad header tag 'W-64'");
+  // A frame this size would be zero-filled before its bytes are read.
+  EXPECT_EQ(message_of("YUV4MPEG2 W1048576 H1048576 F30:1 C420"),
+            "read_y4m: bad header tag 'W1048576'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W64 H16400 F30:1 C420"),
+            "read_y4m: bad header tag 'H16400'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W64 H48 F30:0 C420"),
+            "read_y4m: bad header tag 'F30:0'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W64 H48 F:1 C420"),
+            "read_y4m: bad header tag 'F:1'");
+  EXPECT_EQ(message_of("YUV4MPEG2 W64 H48 F30: C420"),
+            "read_y4m: bad header tag 'F30:'");
+}
+
+TEST(Y4m, AcceptsLargestDimensionAndBareFrameRate) {
+  std::istringstream in{"YUV4MPEG2 W16384 H16 F25 C420\n"};
+  // Parses the header, then fails on the missing frames, not the tags.
+  try {
+    (void)read_y4m(in);
+    FAIL() << "a stream without frames must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "read_y4m: no frames");
+  }
+}
+
 TEST(Y4m, WriteValidatesInput) {
   EXPECT_THROW((void)write_y4m_file("/nonexistent-dir/x.y4m", tiny_clip(1)),
                std::runtime_error);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace tv::wifi {
@@ -139,6 +141,32 @@ TEST(OutageWindow, ContainmentAndLookup) {
   EXPECT_TRUE(in_outage(outages, 3.7));
   EXPECT_FALSE(in_outage(outages, 4.2));
   EXPECT_FALSE(in_outage({}, 1.0));
+}
+
+TEST(OutageWindows, ParseListsAndSkipEmptyItems) {
+  const auto windows = parse_outage_windows("0.5:0.3,,2:1e-1,", ',', "--x");
+  ASSERT_EQ(windows.size(), 2u);
+  EXPECT_DOUBLE_EQ(windows[0].start_s, 0.5);
+  EXPECT_DOUBLE_EQ(windows[0].duration_s, 0.3);
+  EXPECT_DOUBLE_EQ(windows[1].start_s, 2.0);
+  EXPECT_DOUBLE_EQ(windows[1].duration_s, 0.1);
+  EXPECT_EQ(parse_outage_windows("0:1;4:2", ';', "--x").size(), 2u);
+  EXPECT_TRUE(parse_outage_windows("", ',', "--x").empty());
+}
+
+TEST(OutageWindows, RejectNegativeStartNonPositiveDurationAndBadNumbers) {
+  for (const char* bad : {"-1:5", "2:0", "2:-1", "oops", "1:", ":1", "1:2x",
+                          "1e999:1", "nan:1", "1:nan"}) {
+    try {
+      (void)parse_outage_windows(bad, ',', "--outage");
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()},
+                std::string{"invalid value for --outage: '"} + bad +
+                    "' (expected START:DURATION in seconds, START >= 0, "
+                    "DURATION > 0)");
+    }
+  }
 }
 
 }  // namespace

@@ -1,17 +1,19 @@
 // thriftyvid — command-line front end.
 //
-// Subcommands: classify, simulate, sweep, cell, advise, export, analyze,
-// live.  Every
-// subcommand's flags are registered in a util::FlagSet, which both rejects
-// unknown options and generates the command's `--help` text — run
-// `thriftyvid <command> --help` for the authoritative option list.
+// Commands: classify, simulate, sweep, cell, advise, export, analyze and the
+// live roles.  One table, kCommands, lists every command and mode as
+// {name, selecting flag, flag registry, handler}; dispatch, the top-level
+// usage, `--help` and the unknown-flag check all come from it.  Run
+// `thriftyvid <command> --help` for a command's options.
 //
-// `simulate` has two modes: the default packet-faithful pipeline experiment
-// (Fig. 3), and — when `--events` is given — the model-validation grid
-// (docs/validation.md) that cross-checks the discrete-event simulators
-// against the closed forms.  Both accept `--trace=FILE` to stream
-// per-packet stage events as JSONL (schema in docs/architecture.md).
+// A mode is a second row under the same name, chosen when its selecting
+// flag is given: `simulate --events=N` runs the model-validation grid
+// (docs/validation.md) instead of the packet-faithful pipeline experiment
+// (Fig. 3), and `cell --validate` the fixed-point-vs-DES cross-check
+// instead of the capacity sweep.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -46,305 +48,130 @@ using util::FlagSet;
 
 namespace {
 
-// --- Flag registries (one per subcommand / mode). --------------------------
-// The registry is the single source of truth: check() rejects anything not
-// registered, help_text() renders the same list for --help.
+// --- Shared flag groups. -----------------------------------------------------
+// Each group registers its flags and reads them back; a command passes its
+// defaults through one constant used by both its registry and its handler.
 
-FlagSet classify_flagset() {
-  return FlagSet{"thriftyvid classify <clip.y4m>",
-                 "AForge-style motion classification of a YUV4MPEG2 clip."};
-}
+/// The synthetic clip: --motion, --gop, --frames and the root --seed.  A
+/// command's constant Clip holds its --gop and --frames defaults.
+struct Clip {
+  int gop;
+  int frames;
+  video::MotionLevel motion = video::MotionLevel::kLow;
+  std::uint64_t seed = 1;
 
-FlagSet simulate_flagset() {
-  FlagSet fs{"thriftyvid simulate",
-             "Run the full Fig.-3 pipeline and print measured metrics with "
-             "95% CIs next to the analytic predictions.  With --events=N "
-             "the command switches to the model-validation grid (see "
-             "'thriftyvid simulate --events=1 --help')."};
-  fs.flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 30)")
-      .flag("frames", "N", "clip length in frames (default 120)")
-      .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
-            "selective-encryption policy (default I)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES256)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("transport", "udp|tcp", "RTP/UDP or the reliable HTTP/TCP ARQ")
-      .flag("reps", "N", "experiment repetitions (default 5)")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("loss", "P", "Gilbert-Elliott mean loss probability")
-      .flag("burst", "L", "Gilbert-Elliott mean burst length (packets)")
-      .flag("outage", "START:DUR,...", "scheduled AP blackout windows (s)")
-      .flag("trace", "FILE", "write per-packet stage events as JSONL")
-      .flag("stage-stats", "", "print per-stage counters and mean times");
-  return fs;
-}
-
-FlagSet simulate_validation_flagset() {
-  FlagSet fs{"thriftyvid simulate --events=N",
-             "Model-validation grid (docs/validation.md): discrete-event "
-             "simulations of the MMPP/G/1 sender and the eavesdropper's GOP "
-             "recovery, cross-checked against eqs. 3-28.  Exit 0 iff every "
-             "check passes; output is bit-identical for any --threads."};
-  fs.flag("events", "N", "measured sender packets per cell")
-      .flag("warmup", "N", "discarded transient packets (default 40000)")
-      .flag("batches", "N", "batch-mean batches for the E[W] CI")
-      .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("lambda1s", "A,B", "I-burst arrival-rate axis (1/s)")
-      .flag("lambda2s", "A,B", "P-drain arrival-rate axis (1/s)")
-      .flag("policies", "none,I,...", "policy axis")
-      .flag("algs", "AES256,3DES", "cipher axis")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("gop", "N", "GOP size for the eavesdropper model")
-      .flag("ngops", "N", "GOPs per simulated flow")
-      .flag("eaves-reps", "N", "simulated eavesdropper flows per cell")
-      .flag("z", "Z", "acceptance multiplier on CI halfwidths")
-      .flag("format", "table|jsonl|csv", "output format (default table)")
-      .flag("out", "FILE", "write results to FILE instead of stdout")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("trace", "FILE",
-            "write sender service-stage events as JSONL (serializes cells)");
-  return fs;
-}
-
-FlagSet sweep_flagset() {
-  FlagSet fs{"thriftyvid sweep",
-             "Run the cartesian experiment grid over every listed axis "
-             "value on a work-stealing thread pool (docs/sweeps.md).  "
-             "Per-cell seeds derive deterministically from --seed, so any "
-             "--threads value produces bit-identical output."};
-  fs.flag("motions", "low,high", "motion-level axis")
-      .flag("gops", "30,50", "GOP-size axis")
-      .flag("policies", "none,I,P,all", "policy axis")
-      .flag("algs", "AES256,3DES", "cipher axis")
-      .flag("devices", "samsung,htc", "device-profile axis")
-      .flag("transports", "udp,tcp", "transport axis")
-      .flag("frames", "N", "clip length in frames (default 120)")
-      .flag("reps", "N", "repetitions per cell (default 5)")
-      .flag("seed", "S", "root seed (also the workload seed)")
-      .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("quality", "on|off", "decode at receiver + eavesdropper")
-      .flag("format", "table|jsonl|csv", "output format (default table)")
-      .flag("out", "FILE", "write results to FILE instead of stdout")
-      .flag("shared-seed", "",
-            "reuse the root seed in every cell (figure-bench convention)")
-      .flag("loss", "P", "Gilbert-Elliott mean loss probability")
-      .flag("burst", "L", "Gilbert-Elliott mean burst length (packets)")
-      .flag("outage", "START:DUR,...", "scheduled AP blackout windows (s)")
-      .flag("stage-stats", "",
-            "collect per-stage aggregates and emit them per cell");
-  return fs;
-}
-
-FlagSet cell_flagset() {
-  FlagSet fs{"thriftyvid cell",
-             "Capacity sweep of a shared cell (docs/cell.md): N "
-             "heterogeneous uploaders contend for one AP through the "
-             "Bianchi fixed point; a deadline scheduler admits, degrades "
-             "or defers flows; every admitted flow runs the full transfer "
-             "pipeline.  With --validate the command switches to the "
-             "fixed-point-vs-DES cross-check grid (see 'thriftyvid cell "
-             "--validate --help')."};
-  fs.flag("flows", "1,2,4,8", "population-size axis (uploaders per cell)")
-      .flag("background", "N", "background cross-traffic stations")
-      .flag("motions", "low,high", "per-flow motion levels (round-robin)")
-      .flag("gops", "15,30", "per-flow GOP sizes (round-robin)")
-      .flag("policies", "none,I,all", "per-flow policies (round-robin)")
-      .flag("algs", "AES256,3DES", "per-flow ciphers (round-robin)")
-      .flag("devices", "samsung,htc", "per-flow device profiles")
-      .flag("deadlines", "4.0,8.0", "per-flow upload deadlines (s; 0=none)")
-      .flag("frames", "N", "clip length in frames (default 90)")
-      .flag("reps", "N", "repetitions per flow (default 5)")
-      .flag("seed", "S", "root seed (also the workload seed)")
-      .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("quality", "on|off", "decode at receiver + eavesdropper")
-      .flag("cw-min", "W", "uploader CWmin (default 16)")
-      .flag("stages", "M", "uploader backoff stages (default 6)")
-      .flag("bg-cw-min", "W", "background CWmin (default 32)")
-      .flag("bg-stages", "M", "background backoff stages (default 6)")
-      .flag("channel-error", "P", "flat per-attempt channel error prob")
-      .flag("fade-prob", "P", "stationary deep-fade probability per block")
-      .flag("fade-burst", "L", "mean consecutive faded blocks (default 1)")
-      .flag("fade-error", "P", "extra error probability inside a fade")
-      .flag("no-degrade", "", "disable the policy degradation ladder")
-      .flag("no-shed", "", "never defer flows (they just miss deadlines)")
-      .flag("format", "table|jsonl|csv", "output format (default table)")
-      .flag("out", "FILE", "write results to FILE instead of stdout")
-      .flag("trace", "FILE",
-            "write per-packet stage events as JSONL (serializes flows)")
-      .flag("validate", "", "run the fixed-point-vs-DES cross-check grid");
-  return fs;
-}
-
-FlagSet cell_validate_flagset() {
-  FlagSet fs{"thriftyvid cell --validate",
-             "Cross-check the heterogeneous Bianchi fixed point against "
-             "the multi-station DCF simulator over an (n, CWmin, stages) "
-             "grid with z*CI acceptance bands (docs/cell.md).  Exit 0 iff "
-             "every check passes; output is bit-identical for any "
-             "--threads."};
-  fs.flag("validate", "", "selects this mode")
-      .flag("ns", "2,3,5,8", "contender-count axis")
-      .flag("cws", "16,32", "CWmin axis")
-      .flag("stages", "3,6", "backoff-stage axis")
-      .flag("background", "N", "background stations in every cell")
-      .flag("bg-cw-min", "W", "background CWmin (default 32)")
-      .flag("bg-stages", "M", "background backoff stages (default 6)")
-      .flag("slots", "N", "measured slots per cell (default 300000)")
-      .flag("warmup", "N", "discarded cold-start slots (default 20000)")
-      .flag("z", "Z", "acceptance multiplier on the SE estimate")
-      .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("format", "table|jsonl|csv", "output format (default table)")
-      .flag("out", "FILE", "write results to FILE instead of stdout")
-      .flag("seed", "S", "root RNG seed (default 1)");
-  return fs;
-}
-
-FlagSet advise_flagset() {
-  FlagSet fs{"thriftyvid advise",
-             "The Fig.-1 workflow: calibrate on a probe transfer, evaluate "
-             "the policy ladder analytically, recommend the cheapest "
-             "confidential policy."};
-  fs.flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 30)")
-      .flag("frames", "N", "clip length in frames (default 120)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES256)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("ceiling", "DB", "max acceptable eavesdropper PSNR (default 18)")
-      .flag("objective", "delay|power", "cost to minimize (default delay)")
-      .flag("seed", "S", "root RNG seed (default 1)");
-  return fs;
-}
-
-FlagSet export_flagset() {
-  FlagSet fs{"thriftyvid export",
-             "Write original/receiver/eavesdropper .y4m files plus the "
-             "eavesdropper's .pcap capture."};
-  fs.flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 30)")
-      .flag("frames", "N", "clip length in frames (default 120)")
-      .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
-            "selective-encryption policy (default I)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES256)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("outdir", "DIR", "output directory (default out)")
-      .flag("seed", "S", "root RNG seed (default 1)");
-  return fs;
-}
-
-/// --help handling shared by every subcommand: print the generated help to
-/// stdout and signal the caller to exit 0.
-bool wants_help(const Flags& args, const FlagSet& fs) {
-  if (!args.has("help")) return false;
-  std::fputs(fs.help_text().c_str(), stdout);
-  return true;
-}
-
-int cmd_classify(const Flags& args) {
-  const FlagSet fs = classify_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-  if (args.positional().empty()) {
-    std::fputs(fs.help_text().c_str(), stderr);
-    return 2;
+  void add(FlagSet& fs) const {
+    fs.flag("motion", "low|medium|high", "synthetic clip motion level")
+        .flag("gop", "N",
+              "GOP size in frames (default " + std::to_string(gop) + ")")
+        .flag("frames", "N",
+              "clip length in frames (default " + std::to_string(frames) +
+                  ")")
+        .flag("seed", "S", "root RNG seed (default 1)");
   }
-  const auto clip = video::read_y4m_file(args.positional().front());
-  const auto report = video::classify_motion(clip.frames);
-  std::printf("%s: %zu frames %dx%d @%d/%d fps\n",
-              args.positional().front().c_str(), clip.frames.size(),
-              clip.frames.front().width(), clip.frames.front().height(),
-              clip.fps_numerator, clip.fps_denominator);
-  std::printf("motion score %.4f -> %s motion\n", report.score,
-              video::to_string(report.level));
-  std::printf("suggested decoder sensitivity fraction: %.2f\n",
-              core::default_sensitivity(report.level));
-  return 0;
-}
 
-// Parses "--outage=START:DURATION[,START:DURATION...]" (seconds).
-std::vector<wifi::OutageWindow> parse_outages(const Flags& args) {
-  std::vector<wifi::OutageWindow> outages;
-  for (const std::string& item : args.get_list("outage")) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) {
-      throw util::FlagError{
-          "invalid value for --outage: '" + item +
-          "' (expected START:DURATION[,START:DURATION...] in seconds)"};
-    }
-    errno = 0;
-    char* end = nullptr;
-    const double start = std::strtod(item.c_str(), &end);
-    const bool start_ok = end == item.c_str() + colon && errno == 0;
-    errno = 0;
-    const double duration = std::strtod(item.c_str() + colon + 1, &end);
-    const bool duration_ok =
-        end == item.c_str() + item.size() && colon + 1 < item.size() &&
-        errno == 0;
-    if (!start_ok || !duration_ok) {
-      throw util::FlagError{"invalid value for --outage: '" + item +
-                            "' (expected numeric START:DURATION)"};
-    }
-    outages.push_back({start, duration});
+  /// This clip with the flags applied.
+  [[nodiscard]] Clip read(const Flags& args) const {
+    return {args.get_int("gop", gop), args.get_int("frames", frames),
+            video::motion_from_string(args.get("motion", "low")),
+            args.get_uint64("seed", seed)};
   }
-  return outages;
-}
 
-// Builds a Gilbert-Elliott channel model when any of --loss/--burst/
-// --outage is present; otherwise returns nullopt (legacy i.i.d. losses).
-std::optional<core::ChannelModel> channel_from_flags(
-    const Flags& args, const core::PipelineConfig& defaults) {
-  const bool wants_channel =
-      args.has("loss") || args.has("burst") || args.has("outage");
-  if (!wants_channel) return std::nullopt;
-  core::ChannelModel channel;
-  channel.receiver.mean_loss_prob =
-      args.get_double("loss", defaults.receiver_loss_prob);
-  channel.receiver.mean_burst_length = args.get_double("burst", 1.0);
-  channel.eavesdropper.mean_loss_prob = defaults.eavesdropper_loss_prob;
-  channel.eavesdropper.mean_burst_length = 1.0;
-  channel.outages = parse_outages(args);
-  return channel;
-}
-
-core::Workload workload_from(const Flags& args) {
-  return core::build_workload(
-      video::motion_from_string(args.get("motion", "low")),
-      args.get_int("gop", 30), args.get_int("frames", 120),
-      args.get_uint64("seed", 1));
-}
-
-/// Opens --trace=FILE (when present) as a JSONL trace sink.  The stream and
-/// the sink must outlive the run; the caller keeps both alive.
-struct TraceOutput {
-  std::ofstream file;
-  std::optional<core::JsonlTraceSink> sink;
-
-  [[nodiscard]] core::TraceSink* open(const Flags& args) {
-    const std::string path = args.get("trace", "");
-    if (path.empty()) return nullptr;
-    file.open(path);
-    if (!file) {
-      throw util::FlagError{"cannot open --trace file: " + path};
-    }
-    sink.emplace(file);
-    return &*sink;
+  [[nodiscard]] core::Workload build() const {
+    return core::build_workload(motion, gop, frames, seed);
   }
 };
 
-/// Each item of the comma list --<flag> through `parse`; `fallback` when
-/// the list is absent or empty.
-template <class Parse>
-auto list_flag(const Flags& args, const char* flag, Parse parse,
-               std::vector<std::invoke_result_t<Parse, std::string>> fallback) {
-  decltype(fallback) items;
-  for (const auto& item : args.get_list(flag)) items.push_back(parse(item));
-  return items.empty() ? fallback : items;
+/// One flow's --policy, --alg and --device; the cipher is policy.algorithm.
+struct FlowSpec {
+  policy::EncryptionPolicy policy;  ///< encrypts nothing without --policy.
+  core::DeviceProfile device;
+};
+
+struct FlowFlags {
+  const char* alg;  ///< the --alg default.
+  bool with_policy = true;
+  bool with_device = true;
+
+  void add(FlagSet& fs) const {
+    if (with_policy) {
+      fs.flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
+              "selective-encryption policy (default I)");
+    }
+    fs.flag("alg", "AES128|AES256|3DES",
+            std::string{"cipher (default "} + alg + ")");
+    if (with_device) {
+      fs.flag("device", "samsung|htc", "calibrated device profile");
+    }
+  }
+
+  [[nodiscard]] FlowSpec read(const Flags& args) const {
+    const auto cipher = crypto::algorithm_from_string(args.get("alg", alg));
+    return {with_policy
+                ? policy::policy_from_string(args.get("policy", "I"), cipher)
+                : policy::EncryptionPolicy{policy::Mode::kNone, cipher, 0.0},
+            core::device_from_string(args.get("device", "samsung"))};
+  }
+};
+
+/// --loss, --burst and --outage: the receiver path's Gilbert-Elliott chain
+/// and the AP's blackout windows.
+void add_channel(FlagSet& fs) {
+  fs.flag("loss", "P", "receiver-path Gilbert-Elliott mean loss probability")
+      .flag("burst", "L",
+            "receiver-path Gilbert-Elliott mean burst length (packets)")
+      .flag("outage", "START:DUR,...", "scheduled AP blackout windows (s)");
 }
 
-/// Parses policy specs whose cipher is `alg`.
-auto policy_parser(crypto::Algorithm alg) {
-  return [alg](const std::string& spec) {
-    return policy::policy_from_string(spec, alg);
-  };
+/// The channel those flags describe, with `loss` as the --loss default;
+/// nullopt when none is given (the legacy i.i.d. losses).
+std::optional<core::ChannelModel> read_channel(
+    const Flags& args,
+    double loss = core::PipelineConfig{}.receiver_loss_prob) {
+  if (!args.has("loss") && !args.has("burst") && !args.has("outage")) {
+    return std::nullopt;
+  }
+  core::ChannelModel channel;
+  channel.receiver.mean_loss_prob = args.get_double("loss", loss);
+  channel.receiver.mean_burst_length = args.get_double("burst", 1.0);
+  channel.eavesdropper.mean_loss_prob =
+      core::PipelineConfig{}.eavesdropper_loss_prob;
+  channel.outages =
+      wifi::parse_outage_windows(args.get("outage", ""), ',', "--outage");
+  return channel;
+}
+
+/// The live proxy's --fault-* probabilities.
+void add_faults(FlagSet& fs) {
+  fs.flag("fault-drop", "P", "proxy datagram drop probability")
+      .flag("fault-corrupt", "P", "proxy payload bit-flip probability")
+      .flag("fault-truncate", "P", "proxy truncation probability")
+      .flag("fault-dup", "P", "proxy duplication probability")
+      .flag("fault-reorder", "P", "proxy reordering probability");
+}
+
+/// The fault plan those flags describe; nullopt when none is set.
+std::optional<net::FaultPlan> read_faults(const Flags& args) {
+  net::FaultPlan plan;
+  plan.drop_prob = args.get_double("fault-drop", 0.0);
+  plan.corrupt_payload_prob = args.get_double("fault-corrupt", 0.0);
+  plan.truncate_prob = args.get_double("fault-truncate", 0.0);
+  plan.duplicate_prob = args.get_double("fault-dup", 0.0);
+  plan.reorder_prob = args.get_double("fault-reorder", 0.0);
+  if (plan.drop_prob == 0.0 && plan.corrupt_payload_prob == 0.0 &&
+      plan.truncate_prob == 0.0 && plan.duplicate_prob == 0.0 &&
+      plan.reorder_prob == 0.0) {
+    return std::nullopt;
+  }
+  plan.validate();
+  return plan;
+}
+
+/// A grid command's --threads, --format and --out; read by run_grid.
+void add_grid_output(FlagSet& fs) {
+  fs.flag("threads", "N", "worker threads (default: hardware)")
+      .flag("format", "table|jsonl|csv", "output format (default table)")
+      .flag("out", "FILE", "write results to FILE instead of stdout");
 }
 
 /// The --threads worker pool of a grid command; null (serial) for one
@@ -415,63 +242,97 @@ int report_checks(const char* grid, const util::GridSummary& summary) {
   return summary.all_passed() ? 0 : 1;
 }
 
-// Validation mode of `simulate` (docs/validation.md): run the discrete-
-// event sender and eavesdropper simulators over a (lambda1, lambda2,
-// policy, cipher) grid and compare every statistic against the analytic
-// model.  Exit status 0 iff every check in every cell passed.
-int cmd_simulate_validation(const Flags& args) {
-  const FlagSet fs = simulate_validation_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+/// Opens --trace=FILE (when present) as a JSONL trace sink.  The stream and
+/// the sink must outlive the run; the caller keeps both alive.
+struct TraceOutput {
+  std::ofstream file;
+  std::optional<core::JsonlTraceSink> sink;
 
-  sim::ValidationSpec spec;
-  if (args.has("lambda1s")) spec.lambda1s = args.get_double_list("lambda1s");
-  if (args.has("lambda2s")) spec.lambda2s = args.get_double_list("lambda2s");
-  spec.algorithms = list_flag(args, "algs", crypto::algorithm_from_string,
-                              spec.algorithms);
-  spec.policies = list_flag(args, "policies",
-                            policy_parser(spec.algorithms.front()),
-                            spec.policies);
-  if (args.has("device")) {
-    spec.device = core::device_from_string(args.get("device", "samsung"));
+  [[nodiscard]] core::TraceSink* open(const Flags& args) {
+    std::ostream* out = open_output(args, "trace", file, nullptr);
+    return out == nullptr ? nullptr : &sink.emplace(*out);
   }
-  spec.gop_size = args.get_int("gop", spec.gop_size);
-  spec.n_gops = args.get_int("ngops", spec.n_gops);
-  spec.eavesdropper_repetitions =
-      args.get_int("eaves-reps", spec.eavesdropper_repetitions);
-  spec.events = args.get_uint64("events", spec.events);
-  spec.warmup = args.get_uint64("warmup", spec.warmup);
-  spec.batches = args.get_uint64("batches", spec.batches);
-  spec.z = args.get_double("z", spec.z);
-  spec.seed = args.get_uint64("seed", spec.seed);
+};
 
-  TraceOutput trace;
-  spec.trace = trace.open(args);
+/// Each item of the comma list --<flag> through `parse`; `fallback` when
+/// the list is absent or empty.
+template <class Parse>
+auto list_flag(const Flags& args, const char* flag, Parse parse,
+               std::vector<std::invoke_result_t<Parse, std::string>> fallback) {
+  decltype(fallback) items;
+  for (const auto& item : args.get_list(flag)) items.push_back(parse(item));
+  return items.empty() ? fallback : items;
+}
 
-  const auto summary =
-      run_grid<sim::ValidationRunner, sim::ValidationSink>(args, spec);
-  trace.file.flush();
-  return report_checks("validation", summary);
+/// Parses policy specs whose cipher is `alg`.
+auto policy_parser(crypto::Algorithm alg) {
+  return [alg](const std::string& spec) {
+    return policy::policy_from_string(spec, alg);
+  };
+}
+
+// The paper's clip and cipher (simulate, advise, export), and the short
+// clip the live roles and `analyze` share so a capture can be re-scored.
+constexpr Clip kPaperClip{30, 120};
+constexpr FlowFlags kPaperFlow{"AES256"};
+constexpr Clip kLiveClip{16, 48};
+constexpr FlowFlags kLiveFlow{"AES128"};
+
+// --- classify ----------------------------------------------------------------
+
+FlagSet classify_flags() {
+  return FlagSet{"thriftyvid classify <clip.y4m>",
+                 "AForge-style motion classification of a YUV4MPEG2 clip."};
+}
+
+int cmd_classify(const Flags& args) {
+  if (args.positional().empty()) {
+    std::fputs(classify_flags().help_text().c_str(), stderr);
+    return 2;
+  }
+  const auto clip = video::read_y4m_file(args.positional().front());
+  const auto report = video::classify_motion(clip.frames);
+  std::printf("%s: %zu frames %dx%d @%d/%d fps\n",
+              args.positional().front().c_str(), clip.frames.size(),
+              clip.frames.front().width(), clip.frames.front().height(),
+              clip.fps_numerator, clip.fps_denominator);
+  std::printf("motion score %.4f -> %s motion\n", report.score,
+              video::to_string(report.level));
+  std::printf("suggested decoder sensitivity fraction: %.2f\n",
+              core::default_sensitivity(report.level));
+  return 0;
+}
+
+// --- simulate ----------------------------------------------------------------
+
+FlagSet simulate_flags() {
+  FlagSet fs{"thriftyvid simulate",
+             "Run the full Fig.-3 pipeline and print measured metrics with "
+             "95% CIs next to the analytic predictions.  With --events=N "
+             "the command switches to the model-validation grid (see "
+             "'thriftyvid simulate --events=1 --help')."};
+  kPaperClip.add(fs);
+  kPaperFlow.add(fs);
+  fs.flag("transport", "udp|tcp", "RTP/UDP or the reliable HTTP/TCP ARQ")
+      .flag("reps", "N", "experiment repetitions (default 5)");
+  add_channel(fs);
+  fs.flag("trace", "FILE", "write per-packet stage events as JSONL")
+      .flag("stage-stats", "", "print per-stage counters and mean times");
+  return fs;
 }
 
 int cmd_simulate(const Flags& args) {
-  // `--events` selects the model-validation grid (no pipeline, no clip):
-  // the discrete-event simulators against the closed forms.
-  if (args.has("events")) return cmd_simulate_validation(args);
-  const FlagSet fs = simulate_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES256"));
-  const auto workload = workload_from(args);
+  const Clip clip = kPaperClip.read(args);
+  const FlowSpec flow = kPaperFlow.read(args);
   core::ExperimentSpec spec;
-  spec.policy = policy::policy_from_string(args.get("policy", "I"), alg);
-  spec.pipeline.device = core::device_from_string(args.get("device", "samsung"));
+  spec.policy = flow.policy;
+  spec.pipeline.device = flow.device;
   spec.pipeline.transport =
       core::transport_from_string(args.get("transport", "udp"));
   spec.repetitions = args.get_int("reps", 5);
-  spec.seed = args.get_uint64("seed", 1);
-  spec.sensitivity_fraction = core::default_sensitivity(workload.motion);
-  spec.pipeline.channel = channel_from_flags(args, spec.pipeline);
+  spec.seed = clip.seed;
+  spec.sensitivity_fraction = core::default_sensitivity(clip.motion);
+  spec.pipeline.channel = read_channel(args);
   // Fail fast on configuration mistakes; run_experiment itself downgrades
   // per-repetition failures to FailureEvents and would otherwise report a
   // bad --loss/--burst as "0 completed" with all-zero statistics.
@@ -481,6 +342,7 @@ int cmd_simulate(const Flags& args) {
   spec.trace = trace.open(args);
   spec.collect_stage_stats = args.get_bool("stage-stats", false);
 
+  const auto workload = clip.build();
   const auto r = core::run_experiment(spec, workload);
   trace.file.flush();
   std::printf("workload: %s motion, GOP %d, %zu frames, I=%.0fB P=%.0fB\n",
@@ -542,11 +404,93 @@ int cmd_simulate(const Flags& args) {
   return 0;
 }
 
-int cmd_sweep(const Flags& args) {
-  const FlagSet fs = sweep_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+FlagSet simulate_validation_flags() {
+  FlagSet fs{"thriftyvid simulate --events=N",
+             "Model-validation grid (docs/validation.md): discrete-event "
+             "simulations of the MMPP/G/1 sender and the eavesdropper's GOP "
+             "recovery, cross-checked against eqs. 3-28.  Exit 0 iff every "
+             "check passes; output is bit-identical for any --threads."};
+  fs.flag("events", "N", "measured sender packets per cell")
+      .flag("warmup", "N", "discarded transient packets (default 40000)")
+      .flag("batches", "N", "batch-mean batches for the E[W] CI")
+      .flag("lambda1s", "A,B", "I-burst arrival-rate axis (1/s)")
+      .flag("lambda2s", "A,B", "P-drain arrival-rate axis (1/s)")
+      .flag("policies", "none,I,...", "policy axis")
+      .flag("algs", "AES256,3DES", "cipher axis")
+      .flag("device", "samsung|htc", "calibrated device profile")
+      .flag("gop", "N", "GOP size for the eavesdropper model")
+      .flag("ngops", "N", "GOPs per simulated flow")
+      .flag("eaves-reps", "N", "simulated eavesdropper flows per cell")
+      .flag("z", "Z", "acceptance multiplier on CI halfwidths");
+  add_grid_output(fs);
+  fs.flag("seed", "S", "root RNG seed (default 1)")
+      .flag("trace", "FILE",
+            "write sender service-stage events as JSONL (serializes cells)");
+  return fs;
+}
 
+// The discrete-event sender and eavesdropper simulators over a (lambda1,
+// lambda2, policy, cipher) grid, every statistic compared against the
+// analytic model.
+int cmd_simulate_validation(const Flags& args) {
+  sim::ValidationSpec spec;
+  if (args.has("lambda1s")) spec.lambda1s = args.get_double_list("lambda1s");
+  if (args.has("lambda2s")) spec.lambda2s = args.get_double_list("lambda2s");
+  spec.algorithms = list_flag(args, "algs", crypto::algorithm_from_string,
+                              spec.algorithms);
+  spec.policies = list_flag(args, "policies",
+                            policy_parser(spec.algorithms.front()),
+                            spec.policies);
+  if (args.has("device")) {
+    spec.device = core::device_from_string(args.get("device", "samsung"));
+  }
+  spec.gop_size = args.get_int("gop", spec.gop_size);
+  spec.n_gops = args.get_int("ngops", spec.n_gops);
+  spec.eavesdropper_repetitions =
+      args.get_int("eaves-reps", spec.eavesdropper_repetitions);
+  spec.events = args.get_uint64("events", spec.events);
+  spec.warmup = args.get_uint64("warmup", spec.warmup);
+  spec.batches = args.get_uint64("batches", spec.batches);
+  spec.z = args.get_double("z", spec.z);
+  spec.seed = args.get_uint64("seed", spec.seed);
+
+  TraceOutput trace;
+  spec.trace = trace.open(args);
+
+  const auto summary =
+      run_grid<sim::ValidationRunner, sim::ValidationSink>(args, spec);
+  trace.file.flush();
+  return report_checks("validation", summary);
+}
+
+// --- sweep -------------------------------------------------------------------
+
+FlagSet sweep_flags() {
+  FlagSet fs{"thriftyvid sweep",
+             "Run the cartesian experiment grid over every listed axis "
+             "value on a work-stealing thread pool (docs/sweeps.md).  "
+             "Per-cell seeds derive deterministically from --seed, so any "
+             "--threads value produces bit-identical output."};
+  fs.flag("motions", "low,high", "motion-level axis")
+      .flag("gops", "30,50", "GOP-size axis")
+      .flag("policies", "none,I,P,all", "policy axis")
+      .flag("algs", "AES256,3DES", "cipher axis")
+      .flag("devices", "samsung,htc", "device-profile axis")
+      .flag("transports", "udp,tcp", "transport axis")
+      .flag("frames", "N", "clip length in frames (default 120)")
+      .flag("reps", "N", "repetitions per cell (default 5)")
+      .flag("seed", "S", "root seed (also the workload seed)")
+      .flag("quality", "on|off", "decode at receiver + eavesdropper");
+  add_grid_output(fs);
+  fs.flag("shared-seed", "",
+          "reuse the root seed in every cell (figure-bench convention)");
+  add_channel(fs);
+  fs.flag("stage-stats", "",
+          "collect per-stage aggregates and emit them per cell");
+  return fs;
+}
+
+int cmd_sweep(const Flags& args) {
   core::SweepSpec spec;
   spec.motions = list_flag(args, "motions", video::motion_from_string,
                            {video::MotionLevel::kLow});
@@ -560,9 +504,7 @@ int cmd_sweep(const Flags& args) {
                            {core::samsung_galaxy_s2()});
   spec.transports = list_flag(args, "transports", core::transport_from_string,
                               {core::Transport::kRtpUdp});
-
-  core::PipelineConfig channel_defaults;
-  spec.channels = {channel_from_flags(args, channel_defaults)};
+  spec.channels = {read_channel(args)};
 
   spec.frames = args.get_int("frames", 120);
   spec.repetitions = args.get_int("reps", 5);
@@ -583,42 +525,47 @@ int cmd_sweep(const Flags& args) {
   return 0;
 }
 
-// Validation mode of `cell` (docs/cell.md): solve the heterogeneous
-// Bianchi fixed point and simulate the same population with the
-// multi-station DCF simulator, comparing per-class statistics under z*CI
-// acceptance bands.  Exit status 0 iff every check in every cell passed.
-int cmd_cell_validate(const Flags& args) {
-  const FlagSet fs = cell_validate_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+// --- cell --------------------------------------------------------------------
 
-  cell::CellValidationSpec spec;
-  if (args.has("ns")) spec.contenders = args.get_int_list("ns");
-  if (args.has("cws")) spec.cw_mins = args.get_int_list("cws");
-  if (args.has("stages")) spec.stage_counts = args.get_int_list("stages");
-  spec.background_stations =
-      args.get_int("background", spec.background_stations);
-  spec.background_cw_min = args.get_int("bg-cw-min", spec.background_cw_min);
-  spec.background_stages = args.get_int("bg-stages", spec.background_stages);
-  spec.slots = args.get_uint64("slots", spec.slots);
-  spec.warmup = args.get_uint64("warmup", spec.warmup);
-  spec.z = args.get_double("z", spec.z);
-  spec.seed = args.get_uint64("seed", spec.seed);
-
-  const auto summary =
-      run_grid<cell::CellValidationRunner, cell::CellValidationSink>(
-          args, spec);
-  return report_checks("cell validation", summary);
+FlagSet cell_flags() {
+  FlagSet fs{"thriftyvid cell",
+             "Capacity sweep of a shared cell (docs/cell.md): N "
+             "heterogeneous uploaders contend for one AP through the "
+             "Bianchi fixed point; a deadline scheduler admits, degrades "
+             "or defers flows; every admitted flow runs the full transfer "
+             "pipeline.  With --validate the command switches to the "
+             "fixed-point-vs-DES cross-check grid (see 'thriftyvid cell "
+             "--validate --help')."};
+  fs.flag("flows", "1,2,4,8", "population-size axis (uploaders per cell)")
+      .flag("background", "N", "background cross-traffic stations")
+      .flag("motions", "low,high", "per-flow motion levels (round-robin)")
+      .flag("gops", "15,30", "per-flow GOP sizes (round-robin)")
+      .flag("policies", "none,I,all", "per-flow policies (round-robin)")
+      .flag("algs", "AES256,3DES", "per-flow ciphers (round-robin)")
+      .flag("devices", "samsung,htc", "per-flow device profiles")
+      .flag("deadlines", "4.0,8.0", "per-flow upload deadlines (s; 0=none)")
+      .flag("frames", "N", "clip length in frames (default 90)")
+      .flag("reps", "N", "repetitions per flow (default 5)")
+      .flag("seed", "S", "root seed (also the workload seed)")
+      .flag("quality", "on|off", "decode at receiver + eavesdropper")
+      .flag("cw-min", "W", "uploader CWmin (default 16)")
+      .flag("stages", "M", "uploader backoff stages (default 6)")
+      .flag("bg-cw-min", "W", "background CWmin (default 32)")
+      .flag("bg-stages", "M", "background backoff stages (default 6)")
+      .flag("channel-error", "P", "flat per-attempt channel error prob")
+      .flag("fade-prob", "P", "stationary deep-fade probability per block")
+      .flag("fade-burst", "L", "mean consecutive faded blocks (default 1)")
+      .flag("fade-error", "P", "extra error probability inside a fade")
+      .flag("no-degrade", "", "disable the policy degradation ladder")
+      .flag("no-shed", "", "never defer flows (they just miss deadlines)");
+  add_grid_output(fs);
+  fs.flag("trace", "FILE",
+          "write per-packet stage events as JSONL (serializes flows)")
+      .flag("validate", "", "run the fixed-point-vs-DES cross-check grid");
+  return fs;
 }
 
 int cmd_cell(const Flags& args) {
-  // `--validate` selects the fixed-point-vs-DES cross-check grid.
-  if (args.has("validate")) return cmd_cell_validate(args);
-
-  const FlagSet fs = cell_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-
   cell::CapacitySpec spec;
   if (args.has("flows")) spec.flow_counts = args.get_int_list("flows");
 
@@ -669,16 +616,87 @@ int cmd_cell(const Flags& args) {
   return 0;
 }
 
+FlagSet cell_validate_flags() {
+  FlagSet fs{"thriftyvid cell --validate",
+             "Cross-check the heterogeneous Bianchi fixed point against "
+             "the multi-station DCF simulator over an (n, CWmin, stages) "
+             "grid with z*CI acceptance bands (docs/cell.md).  Exit 0 iff "
+             "every check passes; output is bit-identical for any "
+             "--threads."};
+  fs.flag("validate", "", "selects this mode")
+      .flag("ns", "2,3,5,8", "contender-count axis")
+      .flag("cws", "16,32", "CWmin axis")
+      .flag("stages", "3,6", "backoff-stage axis")
+      .flag("background", "N", "background stations in every cell")
+      .flag("bg-cw-min", "W", "background CWmin (default 32)")
+      .flag("bg-stages", "M", "background backoff stages (default 6)")
+      .flag("slots", "N", "measured slots per cell (default 300000)")
+      .flag("warmup", "N", "discarded cold-start slots (default 20000)")
+      .flag("z", "Z", "acceptance multiplier on the SE estimate");
+  add_grid_output(fs);
+  fs.flag("seed", "S", "root RNG seed (default 1)");
+  return fs;
+}
+
+// The heterogeneous Bianchi fixed point against the multi-station DCF
+// simulator on the same population, per-class statistics compared under
+// z*CI acceptance bands.
+int cmd_cell_validate(const Flags& args) {
+  cell::CellValidationSpec spec;
+  if (args.has("ns")) spec.contenders = args.get_int_list("ns");
+  if (args.has("cws")) spec.cw_mins = args.get_int_list("cws");
+  if (args.has("stages")) spec.stage_counts = args.get_int_list("stages");
+  spec.background_stations =
+      args.get_int("background", spec.background_stations);
+  spec.background_cw_min = args.get_int("bg-cw-min", spec.background_cw_min);
+  spec.background_stages = args.get_int("bg-stages", spec.background_stages);
+  spec.slots = args.get_uint64("slots", spec.slots);
+  spec.warmup = args.get_uint64("warmup", spec.warmup);
+  spec.z = args.get_double("z", spec.z);
+  spec.seed = args.get_uint64("seed", spec.seed);
+
+  const auto summary =
+      run_grid<cell::CellValidationRunner, cell::CellValidationSink>(
+          args, spec);
+  return report_checks("cell validation", summary);
+}
+
+// --- advise and export -------------------------------------------------------
+
+constexpr FlowFlags kAdviseFlow{"AES256", /*with_policy=*/false};
+
+FlagSet advise_flags() {
+  FlagSet fs{"thriftyvid advise",
+             "The Fig.-1 workflow: calibrate on a probe transfer, evaluate "
+             "the policy ladder analytically, recommend the cheapest "
+             "confidential policy."};
+  kPaperClip.add(fs);
+  kAdviseFlow.add(fs);
+  fs.flag("ceiling", "DB", "max acceptable eavesdropper PSNR (default 18)")
+      .flag("objective", "delay|power", "cost to minimize (default delay)");
+  return fs;
+}
+
 int cmd_advise(const Flags& args) {
-  const FlagSet fs = advise_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES256"));
-  const auto workload = workload_from(args);
+  const Clip clip = kPaperClip.read(args);
+  const FlowSpec flow = kAdviseFlow.read(args);
+  core::AdvisorRequest request;
+  request.algorithm = flow.policy.algorithm;
+  request.max_eavesdropper_psnr_db = args.get_double("ceiling", 18.0);
+  const std::string objective = args.get("objective", "delay");
+  if (objective != "delay" && objective != "power") {
+    throw util::FlagError{"invalid value for --objective: '" + objective +
+                          "' (expected delay or power)"};
+  }
+  request.objective = objective == "power"
+                          ? core::AdvisorRequest::Objective::kPower
+                          : core::AdvisorRequest::Objective::kDelay;
+
+  const auto workload = clip.build();
   core::PipelineConfig pipeline;
-  pipeline.device = core::device_from_string(args.get("device", "samsung"));
-  const auto probe = core::simulate_transfer(pipeline, workload.packets,
-                                             args.get_uint64("seed", 1));
+  pipeline.device = flow.device;
+  const auto probe =
+      core::simulate_transfer(pipeline, workload.packets, clip.seed);
   const auto traffic =
       core::calibrate_traffic(workload.packets, probe.timings, workload.fps);
   const auto service = core::calibrate_service(workload.packets,
@@ -686,13 +704,6 @@ int cmd_advise(const Flags& args) {
                                                traffic);
   const core::DistortionInputs di = core::distortion_inputs_of(
       workload, core::default_sensitivity(workload.motion));
-
-  core::AdvisorRequest request;
-  request.algorithm = alg;
-  request.max_eavesdropper_psnr_db = args.get_double("ceiling", 18.0);
-  request.objective = args.get("objective", "delay") == "power"
-                          ? core::AdvisorRequest::Objective::kPower
-                          : core::AdvisorRequest::Objective::kDelay;
   const auto result =
       core::advise(request, traffic, service, pipeline.device, di,
                    1.0 - pipeline.eavesdropper_loss_prob);
@@ -715,23 +726,29 @@ int cmd_advise(const Flags& args) {
   return 1;
 }
 
+FlagSet export_flags() {
+  FlagSet fs{"thriftyvid export",
+             "Write original/receiver/eavesdropper .y4m files plus the "
+             "eavesdropper's .pcap capture."};
+  kPaperClip.add(fs);
+  kPaperFlow.add(fs);
+  fs.flag("outdir", "DIR", "output directory (default out)");
+  return fs;
+}
+
 int cmd_export(const Flags& args) {
-  const FlagSet fs = export_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES256"));
-  const auto workload = workload_from(args);
-  const auto pol = policy::policy_from_string(args.get("policy", "I"), alg);
+  const Clip clip = kPaperClip.read(args);
+  const FlowSpec spec = kPaperFlow.read(args);
+  const auto workload = clip.build();
   const std::string outdir = args.get("outdir", "out");
   std::filesystem::create_directories(outdir);
 
-  const std::uint64_t seed = args.get_uint64("seed", 1);
-  const core::Flow flow{workload, pol, seed};
-
+  const core::Flow flow{workload, spec.policy, clip.seed};
   core::PipelineConfig pipeline;
-  pipeline.device = core::device_from_string(args.get("device", "samsung"));
-  pipeline.algorithm = pol.algorithm;
-  const auto transfer = core::simulate_transfer(pipeline, flow.packets(), seed);
+  pipeline.device = spec.device;
+  pipeline.algorithm = spec.policy.algorithm;
+  const auto transfer =
+      core::simulate_transfer(pipeline, flow.packets(), clip.seed);
   const auto rx = flow.decode(transfer.receiver_delivered, /*decrypt=*/true);
   const auto ev =
       flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
@@ -747,19 +764,22 @@ int cmd_export(const Flags& args) {
                       stamps));
   std::printf("wrote %s/{original,receiver,eavesdropper}.y4m and "
               "eavesdropper.pcap  (policy %s, rx %.1f dB, eaves %.1f dB)\n",
-              outdir.c_str(), pol.label().c_str(),
+              outdir.c_str(), spec.policy.label().c_str(),
               video::sequence_psnr(workload.clip, rx),
               video::sequence_psnr(workload.clip, ev));
   return 0;
 }
 
-// --- analyze subcommand (docs/adversary.md) --------------------------------
+// --- analyze (docs/adversary.md) ---------------------------------------------
 // The ciphertext-only traffic-analysis adversary.  Without a positional
 // argument it runs the leakage-vs-cost sweep (policy x shaping grid) on
 // in-memory captures; with a pcap file it scores that one capture against
 // ground truth rebuilt deterministically from the workload flags.
 
-FlagSet analyze_flagset() {
+// --policy only describes a pcap capture, so analyze registers its own.
+constexpr FlowFlags kAnalyzeFlow{"AES128", /*with_policy=*/false};
+
+FlagSet analyze_flags() {
   FlagSet fs{"thriftyvid analyze [capture.pcap]",
              "Ciphertext-only quality inference from eavesdropped traffic "
              "(docs/adversary.md): estimate I-frames, GOP, motion class, "
@@ -771,43 +791,33 @@ FlagSet analyze_flagset() {
              "--threads value produces bit-identical output.  With a pcap "
              "(from 'live loopback --pcap'), scores that capture; workload "
              "flags and --seed must match the run that produced it."};
-  fs.flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 16)")
-      .flag("frames", "N", "clip length in frames (default 48)")
-      .flag("policies", "none,I,P,all", "policy axis (sweep mode)")
+  kLiveClip.add(fs);
+  fs.flag("policies", "none,I,P,all", "policy axis (sweep mode)")
       .flag("shapings", "none,pad256,...",
             "shaping axis (sweep mode; specs like pad256+hidemark+jit2ms; "
             "default: none plus each knob alone)")
       .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
             "capture's policy (pcap mode; default I)")
-      .flag("shaping", "SPEC", "capture's shaping (pcap mode; default none)")
-      .flag("alg", "AES128|AES256|3DES",
-            "cipher (default AES128, matching 'live loopback')")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("window", "S", "bitrate-trajectory window (default 0.25)")
-      .flag("threads", "N", "worker threads (default: hardware)")
-      .flag("format", "table|jsonl|csv", "output format (default table)")
-      .flag("out", "FILE", "write results to FILE instead of stdout")
-      .flag("json", "FILE", "additionally tee JSONL results to FILE")
+      .flag("shaping", "SPEC", "capture's shaping (pcap mode; default none)");
+  kAnalyzeFlow.add(fs);
+  fs.flag("window", "S", "bitrate-trajectory window (default 0.25)");
+  add_grid_output(fs);
+  fs.flag("json", "FILE", "additionally tee JSONL results to FILE")
       .flag("csv", "FILE", "additionally tee CSV results to FILE");
   return fs;
 }
 
 int cmd_analyze(const Flags& args) {
-  const FlagSet fs = analyze_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-
+  const Clip clip = kLiveClip.read(args);
+  const FlowSpec flow = kAnalyzeFlow.read(args);
   analysis::LeakageSpec spec;
-  spec.motion = video::motion_from_string(args.get("motion", "low"));
-  spec.gop_size = args.get_int("gop", 16);
-  spec.frames = args.get_int("frames", 48);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
+  spec.motion = clip.motion;
+  spec.gop_size = clip.gop;
+  spec.frames = clip.frames;
+  const crypto::Algorithm alg = flow.policy.algorithm;
   spec.pipeline.algorithm = alg;
-  spec.pipeline.device =
-      core::device_from_string(args.get("device", "samsung"));
-  spec.seed = args.get_uint64("seed", 1);
+  spec.pipeline.device = flow.device;
+  spec.seed = clip.seed;
   spec.adversary.trajectory_window_s = args.get_double("window", 0.25);
   spec.policies = list_flag(args, "policies", policy_parser(alg), {});
   spec.shapings = list_flag(args, "shapings", policy::shaping_from_string, {});
@@ -875,155 +885,12 @@ int cmd_analyze(const Flags& args) {
   return 0;
 }
 
-// --- live subcommand (docs/live.md) ----------------------------------------
+// --- live roles (docs/live.md) -----------------------------------------------
 // Real UDP sockets on an epoll/poll event loop: `loopback` runs all three
 // roles in-process on a virtual clock (deterministic, the pinned e2e);
 // `send`, `recv` and `proxy` run one role each in real time for LAN
 // experiments; `load` drives N supervised sessions against the multi-session
 // server under a seeded chaos plan (docs/resilience.md).
-
-FlagSet live_loopback_flagset() {
-  FlagSet fs{"thriftyvid live loopback",
-             "In-process live testbed: sender -> impairment proxy (+ "
-             "eavesdropper tap) -> receiver over real loopback UDP, paced "
-             "by the in-memory service law on a virtual clock.  Prints "
-             "live vs. in-memory vs. model PSNRs."};
-  fs.flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 16)")
-      .flag("frames", "N", "clip length in frames (default 48)")
-      .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
-            "selective-encryption policy (default I)")
-      .flag("shaping", "SPEC",
-            "traffic-shaping countermeasures, e.g. pad256+hidemark+jit2ms "
-            "(default none; docs/adversary.md)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES128)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("stochastic", "",
-            "impair with the proxy's own channel/faults instead of "
-            "replaying the in-memory transfer's delivery masks")
-      .flag("loss", "P", "receiver-path GE mean loss (stochastic mode)")
-      .flag("burst", "L", "receiver-path GE mean burst length")
-      .flag("outage", "START:DUR,...", "scheduled AP blackout windows (s)")
-      .flag("fault-drop", "P", "proxy datagram drop probability")
-      .flag("fault-corrupt", "P", "proxy payload bit-flip probability")
-      .flag("fault-truncate", "P", "proxy truncation probability")
-      .flag("fault-dup", "P", "proxy duplication probability")
-      .flag("fault-reorder", "P", "proxy reordering probability")
-      .flag("pcap", "FILE", "write the eavesdropper's capture as pcap")
-      .flag("trace", "FILE", "write stage events of all roles as JSONL");
-  return fs;
-}
-
-FlagSet live_send_flagset() {
-  FlagSet fs{"thriftyvid live send",
-             "Stream the workload as RTP/UDP to a receiver or proxy, paced "
-             "by fresh service-law draws (T_e+T_b+T_t) in real time."};
-  fs.flag("to", "HOST:PORT", "destination endpoint (required)")
-      .flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 16)")
-      .flag("frames", "N", "clip length in frames (default 48)")
-      .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
-            "selective-encryption policy (default I)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES128)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("trace", "FILE", "write sender stage events as JSONL");
-  return fs;
-}
-
-FlagSet live_recv_flagset() {
-  FlagSet fs{"thriftyvid live recv",
-             "Receive a live stream, decrypt marked payloads, and report "
-             "PSNR against the (deterministically rebuilt) original clip.  "
-             "Workload flags and --seed must match the sender's."};
-  fs.flag("bind", "HOST:PORT", "listen endpoint (default 0.0.0.0:5004)")
-      .flag("idle-timeout", "S", "end of stream after S quiet seconds "
-                                 "(default 3)")
-      .flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 16)")
-      .flag("frames", "N", "clip length in frames (default 48)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES128)")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("trace", "FILE", "write receive events as JSONL");
-  return fs;
-}
-
-FlagSet live_proxy_flagset() {
-  FlagSet fs{"thriftyvid live proxy",
-             "UDP impairment proxy with an eavesdropper tap: forward "
-             "datagrams through a Gilbert-Elliott channel, outages and a "
-             "fault plan; optionally write the tap's capture as pcap."};
-  fs.flag("bind", "HOST:PORT", "listen endpoint (default 0.0.0.0:5004)")
-      .flag("to", "HOST:PORT", "forward endpoint (required)")
-      .flag("idle-timeout", "S",
-            "exit after S quiet seconds (default: run until killed)")
-      .flag("loss", "P", "receiver-path GE mean loss probability")
-      .flag("burst", "L", "receiver-path GE mean burst length")
-      .flag("outage", "START:DUR,...", "scheduled AP blackout windows (s)")
-      .flag("fault-drop", "P", "datagram drop probability")
-      .flag("fault-corrupt", "P", "payload bit-flip probability")
-      .flag("fault-truncate", "P", "truncation probability")
-      .flag("fault-dup", "P", "duplication probability")
-      .flag("fault-reorder", "P", "reordering probability")
-      .flag("seed", "S", "impairment RNG seed (default 1)")
-      .flag("pcap", "FILE", "write the tap's capture as pcap on exit")
-      .flag("trace", "FILE", "write channel events as JSONL");
-  return fs;
-}
-
-FlagSet live_load_flagset() {
-  FlagSet fs{"thriftyvid live load",
-             "Multi-session chaos/load harness: N supervised uploaders "
-             "stream the same workload into one live server with admission "
-             "control, all in-process on a virtual clock.  Deterministic in "
-             "--seed; prints per-outcome session tallies."};
-  fs.flag("sessions", "N", "concurrent uploader sessions (default 8)")
-      .flag("max-sessions", "N",
-            "server admission budget (default: --sessions, no contention)")
-      .flag("motion", "low|medium|high", "synthetic clip motion level")
-      .flag("gop", "N", "GOP size in frames (default 8)")
-      .flag("frames", "N", "clip length in frames (default 16)")
-      .flag("policy", "none|I|P|all|I+<pct>P|<pct>I",
-            "selective-encryption policy (default I)")
-      .flag("alg", "AES128|AES256|3DES", "cipher (default AES128)")
-      .flag("device", "samsung|htc", "calibrated device profile")
-      .flag("seed", "S", "root RNG seed (default 1)")
-      .flag("ramp", "S", "spread session starts over S seconds (default 2)")
-      .flag("chaos", "K=V,...",
-            "chaos spec: eagain,short,spurious,drop,corrupt,truncate,dup,"
-            "loss,burst,ctrl-drop,kill,outage=S:D;...,stall=S:D;...")
-      .flag("queue-cap", "N", "per-session send-queue cap (default 64)")
-      .flag("degrade-depth", "N",
-            "queue depth that steps the policy down (default 32)")
-      .flag("stall-timeout", "S", "client stall watchdog (default 5)")
-      .flag("idle-timeout", "S", "server idle watchdog (default 5)")
-      .flag("retry-max", "N", "per-packet send retries (default 8)")
-      .flag("overload-high", "N", "overload latch entry backlog (default 4096)")
-      .flag("overload-low", "N", "overload latch exit backlog (default 1024)")
-      .flag("psnr", "", "decode each delivered session and report PSNR")
-      .flag("per-session", "", "print the per-session outcome table")
-      .flag("trace", "FILE", "write supervision events of all sessions");
-  return fs;
-}
-
-/// Builds the proxy fault plan from the --fault-* flags; nullopt when
-/// none is set.
-std::optional<net::FaultPlan> faults_from(const Flags& args) {
-  net::FaultPlan plan;
-  plan.drop_prob = args.get_double("fault-drop", 0.0);
-  plan.corrupt_payload_prob = args.get_double("fault-corrupt", 0.0);
-  plan.truncate_prob = args.get_double("fault-truncate", 0.0);
-  plan.duplicate_prob = args.get_double("fault-dup", 0.0);
-  plan.reorder_prob = args.get_double("fault-reorder", 0.0);
-  if (plan.drop_prob == 0.0 && plan.corrupt_payload_prob == 0.0 &&
-      plan.truncate_prob == 0.0 && plan.duplicate_prob == 0.0 &&
-      plan.reorder_prob == 0.0) {
-    return std::nullopt;
-  }
-  plan.validate();
-  return plan;
-}
 
 live::Endpoint endpoint_from(const Flags& args, const std::string& flag,
                              const std::string& fallback) {
@@ -1039,24 +906,41 @@ live::Endpoint endpoint_from(const Flags& args, const std::string& flag,
   return *endpoint;
 }
 
-int cmd_live_loopback(const Flags& args) {
-  const FlagSet fs = live_loopback_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+FlagSet live_loopback_flags() {
+  FlagSet fs{"thriftyvid live loopback",
+             "In-process live testbed: sender -> impairment proxy (+ "
+             "eavesdropper tap) -> receiver over real loopback UDP, paced "
+             "by the in-memory service law on a virtual clock.  Prints "
+             "live vs. in-memory vs. model PSNRs."};
+  kLiveClip.add(fs);
+  kLiveFlow.add(fs);
+  fs.flag("shaping", "SPEC",
+          "traffic-shaping countermeasures, e.g. pad256+hidemark+jit2ms "
+          "(default none; docs/adversary.md)")
+      .flag("stochastic", "",
+            "impair with the proxy's own channel/faults instead of "
+            "replaying the in-memory transfer's delivery masks");
+  add_channel(fs);
+  add_faults(fs);
+  fs.flag("pcap", "FILE", "write the eavesdropper's capture as pcap")
+      .flag("trace", "FILE", "write stage events of all roles as JSONL");
+  return fs;
+}
 
+int cmd_live_loopback(const Flags& args) {
+  const Clip clip = kLiveClip.read(args);
+  const FlowSpec flow = kLiveFlow.read(args);
   live::LoopbackConfig config;
-  config.motion = video::motion_from_string(args.get("motion", "low"));
-  config.gop_size = args.get_int("gop", 16);
-  config.frames = args.get_int("frames", 48);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
-  config.policy = policy::policy_from_string(args.get("policy", "I"), alg);
+  config.motion = clip.motion;
+  config.gop_size = clip.gop;
+  config.frames = clip.frames;
+  config.policy = flow.policy;
   config.shaping = policy::shaping_from_string(args.get("shaping", "none"));
-  config.pipeline.device =
-      core::device_from_string(args.get("device", "samsung"));
-  config.pipeline.channel = channel_from_flags(args, config.pipeline);
-  config.seed = args.get_uint64("seed", 1);
-  config.stochastic = args.has("stochastic");
-  config.faults = faults_from(args);
+  config.pipeline.device = flow.device;
+  config.pipeline.channel = read_channel(args);
+  config.seed = clip.seed;
+  config.stochastic = args.get_bool("stochastic", false);
+  config.faults = read_faults(args);
   config.pcap_path = args.get("pcap", "");
 
   TraceOutput trace;
@@ -1094,25 +978,28 @@ int cmd_live_loopback(const Flags& args) {
   return 0;
 }
 
-int cmd_live_send(const Flags& args) {
-  const FlagSet fs = live_send_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
-  const live::Endpoint to = endpoint_from(args, "to", "");
+FlagSet live_send_flags() {
+  FlagSet fs{"thriftyvid live send",
+             "Stream the workload as RTP/UDP to a receiver or proxy, paced "
+             "by fresh service-law draws (T_e+T_b+T_t) in real time."};
+  fs.flag("to", "HOST:PORT", "destination endpoint (required)");
+  kLiveClip.add(fs);
+  kLiveFlow.add(fs);
+  fs.flag("trace", "FILE", "write sender stage events as JSONL");
+  return fs;
+}
 
-  core::Workload workload = core::build_workload(
-      video::motion_from_string(args.get("motion", "low")),
-      args.get_int("gop", 16), args.get_int("frames", 48),
-      args.get_uint64("seed", 1));
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
-  const auto pol = policy::policy_from_string(args.get("policy", "I"), alg);
-  const std::uint64_t seed = args.get_uint64("seed", 1);
-  const core::Flow flow{workload, pol, seed};
+int cmd_live_send(const Flags& args) {
+  const live::Endpoint to = endpoint_from(args, "to", "");
+  const Clip clip = kLiveClip.read(args);
+  const FlowSpec spec = kLiveFlow.read(args);
+  const core::Workload workload = clip.build();
+  const core::Flow flow{workload, spec.policy, clip.seed};
   const std::vector<net::VideoPacket>& packets = flow.packets();
 
   core::PipelineConfig pipeline;
-  pipeline.device = core::device_from_string(args.get("device", "samsung"));
-  pipeline.algorithm = alg;
+  pipeline.device = spec.device;
+  pipeline.algorithm = spec.policy.algorithm;
 
   TraceOutput trace;
   core::TraceSink* sink = trace.open(args);
@@ -1125,7 +1012,7 @@ int cmd_live_send(const Flags& args) {
   live::SenderSession sender{
       loop, socket,
       live::SenderConfig{to, 0x74561D01, sink}, packets,
-      live::schedule_from_service_model(pipeline, packets, seed, sink)};
+      live::schedule_from_service_model(pipeline, packets, clip.seed, sink)};
   sender.start();
   loop.run();
   const live::SenderReport& r = sender.report();
@@ -1137,22 +1024,29 @@ int cmd_live_send(const Flags& args) {
   return 0;
 }
 
-int cmd_live_recv(const Flags& args) {
-  const FlagSet fs = live_recv_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+// The receiver selects nothing and runs on no handset: it only needs the
+// key and IV the sender derived from the same (algorithm, seed).
+constexpr FlowFlags kRecvFlow{"AES128", /*with_policy=*/false,
+                              /*with_device=*/false};
 
-  core::Workload workload = core::build_workload(
-      video::motion_from_string(args.get("motion", "low")),
-      args.get_int("gop", 16), args.get_int("frames", 48),
-      args.get_uint64("seed", 1));
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
-  const std::uint64_t seed = args.get_uint64("seed", 1);
-  // The receiver's side of the flow: it selects nothing, but holds the
-  // key and IV the sender derived from the same (algorithm, seed).
-  const core::Flow flow{
-      workload, policy::EncryptionPolicy{policy::Mode::kNone, alg, 0.0},
-      seed};
+FlagSet live_recv_flags() {
+  FlagSet fs{"thriftyvid live recv",
+             "Receive a live stream, decrypt marked payloads, and report "
+             "PSNR against the (deterministically rebuilt) original clip.  "
+             "Workload flags and --seed must match the sender's."};
+  fs.flag("bind", "HOST:PORT", "listen endpoint (default 0.0.0.0:5004)")
+      .flag("idle-timeout", "S", "end of stream after S quiet seconds "
+                                 "(default 3)");
+  kLiveClip.add(fs);
+  kRecvFlow.add(fs);
+  fs.flag("trace", "FILE", "write receive events as JSONL");
+  return fs;
+}
+
+int cmd_live_recv(const Flags& args) {
+  const Clip clip = kLiveClip.read(args);
+  const core::Workload workload = clip.build();
+  const core::Flow flow{workload, kRecvFlow.read(args).policy, clip.seed};
   const int frame_count = static_cast<int>(workload.stream.frames.size());
   const live::StreamMap map = live::StreamMap::of(workload.packets,
                                                   frame_count);
@@ -1183,22 +1077,33 @@ int cmd_live_recv(const Flags& args) {
   return 0;
 }
 
-int cmd_live_proxy(const Flags& args) {
-  const FlagSet fs = live_proxy_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+FlagSet live_proxy_flags() {
+  FlagSet fs{"thriftyvid live proxy",
+             "UDP impairment proxy with an eavesdropper tap: forward "
+             "datagrams through a Gilbert-Elliott channel, outages and a "
+             "fault plan; optionally write the tap's capture as pcap."};
+  fs.flag("bind", "HOST:PORT", "listen endpoint (default 0.0.0.0:5004)")
+      .flag("to", "HOST:PORT", "forward endpoint (required)")
+      .flag("idle-timeout", "S",
+            "exit after S quiet seconds (default: run until killed)");
+  add_channel(fs);
+  add_faults(fs);
+  fs.flag("seed", "S", "impairment RNG seed (default 1)")
+      .flag("pcap", "FILE", "write the tap's capture as pcap on exit")
+      .flag("trace", "FILE", "write channel events as JSONL");
+  return fs;
+}
 
+int cmd_live_proxy(const Flags& args) {
   TraceOutput trace;
   live::ProxyConfig config;
   config.forward_to = endpoint_from(args, "to", "");
-  config.faults = faults_from(args);
-  if (args.has("loss") || args.has("burst")) {
-    wifi::GilbertElliottParams channel;
-    channel.mean_loss_prob = args.get_double("loss", 0.0);
-    channel.mean_burst_length = args.get_double("burst", 1.0);
-    config.receiver_channel = channel;
+  config.faults = read_faults(args);
+  // Outages alone give a lossless chain: its draws use their own stream.
+  if (const auto channel = read_channel(args, /*loss=*/0.0)) {
+    config.receiver_channel = channel->receiver;
+    config.outages = channel->outages;
   }
-  config.outages = parse_outages(args);
   config.seed = args.get_uint64("seed", 1);
   config.trace = trace.open(args);
   config.idle_timeout_s = args.get_double("idle-timeout", 0.0);
@@ -1229,23 +1134,50 @@ int cmd_live_proxy(const Flags& args) {
   return 0;
 }
 
-int cmd_live_load(const Flags& args) {
-  const FlagSet fs = live_load_flagset();
-  if (wants_help(args, fs)) return 0;
-  fs.check(args);
+constexpr Clip kLoadClip{8, 16};
 
+FlagSet live_load_flags() {
+  FlagSet fs{"thriftyvid live load",
+             "Multi-session chaos/load harness: N supervised uploaders "
+             "stream the same workload into one live server with admission "
+             "control, all in-process on a virtual clock.  Deterministic in "
+             "--seed; prints per-outcome session tallies."};
+  fs.flag("sessions", "N", "concurrent uploader sessions (default 8)")
+      .flag("max-sessions", "N",
+            "server admission budget (default: --sessions, no contention)");
+  kLoadClip.add(fs);
+  kLiveFlow.add(fs);
+  fs.flag("ramp", "S", "spread session starts over S seconds (default 2)")
+      .flag("chaos", "K=V,...",
+            "chaos spec: eagain,short,spurious,drop,corrupt,truncate,dup,"
+            "loss,burst,ctrl-drop,kill,outage=S:D;...,stall=S:D;...")
+      .flag("queue-cap", "N", "per-session send-queue cap (default 64)")
+      .flag("degrade-depth", "N",
+            "queue depth that steps the policy down (default 32)")
+      .flag("stall-timeout", "S", "client stall watchdog (default 5)")
+      .flag("idle-timeout", "S", "server idle watchdog (default 5)")
+      .flag("retry-max", "N", "per-packet send retries (default 8)")
+      .flag("overload-high", "N", "overload latch entry backlog (default 4096)")
+      .flag("overload-low", "N", "overload latch exit backlog (default 1024)")
+      .flag("psnr", "", "decode each delivered session and report PSNR")
+      .flag("per-session", "", "print the per-session outcome table")
+      .flag("trace", "FILE", "write supervision events of all sessions");
+  return fs;
+}
+
+int cmd_live_load(const Flags& args) {
   live::LoadConfig config;
   config.sessions = args.get_int("sessions", 8);
   config.max_sessions = args.get_uint64("max-sessions", 0);
-  config.motion = video::motion_from_string(args.get("motion", "low"));
-  config.gop_size = args.get_int("gop", 8);
-  config.frames = args.get_int("frames", 16);
-  const auto alg = crypto::algorithm_from_string(args.get("alg", "AES128"));
-  config.policy = policy::policy_from_string(args.get("policy", "I"), alg);
-  config.pipeline.device = core::device_from_string(args.get("device",
-                                                             "samsung"));
-  config.pipeline.algorithm = alg;
-  config.seed = args.get_uint64("seed", 1);
+  const Clip clip = kLoadClip.read(args);
+  const FlowSpec flow = kLiveFlow.read(args);
+  config.motion = clip.motion;
+  config.gop_size = clip.gop;
+  config.frames = clip.frames;
+  config.policy = flow.policy;
+  config.pipeline.device = flow.device;
+  config.pipeline.algorithm = flow.policy.algorithm;
+  config.seed = clip.seed;
   config.ramp_s = args.get_double("ramp", 2.0);
   if (args.has("chaos")) {
     config.chaos = live::chaos_plan_from_string(args.get("chaos", ""));
@@ -1257,7 +1189,8 @@ int cmd_live_load(const Flags& args) {
   config.server_idle_timeout_s = args.get_double("idle-timeout", 5.0);
   config.overload_high = args.get_uint64("overload-high", 4096);
   config.overload_low = args.get_uint64("overload-low", 1024);
-  config.evaluate_psnr = args.has("psnr");
+  config.evaluate_psnr = args.get_bool("psnr", false);
+  const bool per_session = args.get_bool("per-session", false);
 
   TraceOutput trace;
   config.trace = trace.open(args);
@@ -1307,7 +1240,7 @@ int cmd_live_load(const Flags& args) {
   }
   std::printf("duration: %.2f virtual seconds\n", r.duration_s);
 
-  if (args.has("per-session")) {
+  if (per_session) {
     std::printf("\n%-5s %-10s %-18s %8s %8s %6s %6s %s\n", "sess",
                 "ssrc", "outcome", "deliv%", "retries", "shed",
                 "degr", config.evaluate_psnr ? "  psnr" : "");
@@ -1325,79 +1258,78 @@ int cmd_live_load(const Flags& args) {
   return 0;
 }
 
-int cmd_live(int argc, char** argv) {
-  static const char* const kRoles =
-      "usage: thriftyvid live <loopback|send|recv|proxy|load> [options]\n";
-  if (argc < 3) {
-    std::fputs(kRoles, stderr);
-    return 2;
-  }
-  const std::string role = argv[2];
-  const Flags args = Flags::parse(argc, argv, 3);
-  if (role == "loopback") return cmd_live_loopback(args);
-  if (role == "send") return cmd_live_send(args);
-  if (role == "recv") return cmd_live_recv(args);
-  if (role == "proxy") return cmd_live_proxy(args);
-  if (role == "load") return cmd_live_load(args);
-  std::fputs(kRoles, stderr);
-  return 2;
-}
+// --- The command table. ------------------------------------------------------
 
-/// Top-level usage: one line per subcommand, generated from the same
-/// FlagSet registrations that produce the per-command --help.
-void print_usage(std::FILE* to) {
+struct Command {
+  const char* name;  ///< "simulate"; a live role is "live <role>".
+  const char* mode;  ///< the flag selecting this mode; "" for the default.
+  FlagSet (*flags)();
+  int (*run)(const Flags&);
+};
+
+constexpr Command kCommands[] = {
+    {"classify", "", classify_flags, cmd_classify},
+    {"simulate", "", simulate_flags, cmd_simulate},
+    {"simulate", "events", simulate_validation_flags,
+     cmd_simulate_validation},
+    {"sweep", "", sweep_flags, cmd_sweep},
+    {"cell", "", cell_flags, cmd_cell},
+    {"cell", "validate", cell_validate_flags, cmd_cell_validate},
+    {"advise", "", advise_flags, cmd_advise},
+    {"export", "", export_flags, cmd_export},
+    {"analyze", "", analyze_flags, cmd_analyze},
+    {"live loopback", "", live_loopback_flags, cmd_live_loopback},
+    {"live send", "", live_send_flags, cmd_live_send},
+    {"live recv", "", live_recv_flags, cmd_live_recv},
+    {"live proxy", "", live_proxy_flags, cmd_live_proxy},
+    {"live load", "", live_load_flags, cmd_live_load},
+};
+
+/// Top-level usage: one line per table row, taken from the registry that
+/// also produces its --help.  Exit status 0 on stdout, 2 on stderr.
+int usage(std::FILE* to) {
   std::fprintf(to, "%s\nusage: thriftyvid <command> [options]\n\ncommands:\n",
                util::build_info_line().c_str());
-  const FlagSet sets[] = {classify_flagset(),  simulate_flagset(),
-                          simulate_validation_flagset(), sweep_flagset(),
-                          cell_flagset(),      cell_validate_flagset(),
-                          advise_flagset(),    export_flagset(),
-                          analyze_flagset(),   live_loopback_flagset(),
-                          live_send_flagset(), live_recv_flagset(),
-                          live_proxy_flagset(), live_load_flagset()};
-  for (const FlagSet& fs : sets) {
-    // Strip the "thriftyvid " prefix for the listing.
-    const std::string& cmd = fs.command();
-    const std::string name =
-        cmd.rfind("thriftyvid ", 0) == 0 ? cmd.substr(11) : cmd;
-    std::fprintf(to, "  %-28s %s\n", name.c_str(), fs.summary().c_str());
+  for (const Command& c : kCommands) {
+    const FlagSet fs = c.flags();
+    std::fprintf(to, "  %-28s %s\n",
+                 fs.command().substr(std::strlen("thriftyvid ")).c_str(),
+                 fs.summary().c_str());
   }
   std::fprintf(to,
                "\nrun 'thriftyvid <command> --help' for the command's "
                "option list\n");
-}
-
-int usage() {
-  print_usage(stderr);
-  return 2;
+  return to == stdout ? 0 : 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  if (cmd == "--help" || cmd == "help") {
-    print_usage(stdout);
-    return 0;
-  }
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  if (cmd == "--help" || cmd == "help") return usage(stdout);
   if (cmd == "--version" || cmd == "version") {
     std::printf("%s\n", util::build_info_line().c_str());
     return 0;
   }
+  // A live role is the two-word command `live <role>`.
+  const int from = cmd == "live" ? 3 : 2;
+  const std::string name = from == 3 && argc > 2 ? cmd + " " + argv[2] : cmd;
+  const auto named = [&](const Command& c) { return name == c.name; };
+  const Command* first =
+      std::find_if(std::begin(kCommands), std::end(kCommands), named);
+  if (first == std::end(kCommands)) return usage(stderr);
   try {
-    if (cmd == "live") return cmd_live(argc, argv);
-    const Flags args = Flags::parse(argc, argv, 2);
-    if (cmd == "classify") return cmd_classify(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "cell") return cmd_cell(args);
-    if (cmd == "advise") return cmd_advise(args);
-    if (cmd == "export") return cmd_export(args);
-    if (cmd == "analyze") return cmd_analyze(args);
+    // A name's first row is its default mode; a later row is chosen when
+    // its selecting flag is given.
+    const Flags given = Flags::parse(argc, argv, from);
+    const Command* chosen = first;
+    for (const Command* c = first; c != std::end(kCommands) && named(*c); ++c) {
+      if (*c->mode != '\0' && c->flags().given(given, c->mode)) chosen = c;
+    }
+    const auto args = chosen->flags().parse(argc, argv, from);
+    return args ? chosen->run(*args) : 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
