@@ -121,9 +121,10 @@ LeakageCellResult run_leakage_cell(
   // by decoding what the snooper captured.
   r.truth = ground_truth_of(workload, packets, send_times,
                             spec.adversary.trajectory_window_s);
-  r.truth.eavesdropper_psnr_db = core::decode_psnr(
-      workload,
-      flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
+  r.truth.eavesdropper_psnr_db =
+      core::score_stream(workload, flow.frames(transfer.eavesdropper_captured,
+                                               /*decrypt=*/false))
+          .psnr_db;
   r.metrics = score_leakage(r.inference, r.truth);
 
   // ---- The countermeasures' price, in the paper's currency.  Padding

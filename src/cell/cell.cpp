@@ -11,7 +11,6 @@
 #include "crypto/suite.hpp"
 #include "energy/energy_model.hpp"
 #include "util/thread_pool.hpp"
-#include "video/quality.hpp"
 #include "wifi/gilbert_elliott.hpp"
 
 namespace tv::cell {
@@ -255,12 +254,13 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
       out.energy_j.add(energy.total_j());
 
       if (spec.evaluate_quality) {
-        out.receiver_psnr_db.add(video::sequence_psnr(
-            w.clip,
-            flow.decode(transfer.receiver_delivered, /*decrypt=*/true)));
-        out.eavesdropper_psnr_db.add(video::sequence_psnr(
-            w.clip,
-            flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false)));
+        const auto score = [&](const std::vector<bool>& heard, bool decrypt) {
+          return core::score_stream(w, flow.frames(heard, decrypt)).psnr_db;
+        };
+        out.receiver_psnr_db.add(
+            score(transfer.receiver_delivered, /*decrypt=*/true));
+        out.eavesdropper_psnr_db.add(
+            score(transfer.eavesdropper_captured, /*decrypt=*/false));
       }
     }
   };

@@ -81,12 +81,74 @@ video::FrameSequence Flow::decode(const std::vector<bool>& delivered,
                                frames(delivered, decrypt));
 }
 
-double decode_psnr(const Workload& workload,
-                   const std::vector<video::ReceivedFrameData>& frames) {
+const LosslessDecode& Workload::lossless() const {
+  std::call_once(lazy_lossless->built, [this] {
+    LosslessDecode& out = lazy_lossless->decode;
+    const video::Decoder decoder{codec};
+    const std::size_t n = stream.frames.size();
+    out.frames.reserve(n);
+    out.mse.reserve(n);
+    out.standalone.reserve(n);
+    // Decoder::decode_stream's loop: the first frame has no reference.
+    for (std::size_t k = 0; k < n; ++k) {
+      video::DecodeResult r = decoder.decode_frame(
+          video::ReceivedFrameData::intact(stream.frames[k].data),
+          k == 0 ? nullptr : &out.frames.back());
+      out.standalone.push_back(r.header_ok && r.is_i &&
+                               r.decoded_macroblocks == r.total_macroblocks);
+      out.mse.push_back(video::luma_mse(clip[k], r.frame));
+      out.frames.push_back(std::move(r.frame));
+    }
+  });
+  return lazy_lossless->decode;
+}
+
+namespace {
+
+/// Every byte of the frame arrived readable and equals what was sent.  A
+/// wrong key fails the comparison, so its garbage still goes through the
+/// decoder.
+bool arrived_whole(const video::ReceivedFrameData& received,
+                   const std::vector<std::uint8_t>& sent) {
+  return received.data == sent &&
+         std::find(received.byte_ok.begin(), received.byte_ok.end(), false) ==
+             received.byte_ok.end();
+}
+
+}  // namespace
+
+StreamScore score_stream(const Workload& workload,
+                         const std::vector<video::ReceivedFrameData>& frames) {
+  const std::size_t n = workload.clip.size();
+  if (frames.size() != n || n == 0) {
+    throw std::invalid_argument{"score_stream: frame count mismatch or empty"};
+  }
+  const LosslessDecode& lossless = workload.lossless();
   const video::Decoder decoder{workload.codec};
-  const video::FrameSequence decoded = decoder.decode_stream(
-      workload.stream.width, workload.stream.height, frames);
-  return video::sequence_psnr(workload.clip, decoded);
+  video::Frame decoded;                    // the decoder's last output.
+  const video::Frame* previous = nullptr;  // the previous output frame.
+  bool previous_lossless = false;          // previous == &lossless.frames[k-1].
+  // Sums in frame order, as sequence_psnr and sequence_mos add them.
+  double mse_sum = 0.0;
+  double mos_sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    double mse = 0.0;
+    if ((previous_lossless || lossless.standalone[k]) &&
+        arrived_whole(frames[k], workload.stream.frames[k].data)) {
+      previous = &lossless.frames[k];
+      previous_lossless = true;
+      mse = lossless.mse[k];
+    } else {
+      decoded = decoder.decode_frame(frames[k], previous).frame;
+      previous = &decoded;
+      previous_lossless = false;
+      mse = video::luma_mse(workload.clip[k], decoded);
+    }
+    mse_sum += mse;
+    mos_sum += video::mos_from_psnr(video::psnr_from_mse(mse));
+  }
+  return {video::psnr_from_mse(mse_sum / static_cast<double>(n)),
+          mos_sum / static_cast<double>(n)};
 }
 
 double default_sensitivity(video::MotionLevel motion) {
@@ -231,16 +293,17 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
 
     if (spec.evaluate_quality) {
       // Legitimate receiver: decrypts what it gets.
-      const video::FrameSequence rx =
-          flow.decode(transfer.receiver_delivered, /*decrypt=*/true);
-      out.rx_psnr.add(video::sequence_psnr(workload.clip, rx));
-      out.rx_mos.add(video::sequence_mos(workload.clip, rx));
+      const StreamScore rx = score_stream(
+          workload, flow.frames(transfer.receiver_delivered, /*decrypt=*/true));
+      out.rx_psnr.add(rx.psnr_db);
+      out.rx_mos.add(rx.mos);
 
       // Eavesdropper: overhears, cannot decrypt.
-      const video::FrameSequence ev =
-          flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
-      out.ev_psnr.add(video::sequence_psnr(workload.clip, ev));
-      out.ev_mos.add(video::sequence_mos(workload.clip, ev));
+      const StreamScore ev = score_stream(
+          workload,
+          flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
+      out.ev_psnr.add(ev.psnr_db);
+      out.ev_mos.add(ev.mos);
     }
     out.transfer = std::move(transfer);
   };

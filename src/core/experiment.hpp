@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,6 +34,15 @@ class BlockCipher;
 
 namespace tv::core {
 
+/// The decode of a workload's intact stream, frame by frame.
+struct LosslessDecode {
+  video::FrameSequence frames;  ///< the decoder's output.
+  std::vector<double> mse;      ///< each frame's luma MSE against the clip.
+  /// standalone[k]: frame k is an I-frame whose every macroblock decoded,
+  /// so its intact decode reads no reference and follows any frame.
+  std::vector<bool> standalone;
+};
+
 /// A reusable, deterministic video workload.
 ///
 /// Move-only: `arena` owns the wire bytes of `packets`, which are views
@@ -49,6 +59,21 @@ struct Workload {
   double base_mse = 0.0;  ///< coding distortion of a lossless decode.
   double null_mse = 0.0;  ///< content MSE vs. a blank (gray) decode.
   distortion::DistanceDistortion inter;  ///< fitted D(d) for this content.
+
+  /// The intact stream's decode, built on the first call (safe from any
+  /// number of threads at once) and kept.  Only score_stream asks for it,
+  /// so a workload that is never scored never holds its frames.  Call it
+  /// once the fields above are final.
+  [[nodiscard]] const LosslessDecode& lossless() const;
+
+  /// lossless()'s lazy state.  A default member initializer, so a
+  /// workload filled in field by field gets it too.
+  struct LazyLossless {
+    std::once_flag built;
+    LosslessDecode decode;
+  };
+  std::unique_ptr<LazyLossless> lazy_lossless =
+      std::make_unique<LazyLossless>();
 };
 
 /// Generate, encode, packetize and characterize a clip.  Deterministic in
@@ -61,9 +86,22 @@ struct Workload {
                                       std::uint64_t seed, double fps = 30.0,
                                       util::ThreadPool* pool = nullptr);
 
-/// Decode received frame data with the workload's codec and score it
-/// against the original clip (sequence PSNR, dB).
-[[nodiscard]] double decode_psnr(
+/// A received stream's quality against the original clip.
+struct StreamScore {
+  double psnr_db = 0.0;  ///< sequence PSNR (eq. 28) of the mean luma MSE.
+  double mos = 0.0;      ///< EvalVid MOS: per-frame bands, averaged.
+};
+
+/// Decode received frame data with the workload's codec and score it.
+/// Bit-identical to Decoder::decode_stream followed by video::sequence_psnr
+/// and video::sequence_mos, at the cost of the damage: a frame that arrived
+/// whole (every byte readable and equal to the sent byte) is the lossless
+/// decode's frame, with its cached MSE, whenever the previous output is
+/// the lossless one too or the frame is standalone.  The decoder runs from
+/// a GOP's first damaged frame until the next such frame, against the
+/// previous output; only that frame is kept.  Throws std::invalid_argument
+/// unless `frames` has one entry per clip frame.
+[[nodiscard]] StreamScore score_stream(
     const Workload& workload,
     const std::vector<video::ReceivedFrameData>& frames);
 
@@ -112,7 +150,8 @@ class Flow {
   /// payloads are erasures.
   [[nodiscard]] std::vector<video::ReceivedFrameData> frames(
       const std::vector<bool>& delivered, bool decrypt) const;
-  /// frames() through the workload's decoder.
+  /// frames() through the workload's decoder, every frame kept (for
+  /// callers that write or show the frames; scoring uses score_stream).
   [[nodiscard]] video::FrameSequence decode(const std::vector<bool>& delivered,
                                             bool decrypt) const;
 

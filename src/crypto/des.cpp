@@ -1,5 +1,6 @@
 #include "crypto/des.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace tv::crypto {
@@ -19,11 +20,6 @@ constexpr std::array<int, 64> kFinalPermutation = {
     38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
     36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
     34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25};
-
-constexpr std::array<int, 48> kExpansion = {
-    32, 1,  2,  3,  4,  5,  4,  5,  6,  7,  8,  9,  8,  9,  10, 11,
-    12, 13, 12, 13, 14, 15, 16, 17, 16, 17, 18, 19, 20, 21, 20, 21,
-    22, 23, 24, 25, 24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1};
 
 constexpr std::array<int, 32> kPermutationP = {
     16, 7, 20, 21, 29, 12, 28, 17, 1,  15, 23, 26, 5,  18, 31, 10,
@@ -78,10 +74,11 @@ constexpr std::uint8_t kSboxes[8][64] = {
      2,  1,  14, 7, 4,  10, 8,  13, 15, 12, 9,  0,  3,  5,  6,  11}};
 
 // Permute `in_bits`-wide value `x` (MSB-first numbering) into an
-// `out_bits`-wide value per `table` (1-based source positions).
+// `out_bits`-wide value per `table` (1-based source positions).  The key
+// schedule and the tables below use it; the block transform does not.
 template <std::size_t N>
-std::uint64_t permute(std::uint64_t x, const std::array<int, N>& table,
-                      int in_bits) {
+constexpr std::uint64_t permute(std::uint64_t x,
+                                const std::array<int, N>& table, int in_bits) {
   std::uint64_t out = 0;
   for (std::size_t i = 0; i < N; ++i) {
     out <<= 1;
@@ -90,17 +87,58 @@ std::uint64_t permute(std::uint64_t x, const std::array<int, N>& table,
   return out;
 }
 
-std::uint32_t feistel(std::uint32_t r, std::uint64_t subkey) {
-  const std::uint64_t expanded = permute(r, kExpansion, 32) ^ subkey;
-  std::uint32_t out = 0;
-  for (int box = 0; box < 8; ++box) {
-    const auto six =
-        static_cast<std::uint8_t>((expanded >> (42 - 6 * box)) & 0x3f);
-    const int row = ((six & 0x20) >> 4) | (six & 0x01);
-    const int col = (six >> 1) & 0x0f;
-    out = (out << 4) | kSboxes[box][row * 16 + col];
+// The block transform's lookup tables, derived at compile time from the
+// standard's tables above.  A permutation moves bits independently, so IP
+// (or FP) of a block is the OR of the permuted images of its eight bytes;
+// S-box i feeds only its own four bits into P, so S-box∘P is eight
+// 64-entry tables whose outputs OR together.
+struct Tables {
+  std::uint64_t ip[8][256] = {};  ///< IP of a block whose byte j is v.
+  std::uint64_t fp[8][256] = {};  ///< FP of a block whose byte j is v.
+  std::uint32_t sp[8][64] = {};   ///< P of S-box i's output for input six.
+
+  constexpr Tables() {
+    for (int j = 0; j < 8; ++j) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        const std::uint64_t x = v << (56 - 8 * j);
+        ip[j][v] = permute(x, kInitialPermutation, 64);
+        fp[j][v] = permute(x, kFinalPermutation, 64);
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      for (int six = 0; six < 64; ++six) {
+        const int row = ((six & 0x20) >> 4) | (six & 0x01);
+        const int col = (six >> 1) & 0x0f;
+        const std::uint64_t out = std::uint64_t{kSboxes[i][row * 16 + col]}
+                                  << (28 - 4 * i);
+        sp[i][six] =
+            static_cast<std::uint32_t>(permute(out, kPermutationP, 32));
+      }
+    }
   }
-  return static_cast<std::uint32_t>(permute(out, kPermutationP, 32));
+};
+
+constexpr Tables kTables;
+
+// Bytes are numbered MSB first, as the standard numbers bits.
+std::uint64_t permute_bytes(std::uint64_t x,
+                            const std::uint64_t (&table)[8][256]) {
+  std::uint64_t out = 0;
+  for (int j = 0; j < 8; ++j) out |= table[j][(x >> (56 - 8 * j)) & 0xff];
+  return out;
+}
+
+// The expansion E's six-bit chunk i is bits 4i..4i+5 of r in the
+// standard's numbering (bit 0 standing for bit 32): rotating r left by
+// 4i-1 brings them to the top six places.
+std::uint32_t feistel(std::uint32_t r,
+                      const std::array<std::uint8_t, 8>& key) {
+  std::uint32_t out = 0;
+  for (int i = 0; i < 8; ++i) {
+    out |= kTables.sp[i][(std::rotl(r, 4 * i - 1) >> 26) ^
+                         key[static_cast<std::size_t>(i)]];
+  }
+  return out;
 }
 
 std::uint64_t load_be64(std::span<const std::uint8_t> in) {
@@ -133,12 +171,16 @@ Des::Des(std::span<const std::uint8_t> key) {
     d = rotl28(d, kShifts[static_cast<std::size_t>(round)]);
     const std::uint64_t merged =
         (static_cast<std::uint64_t>(c) << 28) | d;  // 56 bits.
-    subkeys_[static_cast<std::size_t>(round)] = permute(merged, kPc2, 56);
+    const std::uint64_t subkey = permute(merged, kPc2, 56);  // 48 bits.
+    for (int i = 0; i < 8; ++i) {
+      subkeys_[static_cast<std::size_t>(round)][static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>((subkey >> (42 - 6 * i)) & 0x3f);
+    }
   }
 }
 
 std::uint64_t Des::encrypt64(std::uint64_t block) const {
-  const std::uint64_t ip = permute(block, kInitialPermutation, 64);
+  const std::uint64_t ip = permute_bytes(block, kTables.ip);
   auto l = static_cast<std::uint32_t>(ip >> 32);
   auto r = static_cast<std::uint32_t>(ip & 0xffffffff);
   for (int round = 0; round < 16; ++round) {
@@ -149,11 +191,11 @@ std::uint64_t Des::encrypt64(std::uint64_t block) const {
   }
   // Pre-output swaps halves: R16 L16.
   const std::uint64_t preout = (static_cast<std::uint64_t>(r) << 32) | l;
-  return permute(preout, kFinalPermutation, 64);
+  return permute_bytes(preout, kTables.fp);
 }
 
 std::uint64_t Des::decrypt64(std::uint64_t block) const {
-  const std::uint64_t ip = permute(block, kInitialPermutation, 64);
+  const std::uint64_t ip = permute_bytes(block, kTables.ip);
   auto l = static_cast<std::uint32_t>(ip >> 32);
   auto r = static_cast<std::uint32_t>(ip & 0xffffffff);
   for (int round = 15; round >= 0; --round) {
@@ -163,7 +205,7 @@ std::uint64_t Des::decrypt64(std::uint64_t block) const {
     r = next_r;
   }
   const std::uint64_t preout = (static_cast<std::uint64_t>(r) << 32) | l;
-  return permute(preout, kFinalPermutation, 64);
+  return permute_bytes(preout, kTables.fp);
 }
 
 void Des::encrypt_block(std::span<const std::uint8_t> in,

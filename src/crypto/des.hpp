@@ -1,8 +1,11 @@
 // ANSI X3.92 DES and 3DES-EDE (Triple DES).
 //
-// The paper's third cipher option.  Like the AES implementation this is a
-// clear-over-clever reference implementation validated against published
-// test vectors; OFB mode only ever calls the forward transform.
+// The paper's third cipher option, validated against published test
+// vectors.  The block transform is table-driven: IP and FP are eight
+// 256-entry byte tables each, and S-box∘P is folded into eight 64-entry
+// 32-bit tables, all built at start-up from the standard's bit-numbered
+// tables.  tests/test_crypto_des.cpp keeps the bit-by-bit transform as the
+// oracle.  OFB mode only ever calls the forward transform.
 #pragma once
 
 #include <array>
@@ -39,7 +42,8 @@ class Des final : public BlockCipher {
   [[nodiscard]] std::uint64_t decrypt64(std::uint64_t block) const;
 
  private:
-  std::array<std::uint64_t, 16> subkeys_{};  // 48-bit round keys.
+  /// Round keys: each 48-bit key as eight 6-bit S-box chunks.
+  std::array<std::array<std::uint8_t, 8>, 16> subkeys_{};
 };
 
 /// 3DES in EDE mode with a 24-byte key (K1 | K2 | K3).  Supplying

@@ -130,9 +130,11 @@ LoadReport run_load(const LoadConfig& config) {
                        : static_cast<double>(summary.delivered) /
                              static_cast<double>(wire.size());
       if (config.evaluate_psnr && !it->second->packets.empty()) {
-        summary.psnr_db = core::decode_psnr(
-            workload, reassemble_wire(map, it->second->packets,
-                                      &flow.cipher(), flow.iv()));
+        summary.psnr_db =
+            core::score_stream(workload,
+                               reassemble_wire(map, it->second->packets,
+                                               &flow.cipher(), flow.iv()))
+                .psnr_db;
       }
     }
     switch (summary.client.outcome) {

@@ -50,11 +50,13 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   const int frame_count = static_cast<int>(workload.stream.frames.size());
 
   // ---- In-memory reference PSNRs over the same wire packets.
-  report.memory_receiver_psnr_db = core::decode_psnr(
-      workload, flow.frames(transfer.receiver_delivered, /*decrypt=*/true));
-  report.memory_eavesdropper_psnr_db = core::decode_psnr(
-      workload,
-      flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
+  const auto score = [&](const std::vector<video::ReceivedFrameData>& frames) {
+    return core::score_stream(workload, frames).psnr_db;
+  };
+  report.memory_receiver_psnr_db =
+      score(flow.frames(transfer.receiver_delivered, /*decrypt=*/true));
+  report.memory_eavesdropper_psnr_db =
+      score(flow.frames(transfer.eavesdropper_captured, /*decrypt=*/false));
 
   // ---- Analytic predictions (Section 4.4 distortion model).
   {
@@ -135,11 +137,10 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   (void)loop.pump();  // drain anything the flush put on the wire.
 
   const std::vector<net::ReceivedPacket> received = receiver.finish();
-  report.live_receiver_psnr_db = core::decode_psnr(
-      workload, reassemble_wire(map, received, &flow.cipher(), flow.iv(),
-                                config.shaping.hide_markers));
-  report.live_eavesdropper_psnr_db =
-      core::decode_psnr(workload, tap.reassemble(map));
+  report.live_receiver_psnr_db =
+      score(reassemble_wire(map, received, &flow.cipher(), flow.iv(),
+                            config.shaping.hide_markers));
+  report.live_eavesdropper_psnr_db = score(tap.reassemble(map));
 
   report.sender = sender.report();
   report.proxy = proxy.report();

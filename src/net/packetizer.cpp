@@ -186,10 +186,9 @@ std::vector<video::ReceivedFrameData> reassemble(
     // bytes in front of the pad trailer are video data.
     payload.resize(p.content_size());
     auto& frame = frames[static_cast<std::size_t>(p.frame_index)];
-    for (std::size_t b = 0; b < payload.size(); ++b) {
-      frame.data[p.byte_offset + b] = payload[b];
-      frame.byte_ok[p.byte_offset + b] = true;
-    }
+    const auto at = static_cast<std::ptrdiff_t>(p.byte_offset);
+    std::copy_n(payload.begin(), payload.size(), frame.data.begin() + at);
+    std::fill_n(frame.byte_ok.begin() + at, payload.size(), true);
   }
   return frames;
 }

@@ -97,8 +97,13 @@ QuantBlock decode_coefficients(ByteReader& reader) {
   if (nnz > 64) throw BitstreamError{"too many coefficients"};
   int pos = -1;
   for (std::uint64_t i = 0; i < nnz; ++i) {
-    pos += static_cast<int>(reader.get_varint()) + 1;
-    if (pos >= 64) throw BitstreamError{"coefficient position overflow"};
+    // Bound the gap before it reaches an int: a garbled varint must not
+    // wrap into a negative position.
+    const std::uint64_t gap = reader.get_varint();
+    if (gap >= static_cast<std::uint64_t>(63 - pos)) {
+      throw BitstreamError{"coefficient position overflow"};
+    }
+    pos += static_cast<int>(gap) + 1;
     const std::int64_t level = reader.get_signed();
     if (level < -32768 || level > 32767 || level == 0) {
       throw BitstreamError{"bad coefficient level"};
@@ -171,6 +176,13 @@ struct PlaneRef {
 void reconstruct_block(PlaneRef recon, int x0, int y0,
                        const Block8x8& prediction, const QuantBlock& levels,
                        double qstep, bool deadzone) {
+  // Zero levels dequantize to zeros, whose inverse DCT is exactly zero
+  // (every product is a signed zero), and p + ±0.0 == p: the block is its
+  // prediction, bit for bit, without the transform.
+  if (all_zero(levels)) {
+    write_block(*recon.plane, recon.w, recon.h, x0, y0, prediction);
+    return;
+  }
   const Block8x8 residual = inverse_dct(
       deadzone ? dequantize_deadzone(levels, qstep) : dequantize(levels, qstep));
   Block8x8 rebuilt{};
@@ -278,10 +290,10 @@ ReceivedFrameData ReceivedFrameData::intact(std::vector<std::uint8_t> bytes) {
 
 bool ReceivedFrameData::range_ok(std::size_t begin, std::size_t end) const {
   if (end > byte_ok.size()) return false;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!byte_ok[i]) return false;
-  }
-  return true;
+  if (begin >= end) return true;
+  const auto last = byte_ok.begin() + static_cast<std::ptrdiff_t>(end);
+  return std::find(byte_ok.begin() + static_cast<std::ptrdiff_t>(begin), last,
+                   false) == last;
 }
 
 Encoder::Encoder(CodecConfig config) : config_(config) {
@@ -589,11 +601,15 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
     }
     std::size_t offset = reader.position();
     for (int r = 0; r < header.mb_rows; ++r) {
+      // Checked per slice, so a garbled size cannot wrap the offset.
+      const std::size_t size = sizes[static_cast<std::size_t>(r)];
+      if (size > received.data.size() - offset) {
+        throw BitstreamError{"slice overflow"};
+      }
       header.slice_begin.push_back(offset);
-      offset += sizes[static_cast<std::size_t>(r)];
+      offset += size;
       header.slice_end.push_back(offset);
     }
-    if (offset > received.data.size()) throw BitstreamError{"slice overflow"};
     result.header_ok = true;
   } catch (const BitstreamError&) {
     result.header_ok = false;
@@ -614,6 +630,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
   const int height = header.height;
   const int mb_cols = width / 16;
   result.total_macroblocks = mb_cols * header.mb_rows;
+  result.is_i = header.is_i;
 
   // Start from the concealment baseline.
   if (reference != nullptr && reference->width() == width &&
@@ -663,11 +680,13 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
           continue;
         }
         if (mode != kModeInter) throw BitstreamError{"bad MB mode"};
-        const int dx = static_cast<int>(row.get_signed());
-        const int dy = static_cast<int>(row.get_signed());
-        if (std::abs(dx) > 64 || std::abs(dy) > 64) {
+        const std::int64_t mv_x = row.get_signed();
+        const std::int64_t mv_y = row.get_signed();
+        if (mv_x < -64 || mv_x > 64 || mv_y < -64 || mv_y > 64) {
           throw BitstreamError{"bad motion vector"};
         }
+        const int dx = static_cast<int>(mv_x);
+        const int dy = static_cast<int>(mv_y);
         const std::uint8_t cbp = row.get_u8();
         for (int b = 0; b < 4; ++b) {
           const Block8x8 pred = read_block(baseline.y_plane(), width, height,

@@ -104,6 +104,7 @@ struct DecodeResult {
   int total_macroblocks = 0;
   int decoded_macroblocks = 0;  ///< MBs decoded from bits (not concealed).
   bool header_ok = false;
+  bool is_i = false;  ///< the header says intra (valid when header_ok).
 
   [[nodiscard]] double decoded_fraction() const {
     return total_macroblocks > 0

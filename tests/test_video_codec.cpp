@@ -7,6 +7,7 @@
 
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "video/bitstream.hpp"
 #include "video/frame.hpp"
 #include "video/quality.hpp"
 #include "video/scene.hpp"
@@ -254,6 +255,75 @@ TEST(Codec, GarbageInputIsRejectedGracefully) {
   const DecodeResult result =
       decoder.decode_frame(ReceivedFrameData::intact(garbage), nullptr);
   EXPECT_FALSE(result.header_ok);
+}
+
+// A 16-pixel-wide frame of `rows` macroblock rows: header (magic 0x54,
+// type 0 = I / 1 = P, index, width, height, rows), the slice-size table
+// `sizes`, then `body`.
+std::vector<std::uint8_t> crafted_frame(std::uint8_t type, int rows,
+                                        const std::vector<std::uint64_t>& sizes,
+                                        const std::vector<std::uint8_t>& body) {
+  ByteWriter w;
+  w.put_u8(0x54);
+  w.put_u8(type);
+  w.put_u32(0);
+  w.put_u16(16);
+  w.put_u16(static_cast<std::uint16_t>(16 * rows));
+  w.put_u16(static_cast<std::uint16_t>(rows));
+  for (const std::uint64_t size : sizes) w.put_varint(size);
+  for (const std::uint8_t b : body) w.put_u8(b);
+  return w.take();
+}
+
+// One intra macroblock whose first block codes the coefficient gaps
+// `gaps` (each with level +1) and whose other five blocks are empty.
+std::vector<std::uint8_t> intra_mb(const std::vector<std::uint64_t>& gaps) {
+  ByteWriter w;
+  w.put_varint(gaps.size());
+  for (const std::uint64_t gap : gaps) {
+    w.put_varint(gap);
+    w.put_signed(1);
+  }
+  for (int b = 1; b < 6; ++b) w.put_varint(0);
+  return w.take();
+}
+
+// An inter macroblock (mode 1) with motion vector (dx, 0) and no residual.
+std::vector<std::uint8_t> inter_mb(std::int64_t dx) {
+  ByteWriter w;
+  w.put_u8(1);
+  w.put_signed(dx);
+  w.put_signed(0);
+  w.put_u8(0);
+  return w.take();
+}
+
+int decoded_mbs(std::uint8_t type, const std::vector<std::uint8_t>& slice) {
+  Frame reference(16, 16);
+  reference.fill(90, 128, 128);
+  const Decoder decoder{CodecConfig{}};
+  const DecodeResult r = decoder.decode_frame(
+      ReceivedFrameData::intact(crafted_frame(type, 1, {slice.size()}, slice)),
+      &reference);
+  EXPECT_TRUE(r.header_ok);
+  return r.decoded_macroblocks;
+}
+
+TEST(Codec, GarbledFieldsAreRejectedBeforeTheyWrap) {
+  // Well-formed controls: the last zigzag position, a 3-pixel vector.
+  EXPECT_EQ(decoded_mbs(0, intra_mb({63})), 1);
+  EXPECT_EQ(decoded_mbs(1, inter_mb(3)), 1);
+  // A coefficient gap that would wrap an int, and one past position 63.
+  EXPECT_EQ(decoded_mbs(0, intra_mb({(std::uint64_t{1} << 32) + 3})), 0);
+  EXPECT_EQ(decoded_mbs(0, intra_mb({63, 0})), 0);
+  // A motion vector that would narrow to 0.
+  EXPECT_EQ(decoded_mbs(1, inter_mb(std::int64_t{1} << 32)), 0);
+  // A slice size that would wrap the offset back inside the frame.
+  const Decoder decoder{CodecConfig{}};
+  const std::vector<std::uint8_t> frame = crafted_frame(
+      0, 2, {~std::uint64_t{0}, 5}, std::vector<std::uint8_t>(8, 0));
+  EXPECT_FALSE(
+      decoder.decode_frame(ReceivedFrameData::intact(frame), nullptr).header_ok);
 }
 
 TEST(Codec, EncodedFrameSizesShrinkWithCoarserQuantizer) {

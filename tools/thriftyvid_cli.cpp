@@ -1070,10 +1070,11 @@ int cmd_live_recv(const Flags& args) {
               received.size(), stats.datagrams, stats.duplicates,
               stats.reordered, stats.invalid);
   std::printf("receiver PSNR: %.2f dB\n",
-              core::decode_psnr(workload,
-                                live::reassemble_wire(map, received,
-                                                      &flow.cipher(),
-                                                      flow.iv())));
+              core::score_stream(workload,
+                                 live::reassemble_wire(map, received,
+                                                       &flow.cipher(),
+                                                       flow.iv()))
+                  .psnr_db);
   return 0;
 }
 
