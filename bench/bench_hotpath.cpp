@@ -1,6 +1,7 @@
 // Hot-path micro-suite: the perf trajectory of the batched cipher API,
-// the AES-NI backend, the vectorized DCT, and the end-to-end transfer
-// pipeline — the numbers behind BENCH_hotpath.json (docs/benchmarks.md).
+// the AES-NI backend, the vectorized DCT, the two layers of a workload
+// build (scene render and encode), and the end-to-end transfer pipeline —
+// the numbers behind BENCH_hotpath.json (docs/benchmarks.md).
 //
 // Unlike the figure benches this one measures *host* performance, so the
 // output is machine-specific by design: the committed BENCH_hotpath.json
@@ -37,6 +38,8 @@
 #include "util/cycle_clock.hpp"
 #include "video/dct.hpp"
 #include "util/arena.hpp"
+#include "video/codec.hpp"
+#include "video/scene.hpp"
 
 namespace {
 
@@ -239,6 +242,29 @@ int main(int argc, char** argv) {
   std::printf("\ndct: forward %.0f blocks/s, quant round-trip %.0f blocks/s\n",
               fwd_blocks_s, round_blocks_s);
 
+  // --- workload build layers ------------------------------------------
+  // What core::build_workload spends per frame on high-motion CIF, serial:
+  // the scene render and the encode (build_workload's high-motion
+  // quantizer).  The clip crosses the preset's scene cut at frame 45.
+  const int video_frames = options.quick ? 50 : 60;
+  const tv::video::SceneGenerator scene{
+      tv::video::SceneParameters::preset(tv::video::MotionLevel::kHigh),
+      options.seed};
+  tv::video::FrameSequence clip;
+  const double render_s = best_seconds(
+      [&] { clip = scene.render_clip(video_frames); }, std::max(1, reps - 2));
+  tv::video::CodecConfig codec;
+  codec.p_qstep = 24.0;
+  const tv::video::Encoder encoder{codec};
+  const double encode_s = best_seconds(
+      [&] { g_sinkd = static_cast<double>(encoder.encode(clip).total_bytes()); },
+      std::max(1, reps - 2));
+  const double render_ms = render_s * 1e3 / video_frames;
+  const double encode_ms = encode_s * 1e3 / video_frames;
+  std::printf("video: high-motion CIF, %d frames, serial: render %.2f "
+              "ms/frame, encode %.2f ms/frame\n",
+              video_frames, render_ms, encode_ms);
+
   // --- end-to-end transfer ---------------------------------------------
   const int frames = options.quick ? 60 : 120;
   const auto workload = tv::core::build_workload(
@@ -345,6 +371,10 @@ int main(int argc, char** argv) {
     out << "  \"dct\": {\"forward_blocks_per_s\": "
         << json_number(fwd_blocks_s)
         << ", \"roundtrip_blocks_per_s\": " << json_number(round_blocks_s)
+        << "},\n";
+    out << "  \"video\": {\"frames\": " << video_frames
+        << ", \"render_ms_per_frame\": " << json_number(render_ms)
+        << ", \"encode_ms_per_frame\": " << json_number(encode_ms)
         << "},\n";
     out << "  \"transfer\": {\"packets\": " << packets.size()
         << ", \"packets_per_s\": " << json_number(packets_per_s)

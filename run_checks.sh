@@ -190,6 +190,13 @@ arena = doc.get("arena", {})
 for key in ("payload_bytes", "chunks", "allocations"):
     if not isinstance(arena.get(key), int) or arena[key] <= 0:
         fail(f"arena.{key} missing or non-positive")
+video = doc.get("video", {})
+if not isinstance(video.get("frames"), int) or video["frames"] <= 0:
+    fail("video.frames missing or non-positive")
+for key in ("render_ms_per_frame", "encode_ms_per_frame"):
+    finite(video.get(key), f"video.{key}")
+    if video.get(key) is None:
+        fail(f"video.{key} must be measured, got null")
 for key in ("aes128_batch_over_block", "aes128_aesni_over_block"):
     if key not in doc.get("speedups", {}):
         fail(f"speedups.{key} missing")

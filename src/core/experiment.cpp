@@ -92,6 +92,7 @@ const LosslessDecode& Workload::lossless() const {
     // Decoder::decode_stream's loop: the first frame has no reference.
     for (std::size_t k = 0; k < n; ++k) {
       video::DecodeResult r = decoder.decode_frame(
+          stream.width, stream.height,
           video::ReceivedFrameData::intact(stream.frames[k].data),
           k == 0 ? nullptr : &out.frames.back());
       out.standalone.push_back(r.header_ok && r.is_i &&
@@ -139,7 +140,10 @@ StreamScore score_stream(const Workload& workload,
       previous_lossless = true;
       mse = lossless.mse[k];
     } else {
-      decoded = decoder.decode_frame(frames[k], previous).frame;
+      decoded = decoder
+                    .decode_frame(workload.stream.width,
+                                  workload.stream.height, frames[k], previous)
+                    .frame;
       previous = &decoded;
       previous_lossless = false;
       mse = video::luma_mse(workload.clip[k], decoded);

@@ -37,6 +37,18 @@ enum class PollBackend {
   kEpoll,  ///< epoll(7); construction throws where unsupported.
 };
 
+/// Whether a watchdog armed for `last_s + timeout_s` has come due at
+/// `now_s`.  Watchdogs compare against the recomputed deadline, never
+/// `now_s - last_s >= timeout_s`: the virtual clock jumps to exactly
+/// `last_s + timeout_s`, and in floating point `(a + b) - a` can round
+/// below `b` ((4.5180686659834715 + 5.0) - 4.5180686659834715 is
+/// 4.999999999999999), which would re-arm the watchdog at an already-past
+/// deadline and spin the loop forever at a frozen virtual time.
+[[nodiscard]] inline bool deadline_reached(double last_s, double timeout_s,
+                                           double now_s) {
+  return last_s + timeout_s <= now_s;
+}
+
 class EventLoop {
  public:
   using TimerId = std::uint64_t;

@@ -140,7 +140,8 @@ void ImpairmentProxy::arm_idle_deadline() {
   const double deadline = last_arrival_s_ + config_.idle_timeout_s;
   loop_.schedule_at(deadline, [this] {
     if (!watching_) return;
-    if (loop_.now_s() - last_arrival_s_ >= config_.idle_timeout_s) {
+    if (deadline_reached(last_arrival_s_, config_.idle_timeout_s,
+                         loop_.now_s())) {
       flush();
       watching_ = false;
       loop_.unwatch(in_socket_.fd());

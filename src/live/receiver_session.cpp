@@ -38,7 +38,8 @@ void ReceiverSession::arm_idle_deadline() {
   const double deadline = last_arrival_s_ + config_.idle_timeout_s;
   loop_.schedule_at(deadline, [this] {
     if (!watching_) return;
-    if (loop_.now_s() - last_arrival_s_ >= config_.idle_timeout_s) {
+    if (deadline_reached(last_arrival_s_, config_.idle_timeout_s,
+                         loop_.now_s())) {
       // Idle long enough: treat as end of stream and let run() wind down.
       watching_ = false;
       loop_.unwatch(socket_.fd());

@@ -198,13 +198,8 @@ void Server::arm_watchdog(std::uint32_t ssrc, Session& session) {
             s.state == SessionState::kFailed) {
           return;
         }
-        // Compare against the recomputed deadline, never `now - last_heard`:
-        // the virtual clock jumps to exactly `last_heard + idle_timeout`,
-        // and in floating point `(a + b) - a` can round below `b`, which
-        // would re-arm the watchdog at an already-past deadline and spin
-        // the loop forever at a frozen virtual time.
-        const double deadline = s.last_heard_s + config_.idle_timeout_s;
-        if (deadline <= loop_.now_s()) {
+        if (deadline_reached(s.last_heard_s, config_.idle_timeout_s,
+                             loop_.now_s())) {
           // Silent uploader: reap it so the admission token comes back.
           with_receiver(s, &net::Receiver::flush_into);
           s.state = SessionState::kFailed;

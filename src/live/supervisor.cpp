@@ -380,13 +380,8 @@ void ClientSession::on_watchdog() {
   watchdog_armed_ = false;
   if (dead_) return;
   if (queue_.empty()) return;  // re-armed by the next release.
-  // Deadline comparison, not `now - last_progress`: the virtual clock
-  // lands exactly on `last_progress + stall_timeout`, and floating-point
-  // `(a + b) - a` can round below `b` — subtracting would re-arm at an
-  // already-past deadline and livelock the loop (same hazard as the
-  // server's idle watchdog).
-  if (last_progress_s_ + config_.supervisor.stall_timeout_s <=
-      loop_.now_s()) {
+  if (deadline_reached(last_progress_s_, config_.supervisor.stall_timeout_s,
+                       loop_.now_s())) {
     trace_event("stall", static_cast<double>(queue_.size()));
     finish(SessionOutcome::kWatchdogKilled);
     return;

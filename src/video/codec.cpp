@@ -1,6 +1,7 @@
 #include "video/codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -36,6 +37,20 @@ int clampi(int v, int lo, int hi) { return v < lo ? lo : (v > hi ? hi : v); }
 Block8x8 read_block(const std::vector<std::uint8_t>& plane, int w, int h,
                     int x0, int y0) {
   Block8x8 block{};
+  if (x0 >= 0 && y0 >= 0 && x0 + 8 <= w && y0 + 8 <= h) {
+    // Interior: no clamping, so each row is one contiguous read.
+    const std::uint8_t* src = plane.data() +
+                              static_cast<std::size_t>(y0) *
+                                  static_cast<std::size_t>(w) +
+                              static_cast<std::size_t>(x0);
+    for (int r = 0; r < 8; ++r, src += w) {
+      for (int c = 0; c < 8; ++c) {
+        block[static_cast<std::size_t>(r * 8 + c)] =
+            static_cast<double>(src[c]);
+      }
+    }
+    return block;
+  }
   for (int r = 0; r < 8; ++r) {
     const int yy = clampi(y0 + r, 0, h - 1);
     for (int c = 0; c < 8; ++c) {
@@ -122,6 +137,10 @@ struct MbGeometry {
   // Chroma block origin.
   int cx;
   int cy;
+
+  // Origin of block b (0-3 luma, 4 U, 5 V) in its plane.
+  [[nodiscard]] int x(int b) const { return b < 4 ? lx[b] : cx; }
+  [[nodiscard]] int y(int b) const { return b < 4 ? ly[b] : cy; }
 };
 
 MbGeometry mb_geometry(int mb_x, int mb_y) {
@@ -137,30 +156,51 @@ MbGeometry mb_geometry(int mb_x, int mb_y) {
   return g;
 }
 
+// Block `b` of a macroblock (0-3 luma, 4 U, 5 V), displaced by (dx, dy)
+// in that block's plane.
+Block8x8 read_mb_block(const Frame& f, const MbGeometry& g, int b, int dx,
+                       int dy) {
+  if (b < 4) {
+    return read_block(f.y_plane(), f.width(), f.height(), g.x(b) + dx,
+                      g.y(b) + dy);
+  }
+  return read_block(b == 4 ? f.u_plane() : f.v_plane(), f.chroma_width(),
+                     f.chroma_height(), g.x(b) + dx, g.y(b) + dy);
+}
+
+struct MotionVector {
+  int dx = 0;
+  int dy = 0;
+  int sad = 0;  ///< sad_16x16 at (dx, dy), without the zero-vector bias.
+};
+
 // Three-step search around (0,0); returns the best full-pel vector.
-std::pair<int, int> motion_search(const Frame& cur, const Frame& ref, int bx,
-                                  int by, int range) {
-  int best_dx = 0;
-  int best_dy = 0;
-  int best = sad_16x16(cur, ref, bx, by, 0, 0) - 128;  // zero-mv bias.
+MotionVector motion_search(const Frame& cur, const Frame& ref, int bx, int by,
+                           int range) {
+  constexpr int kZeroBias = 128;
+  MotionVector best;
+  int best_cost = sad_16x16(cur, ref, bx, by, 0, 0) - kZeroBias;
   for (int step = std::max(1, range / 2); step >= 1; step /= 2) {
-    const int cx = best_dx;
-    const int cy = best_dy;
+    const int cx = best.dx;
+    const int cy = best.dy;
     for (int sy = -1; sy <= 1; ++sy) {
       for (int sx = -1; sx <= 1; ++sx) {
         if (sx == 0 && sy == 0) continue;
         const int dx = clampi(cx + sx * step, -range, range);
         const int dy = clampi(cy + sy * step, -range, range);
         const int cost = sad_16x16(cur, ref, bx, by, dx, dy);
-        if (cost < best) {
-          best = cost;
-          best_dx = dx;
-          best_dy = dy;
+        if (cost < best_cost) {
+          best_cost = cost;
+          best.dx = dx;
+          best.dy = dy;
         }
       }
     }
   }
-  return {best_dx, best_dy};
+  // A later (0,0) candidate costs its unbiased SAD, which never beats the
+  // biased start, so a (0,0) result always carries the bias.
+  best.sad = best.dx == 0 && best.dy == 0 ? best_cost + kZeroBias : best_cost;
+  return best;
 }
 
 struct PlaneRef {
@@ -168,6 +208,16 @@ struct PlaneRef {
   int w;
   int h;
 };
+
+// The plane each block of a macroblock (0-3 luma, 4 U, 5 V) is written to.
+using MbPlanes = std::array<PlaneRef, 6>;
+
+MbPlanes mb_planes(Frame& f) {
+  const PlaneRef y{&f.y_plane(), f.width(), f.height()};
+  const PlaneRef u{&f.u_plane(), f.chroma_width(), f.chroma_height()};
+  const PlaneRef v{&f.v_plane(), f.chroma_width(), f.chroma_height()};
+  return {y, y, y, y, u, v};
+}
 
 // Transform, quantize, code and reconstruct one block whose prediction is
 // `prediction`; reconstruction is written back into `recon` at (x0,y0).
@@ -194,16 +244,16 @@ void reconstruct_block(PlaneRef recon, int x0, int y0,
   write_block(*recon.plane, recon.w, recon.h, x0, y0, rebuilt);
 }
 
+// Intra levels of `source` against `prediction` (inter residuals use
+// quantize_residual_deadzone).
 QuantBlock quantize_difference(const Block8x8& source,
-                               const Block8x8& prediction, double qstep,
-                               bool deadzone) {
+                               const Block8x8& prediction, double qstep) {
   Block8x8 diff{};
   for (int i = 0; i < 64; ++i) {
     diff[static_cast<std::size_t>(i)] = source[static_cast<std::size_t>(i)] -
                                         prediction[static_cast<std::size_t>(i)];
   }
-  const Block8x8 coeffs = forward_dct(diff);
-  return deadzone ? quantize_deadzone(coeffs, qstep) : quantize(coeffs, qstep);
+  return quantize(forward_dct(diff), qstep);
 }
 
 }  // namespace
@@ -307,28 +357,15 @@ namespace {
 
 // Code one macroblock intra: flat mid-gray prediction, all six blocks.
 void code_intra_mb(ByteWriter& row, const Frame& source, const MbGeometry& g,
-                   PlaneRef ry, PlaneRef ru, PlaneRef rv, double qstep) {
-  const int width = source.width();
-  const int height = source.height();
+                   const MbPlanes& out, double qstep) {
   Block8x8 flat{};
   flat.fill(128.0);
-  for (int b = 0; b < 4; ++b) {
-    const Block8x8 src =
-        read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-    const QuantBlock q = quantize_difference(src, flat, qstep, false);
+  for (int b = 0; b < 6; ++b) {
+    const QuantBlock q =
+        quantize_difference(read_mb_block(source, g, b, 0, 0), flat, qstep);
     code_coefficients(row, q);
-    reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+    reconstruct_block(out[b], g.x(b), g.y(b), flat, q, qstep, false);
   }
-  const Block8x8 src_u =
-      read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
-  const QuantBlock qu = quantize_difference(src_u, flat, qstep, false);
-  code_coefficients(row, qu);
-  reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-  const Block8x8 src_v =
-      read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
-  const QuantBlock qv = quantize_difference(src_v, flat, qstep, false);
-  code_coefficients(row, qv);
-  reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
 }
 
 // Encode macroblock row `mb_y` of `source` as one independent slice.  It
@@ -338,13 +375,9 @@ void code_intra_mb(ByteWriter& row, const Frame& source, const MbGeometry& g,
 std::vector<std::uint8_t> encode_row(const CodecConfig& config,
                                      const Frame& source, const Frame& recon,
                                      Frame& next_recon, bool is_i, int mb_y) {
-  const int width = source.width();
-  const int height = source.height();
-  const int mb_cols = width / 16;
+  const int mb_cols = source.width() / 16;
   const double qstep = is_i ? config.i_qstep : config.p_qstep;
-  PlaneRef ry{&next_recon.y_plane(), width, height};
-  PlaneRef ru{&next_recon.u_plane(), width / 2, height / 2};
-  PlaneRef rv{&next_recon.v_plane(), width / 2, height / 2};
+  const MbPlanes out = mb_planes(next_recon);
 
   ByteWriter row;
   int pending_skips = 0;
@@ -361,128 +394,87 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
     const MbGeometry g = mb_geometry(mb_x, mb_y);
 
     if (is_i) {
-      code_intra_mb(row, source, g, ry, ru, rv, qstep);
+      code_intra_mb(row, source, g, out, qstep);
       continue;
     }
 
     // Inter MB: try the zero-motion skip first — if the zero-mv residual
     // quantizes to nothing everywhere, the MB is a skip and no search is
-    // needed (this is what makes static content cheap).
+    // needed (this is what makes static content cheap).  The test keeps
+    // the six zero-motion predictions it reads: a skip writes them as they
+    // are, since zero levels reconstruct to the prediction.
+    Block8x8 pred[6] = {};
+    bool zero_skippable = true;
+    for (int b = 0; b < 6 && zero_skippable; ++b) {
+      pred[b] = read_mb_block(recon, g, b, 0, 0);
+      zero_skippable = all_zero(quantize_residual_deadzone(
+          read_mb_block(source, g, b, 0, 0), pred[b], qstep));
+    }
     int dx = 0;
     int dy = 0;
-    {
-      bool zero_skippable = true;
-      for (int b = 0; b < 4 && zero_skippable; ++b) {
-        const Block8x8 pred =
-            read_block(recon.y_plane(), width, height, g.lx[b], g.ly[b]);
-        const Block8x8 src =
-            read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-        zero_skippable = all_zero(quantize_difference(src, pred, qstep, true));
-      }
-      if (zero_skippable) {
-        const Block8x8 pu =
-            read_block(recon.u_plane(), width / 2, height / 2, g.cx, g.cy);
-        const Block8x8 su =
-            read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
-        zero_skippable = all_zero(quantize_difference(su, pu, qstep, true));
-      }
-      if (zero_skippable) {
-        const Block8x8 pv =
-            read_block(recon.v_plane(), width / 2, height / 2, g.cx, g.cy);
-        const Block8x8 sv =
-            read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
-        zero_skippable = all_zero(quantize_difference(sv, pv, qstep, true));
-      }
-      if (!zero_skippable) {
-        const auto best = motion_search(source, recon, mb_x * 16, mb_y * 16,
-                                        kSearchRange);
-        dx = best.first;
-        dy = best.second;
-      }
+    int sad = 0;
+    if (zero_skippable) {
+      sad = sad_16x16(source, recon, mb_x * 16, mb_y * 16, 0, 0);
+    } else {
+      const MotionVector best =
+          motion_search(source, recon, mb_x * 16, mb_y * 16, kSearchRange);
+      dx = best.dx;
+      dy = best.dy;
+      sad = best.sad;
     }
 
     // Intra refresh: when even the best motion-compensated prediction is
     // poor (new content), code the MB intra like an I-frame MB.
-    if (sad_16x16(source, recon, mb_x * 16, mb_y * 16, dx, dy) >
-        kIntraRefreshSad * 256.0) {
+    if (sad > kIntraRefreshSad * 256.0) {
       flush_skips();
       row.put_u8(kModeIntra);
-      code_intra_mb(row, source, g, ry, ru, rv, qstep);
+      code_intra_mb(row, source, g, out, qstep);
       continue;
     }
 
-    Block8x8 pred_y[4];
-    QuantBlock qy[4];
-    for (int b = 0; b < 4; ++b) {
-      pred_y[b] = read_block(recon.y_plane(), width, height, g.lx[b] + dx,
-                             g.ly[b] + dy);
-      const Block8x8 src =
-          read_block(source.y_plane(), width, height, g.lx[b], g.ly[b]);
-      qy[b] = quantize_difference(src, pred_y[b], qstep, true);
-    }
-    const int cdx = dx / 2;
-    const int cdy = dy / 2;
-    const Block8x8 pred_u = read_block(recon.u_plane(), width / 2, height / 2,
-                                       g.cx + cdx, g.cy + cdy);
-    const Block8x8 src_u =
-        read_block(source.u_plane(), width / 2, height / 2, g.cx, g.cy);
-    const QuantBlock qu = quantize_difference(src_u, pred_u, qstep, true);
-    const Block8x8 pred_v = read_block(recon.v_plane(), width / 2, height / 2,
-                                       g.cx + cdx, g.cy + cdy);
-    const Block8x8 src_v =
-        read_block(source.v_plane(), width / 2, height / 2, g.cx, g.cy);
-    const QuantBlock qv = quantize_difference(src_v, pred_v, qstep, true);
-
-    const bool skippable = dx == 0 && dy == 0 && all_zero(qy[0]) &&
-                           all_zero(qy[1]) && all_zero(qy[2]) &&
-                           all_zero(qy[3]) && all_zero(qu) && all_zero(qv);
-    if (skippable) {
+    if (zero_skippable) {
       ++pending_skips;
-      for (int b = 0; b < 4; ++b) {
-        reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+      for (int b = 0; b < 6; ++b) {
+        write_block(*out[b].plane, out[b].w, out[b].h, g.x(b), g.y(b),
+                    pred[b]);
       }
-      reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-      reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
       continue;
     }
 
+    // Coded inter: some zero-motion level was nonzero, so even a (0,0)
+    // vector is not a skip.  Chroma moves by half the luma vector.
+    QuantBlock q[6] = {};
+    std::uint8_t cbp = 0;
+    for (int b = 0; b < 6; ++b) {
+      pred[b] = b < 4 ? read_mb_block(recon, g, b, dx, dy)
+                      : read_mb_block(recon, g, b, dx / 2, dy / 2);
+      q[b] = quantize_residual_deadzone(read_mb_block(source, g, b, 0, 0),
+                                        pred[b], qstep);
+      if (!all_zero(q[b])) cbp |= static_cast<std::uint8_t>(1U << b);
+    }
     flush_skips();
     row.put_u8(kModeInter);
     row.put_signed(dx);
     row.put_signed(dy);
-    std::uint8_t cbp = 0;
-    for (int b = 0; b < 4; ++b) {
-      if (!all_zero(qy[b])) cbp |= static_cast<std::uint8_t>(1U << b);
-    }
-    if (!all_zero(qu)) cbp |= 1U << 4;
-    if (!all_zero(qv)) cbp |= 1U << 5;
     row.put_u8(cbp);
-    for (int b = 0; b < 4; ++b) {
-      if (cbp & (1U << b)) code_coefficients(row, qy[b]);
-      reconstruct_block(ry, g.lx[b], g.ly[b], pred_y[b], qy[b], qstep, true);
+    for (int b = 0; b < 6; ++b) {
+      if (cbp & (1U << b)) code_coefficients(row, q[b]);
+      reconstruct_block(out[b], g.x(b), g.y(b), pred[b], q[b], qstep, true);
     }
-    if (cbp & (1U << 4)) code_coefficients(row, qu);
-    reconstruct_block(ru, g.cx, g.cy, pred_u, qu, qstep, true);
-    if (cbp & (1U << 5)) code_coefficients(row, qv);
-    reconstruct_block(rv, g.cx, g.cy, pred_v, qv, qstep, true);
   }
   flush_skips();
   return row.take();
 }
 
 // Decode one intra macroblock (code_intra_mb's inverse).
-void decode_intra_mb(ByteReader& row, const MbGeometry& g, PlaneRef ry,
-                     PlaneRef ru, PlaneRef rv, double qstep) {
+void decode_intra_mb(ByteReader& row, const MbGeometry& g, const MbPlanes& out,
+                     double qstep) {
   Block8x8 flat{};
   flat.fill(128.0);
-  for (int b = 0; b < 4; ++b) {
+  for (int b = 0; b < 6; ++b) {
     const QuantBlock q = decode_coefficients(row);
-    reconstruct_block(ry, g.lx[b], g.ly[b], flat, q, qstep, false);
+    reconstruct_block(out[b], g.x(b), g.y(b), flat, q, qstep, false);
   }
-  const QuantBlock qu = decode_coefficients(row);
-  reconstruct_block(ru, g.cx, g.cy, flat, qu, qstep, false);
-  const QuantBlock qv = decode_coefficients(row);
-  reconstruct_block(rv, g.cx, g.cy, flat, qv, qstep, false);
 }
 
 }  // namespace
@@ -557,15 +549,18 @@ EncodedStream Encoder::encode(const FrameSequence& clip,
 
 Decoder::Decoder(CodecConfig config) : config_(config) {}
 
-DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
+DecodeResult Decoder::decode_frame(int width, int height,
+                                   const ReceivedFrameData& received,
                                    const Frame* reference) const {
+  if (reference != nullptr &&
+      (reference->width() != width || reference->height() != height)) {
+    throw std::invalid_argument{"decode_frame: reference size differs"};
+  }
   DecodeResult result;
 
   // Header parse; any unreadable byte aborts the whole frame.
   struct HeaderInfo {
     bool is_i = false;
-    int width = 0;
-    int height = 0;
     int mb_rows = 0;
     std::vector<std::size_t> slice_begin;
     std::vector<std::size_t> slice_end;
@@ -582,11 +577,13 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
     if (type != kTypeI && type != kTypeP) throw BitstreamError{"bad type"};
     header.is_i = type == kTypeI;
     (void)reader.get_u32();  // frame index (informational).
-    header.width = reader.get_u16();
-    header.height = reader.get_u16();
+    const int header_width = reader.get_u16();
+    const int header_height = reader.get_u16();
     header.mb_rows = reader.get_u16();
-    if (header.width <= 0 || header.height <= 0 || header.width % 16 != 0 ||
-        header.height % 16 != 0 || header.mb_rows != header.height / 16) {
+    // Only the stream's own size is accepted, so a header cannot make the
+    // decoder allocate a frame (or read a slice table) of its choosing.
+    if (header_width != width || header_height != height ||
+        header.mb_rows != height / 16) {
       throw BitstreamError{"bad dimensions"};
     }
     std::vector<std::size_t> sizes;
@@ -620,21 +617,18 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
     if (reference != nullptr) {
       result.frame = *reference;
     } else {
-      result.frame = Frame(kCifWidth, kCifHeight);
+      result.frame = Frame(width, height);
       result.frame.fill(128, 128, 128);
     }
     return result;
   }
 
-  const int width = header.width;
-  const int height = header.height;
   const int mb_cols = width / 16;
   result.total_macroblocks = mb_cols * header.mb_rows;
   result.is_i = header.is_i;
 
   // Start from the concealment baseline.
-  if (reference != nullptr && reference->width() == width &&
-      reference->height() == height) {
+  if (reference != nullptr) {
     result.frame = *reference;
   } else {
     result.frame = Frame(width, height);
@@ -642,9 +636,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
   }
   const Frame baseline = result.frame;  // prediction source for inter MBs.
 
-  PlaneRef ry{&result.frame.y_plane(), width, height};
-  PlaneRef ru{&result.frame.u_plane(), width / 2, height / 2};
-  PlaneRef rv{&result.frame.v_plane(), width / 2, height / 2};
+  const MbPlanes out = mb_planes(result.frame);
   const double qstep = header.is_i ? config_.i_qstep : config_.p_qstep;
 
   for (int mb_y = 0; mb_y < header.mb_rows; ++mb_y) {
@@ -658,7 +650,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
       for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
         const MbGeometry g = mb_geometry(mb_x, mb_y);
         if (header.is_i) {
-          decode_intra_mb(row, g, ry, ru, rv, qstep);
+          decode_intra_mb(row, g, out, qstep);
           ++result.decoded_macroblocks;
           continue;
         }
@@ -675,7 +667,7 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
           continue;
         }
         if (mode == kModeIntra) {
-          decode_intra_mb(row, g, ry, ru, rv, qstep);
+          decode_intra_mb(row, g, out, qstep);
           ++result.decoded_macroblocks;
           continue;
         }
@@ -688,30 +680,15 @@ DecodeResult Decoder::decode_frame(const ReceivedFrameData& received,
         const int dx = static_cast<int>(mv_x);
         const int dy = static_cast<int>(mv_y);
         const std::uint8_t cbp = row.get_u8();
-        for (int b = 0; b < 4; ++b) {
-          const Block8x8 pred = read_block(baseline.y_plane(), width, height,
-                                           g.lx[b] + dx, g.ly[b] + dy);
+        // Chroma moves by half the luma vector.
+        for (int b = 0; b < 6; ++b) {
+          const Block8x8 pred = b < 4
+                                    ? read_mb_block(baseline, g, b, dx, dy)
+                                    : read_mb_block(baseline, g, b, dx / 2,
+                                                    dy / 2);
           QuantBlock q{};
           if (cbp & (1U << b)) q = decode_coefficients(row);
-          reconstruct_block(ry, g.lx[b], g.ly[b], pred, q, qstep, true);
-        }
-        const int cdx = dx / 2;
-        const int cdy = dy / 2;
-        {
-          const Block8x8 pred =
-              read_block(baseline.u_plane(), width / 2, height / 2,
-                         g.cx + cdx, g.cy + cdy);
-          QuantBlock q{};
-          if (cbp & (1U << 4)) q = decode_coefficients(row);
-          reconstruct_block(ru, g.cx, g.cy, pred, q, qstep, true);
-        }
-        {
-          const Block8x8 pred =
-              read_block(baseline.v_plane(), width / 2, height / 2,
-                         g.cx + cdx, g.cy + cdy);
-          QuantBlock q{};
-          if (cbp & (1U << 5)) q = decode_coefficients(row);
-          reconstruct_block(rv, g.cx, g.cy, pred, q, qstep, true);
+          reconstruct_block(out[b], g.x(b), g.y(b), pred, q, qstep, true);
         }
         ++result.decoded_macroblocks;
       }
@@ -732,8 +709,8 @@ FrameSequence Decoder::decode_stream(
   current.fill(128, 128, 128);
   bool have_reference = false;
   for (const auto& received : frames) {
-    const DecodeResult r =
-        decode_frame(received, have_reference ? &current : nullptr);
+    const DecodeResult r = decode_frame(width, height, received,
+                                        have_reference ? &current : nullptr);
     current = r.frame;
     have_reference = true;
     out.push_back(current);

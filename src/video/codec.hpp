@@ -117,17 +117,21 @@ class Decoder {
  public:
   explicit Decoder(CodecConfig config);
 
-  /// Decode a single frame from possibly incomplete data.  `reference` is
-  /// the previously displayed frame (nullptr only before the first frame).
-  /// Slices whose bytes are missing are concealed from the reference (or
-  /// mid-gray when there is none).
-  [[nodiscard]] DecodeResult decode_frame(const ReceivedFrameData& received,
+  /// Decode one frame of a width x height stream from possibly incomplete
+  /// data.  `reference` is the previously displayed frame (nullptr only
+  /// before the first frame) and has the stream's size (else
+  /// std::invalid_argument).  Slices whose bytes are missing are concealed
+  /// from the reference (or mid-gray when there is none).  The caller, not
+  /// the header, fixes the size: a header naming any other size is a bad
+  /// header, and the frame is concealed at the stream's size.
+  [[nodiscard]] DecodeResult decode_frame(int width, int height,
+                                          const ReceivedFrameData& received,
                                           const Frame* reference) const;
 
-  /// Decode a whole transmitted stream with loss concealment: a frame whose
-  /// header is unreadable is replaced by the previous output frame (the
-  /// paper's frame-copy concealment), and later P-frames keep decoding
-  /// against the concealed output (drift).
+  /// Decode a whole transmitted width x height stream with loss
+  /// concealment: a frame whose header is unreadable is replaced by the
+  /// previous output frame (the paper's frame-copy concealment), and later
+  /// P-frames keep decoding against the concealed output (drift).
   [[nodiscard]] FrameSequence decode_stream(
       int width, int height,
       const std::vector<ReceivedFrameData>& frames) const;

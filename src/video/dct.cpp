@@ -1,6 +1,7 @@
 #include "video/dct.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 namespace tv::video {
@@ -8,14 +9,13 @@ namespace tv::video {
 namespace {
 
 // Precomputed cosine basis: table[u][x] = c(u) * cos((2x+1) u pi / 16),
-// plus its transpose.  The transform loops below are written in
-// independent-accumulator form: the reduction index is the *outer* loop
-// and all 8 outputs accumulate in the inner loop.  Each output still sums
-// its products in exactly the same order as the classic dot-product
-// formulation — bit-identical results, pinned by the golden sweeps — but
-// the inner loop is now 8 independent contiguous lanes, which the
-// autovectorizer turns into packed-double adds/muls instead of a serial
-// reduction it is not allowed to reassociate.
+// plus its transpose.  Every pass of both transforms is one 8x8 matrix
+// product written in independent-accumulator form: the reduction index is
+// the *outer* loop and all 8 outputs accumulate in the inner loop, as
+// packed-double lanes.  Each output still sums its products in exactly the
+// same order as the classic dot-product formulation — bit-identical
+// results, pinned by the golden sweeps — without a serial reduction the
+// compiler is not allowed to reassociate.
 struct Basis {
   double table[8][8];
   double transposed[8][8];  // transposed[x][u] == table[u][x].
@@ -32,35 +32,33 @@ struct Basis {
 
 const Basis kBasis;
 
-// out[k][u] (+)= Σ_j in[k][j] * basis[j][u] for all 8 rows: the shared
-// 8x8 matrix product of both passes of both transforms.  `basis` selects
-// table (inverse direction) or transposed (forward direction); row-major
-// vs. column-major access of `in`/`out` is handled by the callers via the
-// stride arguments.
-inline void mat8_accumulate(const double* in, std::size_t in_stride,
-                            const double (&basis)[8][8], double* out,
-                            std::size_t out_stride) {
-  for (int k = 0; k < 8; ++k) {
-    double acc[8] = {};
-    const double* row = in + static_cast<std::size_t>(k) * in_stride;
-    for (int j = 0; j < 8; ++j) {
-      const double s = row[static_cast<std::size_t>(j)];
-      const double* b = basis[j];
-      for (int u = 0; u < 8; ++u) acc[u] += s * b[u];
-    }
-    double* orow = out + static_cast<std::size_t>(k) * out_stride;
-    for (int u = 0; u < 8; ++u) orow[static_cast<std::size_t>(u)] = acc[u];
-  }
+// Two doubles in one SSE2 register (a GCC/Clang vector extension).  Each
+// lane of a packed add or multiply is the scalar IEEE operation, so packed
+// and scalar forms give the same bits; written out, because the
+// autovectorizer packs the products here but leaves the sums scalar.
+typedef double Lanes2 __attribute__((vector_size(16)));
+
+inline Lanes2 load2(const double* p) {
+  Lanes2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
-// Transpose an 8x8 block (rows <-> columns), so the column passes can run
-// the same contiguous row kernel.
-inline void transpose8(const Block8x8& in, Block8x8& out) {
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      out[static_cast<std::size_t>(c * 8 + r)] =
-          in[static_cast<std::size_t>(r * 8 + c)];
+// out[k][u] = Σ_j a[k][j] * b[j][u], summed in j order: the matrix product
+// a·b of two row-major 8x8 matrices, each output row as four lane pairs.
+// A column pass (a = basis, b = block) needs no transposes: its products
+// are the same, since multiplication commutes exactly, and each output
+// still sums them in the same order.
+inline void mat8_product(const double* a, const double* b, double* out) {
+  for (int k = 0; k < 8; ++k) {
+    Lanes2 acc[4] = {};
+    const double* row = a + static_cast<std::size_t>(k) * 8;
+    for (int j = 0; j < 8; ++j) {
+      const Lanes2 s = {row[j], row[j]};
+      const double* brow = b + static_cast<std::size_t>(j) * 8;
+      for (int h = 0; h < 4; ++h) acc[h] += s * load2(brow + 2 * h);
     }
+    std::memcpy(out + static_cast<std::size_t>(k) * 8, acc, sizeof acc);
   }
 }
 
@@ -69,30 +67,21 @@ inline void transpose8(const Block8x8& in, Block8x8& out) {
 Block8x8 forward_dct(const Block8x8& spatial) {
   // Separable: rows then columns.  tmp[r][u] = Σ_x s[r][x] * B[u][x].
   Block8x8 tmp{};
-  mat8_accumulate(spatial.data(), 8, kBasis.transposed, tmp.data(), 8);
-  // out[v][c] = Σ_y tmp[y][c] * B[v][y]: transpose, row kernel, transpose
-  // back — the kernel then reads and writes contiguous lanes.
-  Block8x8 tmp_t{};
-  transpose8(tmp, tmp_t);
-  Block8x8 out_t{};
-  mat8_accumulate(tmp_t.data(), 8, kBasis.transposed, out_t.data(), 8);
+  mat8_product(spatial.data(), &kBasis.transposed[0][0], tmp.data());
+  // out[v][c] = Σ_y B[v][y] * tmp[y][c].
   Block8x8 out{};
-  transpose8(out_t, out);
+  mat8_product(&kBasis.table[0][0], tmp.data(), out.data());
   return out;
 }
 
 Block8x8 inverse_dct(const Block8x8& coefficients) {
   // Columns first (mirrors the forward transform's historical order):
-  // tmp[y][c] = Σ_v C[v][c] * B[v][y].
-  Block8x8 coeff_t{};
-  transpose8(coefficients, coeff_t);
-  Block8x8 tmp_t{};
-  mat8_accumulate(coeff_t.data(), 8, kBasis.table, tmp_t.data(), 8);
+  // tmp[y][c] = Σ_v B[v][y] * C[v][c].
   Block8x8 tmp{};
-  transpose8(tmp_t, tmp);
+  mat8_product(&kBasis.transposed[0][0], coefficients.data(), tmp.data());
   // Rows: out[r][x] = Σ_u tmp[r][u] * B[u][x].
   Block8x8 out{};
-  mat8_accumulate(tmp.data(), 8, kBasis.table, out.data(), 8);
+  mat8_product(tmp.data(), &kBasis.table[0][0], out.data());
   return out;
 }
 
@@ -125,6 +114,38 @@ QuantBlock quantize_deadzone(const Block8x8& coefficients, double qstep) {
         static_cast<std::int16_t>(c / qstep);
   }
   return out;
+}
+
+QuantBlock quantize_residual_deadzone(const Block8x8& source,
+                                      const Block8x8& prediction,
+                                      double qstep) {
+  Block8x8 diff{};
+  double lanes[8] = {};
+  for (int r = 0; r < 8; ++r) {
+    for (int c = 0; c < 8; ++c) {
+      const auto i = static_cast<std::size_t>(r * 8 + c);
+      const double d = source[i] - prediction[i];
+      diff[i] = d;
+      lanes[c] += d * d;
+    }
+  }
+  double energy = 0.0;
+  for (const double lane : lanes) energy += lane;
+  // Why a low-energy residual needs no transform.  Each d is an integer in
+  // [-255, 255], so every square and sum above is an integer below 2^53:
+  // `energy` is exactly Σd², in any summation order.  The DCT is
+  // orthonormal, so in exact arithmetic Σc² = Σd² (Parseval) and every
+  // |c| <= sqrt(energy).  forward_dct computes each c in two passes of
+  // 8-term sums of products with basis values of magnitude <= 0.5 (each
+  // within 2 ulp of the exact value); for |d| <= 255 its rounding error is
+  // below 1e-10.  So when energy < fl(limit²), with limit = qstep - 1e-6
+  // and qstep < 1e6, every computed |c| < limit·(1 + 2^-53) + 1e-10 <
+  // qstep - 1e-7, so |c / qstep| rounds below 1 and truncates to 0 in
+  // quantize_deadzone.  tests/test_video_dct.cpp checks this against the
+  // full transform at the bound.
+  const double limit = qstep - 1e-6;
+  if (limit > 0.0 && qstep < 1e6 && energy < limit * limit) return {};
+  return quantize_deadzone(forward_dct(diff), qstep);
 }
 
 Block8x8 dequantize_deadzone(const QuantBlock& levels, double qstep) {

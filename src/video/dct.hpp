@@ -32,6 +32,14 @@ using QuantBlock = std::array<std::int16_t, 64>;
 [[nodiscard]] QuantBlock quantize_deadzone(const Block8x8& coefficients,
                                            double qstep);
 
+/// The dead-zone levels of an inter residual, quantize_deadzone(
+/// forward_dct(source - prediction), qstep) bit for bit, for blocks of
+/// 8-bit samples (integers in [0, 255]).  The transform is skipped when the
+/// residual's energy proves every level is zero.
+[[nodiscard]] QuantBlock quantize_residual_deadzone(const Block8x8& source,
+                                                    const Block8x8& prediction,
+                                                    double qstep);
+
 /// Reconstruction for `quantize_deadzone` (bin centers).
 [[nodiscard]] Block8x8 dequantize_deadzone(const QuantBlock& levels,
                                            double qstep);

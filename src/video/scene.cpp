@@ -24,29 +24,58 @@ double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
 
 double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 
-// Bilinear value noise at continuous world coordinates.
-double value_noise(double x, double y, double scale, std::uint64_t seed) {
-  const double fx = x / scale;
-  const double fy = y / scale;
-  const auto ix = static_cast<std::int64_t>(std::floor(fx));
-  const auto iy = static_cast<std::int64_t>(std::floor(fy));
-  const double tx = smoothstep(fx - static_cast<double>(ix));
-  const double ty = smoothstep(fy - static_cast<double>(iy));
-  const double n00 = lattice_noise(ix, iy, seed);
-  const double n10 = lattice_noise(ix + 1, iy, seed);
-  const double n01 = lattice_noise(ix, iy + 1, seed);
-  const double n11 = lattice_noise(ix + 1, iy + 1, seed);
-  const double a = n00 + (n10 - n00) * tx;
-  const double b = n01 + (n11 - n01) * tx;
-  return a + (b - a) * ty;
-}
+// Bilinear value noise along one row of world coordinates: y is fixed, so
+// fy, iy and ty are computed once, and the four lattice hashes of a cell
+// are kept while x stays in it (and shifted across when x steps into the
+// next cell).  Every value keeps value noise's per-point expression and
+// evaluation order, so at(x) equals it bit for bit for any x; calls with
+// non-decreasing x only hash each lattice point once.
+class RowNoise {
+ public:
+  RowNoise(double y, double scale, std::uint64_t seed)
+      : scale_(scale), seed_(seed) {
+    const double fy = y / scale;
+    iy_ = static_cast<std::int64_t>(std::floor(fy));
+    ty_ = smoothstep(fy - static_cast<double>(iy_));
+  }
 
-// Two-octave fractal noise, mapped to [0, 255].
-double background_luma(double x, double y, double scale, std::uint64_t seed) {
-  const double coarse = value_noise(x, y, scale, seed);
-  const double fine = value_noise(x, y, scale / 4.0, seed ^ 0xabcdULL);
-  return 40.0 + 170.0 * (0.7 * coarse + 0.3 * fine);
-}
+  double at(double x) {
+    const double fx = x / scale_;
+    // Truncation is floor for fx >= 0, and a plain conversion instead of
+    // a libm call.
+    const auto ix = fx >= 0.0 ? static_cast<std::int64_t>(fx)
+                              : static_cast<std::int64_t>(std::floor(fx));
+    const double tx = smoothstep(fx - static_cast<double>(ix));
+    if (!cached_ || ix != ix_) {
+      if (cached_ && ix == ix_ + 1) {
+        n00_ = n10_;
+        n01_ = n11_;
+      } else {
+        n00_ = lattice_noise(ix, iy_, seed_);
+        n01_ = lattice_noise(ix, iy_ + 1, seed_);
+      }
+      n10_ = lattice_noise(ix + 1, iy_, seed_);
+      n11_ = lattice_noise(ix + 1, iy_ + 1, seed_);
+      ix_ = ix;
+      cached_ = true;
+    }
+    const double a = n00_ + (n10_ - n00_) * tx;
+    const double b = n01_ + (n11_ - n01_) * tx;
+    return a + (b - a) * ty_;
+  }
+
+ private:
+  double scale_;
+  std::uint64_t seed_;
+  std::int64_t iy_ = 0;
+  double ty_ = 0.0;
+  bool cached_ = false;
+  std::int64_t ix_ = 0;
+  double n00_ = 0.0;
+  double n10_ = 0.0;
+  double n01_ = 0.0;
+  double n11_ = 0.0;
+};
 
 std::uint8_t clamp_pixel(double v) {
   if (v < 0.0) return 0;
@@ -167,21 +196,40 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
                       cy - h * std::floor(cy / h), o.radius + 1.0});
   }
 
-  // Luma plane: background + objects + sensor noise.
+  // Luma plane: background + objects + sensor noise, one row at a time.
+  // An object more than `reach` rows away cannot touch the row; the rest
+  // keep their texture's row state, in object order.
+  struct Active {
+    const Placed* placed;
+    double dy;
+    RowNoise texture;
+  };
+  std::vector<Active> active;
+  active.reserve(placed.size());
   for (int yy = 0; yy < params_.height; ++yy) {
+    const double wy = yy + pan_y;
+    RowNoise coarse{wy, params_.texture_scale, bg_seed};
+    RowNoise fine{wy, params_.texture_scale / 4.0, bg_seed ^ 0xabcdULL};
+    active.clear();
+    for (const Placed& p : placed) {
+      const double dy = yy - p.oy;
+      // Skipping is exact: such a point has dist >= |dy| > radius.
+      if (std::abs(dy) > p.reach) continue;
+      active.push_back(
+          {&p, dy, RowNoise{dy + 100.0, 6.0, p.object->texture_seed}});
+    }
     for (int xx = 0; xx < params_.width; ++xx) {
-      double value = background_luma(xx + pan_x, yy + pan_y,
-                                     params_.texture_scale, bg_seed);
-      for (const Placed& p : placed) {
+      const double wx = xx + pan_x;
+      // Two-octave fractal noise, mapped to [0, 255].
+      double value = 40.0 + 170.0 * (0.7 * coarse.at(wx) + 0.3 * fine.at(wx));
+      for (Active& a : active) {
+        const Placed& p = *a.placed;
         const double dx = xx - p.ox;
-        const double dy = yy - p.oy;
-        // Skipping is exact: such a point has dist >= |dx| > radius.
-        if (std::abs(dx) > p.reach || std::abs(dy) > p.reach) continue;
+        if (std::abs(dx) > p.reach) continue;
         const Object& o = *p.object;
-        const double dist = std::sqrt(dx * dx + dy * dy);
+        const double dist = std::sqrt(dx * dx + a.dy * a.dy);
         if (dist < o.radius) {
-          const double tex = value_noise(dx + 100.0, dy + 100.0, 6.0,
-                                         o.texture_seed);
+          const double tex = a.texture.at(dx + 100.0);
           const double object_value = o.luma + 40.0 * (tex - 0.5);
           // Soft 3-pixel rim: sub-pixel object motion then produces small,
           // quantizable residuals instead of hard-edge spikes.
@@ -201,15 +249,15 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
 
   // Chroma planes: smooth background tint + object colors.
   for (int yy = 0; yy < frame.chroma_height(); ++yy) {
+    const double wy = 2.0 * yy;
+    RowNoise tint_b{wy + pan_y, params_.texture_scale * 3.0,
+                    bg_seed ^ 0xbeefULL};
+    RowNoise tint_r{wy + pan_y, params_.texture_scale * 3.0,
+                    bg_seed ^ 0xfeedULL};
     for (int xx = 0; xx < frame.chroma_width(); ++xx) {
       const double wx = 2.0 * xx;
-      const double wy = 2.0 * yy;
-      double cb = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
-                                             params_.texture_scale * 3.0,
-                                             bg_seed ^ 0xbeefULL);
-      double cr = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
-                                             params_.texture_scale * 3.0,
-                                             bg_seed ^ 0xfeedULL);
+      double cb = 118.0 + 24.0 * tint_b.at(wx + pan_x);
+      double cr = 118.0 + 24.0 * tint_r.at(wx + pan_x);
       for (const Placed& p : placed) {
         const double dx = wx - p.ox;
         const double dy = wy - p.oy;

@@ -8,6 +8,7 @@
 
 #include "core/advisor.hpp"
 #include "util/thread_pool.hpp"
+#include "video/bitstream.hpp"
 
 namespace tv::core {
 namespace {
@@ -225,6 +226,31 @@ TEST(Flow, ShipSendsDegradedPacketsInClearAndHidesMarkers) {
     EXPECT_EQ(rx[f].u_plane(), expected[f].u_plane()) << f;
     EXPECT_EQ(rx[f].v_plane(), expected[f].v_plane()) << f;
   }
+}
+
+TEST(ScoreStream, FrameNamingAnotherSizeIsScoredAsLost) {
+  // A readable header naming 2048x2048 is a bad header: the frame is
+  // concealed at the stream's size and scoring goes on.
+  video::ByteWriter header;
+  header.put_u8(0x54);
+  header.put_u8(0);
+  header.put_u32(0);
+  header.put_u16(2048);
+  header.put_u16(2048);
+  header.put_u16(128);
+  for (int r = 0; r < 128; ++r) header.put_varint(0);
+  const auto& w = slow_workload();
+  std::vector<video::ReceivedFrameData> frames;
+  for (const auto& f : w.stream.frames) {
+    frames.push_back(video::ReceivedFrameData::intact(f.data));
+  }
+  frames[5] = video::ReceivedFrameData::intact(header.take());
+  StreamScore score;
+  ASSERT_NO_THROW(score = score_stream(w, frames));
+  const video::FrameSequence decoded = video::Decoder{w.codec}.decode_stream(
+      w.stream.width, w.stream.height, frames);
+  EXPECT_EQ(score.psnr_db, video::sequence_psnr(w.clip, decoded));
+  EXPECT_LT(score.psnr_db, video::psnr_from_mse(w.base_mse));
 }
 
 TEST(Advisor, RecommendsCheapestConfidentialPolicy) {

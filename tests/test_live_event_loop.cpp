@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "live/receiver_session.hpp"
 #include "live/udp.hpp"
 
 namespace tv::live {
@@ -237,6 +239,40 @@ TEST(EventLoop, VirtualClockDrainsIoBeforePastDeadlineTimers) {
   loop.run();
   EXPECT_EQ(order,
             (std::vector<std::string>{"read@0.000000", "timer"}));
+}
+
+TEST(EventLoop, DeadlineReachedComparesTheRecomputedDeadline) {
+  const double last = 4.5180686659834715;
+  const double now = last + 5.0;  // where a virtual clock lands.
+  EXPECT_LT(now - last, 5.0);     // the subtraction that must not decide.
+  EXPECT_TRUE(deadline_reached(last, 5.0, now));
+  EXPECT_FALSE(deadline_reached(last, 5.0, std::nextafter(now, 0.0)));
+}
+
+// A datagram at a time whose idle deadline rounds badly: the session must
+// still end at that deadline.  A subtracting watchdog re-arms at the same
+// virtual instant forever, so ctest runs this suite under a TIMEOUT
+// (tests/CMakeLists.txt).
+TEST(ReceiverSessionIdle, EndsAtTheDeadlineOfAnAwkwardArrival) {
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  UdpSocket tx;
+  tx.bind(Endpoint{});
+  ReceiverSessionConfig config;
+  config.idle_timeout_s = 5.0;
+  ReceiverSession session{loop, rx, config};
+  session.start();
+  const double at = 4.5180686659834715;
+  const Endpoint to = rx.local_endpoint();
+  loop.schedule_at(at, [&tx, to] {
+    const std::uint8_t byte[] = {0x80};
+    ASSERT_EQ(tx.send_to(to, byte), SendOutcome::kSent);
+  });
+  loop.run();
+  EXPECT_EQ(session.last_arrival_s(), at);
+  EXPECT_EQ(loop.now_s(), at + 5.0);
+  EXPECT_TRUE(session.finish().empty());  // one byte is no RTP packet.
 }
 
 TEST(Udp, SendOutcomeToStringCoversEveryValue) {

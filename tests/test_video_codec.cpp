@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <vector>
 
@@ -155,6 +156,65 @@ double sad_double_oracle(const Frame& cur, const Frame& ref, int bx, int by,
   return acc;
 }
 
+// FNV-1a over each frame's type and bytes, then the bits of each frame's
+// reconstruction MSE.
+std::uint64_t encode_digest(const EncodedStream& stream,
+                            const std::vector<double>& recon_mse) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (const EncodedFrame& f : stream.frames) {
+    mix(f.is_i ? 1 : 0);
+    for (const std::uint8_t b : f.data) mix(b);
+  }
+  for (const double m : recon_mse) {
+    const auto bits = std::bit_cast<std::uint64_t>(m);
+    for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  return h;
+}
+
+TEST(Codec, EncodeMatchesPinnedDigests) {
+  // Digests of the encoder before it reused its zero-motion skip test and
+  // its search's SAD, over CIF presets at build_workload's quantizers.
+  // The high clip crosses the scene cut at frame 45 (intra refresh).
+  struct Pinned {
+    MotionLevel level;
+    double p_qstep;
+    int gop;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {MotionLevel::kLow, 14.0, 8, 0x94a64e0540669363ULL},
+      {MotionLevel::kLow, 14.0, 30, 0xcf1f7059610bfc8eULL},
+      {MotionLevel::kMedium, 18.0, 8, 0x9cd21f0392f48b06ULL},
+      {MotionLevel::kMedium, 18.0, 30, 0x6d16033bf0eae514ULL},
+      {MotionLevel::kHigh, 24.0, 8, 0x30474b071ea66c20ULL},
+      {MotionLevel::kHigh, 24.0, 30, 0x1dd33bbdd6b657f9ULL}};
+  util::ThreadPool pool{4};
+  for (const auto level :
+       {MotionLevel::kLow, MotionLevel::kMedium, MotionLevel::kHigh}) {
+    const FrameSequence clip =
+        SceneGenerator{SceneParameters::preset(level), 7}.render_clip(
+            level == MotionLevel::kHigh ? 48 : 32);
+    for (const Pinned& p : pinned) {
+      if (p.level != level) continue;
+      CodecConfig config;
+      config.gop_size = p.gop;
+      config.p_qstep = p.p_qstep;
+      std::vector<double> mse;
+      const EncodedStream serial = Encoder{config}.encode(clip, nullptr, &mse);
+      EXPECT_EQ(encode_digest(serial, mse), p.digest)
+          << to_string(level) << " gop " << p.gop;
+      const EncodedStream pooled = Encoder{config}.encode(clip, &pool, &mse);
+      EXPECT_EQ(encode_digest(pooled, mse), p.digest)
+          << to_string(level) << " gop " << p.gop << " on a pool";
+    }
+  }
+}
+
 TEST(Codec, SadMatchesDoubleOracleIncludingClampedEdges) {
   util::Rng rng{0xad};
   Frame cur(64, 48);
@@ -231,7 +291,7 @@ TEST(Codec, PartialFrameDecodesAvailableRows) {
     partial.byte_ok[i] = false;
   }
   const Decoder decoder{config};
-  const DecodeResult result = decoder.decode_frame(partial, nullptr);
+  const DecodeResult result = decoder.decode_frame(128, 96, partial, nullptr);
   EXPECT_TRUE(result.header_ok);
   EXPECT_GT(result.decoded_macroblocks, 0);
   EXPECT_LT(result.decoded_macroblocks, result.total_macroblocks);
@@ -244,7 +304,7 @@ TEST(Codec, HeaderLossKillsTheFrame) {
   ReceivedFrameData received = ReceivedFrameData::intact(stream.frames[0].data);
   received.byte_ok[2] = false;  // inside the fixed header.
   const Decoder decoder{config};
-  const DecodeResult result = decoder.decode_frame(received, nullptr);
+  const DecodeResult result = decoder.decode_frame(128, 96, received, nullptr);
   EXPECT_FALSE(result.header_ok);
   EXPECT_EQ(result.decoded_macroblocks, 0);
 }
@@ -253,7 +313,8 @@ TEST(Codec, GarbageInputIsRejectedGracefully) {
   std::vector<std::uint8_t> garbage(500, 0xCD);
   const Decoder decoder{CodecConfig{}};
   const DecodeResult result =
-      decoder.decode_frame(ReceivedFrameData::intact(garbage), nullptr);
+      decoder.decode_frame(kCifWidth, kCifHeight,
+                           ReceivedFrameData::intact(garbage), nullptr);
   EXPECT_FALSE(result.header_ok);
 }
 
@@ -303,6 +364,7 @@ int decoded_mbs(std::uint8_t type, const std::vector<std::uint8_t>& slice) {
   reference.fill(90, 128, 128);
   const Decoder decoder{CodecConfig{}};
   const DecodeResult r = decoder.decode_frame(
+      16, 16,
       ReceivedFrameData::intact(crafted_frame(type, 1, {slice.size()}, slice)),
       &reference);
   EXPECT_TRUE(r.header_ok);
@@ -323,7 +385,63 @@ TEST(Codec, GarbledFieldsAreRejectedBeforeTheyWrap) {
   const std::vector<std::uint8_t> frame = crafted_frame(
       0, 2, {~std::uint64_t{0}, 5}, std::vector<std::uint8_t>(8, 0));
   EXPECT_FALSE(
-      decoder.decode_frame(ReceivedFrameData::intact(frame), nullptr).header_ok);
+      decoder.decode_frame(16, 32, ReceivedFrameData::intact(frame), nullptr)
+          .header_ok);
+}
+
+// An intact-looking I-frame header naming a 2048x2048 picture (128 empty
+// slices): 140 bytes that once made the decoder allocate a 4 MB plane.
+std::vector<std::uint8_t> oversized_frame() {
+  ByteWriter w;
+  w.put_u8(0x54);
+  w.put_u8(0);
+  w.put_u32(0);
+  w.put_u16(2048);
+  w.put_u16(2048);
+  w.put_u16(128);
+  for (int r = 0; r < 128; ++r) w.put_varint(0);
+  return w.take();
+}
+
+TEST(Codec, HeaderNamingAnotherSizeIsConcealedAtTheStreamSize) {
+  const std::vector<std::uint8_t> bytes = oversized_frame();
+  ASSERT_EQ(bytes.size(), 140u);
+  const Decoder decoder{CodecConfig{}};
+  const DecodeResult gray =
+      decoder.decode_frame(128, 96, ReceivedFrameData::intact(bytes), nullptr);
+  EXPECT_FALSE(gray.header_ok);
+  EXPECT_EQ(gray.decoded_macroblocks, 0);
+  EXPECT_EQ(gray.frame.width(), 128);
+  EXPECT_EQ(gray.frame.height(), 96);
+
+  Frame reference(128, 96);
+  reference.fill(90, 100, 110);
+  const DecodeResult copy = decoder.decode_frame(
+      128, 96, ReceivedFrameData::intact(bytes), &reference);
+  EXPECT_FALSE(copy.header_ok);
+  EXPECT_EQ(copy.frame.y_plane(), reference.y_plane());
+  EXPECT_EQ(copy.frame.u_plane(), reference.u_plane());
+
+  // A reference of another size is the caller's error, not the stream's.
+  EXPECT_THROW((void)decoder.decode_frame(
+                   kCifWidth, kCifHeight, ReceivedFrameData::intact(bytes),
+                   &reference),
+               std::invalid_argument);
+
+  // In a stream, the frame is a lost frame: every output has the stream's
+  // size, and the clip still scores.
+  const auto clip = test_clip(MotionLevel::kMedium, 4, 12);
+  const EncodedStream stream = Encoder{CodecConfig{}}.encode(clip);
+  std::vector<ReceivedFrameData> received = intact_stream(stream);
+  received[2] = ReceivedFrameData::intact(bytes);
+  const FrameSequence decoded = decoder.decode_stream(128, 96, received);
+  ASSERT_EQ(decoded.size(), clip.size());
+  for (const Frame& f : decoded) {
+    EXPECT_EQ(f.width(), 128);
+    EXPECT_EQ(f.height(), 96);
+  }
+  EXPECT_EQ(decoded[2].y_plane(), decoded[1].y_plane());
+  EXPECT_GT(sequence_psnr(clip, decoded), 20.0);
 }
 
 TEST(Codec, EncodedFrameSizesShrinkWithCoarserQuantizer) {

@@ -61,7 +61,7 @@ TEST_P(CodecSweep, RoundtripStructureAndQuality) {
   Frame prev(128, 96);
   for (const auto& f : stream.frames) {
     const auto r =
-        decoder.decode_frame(ReceivedFrameData::intact(f.data), ref);
+        decoder.decode_frame(128, 96, ReceivedFrameData::intact(f.data), ref);
     EXPECT_TRUE(r.header_ok);
     EXPECT_EQ(r.decoded_macroblocks, r.total_macroblocks);
     prev = r.frame;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
+#include "proptest.hpp"
 #include "util/rng.hpp"
 
 namespace tv::video {
@@ -101,6 +103,56 @@ TEST(QuantizeDeadzone, NegativeSymmetry) {
   const Block8x8 a = dequantize_deadzone(quantize_deadzone(coeffs, qstep), qstep);
   const Block8x8 b = dequantize_deadzone(quantize_deadzone(neg, qstep), qstep);
   EXPECT_NEAR(a[3], -b[3], 1e-12);
+}
+
+TEST(QuantizeResidualDeadzone, MatchesFullTransformAtTheEnergyBound) {
+  // Residuals whose energy sits just below, at and above qstep²: a flat
+  // residual k puts all of it in the DC coefficient (c = 8k = sqrt of the
+  // energy, the tightest case of the bound), a random one spreads it.
+  const auto config = proptest::Config::from_env(0xdc7, 400);
+  int below_bound = 0;
+  proptest::check(
+      "quantize_residual_deadzone == quantize_deadzone(forward_dct)", config,
+      [&below_bound](util::Rng& rng, std::uint64_t) {
+        Block8x8 prediction{};
+        for (auto& v : prediction) {
+          v = static_cast<double>(rng.uniform_int(256));
+        }
+        const bool flat = rng.bernoulli(0.5);
+        const int amplitude = 1 + static_cast<int>(rng.uniform_int(12));
+        const int k = static_cast<int>(rng.uniform_int(
+                          2 * static_cast<std::uint64_t>(amplitude) + 1)) -
+                      amplitude;
+        Block8x8 source{};
+        double energy = 0.0;
+        for (std::size_t i = 0; i < 64; ++i) {
+          const int d =
+              flat ? k
+                   : static_cast<int>(rng.uniform_int(
+                         2 * static_cast<std::uint64_t>(amplitude) + 1)) -
+                         amplitude;
+          source[i] = std::clamp(prediction[i] + d, 0.0, 255.0);
+          const double diff = source[i] - prediction[i];
+          energy += diff * diff;
+        }
+        // qstep within a few 1e-6 of sqrt(energy), or anywhere up to 2x.
+        const double norm = std::sqrt(energy);
+        const double qstep =
+            rng.bernoulli(0.5)
+                ? std::max(0.5, norm + rng.uniform(-3e-6, 3e-6))
+                : rng.uniform(0.5, 2.0 * norm + 1.0);
+        const double limit = qstep - 1e-6;
+        if (limit > 0.0 && energy < limit * limit) ++below_bound;
+
+        Block8x8 diff{};
+        for (std::size_t i = 0; i < 64; ++i) {
+          diff[i] = source[i] - prediction[i];
+        }
+        EXPECT_EQ(quantize_residual_deadzone(source, prediction, qstep),
+                  quantize_deadzone(forward_dct(diff), qstep))
+            << "qstep " << qstep << " energy " << energy;
+      });
+  EXPECT_GT(below_bound, config.cases / 10);  // the shortcut was exercised.
 }
 
 TEST(Zigzag, IsAPermutationStartingAtDc) {

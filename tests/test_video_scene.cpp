@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "video/frame.hpp"
 #include "video/motion.hpp"
@@ -59,6 +62,198 @@ TEST(Scene, RenderClipMatchesPinnedDigests) {
     EXPECT_EQ(clip_digest(g.render_clip(30)), digest) << to_string(level);
     EXPECT_EQ(clip_digest(g.render_clip(30, &pool)), digest)
         << to_string(level) << " on a pool";
+  }
+}
+
+// The oracle: the renderer as it was before value noise was evaluated row
+// by row — every pixel hashes its own four lattice points per octave and
+// takes its cell by std::floor.  render() must match it bit for bit.
+namespace oracle {
+
+double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
+  std::uint64_t h = seed;
+  h ^= static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h ^= static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
+
+double value_noise(double x, double y, double scale, std::uint64_t seed) {
+  const double fx = x / scale;
+  const double fy = y / scale;
+  const auto ix = static_cast<std::int64_t>(std::floor(fx));
+  const auto iy = static_cast<std::int64_t>(std::floor(fy));
+  const double tx = smoothstep(fx - static_cast<double>(ix));
+  const double ty = smoothstep(fy - static_cast<double>(iy));
+  const double n00 = lattice_noise(ix, iy, seed);
+  const double n10 = lattice_noise(ix + 1, iy, seed);
+  const double n01 = lattice_noise(ix, iy + 1, seed);
+  const double n11 = lattice_noise(ix + 1, iy + 1, seed);
+  const double a = n00 + (n10 - n00) * tx;
+  const double b = n01 + (n11 - n01) * tx;
+  return a + (b - a) * ty;
+}
+
+double background_luma(double x, double y, double scale, std::uint64_t seed) {
+  const double coarse = value_noise(x, y, scale, seed);
+  const double fine = value_noise(x, y, scale / 4.0, seed ^ 0xabcdULL);
+  return 40.0 + 170.0 * (0.7 * coarse + 0.3 * fine);
+}
+
+std::uint8_t clamp_pixel(double v) {
+  if (v < 0.0) return 0;
+  if (v > 255.0) return 255;
+  return static_cast<std::uint8_t>(v + 0.5);
+}
+
+struct Object {
+  double x0, y0, vx, vy, radius;
+  std::uint8_t luma, cb, cr;
+  std::uint64_t texture_seed;
+};
+
+Frame render(const SceneParameters& params, std::uint64_t seed, int index) {
+  const std::uint64_t scene =
+      params.scene_cut_period > 0
+          ? static_cast<std::uint64_t>(index / params.scene_cut_period)
+          : 0;
+  const int frame_in_scene =
+      params.scene_cut_period > 0 ? index % params.scene_cut_period : index;
+  const std::uint64_t bg_seed = seed ^ (scene * 0x9e3779b97f4a7c15ULL);
+  const double pan_x = params.pan_speed * frame_in_scene;
+  const double pan_y = 0.37 * params.pan_speed * frame_in_scene;
+
+  util::Rng rng{seed ^ (scene * 0x2545f4914f6cdd1dULL + 0x1234ULL)};
+  std::vector<Object> objects;
+  for (int i = 0; i < params.object_count; ++i) {
+    Object o{};
+    o.x0 = rng.uniform(0.0, params.width);
+    o.y0 = rng.uniform(0.0, params.height);
+    const double angle = rng.uniform(0.0, 6.283185307);
+    const double speed = params.object_speed * rng.uniform(0.6, 1.4);
+    o.vx = speed * std::cos(angle);
+    o.vy = speed * std::sin(angle);
+    o.radius = rng.uniform(14.0, 34.0);
+    o.luma = static_cast<std::uint8_t>(rng.uniform_int(180) + 60);
+    o.cb = static_cast<std::uint8_t>(rng.uniform_int(160) + 48);
+    o.cr = static_cast<std::uint8_t>(rng.uniform_int(160) + 48);
+    o.texture_seed = rng();
+    objects.push_back(o);
+  }
+  std::vector<std::pair<double, double>> centres;
+  for (const Object& o : objects) {
+    const double cx = o.x0 + o.vx * frame_in_scene;
+    const double cy = o.y0 + o.vy * frame_in_scene;
+    const double w = params.width;
+    const double h = params.height;
+    centres.emplace_back(cx - w * std::floor(cx / w),
+                         cy - h * std::floor(cy / h));
+  }
+
+  Frame frame(params.width, params.height);
+  for (int yy = 0; yy < params.height; ++yy) {
+    for (int xx = 0; xx < params.width; ++xx) {
+      double value = background_luma(xx + pan_x, yy + pan_y,
+                                     params.texture_scale, bg_seed);
+      for (std::size_t k = 0; k < objects.size(); ++k) {
+        const Object& o = objects[k];
+        const double dx = xx - centres[k].first;
+        const double dy = yy - centres[k].second;
+        const double dist = std::sqrt(dx * dx + dy * dy);
+        if (dist < o.radius) {
+          const double tex =
+              value_noise(dx + 100.0, dy + 100.0, 6.0, o.texture_seed);
+          const double object_value = o.luma + 40.0 * (tex - 0.5);
+          const double edge = o.radius - dist;
+          const double alpha = edge >= 3.0 ? 1.0 : smoothstep(edge / 3.0);
+          value = value + alpha * (object_value - value);
+        }
+      }
+      const double grain =
+          params.noise_amplitude *
+          (lattice_noise(xx + 7919 * index, yy, bg_seed ^ 0x5a5aULL) - 0.5);
+      frame.y(xx, yy) = clamp_pixel(value + grain);
+    }
+  }
+  for (int yy = 0; yy < frame.chroma_height(); ++yy) {
+    for (int xx = 0; xx < frame.chroma_width(); ++xx) {
+      const double wx = 2.0 * xx;
+      const double wy = 2.0 * yy;
+      double cb = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
+                                             params.texture_scale * 3.0,
+                                             bg_seed ^ 0xbeefULL);
+      double cr = 118.0 + 24.0 * value_noise(wx + pan_x, wy + pan_y,
+                                             params.texture_scale * 3.0,
+                                             bg_seed ^ 0xfeedULL);
+      for (std::size_t k = 0; k < objects.size(); ++k) {
+        const Object& o = objects[k];
+        const double dx = wx - centres[k].first;
+        const double dy = wy - centres[k].second;
+        if (dx * dx + dy * dy < o.radius * o.radius) {
+          cb = o.cb;
+          cr = o.cr;
+        }
+      }
+      frame.u(xx, yy) = clamp_pixel(cb);
+      frame.v(xx, yy) = clamp_pixel(cr);
+    }
+  }
+  return frame;
+}
+
+}  // namespace oracle
+
+void expect_matches_oracle(const SceneParameters& params, std::uint64_t seed,
+                           int index) {
+  const Frame expected = oracle::render(params, seed, index);
+  const Frame got = SceneGenerator{params, seed}.render(index);
+  EXPECT_EQ(got.y_plane(), expected.y_plane()) << "seed " << seed << " frame "
+                                               << index;
+  EXPECT_EQ(got.u_plane(), expected.u_plane()) << "seed " << seed << " frame "
+                                               << index;
+  EXPECT_EQ(got.v_plane(), expected.v_plane()) << "seed " << seed << " frame "
+                                               << index;
+}
+
+TEST(Scene, PresetsMatchPerPixelOracle) {
+  for (const auto level :
+       {MotionLevel::kLow, MotionLevel::kMedium, MotionLevel::kHigh}) {
+    const SceneParameters p = SceneParameters::preset(level);
+    for (const std::uint64_t seed : {1ULL, 7ULL, 2013ULL, ~0ULL}) {
+      for (const int index : {0, 13}) {
+        SCOPED_TRACE(to_string(level));
+        expect_matches_oracle(p, seed, index);
+      }
+    }
+  }
+  // Around the high preset's scene cut at frame 45.
+  for (const int index : {44, 45, 46}) {
+    expect_matches_oracle(SceneParameters::preset(MotionLevel::kHigh), 3,
+                          index);
+  }
+}
+
+TEST(Scene, CustomParametersMatchPerPixelOracle) {
+  const SceneParameters base = SceneParameters::preset(MotionLevel::kMedium);
+  SceneParameters negative_pan = base;  // world x < 0: the floor branch.
+  negative_pan.pan_speed = -2.5;
+  SceneParameters odd_scale = base;
+  odd_scale.texture_scale = 17.3;
+  SceneParameters empty = base;
+  empty.object_count = 0;
+  SceneParameters crowded = base;
+  crowded.object_count = 9;
+  SceneParameters small = base;
+  small.width = 96;
+  small.height = 64;
+  small.object_speed = 7.0;
+  for (const SceneParameters& p :
+       {negative_pan, odd_scale, empty, crowded, small}) {
+    for (const int index : {0, 9, 31}) expect_matches_oracle(p, 5, index);
   }
 }
 
