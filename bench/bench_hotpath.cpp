@@ -1,7 +1,8 @@
 // Hot-path micro-suite: the perf trajectory of the batched cipher API,
 // the AES-NI backend, the vectorized DCT, the two layers of a workload
-// build (scene render and encode), and the end-to-end transfer pipeline —
-// the numbers behind BENCH_hotpath.json (docs/benchmarks.md).
+// build (scene render and encode), the decode an eavesdropper runs, and
+// the end-to-end transfer pipeline — the numbers behind BENCH_hotpath.json
+// (docs/benchmarks.md).
 //
 // Unlike the figure benches this one measures *host* performance, so the
 // output is machine-specific by design: the committed BENCH_hotpath.json
@@ -256,14 +257,37 @@ int main(int argc, char** argv) {
   tv::video::CodecConfig codec;
   codec.p_qstep = 24.0;
   const tv::video::Encoder encoder{codec};
+  tv::video::EncodedStream stream;
   const double encode_s = best_seconds(
-      [&] { g_sinkd = static_cast<double>(encoder.encode(clip).total_bytes()); },
+      [&] {
+        stream = encoder.encode(clip);
+        g_sinkd = static_cast<double>(stream.total_bytes());
+      },
+      std::max(1, reps - 2));
+  // The decode an eavesdropper runs under policy I: the stream with its
+  // I-frames erased, so every P-frame predicts from a concealed reference.
+  std::vector<tv::video::ReceivedFrameData> no_i_frames;
+  for (const auto& f : stream.frames) {
+    no_i_frames.push_back(
+        f.is_i ? tv::video::ReceivedFrameData::lost(f.data.size())
+               : tv::video::ReceivedFrameData::intact(f.data));
+  }
+  const tv::video::Decoder decoder{codec};
+  const double decode_s = best_seconds(
+      [&] {
+        g_sinkd = static_cast<double>(
+            decoder.decode_stream(stream.width, stream.height, no_i_frames)
+                .back()
+                .y(0, 0));
+      },
       std::max(1, reps - 2));
   const double render_ms = render_s * 1e3 / video_frames;
   const double encode_ms = encode_s * 1e3 / video_frames;
+  const double decode_ms = decode_s * 1e3 / video_frames;
   std::printf("video: high-motion CIF, %d frames, serial: render %.2f "
-              "ms/frame, encode %.2f ms/frame\n",
-              video_frames, render_ms, encode_ms);
+              "ms/frame, encode %.2f ms/frame, decode without I-frames "
+              "%.2f ms/frame\n",
+              video_frames, render_ms, encode_ms, decode_ms);
 
   // --- end-to-end transfer ---------------------------------------------
   const int frames = options.quick ? 60 : 120;
@@ -375,6 +399,7 @@ int main(int argc, char** argv) {
     out << "  \"video\": {\"frames\": " << video_frames
         << ", \"render_ms_per_frame\": " << json_number(render_ms)
         << ", \"encode_ms_per_frame\": " << json_number(encode_ms)
+        << ", \"decode_ms_per_frame\": " << json_number(decode_ms)
         << "},\n";
     out << "  \"transfer\": {\"packets\": " << packets.size()
         << ", \"packets_per_s\": " << json_number(packets_per_s)

@@ -64,13 +64,29 @@ void Flow::ship(const TransferResult& transfer) {
     p.payload.set_marker(false);
   }
   if (hide_markers_) net::hide_wire_markers(packets_);
+  decrypted_ = std::make_unique<DecryptedImage>();
+}
+
+const std::vector<net::VideoPacket>& Flow::decrypted() const {
+  std::call_once(decrypted_->built, [this] {
+    // One arena chunk the size of the ciphertext holds the whole image.
+    std::size_t bytes = 0;
+    for (const net::VideoPacket& p : packets_) {
+      if (p.encrypted) bytes += p.payload.wire().size();
+    }
+    decrypted_->arena = util::Arena{bytes};
+    decrypted_->packets =
+        net::decrypt_packets(packets_, *cipher_, iv_, decrypted_->arena);
+  });
+  return decrypted_->packets;
 }
 
 std::vector<video::ReceivedFrameData> Flow::frames(
     const std::vector<bool>& delivered, bool decrypt) const {
-  return net::reassemble(packets_, delivered,
+  // The decrypted image holds no encrypted packet, so it needs no cipher.
+  return net::reassemble(decrypt ? decrypted() : packets_, delivered,
                          static_cast<int>(workload_.stream.frames.size()),
-                         decrypt ? cipher_.get() : nullptr, iv_);
+                         nullptr, {});
 }
 
 video::FrameSequence Flow::decode(const std::vector<bool>& delivered,

@@ -142,12 +142,16 @@ class Flow {
   /// Make the wire image what `transfer` sent: packets it degraded under
   /// queue pressure go out in clear (plaintext restored, pad trailer
   /// re-written, marker cleared).  With `shaping.hide_markers` every wire
-  /// marker is cleared; the `encrypted` metadata keeps the truth.
+  /// marker is cleared; the `encrypted` metadata keeps the truth.  Drops
+  /// the receiver's decrypted image of the old wire.
   void ship(const TransferResult& transfer);
 
   /// The frame data a listener that heard `delivered` rebuilds.  The
   /// receiver decrypts; to the eavesdropper (`decrypt` false) encrypted
-  /// payloads are erasures.
+  /// payloads are erasures.  The receiver reassembles from a decrypted
+  /// image of the wire packets (net::decrypt_packets under the flow's key
+  /// and IV), built on its first call and kept until ship(), so a flow
+  /// scored over many repetitions runs its cipher over each packet once.
   [[nodiscard]] std::vector<video::ReceivedFrameData> frames(
       const std::vector<bool>& delivered, bool decrypt) const;
   /// frames() through the workload's decoder, every frame kept (for
@@ -156,12 +160,25 @@ class Flow {
                                             bool decrypt) const;
 
  private:
+  /// The wire packets with every encrypted payload decrypted, built on the
+  /// first call (safe from any number of threads at once).
+  [[nodiscard]] const std::vector<net::VideoPacket>& decrypted() const;
+
   const Workload& workload_;
   bool hide_markers_;
   util::Arena arena_;
   std::vector<net::VideoPacket> packets_;
   std::unique_ptr<crypto::BlockCipher> cipher_;
   std::vector<std::uint8_t> iv_;
+
+  /// decrypted()'s lazy state; ship() replaces it.
+  struct DecryptedImage {
+    std::once_flag built;
+    util::Arena arena;  ///< owns the decrypted payloads.
+    std::vector<net::VideoPacket> packets;
+  };
+  std::unique_ptr<DecryptedImage> decrypted_ =
+      std::make_unique<DecryptedImage>();
 };
 
 /// What a single experiment should measure.

@@ -10,6 +10,34 @@
 
 namespace tv::net {
 
+namespace {
+
+// A flow's per-segment OFB keystream (Section 5): each payload is XORed
+// with the stream re-seeded from the IV its sequence number derives, so
+// applying it again restores the bytes.  One stream object serves a whole
+// pass without reallocating its buffers per packet.
+class SegmentKeystream {
+ public:
+  SegmentKeystream(const crypto::BlockCipher& cipher,
+                   std::span<const std::uint8_t> flow_iv)
+      : cipher_(cipher), flow_iv_(flow_iv), stream_(cipher) {}
+
+  void apply(std::uint16_t sequence, std::span<std::uint8_t> bytes) {
+    const std::span<std::uint8_t> iv{iv_.data(), cipher_.block_size()};
+    crypto::segment_iv(cipher_, flow_iv_, sequence, iv);
+    stream_.reset(iv);
+    stream_.apply(bytes);
+  }
+
+ private:
+  const crypto::BlockCipher& cipher_;
+  std::span<const std::uint8_t> flow_iv_;
+  crypto::OfbStream stream_;
+  std::array<std::uint8_t, 16> iv_{};
+};
+
+}  // namespace
+
 void VideoPacket::allocate_payload(util::Arena& arena,
                                    std::span<const std::uint8_t> bytes) {
   payload = PacketBuf::allocate(arena, header(), bytes.size());
@@ -108,21 +136,33 @@ void encrypt_selected(std::vector<VideoPacket>& packets,
   if (selected.size() != packets.size()) {
     throw std::invalid_argument{"encrypt_selected: selection size mismatch"};
   }
-  // One stream object for the whole pass: each segment re-seeds it with
-  // its derived IV (OFB is per-segment by design, Section 5) without
-  // reallocating the feedback/keystream buffers per packet.
-  crypto::OfbStream stream{cipher};
-  std::array<std::uint8_t, 16> iv{};
-  const std::span<std::uint8_t> iv_span{iv.data(), cipher.block_size()};
+  SegmentKeystream keystream{cipher, flow_iv};
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (!selected[i]) continue;
     VideoPacket& p = packets[i];
-    crypto::segment_iv(cipher, flow_iv, p.sequence, iv_span);
-    stream.reset(iv_span);
-    stream.apply(p.payload);
+    keystream.apply(p.sequence, p.payload);
     p.encrypted = true;
     p.payload.set_marker(true);
   }
+}
+
+std::vector<VideoPacket> decrypt_packets(std::span<const VideoPacket> packets,
+                                         const crypto::BlockCipher& cipher,
+                                         std::span<const std::uint8_t> flow_iv,
+                                         util::Arena& arena) {
+  SegmentKeystream keystream{cipher, flow_iv};
+  std::vector<VideoPacket> clear(packets.begin(), packets.end());
+  for (VideoPacket& p : clear) {
+    if (!p.encrypted) continue;
+    const util::ByteView wire = p.payload.wire();
+    std::uint8_t* bytes = arena.allocate(wire.size(), /*align=*/1);
+    std::memcpy(bytes, wire.data(), wire.size());
+    p.payload = PacketBuf::from_wire({bytes, wire.size()});
+    keystream.apply(p.sequence, p.payload);
+    p.encrypted = false;
+    p.payload.set_marker(false);
+  }
+  return clear;
 }
 
 void hide_wire_markers(std::vector<VideoPacket>& packets) {
@@ -167,28 +207,23 @@ std::vector<video::ReceivedFrameData> reassemble(
     frames.push_back(video::ReceivedFrameData::lost(
         frame_sizes[static_cast<std::size_t>(i)]));
   }
-  std::optional<crypto::OfbStream> stream;
-  std::array<std::uint8_t, 16> iv{};
-  if (cipher != nullptr) stream.emplace(*cipher);
-  std::vector<std::uint8_t> payload;
+  std::optional<SegmentKeystream> keystream;
+  if (cipher != nullptr) keystream.emplace(*cipher, flow_iv);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     if (!delivered[i]) continue;
     const VideoPacket& p = packets[i];
     if (p.encrypted && cipher == nullptr) continue;  // erasure for snooper.
-    payload.assign(p.payload.begin(), p.payload.end());
-    if (p.encrypted) {
-      const std::span<std::uint8_t> iv_span{iv.data(), cipher->block_size()};
-      crypto::segment_iv(*cipher, flow_iv, p.sequence, iv_span);
-      stream->reset(iv_span);
-      stream->apply(payload);
-    }
-    // Keystreams cover the whole (padded) payload; only the content
-    // bytes in front of the pad trailer are video data.
-    payload.resize(p.content_size());
+    // Only the content bytes in front of the pad trailer are video data.
+    // An OFB keystream byte depends only on its position in the segment,
+    // so decrypting the content alone yields the same bytes.
+    const std::size_t size = p.content_size();
     auto& frame = frames[static_cast<std::size_t>(p.frame_index)];
+    const std::span<std::uint8_t> content{frame.data.data() + p.byte_offset,
+                                          size};
+    std::copy_n(p.payload.begin(), size, content.begin());
+    if (p.encrypted) keystream->apply(p.sequence, content);
     const auto at = static_cast<std::ptrdiff_t>(p.byte_offset);
-    std::copy_n(payload.begin(), payload.size(), frame.data.begin() + at);
-    std::fill_n(frame.byte_ok.begin() + at, payload.size(), true);
+    std::fill_n(frame.byte_ok.begin() + at, size, true);
   }
   return frames;
 }

@@ -111,6 +111,16 @@ void encrypt_selected(std::vector<VideoPacket>& packets,
                       const crypto::BlockCipher& cipher,
                       std::span<const std::uint8_t> flow_iv);
 
+/// The legitimate receiver's view of `packets`: each encrypted payload is
+/// copied into `arena` and decrypted there with the keystream
+/// encrypt_selected applied, then marked clear (metadata and wire marker).
+/// Clear packets keep viewing their own wire bytes.  So
+/// reassemble(image, delivered, n, nullptr, {}) equals
+/// reassemble(packets, delivered, n, &cipher, flow_iv) for every mask.
+[[nodiscard]] std::vector<VideoPacket> decrypt_packets(
+    std::span<const VideoPacket> packets, const crypto::BlockCipher& cipher,
+    std::span<const std::uint8_t> flow_iv, util::Arena& arena);
+
 /// Marker-hiding countermeasure: clear the wire marker bit on every
 /// packet while leaving the `encrypted` metadata intact.  The legitimate
 /// receiver learns the encryption flags out-of-band from the StreamMap

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/thread_pool.hpp"
@@ -219,6 +220,40 @@ MbPlanes mb_planes(Frame& f) {
   return {y, y, y, y, u, v};
 }
 
+// The plane block `b` of a macroblock (0-3 luma, 4 U, 5 V) lies in.
+const std::vector<std::uint8_t>& mb_plane(const Frame& f, int b) {
+  return b < 4 ? f.y_plane() : (b == 4 ? f.u_plane() : f.v_plane());
+}
+
+// Write a block whose levels are all zero: a byte copy of its prediction,
+// the block at (x0 + dx, y0 + dy) of `source` (a plane of the same size as
+// `recon`'s), read with read_block's clamping.  It equals reconstruct_block
+// bit for bit: a byte converts to a double exactly, the zero residual adds
+// nothing, and write_block rounds such an integer back to itself.
+void copy_block(PlaneRef recon, const std::vector<std::uint8_t>& source,
+                int x0, int y0, int dx, int dy) {
+  const auto w = static_cast<std::size_t>(recon.w);
+  std::uint8_t* dst = recon.plane->data() + static_cast<std::size_t>(y0) * w +
+                      static_cast<std::size_t>(x0);
+  const int sx = x0 + dx;
+  const int sy = y0 + dy;
+  if (sx >= 0 && sy >= 0 && sx + 8 <= recon.w && sy + 8 <= recon.h) {
+    const std::uint8_t* src = source.data() +
+                              static_cast<std::size_t>(sy) * w +
+                              static_cast<std::size_t>(sx);
+    for (int r = 0; r < 8; ++r, src += w, dst += w) std::memcpy(dst, src, 8);
+    return;
+  }
+  for (int r = 0; r < 8; ++r, dst += w) {
+    const std::uint8_t* src =
+        source.data() +
+        static_cast<std::size_t>(clampi(sy + r, 0, recon.h - 1)) * w;
+    for (int c = 0; c < 8; ++c) {
+      dst[c] = src[clampi(sx + c, 0, recon.w - 1)];
+    }
+  }
+}
+
 // Transform, quantize, code and reconstruct one block whose prediction is
 // `prediction`; reconstruction is written back into `recon` at (x0,y0).
 // Returns the quantized block (for CBP decisions the caller quantizes
@@ -400,9 +435,8 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
 
     // Inter MB: try the zero-motion skip first — if the zero-mv residual
     // quantizes to nothing everywhere, the MB is a skip and no search is
-    // needed (this is what makes static content cheap).  The test keeps
-    // the six zero-motion predictions it reads: a skip writes them as they
-    // are, since zero levels reconstruct to the prediction.
+    // needed (this is what makes static content cheap).  A skip copies
+    // its zero-motion prediction, since zero levels reconstruct to it.
     Block8x8 pred[6] = {};
     bool zero_skippable = true;
     for (int b = 0; b < 6 && zero_skippable; ++b) {
@@ -435,8 +469,7 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
     if (zero_skippable) {
       ++pending_skips;
       for (int b = 0; b < 6; ++b) {
-        write_block(*out[b].plane, out[b].w, out[b].h, g.x(b), g.y(b),
-                    pred[b]);
+        copy_block(out[b], mb_plane(recon, b), g.x(b), g.y(b), 0, 0);
       }
       continue;
     }
@@ -458,8 +491,13 @@ std::vector<std::uint8_t> encode_row(const CodecConfig& config,
     row.put_signed(dy);
     row.put_u8(cbp);
     for (int b = 0; b < 6; ++b) {
-      if (cbp & (1U << b)) code_coefficients(row, q[b]);
-      reconstruct_block(out[b], g.x(b), g.y(b), pred[b], q[b], qstep, true);
+      if (cbp & (1U << b)) {
+        code_coefficients(row, q[b]);
+        reconstruct_block(out[b], g.x(b), g.y(b), pred[b], q[b], qstep, true);
+      } else {
+        copy_block(out[b], mb_plane(recon, b), g.x(b), g.y(b),
+                   b < 4 ? dx : dx / 2, b < 4 ? dy : dy / 2);
+      }
     }
   }
   flush_skips();
@@ -612,29 +650,26 @@ DecodeResult Decoder::decode_frame(int width, int height,
     result.header_ok = false;
   }
 
-  if (!result.header_ok) {
-    // Whole-frame concealment: repeat the reference, or emit gray.
-    if (reference != nullptr) {
-      result.frame = *reference;
-    } else {
-      result.frame = Frame(width, height);
-      result.frame.fill(128, 128, 128);
-    }
-    return result;
-  }
-
-  const int mb_cols = width / 16;
-  result.total_macroblocks = mb_cols * header.mb_rows;
-  result.is_i = header.is_i;
-
-  // Start from the concealment baseline.
+  // Concealment baseline: repeat the reference, or emit gray.  A bad
+  // header conceals the whole frame; otherwise every macroblock that does
+  // not decode keeps it.
   if (reference != nullptr) {
     result.frame = *reference;
   } else {
     result.frame = Frame(width, height);
     result.frame.fill(128, 128, 128);
   }
-  const Frame baseline = result.frame;  // prediction source for inter MBs.
+  if (!result.header_ok) return result;
+
+  const int mb_cols = width / 16;
+  result.total_macroblocks = mb_cols * header.mb_rows;
+  result.is_i = header.is_i;
+
+  // Inter macroblocks predict from the reference, or without one from a
+  // gray frame like the baseline.
+  Frame gray;
+  if (reference == nullptr && !header.is_i) gray = result.frame;
+  const Frame& prediction = reference != nullptr ? *reference : gray;
 
   const MbPlanes out = mb_planes(result.frame);
   const double qstep = header.is_i ? config_.i_qstep : config_.p_qstep;
@@ -658,7 +693,7 @@ DecodeResult Decoder::decode_frame(int width, int height,
         if (skip_remaining > 0) {
           --skip_remaining;
           ++result.decoded_macroblocks;
-          continue;  // baseline already holds the reference copy.
+          continue;  // the baseline already holds the prediction.
         }
         const std::uint8_t mode = row.get_u8();
         if (mode == kModeSkipRun) {
@@ -680,15 +715,21 @@ DecodeResult Decoder::decode_frame(int width, int height,
         const int dx = static_cast<int>(mv_x);
         const int dy = static_cast<int>(mv_y);
         const std::uint8_t cbp = row.get_u8();
-        // Chroma moves by half the luma vector.
         for (int b = 0; b < 6; ++b) {
-          const Block8x8 pred = b < 4
-                                    ? read_mb_block(baseline, g, b, dx, dy)
-                                    : read_mb_block(baseline, g, b, dx / 2,
-                                                    dy / 2);
+          // Chroma moves by half the luma vector.
+          const int bdx = b < 4 ? dx : dx / 2;
+          const int bdy = b < 4 ? dy : dy / 2;
           QuantBlock q{};
           if (cbp & (1U << b)) q = decode_coefficients(row);
-          reconstruct_block(out[b], g.x(b), g.y(b), pred, q, qstep, true);
+          if (!all_zero(q)) {
+            reconstruct_block(out[b], g.x(b), g.y(b),
+                              read_mb_block(prediction, g, b, bdx, bdy), q,
+                              qstep, true);
+          } else if (bdx != 0 || bdy != 0) {
+            copy_block(out[b], mb_plane(prediction, b), g.x(b), g.y(b), bdx,
+                       bdy);
+          }
+          // A zero-level block at zero displacement is the baseline's.
         }
         ++result.decoded_macroblocks;
       }

@@ -7,6 +7,8 @@
 #include <algorithm>
 
 #include "core/advisor.hpp"
+#include "crypto/suite.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "video/bitstream.hpp"
 
@@ -225,6 +227,62 @@ TEST(Flow, ShipSendsDegradedPacketsInClearAndHidesMarkers) {
     EXPECT_EQ(rx[f].y_plane(), expected[f].y_plane()) << f;
     EXPECT_EQ(rx[f].u_plane(), expected[f].u_plane()) << f;
     EXPECT_EQ(rx[f].v_plane(), expected[f].v_plane()) << f;
+  }
+}
+
+TEST(Flow, DecryptedFramesMatchPerPacketDecrypt) {
+  // The receiver reassembles from the flow's decrypted image.  It must
+  // equal a per-packet decrypt of the same wire for every cipher and mask,
+  // while a pool's threads build and read the image at once, and again
+  // after ship() rewrites the wire.
+  const auto& w = slow_workload();
+  const int n = static_cast<int>(w.stream.frames.size());
+  util::ThreadPool pool{4};
+  util::Rng rng{0xf10};
+  for (const auto algorithm :
+       {crypto::Algorithm::kAes128, crypto::Algorithm::kAes256,
+        crypto::Algorithm::kTripleDes}) {
+    for (const char* shaping : {"none", "pad256"}) {
+      const policy::EncryptionPolicy pol{policy::Mode::kIPlusFractionP,
+                                         algorithm, 0.5};
+      Flow flow{w, pol, 21, policy::shaping_from_string(shaping)};
+      const std::size_t packets = flow.packets().size();
+      const auto random_mask = [&rng, packets](double p) {
+        std::vector<bool> mask(packets);
+        for (std::size_t i = 0; i < packets; ++i) mask[i] = rng.bernoulli(p);
+        return mask;
+      };
+      std::vector<std::vector<bool>> masks;
+      masks.emplace_back(packets, true);
+      masks.emplace_back(packets, false);
+      for (const double p : {0.3, 0.7, 0.9, 0.95}) {
+        masks.push_back(random_mask(p));
+      }
+      for (const bool shipped : {false, true}) {
+        if (shipped) {
+          TransferResult transfer;
+          transfer.degraded_cleartext = random_mask(0.2);
+          flow.ship(transfer);
+        }
+        std::vector<int> equal(masks.size(), 0);
+        util::parallel_for(&pool, masks.size(), [&](std::size_t m) {
+          const auto image = flow.frames(masks[m], /*decrypt=*/true);
+          const auto per_packet = net::reassemble(
+              flow.packets(), masks[m], n, &flow.cipher(), flow.iv());
+          bool same = image.size() == per_packet.size();
+          for (std::size_t k = 0; same && k < image.size(); ++k) {
+            same = image[k].data == per_packet[k].data &&
+                   image[k].byte_ok == per_packet[k].byte_ok;
+          }
+          equal[m] = same ? 1 : 0;
+        });
+        for (std::size_t m = 0; m < masks.size(); ++m) {
+          EXPECT_EQ(equal[m], 1)
+              << crypto::to_string(algorithm) << " " << shaping << " mask "
+              << m << (shipped ? " after ship" : "");
+        }
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <vector>
@@ -211,6 +212,157 @@ TEST(Codec, EncodeMatchesPinnedDigests) {
       const EncodedStream pooled = Encoder{config}.encode(clip, &pool, &mse);
       EXPECT_EQ(encode_digest(pooled, mse), p.digest)
           << to_string(level) << " gop " << p.gop << " on a pool";
+    }
+  }
+}
+
+// FNV-1a over the three planes of each frame.
+std::uint64_t frames_digest(const FrameSequence& frames) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Frame& f : frames) {
+    for (const auto* plane : {&f.y_plane(), &f.u_plane(), &f.v_plane()}) {
+      for (const std::uint8_t b : *plane) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// What a listener may hand the decoder, one way per row of the pinned
+// decode digests below.
+enum class Damage {
+  kIntact,         ///< every byte as sent.
+  kIFramesErased,  ///< policy I to the eavesdropper: I-frames unreadable.
+  kByteErasures,   ///< random runs of unreadable bytes in half the frames.
+  kWrongKey,       ///< every third frame readable but garbled whole.
+  kGarbledSlices,  ///< headers intact, slice bytes garbled: slices throw.
+  kNoReference,    ///< each frame alone, decoded without a reference.
+  kOtherReference  ///< each frame against the previous *source* frame.
+};
+constexpr int kDamageKinds = 7;
+
+std::vector<ReceivedFrameData> damaged(const EncodedStream& stream,
+                                       Damage damage, util::Rng& rng) {
+  std::vector<ReceivedFrameData> out = intact_stream(stream);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    ReceivedFrameData& r = out[k];
+    const std::size_t size = r.data.size();
+    switch (damage) {
+      case Damage::kIFramesErased:
+        if (stream.frames[k].is_i) r = ReceivedFrameData::lost(size);
+        break;
+      case Damage::kByteErasures:
+        if (!rng.bernoulli(0.5)) break;
+        for (int run = 1 + static_cast<int>(rng.uniform_int(3)); run > 0;
+             --run) {
+          const std::size_t at = rng.uniform_int(size);
+          const std::size_t end = std::min(size, at + 1 + rng.uniform_int(200));
+          for (std::size_t i = at; i < end; ++i) {
+            r.data[i] = 0;
+            r.byte_ok[i] = false;
+          }
+        }
+        break;
+      case Damage::kWrongKey:
+        if (k % 3 != 1) break;
+        for (std::uint8_t& b : r.data) {
+          b ^= static_cast<std::uint8_t>(rng.uniform_int(256));
+        }
+        break;
+      case Damage::kGarbledSlices:
+        if (!rng.bernoulli(0.5)) break;
+        for (std::size_t i = std::min<std::size_t>(64, size); i < size; ++i) {
+          if (rng.bernoulli(0.02)) {
+            r.data[i] ^= static_cast<std::uint8_t>(1 + rng.uniform_int(255));
+          }
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
+FrameSequence decode_damaged(const Decoder& decoder, const FrameSequence& clip,
+                             const EncodedStream& stream, Damage damage,
+                             util::Rng& rng) {
+  const std::vector<ReceivedFrameData> received = damaged(stream, damage, rng);
+  if (damage != Damage::kNoReference && damage != Damage::kOtherReference) {
+    return decoder.decode_stream(stream.width, stream.height, received);
+  }
+  FrameSequence out;
+  for (std::size_t k = 0; k < received.size(); ++k) {
+    const Frame* reference =
+        damage == Damage::kOtherReference && k > 0 ? &clip[k - 1] : nullptr;
+    out.push_back(
+        decoder.decode_frame(stream.width, stream.height, received[k], reference)
+            .frame);
+  }
+  return out;
+}
+
+TEST(Codec, DecodeMatchesPinnedDigests) {
+  // Digests of the decoder before zero-level blocks became byte copies of
+  // their prediction, over the encode digests' streams under each Damage.
+  struct Pinned {
+    MotionLevel level;
+    double p_qstep;
+    int gop;
+    std::uint64_t digest[kDamageKinds];
+  };
+  const Pinned pinned[] = {
+      {MotionLevel::kLow, 14.0, 8,
+       {0x19500416d9a64357ULL, 0x5ab6f87e0a14c715ULL,
+        0xc0c0aca7f303767bULL, 0x80ca37013c8e4450ULL,
+        0x29cf38760b09e973ULL, 0x360b0ea5b1c6af13ULL,
+        0xbe56ee3c066aa2f6ULL}},
+      {MotionLevel::kLow, 14.0, 30,
+       {0xfaea7ba2c4ea3f46ULL, 0xfeee2a80b1892cd4ULL,
+        0x0d73ea25a99b8f8fULL, 0x95cdc2911e60649eULL,
+        0xd94294066ae84acfULL, 0x9fc52c68ef5982c6ULL,
+        0x19c06b1bd6cf3aa6ULL}},
+      {MotionLevel::kMedium, 18.0, 8,
+       {0xde28821d20cc8429ULL, 0x09ef5a756cf3e34fULL,
+        0xa714ace6afe8d4faULL, 0x40cb2527eb812456ULL,
+        0x7dba004eed0b9215ULL, 0xd1a8c8cff07cdec1ULL,
+        0x234eb96b411ecf76ULL}},
+      {MotionLevel::kMedium, 18.0, 30,
+       {0xa8206f3139363bc4ULL, 0xc9c35b92a837beb2ULL,
+        0xb59d262ca0a71938ULL, 0x3784fdac959c68efULL,
+        0x9121361aa2aa5947ULL, 0x400138ad3f5e0c2bULL,
+        0x56976fe581b6a2c3ULL}},
+      {MotionLevel::kHigh, 24.0, 8,
+       {0x23cbebc2eb9a9060ULL, 0x87e8ec4d56ebbb5bULL,
+        0x51e25ef5ead842b4ULL, 0x935853c0b08620e4ULL,
+        0x928c6f8a5aa7281cULL, 0x0ad55f42ea43fb88ULL,
+        0xa3301a8ff3d6fd8aULL}},
+      {MotionLevel::kHigh, 24.0, 30,
+       {0xd4338794d0c7d075ULL, 0xe9f86bdb3b184e90ULL,
+        0x8970bd9862dcdcfeULL, 0x50e42d9f2d478651ULL,
+        0xbb6a01fc7a231cebULL, 0xf44fafb30dc737c9ULL,
+        0xd6f9c059708f45beULL}}};
+  for (const auto level :
+       {MotionLevel::kLow, MotionLevel::kMedium, MotionLevel::kHigh}) {
+    const FrameSequence clip =
+        SceneGenerator{SceneParameters::preset(level), 7}.render_clip(
+            level == MotionLevel::kHigh ? 48 : 32);
+    for (const Pinned& p : pinned) {
+      if (p.level != level) continue;
+      CodecConfig config;
+      config.gop_size = p.gop;
+      config.p_qstep = p.p_qstep;
+      const EncodedStream stream = Encoder{config}.encode(clip);
+      const Decoder decoder{config};
+      util::Rng rng{0xdec0de};
+      for (int d = 0; d < kDamageKinds; ++d) {
+        EXPECT_EQ(frames_digest(decode_damaged(decoder, clip, stream,
+                                               static_cast<Damage>(d), rng)),
+                  p.digest[d])
+            << to_string(level) << " gop " << p.gop << " damage " << d;
+      }
     }
   }
 }
