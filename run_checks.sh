@@ -81,8 +81,9 @@
 # The sanitized pass builds with -fsanitize=address,undefined and
 # -fno-sanitize-recover=all, so any report aborts the run and fails the
 # script.  The TSan pass builds with -DTHRIFTYVID_TSAN=ON and runs the
-# thread pool / sweep / validation / flags / flow suites (the code that
-# actually shares state across threads) — running every test under TSan
+# thread pool / sweep / validation / flags / flow suites and the pooled
+# render, encode and workload build (the code that actually shares state
+# across threads) — running every test under TSan
 # would be prohibitively slow.  All build trees are kept (build/, build-asan/,
 # build-tsan/, build-cov/) so incremental re-runs are fast.
 set -euo pipefail
@@ -194,7 +195,7 @@ video = doc.get("video", {})
 if not isinstance(video.get("frames"), int) or video["frames"] <= 0:
     fail("video.frames missing or non-positive")
 for key in ("render_ms_per_frame", "encode_ms_per_frame",
-            "decode_ms_per_frame"):
+            "encode_pooled_ms_per_frame", "decode_ms_per_frame"):
     finite(video.get(key), f"video.{key}")
     if video.get(key) is None:
         fail(f"video.{key} must be measured, got null")
@@ -624,7 +625,7 @@ if [[ "${mode}" != "--sanitize-only" ]]; then
   cmake --build build-tsan -j "${jobs}"
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-          -R 'ThreadPool|Sweep|WorkloadCache|Flags|Validation|Flow\.'
+          -R 'ThreadPool|Sweep|WorkloadCache|Flags|Validation|Flow\.|PooledEncode|PooledBuild|RenderClip'
 fi
 
 echo "=== all checks passed ==="

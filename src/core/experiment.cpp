@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/suite.hpp"
@@ -148,6 +149,8 @@ StreamScore score_stream(const Workload& workload,
   // Sums in frame order, as sequence_psnr and sequence_mos add them.
   double mse_sum = 0.0;
   double mos_sum = 0.0;
+  const int width = workload.stream.width;
+  const int height = workload.stream.height;
   for (std::size_t k = 0; k < n; ++k) {
     double mse = 0.0;
     if ((previous_lossless || lossless.standalone[k]) &&
@@ -156,13 +159,20 @@ StreamScore score_stream(const Workload& workload,
       previous_lossless = true;
       mse = lossless.mse[k];
     } else {
-      decoded = decoder
-                    .decode_frame(workload.stream.width,
-                                  workload.stream.height, frames[k], previous)
-                    .frame;
-      previous = &decoded;
+      const std::optional<video::FrameHeader> header =
+          video::read_frame_header(width, height, frames[k]);
       previous_lossless = false;
-      mse = video::luma_mse(workload.clip[k], decoded);
+      if (!header && previous != nullptr) {
+        // The decoder would output a copy of the previous output: score
+        // that frame where it is (it shows frame k - 1, not frame k).
+        mse = video::luma_mse(workload.clip[k], *previous);
+      } else {
+        decoded = decoder
+                      .decode_frame(width, height, frames[k], previous, header)
+                      .frame;
+        previous = &decoded;
+        mse = video::luma_mse(workload.clip[k], decoded);
+      }
     }
     mse_sum += mse;
     mos_sum += video::mos_from_psnr(video::psnr_from_mse(mse));

@@ -99,7 +99,9 @@ struct StreamScore {
 /// decode's frame, with its cached MSE, whenever the previous output is
 /// the lossless one too or the frame is standalone.  The decoder runs from
 /// a GOP's first damaged frame until the next such frame, against the
-/// previous output; only that frame is kept.  Throws std::invalid_argument
+/// previous output; only that frame is kept.  A frame whose header does
+/// not read repeats the previous output, which is scored where it is
+/// (no decode, no copy).  Throws std::invalid_argument
 /// unless `frames` has one entry per clip frame.
 [[nodiscard]] StreamScore score_stream(
     const Workload& workload,

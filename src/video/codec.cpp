@@ -533,77 +533,67 @@ EncodedStream Encoder::encode(const FrameSequence& clip,
   stream.config = config_;
   stream.width = width;
   stream.height = height;
-  stream.frames.reserve(clip.size());
-  if (recon_mse != nullptr) {
-    recon_mse->clear();
-    recon_mse->reserve(clip.size());
-  }
+  const std::size_t n = clip.size();
+  stream.frames.resize(n);
+  if (recon_mse != nullptr) recon_mse->assign(n, 0.0);
 
+  // Every GOP opens on an intra frame, which reads no reference, so each
+  // GOP is an independent chain of reconstructions.  Chains run side by
+  // side on the pool and write only their own frames' slots, so the
+  // stream is the same however they were scheduled.
+  const auto gop = static_cast<std::size_t>(config_.gop_size);
+  const std::size_t chains = (n + gop - 1) / gop;
   const int mb_rows = height / 16;
-  Frame recon(width, height);  // encoder-side decoded reference.
-  std::vector<std::vector<std::uint8_t>> slices(
-      static_cast<std::size_t>(mb_rows));
+  util::parallel_for(pool, chains, [&](std::size_t chain) {
+    Frame recon;  // encoder-side decoded reference; the I-frame reads none.
+    std::vector<std::vector<std::uint8_t>> slices(
+        static_cast<std::size_t>(mb_rows));
+    const std::size_t first = chain * gop;
+    for (std::size_t fi = first; fi < std::min(n, first + gop); ++fi) {
+      const Frame& source = clip[fi];
+      const bool is_i = fi == first;
+      Frame next_recon(width, height);
 
-  for (std::size_t fi = 0; fi < clip.size(); ++fi) {
-    const Frame& source = clip[fi];
-    const bool is_i = (fi % static_cast<std::size_t>(config_.gop_size)) == 0;
-    Frame next_recon(width, height);
+      // Every macroblock row is an independent slice; rows are joined in
+      // row order below, so the frame is the same however they were
+      // scheduled.
+      util::parallel_for(pool, slices.size(), [&](std::size_t mb_y) {
+        slices[mb_y] = encode_row(config_, source, recon, next_recon, is_i,
+                                  static_cast<int>(mb_y));
+      });
 
-    // Every macroblock row is an independent slice; rows are joined in row
-    // order below, so the frame is the same however they were scheduled.
-    util::parallel_for(pool, slices.size(), [&](std::size_t mb_y) {
-      slices[mb_y] = encode_row(config_, source, recon, next_recon, is_i,
-                                static_cast<int>(mb_y));
-    });
+      // Assemble the frame: header (magic, type, index, dims, slice
+      // table) followed by the slices.
+      ByteWriter frame;
+      frame.put_u8(kMagic);
+      frame.put_u8(is_i ? kTypeI : kTypeP);
+      frame.put_u32(static_cast<std::uint32_t>(fi));
+      frame.put_u16(static_cast<std::uint16_t>(width));
+      frame.put_u16(static_cast<std::uint16_t>(height));
+      frame.put_u16(static_cast<std::uint16_t>(mb_rows));
+      for (const auto& s : slices) {
+        frame.put_varint(s.size());
+      }
+      for (const auto& s : slices) {
+        for (std::uint8_t b : s) frame.put_u8(b);
+      }
 
-    // Assemble the frame: header (magic, type, index, dims, slice table)
-    // followed by the slices.
-    ByteWriter frame;
-    frame.put_u8(kMagic);
-    frame.put_u8(is_i ? kTypeI : kTypeP);
-    frame.put_u32(static_cast<std::uint32_t>(fi));
-    frame.put_u16(static_cast<std::uint16_t>(width));
-    frame.put_u16(static_cast<std::uint16_t>(height));
-    frame.put_u16(static_cast<std::uint16_t>(mb_rows));
-    for (const auto& s : slices) {
-      frame.put_varint(s.size());
+      EncodedFrame& out = stream.frames[fi];
+      out.index = static_cast<int>(fi);
+      out.is_i = is_i;
+      out.data = frame.take();
+      if (recon_mse != nullptr) {
+        (*recon_mse)[fi] = luma_mse(source, next_recon);
+      }
+      recon = std::move(next_recon);
     }
-    for (const auto& s : slices) {
-      for (std::uint8_t b : s) frame.put_u8(b);
-    }
-
-    EncodedFrame out;
-    out.index = static_cast<int>(fi);
-    out.is_i = is_i;
-    out.data = frame.take();
-    stream.frames.push_back(std::move(out));
-    if (recon_mse != nullptr) {
-      recon_mse->push_back(luma_mse(source, next_recon));
-    }
-    recon = std::move(next_recon);
-  }
+  });
   return stream;
 }
 
-Decoder::Decoder(CodecConfig config) : config_(config) {}
-
-DecodeResult Decoder::decode_frame(int width, int height,
-                                   const ReceivedFrameData& received,
-                                   const Frame* reference) const {
-  if (reference != nullptr &&
-      (reference->width() != width || reference->height() != height)) {
-    throw std::invalid_argument{"decode_frame: reference size differs"};
-  }
-  DecodeResult result;
-
-  // Header parse; any unreadable byte aborts the whole frame.
-  struct HeaderInfo {
-    bool is_i = false;
-    int mb_rows = 0;
-    std::vector<std::size_t> slice_begin;
-    std::vector<std::size_t> slice_end;
-  } header;
-
+std::optional<FrameHeader> read_frame_header(
+    int width, int height, const ReceivedFrameData& received) {
+  FrameHeader header;
   try {
     ByteReader reader{received.data};
     auto checked = [&](std::size_t end) {
@@ -617,16 +607,16 @@ DecodeResult Decoder::decode_frame(int width, int height,
     (void)reader.get_u32();  // frame index (informational).
     const int header_width = reader.get_u16();
     const int header_height = reader.get_u16();
-    header.mb_rows = reader.get_u16();
+    const int mb_rows = reader.get_u16();
     // Only the stream's own size is accepted, so a header cannot make the
     // decoder allocate a frame (or read a slice table) of its choosing.
     if (header_width != width || header_height != height ||
-        header.mb_rows != height / 16) {
+        mb_rows != height / 16) {
       throw BitstreamError{"bad dimensions"};
     }
     std::vector<std::size_t> sizes;
-    sizes.reserve(static_cast<std::size_t>(header.mb_rows));
-    for (int r = 0; r < header.mb_rows; ++r) {
+    sizes.reserve(static_cast<std::size_t>(mb_rows));
+    for (int r = 0; r < mb_rows; ++r) {
       checked(reader.position() + 1);
       // Varint may span several bytes; validate byte-by-byte.
       const std::size_t before = reader.position();
@@ -635,9 +625,8 @@ DecodeResult Decoder::decode_frame(int width, int height,
       sizes.push_back(reader.get_varint());
     }
     std::size_t offset = reader.position();
-    for (int r = 0; r < header.mb_rows; ++r) {
+    for (const std::size_t size : sizes) {
       // Checked per slice, so a garbled size cannot wrap the offset.
-      const std::size_t size = sizes[static_cast<std::size_t>(r)];
       if (size > received.data.size() - offset) {
         throw BitstreamError{"slice overflow"};
       }
@@ -645,10 +634,30 @@ DecodeResult Decoder::decode_frame(int width, int height,
       offset += size;
       header.slice_end.push_back(offset);
     }
-    result.header_ok = true;
   } catch (const BitstreamError&) {
-    result.header_ok = false;
+    return std::nullopt;
   }
+  return header;
+}
+
+Decoder::Decoder(CodecConfig config) : config_(config) {}
+
+DecodeResult Decoder::decode_frame(int width, int height,
+                                   const ReceivedFrameData& received,
+                                   const Frame* reference) const {
+  return decode_frame(width, height, received, reference,
+                      read_frame_header(width, height, received));
+}
+
+DecodeResult Decoder::decode_frame(
+    int width, int height, const ReceivedFrameData& received,
+    const Frame* reference, const std::optional<FrameHeader>& header) const {
+  if (reference != nullptr &&
+      (reference->width() != width || reference->height() != height)) {
+    throw std::invalid_argument{"decode_frame: reference size differs"};
+  }
+  DecodeResult result;
+  result.header_ok = header.has_value();
 
   // Concealment baseline: repeat the reference, or emit gray.  A bad
   // header conceals the whole frame; otherwise every macroblock that does
@@ -662,21 +671,23 @@ DecodeResult Decoder::decode_frame(int width, int height,
   if (!result.header_ok) return result;
 
   const int mb_cols = width / 16;
-  result.total_macroblocks = mb_cols * header.mb_rows;
-  result.is_i = header.is_i;
+  const int mb_rows = height / 16;  // the header's, checked on reading.
+  result.total_macroblocks = mb_cols * mb_rows;
+  result.is_i = header->is_i;
 
   // Inter macroblocks predict from the reference, or without one from a
   // gray frame like the baseline.
   Frame gray;
-  if (reference == nullptr && !header.is_i) gray = result.frame;
+  if (reference == nullptr && !header->is_i) gray = result.frame;
   const Frame& prediction = reference != nullptr ? *reference : gray;
 
   const MbPlanes out = mb_planes(result.frame);
-  const double qstep = header.is_i ? config_.i_qstep : config_.p_qstep;
+  const double qstep = header->is_i ? config_.i_qstep : config_.p_qstep;
 
-  for (int mb_y = 0; mb_y < header.mb_rows; ++mb_y) {
-    const std::size_t begin = header.slice_begin[static_cast<std::size_t>(mb_y)];
-    const std::size_t end = header.slice_end[static_cast<std::size_t>(mb_y)];
+  for (int mb_y = 0; mb_y < mb_rows; ++mb_y) {
+    const auto slice = static_cast<std::size_t>(mb_y);
+    const std::size_t begin = header->slice_begin[slice];
+    const std::size_t end = header->slice_end[slice];
     if (!received.range_ok(begin, end)) continue;  // concealed row.
     try {
       ByteReader row{std::span<const std::uint8_t>(received.data)
@@ -684,7 +695,7 @@ DecodeResult Decoder::decode_frame(int width, int height,
       int skip_remaining = 0;
       for (int mb_x = 0; mb_x < mb_cols; ++mb_x) {
         const MbGeometry g = mb_geometry(mb_x, mb_y);
-        if (header.is_i) {
+        if (header->is_i) {
           decode_intra_mb(row, g, out, qstep);
           ++result.decoded_macroblocks;
           continue;

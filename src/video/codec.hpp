@@ -85,11 +85,12 @@ class Encoder {
   explicit Encoder(CodecConfig config);
 
   /// Encode a clip into an IPP...P stream.  Frames must share dimensions.
-  /// With `pool`, each frame's macroblock rows (independent slices) are
-  /// coded on it; the stream is the same either way.  `recon_mse`, when
-  /// given, receives one value per frame: the luma MSE of the encoder's
-  /// reconstruction against the source, which is what a decode of the
-  /// intact stream scores.
+  /// With `pool`, the GOPs (closed: each opens on an intra frame) are
+  /// coded side by side on it, and so are each frame's macroblock rows
+  /// (independent slices); the stream is the same either way.
+  /// `recon_mse`, when given, receives one value per frame: the luma MSE
+  /// of the encoder's reconstruction against the source, which is what a
+  /// decode of the intact stream scores.
   [[nodiscard]] EncodedStream encode(
       const FrameSequence& clip, util::ThreadPool* pool = nullptr,
       std::vector<double>* recon_mse = nullptr) const;
@@ -97,6 +98,21 @@ class Encoder {
  private:
   CodecConfig config_;
 };
+
+/// What a readable frame header tells the decoder.
+struct FrameHeader {
+  bool is_i = false;  ///< intra frame.
+  /// Byte range [slice_begin[r], slice_end[r]) of macroblock row r's slice.
+  std::vector<std::size_t> slice_begin;
+  std::vector<std::size_t> slice_end;
+};
+
+/// Read `received`'s header for a width x height stream.  std::nullopt
+/// when a header byte is missing, the header names another size, or its
+/// slice table overruns the data: the decoder then conceals the whole
+/// frame as a copy of its reference.
+[[nodiscard]] std::optional<FrameHeader> read_frame_header(
+    int width, int height, const ReceivedFrameData& received);
 
 /// Per-frame decode outcome.
 struct DecodeResult {
@@ -127,6 +143,11 @@ class Decoder {
   [[nodiscard]] DecodeResult decode_frame(int width, int height,
                                           const ReceivedFrameData& received,
                                           const Frame* reference) const;
+  /// The same, with `header` = read_frame_header(width, height, received)
+  /// already read by the caller.
+  [[nodiscard]] DecodeResult decode_frame(
+      int width, int height, const ReceivedFrameData& received,
+      const Frame* reference, const std::optional<FrameHeader>& header) const;
 
   /// Decode a whole transmitted width x height stream with loss
   /// concealment: a frame whose header is unreadable is replaced by the

@@ -1,5 +1,6 @@
 #include "video/scene.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -11,15 +12,26 @@ namespace tv::video {
 
 namespace {
 
-// Integer coordinate hash -> [0, 1).  Deterministic spatial noise basis.
-double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
+// Integer coordinate hash -> [0, 1), the deterministic spatial noise
+// basis, in two halves: the column half mixes in ix, and the row half
+// mixes iy into it.  A caller that visits many rows of one column keeps
+// the column half.
+std::uint64_t lattice_column(std::int64_t ix, std::uint64_t seed) {
   std::uint64_t h = seed;
   h ^= static_cast<std::uint64_t>(ix) * 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  return (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+}
+
+double lattice_row(std::uint64_t column, std::int64_t iy) {
+  std::uint64_t h = column;
   h ^= static_cast<std::uint64_t>(iy) * 0xc2b2ae3d27d4eb4fULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
   h ^= h >> 31;
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
+  return lattice_row(lattice_column(ix, seed), iy);
 }
 
 double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
@@ -29,7 +41,8 @@ double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 // are kept while x stays in it (and shifted across when x steps into the
 // next cell).  Every value keeps value noise's per-point expression and
 // evaluation order, so at(x) equals it bit for bit for any x; calls with
-// non-decreasing x only hash each lattice point once.
+// non-decreasing x only hash each lattice point once.  Object textures use
+// it: their x is fractional and differs per object.
 class RowNoise {
  public:
   RowNoise(double y, double scale, std::uint64_t seed)
@@ -75,6 +88,88 @@ class RowNoise {
   double n10_ = 0.0;
   double n01_ = 0.0;
   double n11_ = 0.0;
+};
+
+// Bilinear value noise sampled on a frame's grid, x = step * c + x0 and
+// y = step * r + y0 for columns c < columns and rows r < rows.  The lerp
+// along x between lattice points (ix, j) and (ix + 1, j) depends only on
+// the column and the lattice row j, so it is tabulated once for every
+// lattice row the grid's rows touch; a sample then takes one lerp in y
+// between two table rows.  Operands, expression and order are value
+// noise's, so every sample equals it bit for bit.
+class NoiseGrid {
+ public:
+  /// Lattice rows iy and iy + 1 of one sample row, and its weight in y.
+  struct Row {
+    const double* a;
+    const double* b;
+    double ty;
+
+    [[nodiscard]] double at(int c) const { return a[c] + (b[c] - a[c]) * ty; }
+  };
+
+  NoiseGrid(double scale, std::uint64_t seed, int columns, int rows,
+            double step, double x0, double y0)
+      : scale_(scale), step_(step), y0_(y0), columns_(columns) {
+    if (columns <= 0 || rows <= 0) return;
+    // The cell of each column; ix is monotonic in c, so its range is
+    // that of the end columns.
+    std::vector<std::int64_t> ix(static_cast<std::size_t>(columns));
+    std::vector<double> tx(static_cast<std::size_t>(columns));
+    for (std::size_t c = 0; c < ix.size(); ++c) {
+      const double fx = (step * static_cast<int>(c) + x0) / scale;
+      ix[c] = cell(fx);
+      tx[c] = smoothstep(fx - static_cast<double>(ix[c]));
+    }
+    const std::int64_t ix_lo = std::min(ix.front(), ix.back());
+    const std::int64_t ix_hi = std::max(ix.front(), ix.back());
+    const std::int64_t iy_first = cell(fy(0));
+    const std::int64_t iy_last = cell(fy(rows - 1));
+    iy_lo_ = std::min(iy_first, iy_last);
+    const std::int64_t lattice_rows = std::max(iy_first, iy_last) - iy_lo_ + 2;
+
+    values_.resize(static_cast<std::size_t>(lattice_rows) *
+                   static_cast<std::size_t>(columns));
+    std::vector<std::uint64_t> column_halves(
+        static_cast<std::size_t>(ix_hi - ix_lo + 2));
+    for (std::size_t k = 0; k < column_halves.size(); ++k) {
+      column_halves[k] =
+          lattice_column(ix_lo + static_cast<std::int64_t>(k), seed);
+    }
+    std::vector<double> n(column_halves.size());
+    double* out = values_.data();
+    for (std::int64_t j = iy_lo_; j < iy_lo_ + lattice_rows; ++j) {
+      for (std::size_t k = 0; k < n.size(); ++k) {
+        n[k] = lattice_row(column_halves[k], j);
+      }
+      for (std::size_t c = 0; c < ix.size(); ++c, ++out) {
+        const auto k = static_cast<std::size_t>(ix[c] - ix_lo);
+        *out = n[k] + (n[k + 1] - n[k]) * tx[c];
+      }
+    }
+  }
+
+  [[nodiscard]] Row row(int r) const {
+    const double y = fy(r);
+    const std::int64_t iy = cell(y);
+    const double* a =
+        values_.data() + static_cast<std::size_t>(iy - iy_lo_) *
+                             static_cast<std::size_t>(columns_);
+    return {a, a + columns_, smoothstep(y - static_cast<double>(iy))};
+  }
+
+ private:
+  [[nodiscard]] double fy(int r) const { return (step_ * r + y0_) / scale_; }
+  static std::int64_t cell(double f) {
+    return static_cast<std::int64_t>(std::floor(f));
+  }
+
+  double scale_;
+  double step_;
+  double y0_;
+  int columns_;
+  std::int64_t iy_lo_ = 0;      ///< the first tabulated lattice row.
+  std::vector<double> values_;  ///< lattice rows x columns_, row-major.
 };
 
 std::uint8_t clamp_pixel(double v) {
@@ -206,10 +301,22 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
   };
   std::vector<Active> active;
   active.reserve(placed.size());
+  // The two background octaves, sampled at (xx + pan_x, yy + pan_y).
+  const NoiseGrid coarse_grid{params_.texture_scale, bg_seed, params_.width,
+                              params_.height, 1.0, pan_x, pan_y};
+  const NoiseGrid fine_grid{params_.texture_scale / 4.0, bg_seed ^ 0xabcdULL,
+                            params_.width, params_.height, 1.0, pan_x, pan_y};
+  // Sensor grain hashes lattice point (xx + 7919 index, yy); each
+  // column's half of the hash is taken once per frame.
+  std::vector<std::uint64_t> grain_columns(
+      static_cast<std::size_t>(params_.width));
+  for (int xx = 0; xx < params_.width; ++xx) {
+    grain_columns[static_cast<std::size_t>(xx)] =
+        lattice_column(xx + 7919 * index, bg_seed ^ 0x5a5aULL);
+  }
   for (int yy = 0; yy < params_.height; ++yy) {
-    const double wy = yy + pan_y;
-    RowNoise coarse{wy, params_.texture_scale, bg_seed};
-    RowNoise fine{wy, params_.texture_scale / 4.0, bg_seed ^ 0xabcdULL};
+    const NoiseGrid::Row coarse = coarse_grid.row(yy);
+    const NoiseGrid::Row fine = fine_grid.row(yy);
     active.clear();
     for (const Placed& p : placed) {
       const double dy = yy - p.oy;
@@ -219,9 +326,8 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
           {&p, dy, RowNoise{dy + 100.0, 6.0, p.object->texture_seed}});
     }
     for (int xx = 0; xx < params_.width; ++xx) {
-      const double wx = xx + pan_x;
       // Two-octave fractal noise, mapped to [0, 255].
-      double value = 40.0 + 170.0 * (0.7 * coarse.at(wx) + 0.3 * fine.at(wx));
+      double value = 40.0 + 170.0 * (0.7 * coarse.at(xx) + 0.3 * fine.at(xx));
       for (Active& a : active) {
         const Placed& p = *a.placed;
         const double dx = xx - p.ox;
@@ -242,28 +348,48 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
       // Deterministic per-pixel, per-frame noise (sensor grain).
       const double grain =
           params_.noise_amplitude *
-          (lattice_noise(xx + 7919 * index, yy, bg_seed ^ 0x5a5aULL) - 0.5);
+          (lattice_row(grain_columns[static_cast<std::size_t>(xx)], yy) -
+           0.5);
       frame.y(xx, yy) = clamp_pixel(value + grain);
     }
   }
 
-  // Chroma planes: smooth background tint + object colors.
+  // Chroma planes: smooth background tint, sampled at
+  // (2 xx + pan_x, 2 yy + pan_y), + object colors.
+  const NoiseGrid tint_b_grid{params_.texture_scale * 3.0, bg_seed ^ 0xbeefULL,
+                              frame.chroma_width(), frame.chroma_height(),
+                              2.0, pan_x, pan_y};
+  const NoiseGrid tint_r_grid{params_.texture_scale * 3.0, bg_seed ^ 0xfeedULL,
+                              frame.chroma_width(), frame.chroma_height(),
+                              2.0, pan_x, pan_y};
+  // As for luma, only objects within `reach` rows can touch a row; the
+  // later of two overlapping objects still wins.
+  struct Near {
+    const Placed* placed;
+    double dy;
+  };
+  std::vector<Near> near;
+  near.reserve(placed.size());
   for (int yy = 0; yy < frame.chroma_height(); ++yy) {
     const double wy = 2.0 * yy;
-    RowNoise tint_b{wy + pan_y, params_.texture_scale * 3.0,
-                    bg_seed ^ 0xbeefULL};
-    RowNoise tint_r{wy + pan_y, params_.texture_scale * 3.0,
-                    bg_seed ^ 0xfeedULL};
+    const NoiseGrid::Row tint_b = tint_b_grid.row(yy);
+    const NoiseGrid::Row tint_r = tint_r_grid.row(yy);
+    near.clear();
+    for (const Placed& p : placed) {
+      const double dy = wy - p.oy;
+      if (std::abs(dy) > p.reach) continue;
+      near.push_back({&p, dy});
+    }
     for (int xx = 0; xx < frame.chroma_width(); ++xx) {
       const double wx = 2.0 * xx;
-      double cb = 118.0 + 24.0 * tint_b.at(wx + pan_x);
-      double cr = 118.0 + 24.0 * tint_r.at(wx + pan_x);
-      for (const Placed& p : placed) {
+      double cb = 118.0 + 24.0 * tint_b.at(xx);
+      double cr = 118.0 + 24.0 * tint_r.at(xx);
+      for (const Near& n : near) {
+        const Placed& p = *n.placed;
         const double dx = wx - p.ox;
-        const double dy = wy - p.oy;
-        if (std::abs(dx) > p.reach || std::abs(dy) > p.reach) continue;
+        if (std::abs(dx) > p.reach) continue;
         const Object& o = *p.object;
-        if (dx * dx + dy * dy < o.radius * o.radius) {
+        if (dx * dx + n.dy * n.dy < o.radius * o.radius) {
           cb = o.cb;
           cr = o.cr;
         }

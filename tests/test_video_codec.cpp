@@ -121,20 +121,40 @@ TEST(Codec, ReconMseEqualsIntactDecodeBitForBit) {
 }
 
 TEST(Codec, PooledEncodeMatchesSerial) {
-  const auto clip = test_clip(MotionLevel::kHigh, 20, 13);
-  const Encoder encoder{CodecConfig{.gop_size = 10}};
-  std::vector<double> serial_mse;
-  const EncodedStream serial = encoder.encode(clip, nullptr, &serial_mse);
-  for (unsigned threads : {1U, 2U, 4U, 8U}) {
-    util::ThreadPool pool{threads};
-    std::vector<double> pooled_mse;
-    const EncodedStream pooled = encoder.encode(clip, &pool, &pooled_mse);
-    ASSERT_EQ(pooled.frames.size(), serial.frames.size());
+  // GOPs are encoded side by side on a pool: whole GOPs, a short last GOP
+  // (23 frames of GOP 10), all-intra GOP 1 and a clip shorter than one
+  // GOP must come out as the serial encode does.
+  struct Case {
+    int frames;
+    int gop_size;
+  };
+  for (const Case c : {Case{20, 10}, Case{23, 10}, Case{9, 1}, Case{7, 10}}) {
+    SCOPED_TRACE(::testing::Message() << c.frames << " frames, GOP "
+                                      << c.gop_size);
+    const auto clip = test_clip(MotionLevel::kHigh, c.frames, 13);
+    const Encoder encoder{CodecConfig{.gop_size = c.gop_size}};
+    std::vector<double> serial_mse;
+    const EncodedStream serial = encoder.encode(clip, nullptr, &serial_mse);
+    ASSERT_EQ(serial.frames.size(), clip.size());
+    ASSERT_EQ(serial_mse.size(), clip.size());
     for (std::size_t i = 0; i < serial.frames.size(); ++i) {
-      EXPECT_EQ(pooled.frames[i].data, serial.frames[i].data)
-          << threads << " threads, frame " << i;
+      EXPECT_EQ(serial.frames[i].index, static_cast<int>(i));
+      EXPECT_EQ(serial.frames[i].is_i,
+                i % static_cast<std::size_t>(c.gop_size) == 0);
     }
-    EXPECT_EQ(pooled_mse, serial_mse) << threads << " threads";
+    for (unsigned threads : {1U, 2U, 4U, 8U}) {
+      util::ThreadPool pool{threads};
+      std::vector<double> pooled_mse{1.0, 2.0};  // replaced, not appended.
+      const EncodedStream pooled = encoder.encode(clip, &pool, &pooled_mse);
+      ASSERT_EQ(pooled.frames.size(), serial.frames.size());
+      for (std::size_t i = 0; i < serial.frames.size(); ++i) {
+        EXPECT_EQ(pooled.frames[i].data, serial.frames[i].data)
+            << threads << " threads, frame " << i;
+        EXPECT_EQ(pooled.frames[i].index, serial.frames[i].index);
+        EXPECT_EQ(pooled.frames[i].is_i, serial.frames[i].is_i);
+      }
+      EXPECT_EQ(pooled_mse, serial_mse) << threads << " threads";
+    }
   }
 }
 

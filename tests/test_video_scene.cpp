@@ -251,10 +251,20 @@ TEST(Scene, CustomParametersMatchPerPixelOracle) {
   small.width = 96;
   small.height = 64;
   small.object_speed = 7.0;
-  for (const SceneParameters& p :
-       {negative_pan, odd_scale, empty, crowded, small}) {
+  // Shorter than one coarse lattice cell (24 rows): the background's
+  // lattice-row tables hold two rows, or three where the rows straddle a
+  // cell edge.
+  SceneParameters short_frame = base;
+  short_frame.height = 16;
+  SceneParameters fine_scale = base;  // fine octave cells of 1.375 px.
+  fine_scale.texture_scale = 5.5;
+  for (const SceneParameters& p : {negative_pan, odd_scale, empty, crowded,
+                                   small, short_frame, fine_scale}) {
     for (const int index : {0, 9, 31}) expect_matches_oracle(p, 5, index);
   }
+  // Far under the negative pan: pan_x = -500 puts every column left of
+  // zero, and pan_y = -185 starts the rows far below lattice row zero.
+  expect_matches_oracle(negative_pan, 5, 200);
 }
 
 TEST(Scene, FrameDifferencesOrderByMotionLevel) {
