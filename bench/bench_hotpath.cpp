@@ -239,10 +239,47 @@ int main(int argc, char** argv) {
         g_sinkd = acc;
       },
       reps);
+  // The decoder's per-block dequantize and inverse transform, over level
+  // blocks whose extents (the side of the smallest top-left square that
+  // holds every nonzero level) follow the mix counted in a sweep-grid
+  // decode: n = 1..8 in 14/23/29/11/9/5/3/6 percent of coded blocks.
+  static constexpr int kExtentPercent[8] = {14, 23, 29, 11, 9, 5, 3, 6};
+  std::vector<tv::video::QuantBlock> levels(kDctBlocks);
+  for (auto& q : levels) {
+    lcg = lcg * 1664525u + 1013904223u;
+    int draw = static_cast<int>((lcg >> 8) % 100);
+    int n = 1;
+    while (draw >= kExtentPercent[n - 1]) {
+      draw -= kExtentPercent[n - 1];
+      ++n;
+    }
+    q = {};
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) {
+        lcg = lcg * 1664525u + 1013904223u;
+        q[static_cast<std::size_t>(r * 8 + c)] =
+            static_cast<std::int16_t>(static_cast<int>(lcg >> 29) - 4);
+      }
+    }
+    q[static_cast<std::size_t>((n - 1) * 8 + n - 1)] = 1;  // extent is n.
+  }
+  const double inverse_s = best_seconds(
+      [&] {
+        double acc = 0.0;
+        for (const auto& q : levels) {
+          const int n = tv::video::level_extent(q);
+          acc += tv::video::inverse_dct(
+              tv::video::dequantize_deadzone(q, 12.0, n), n)[0];
+        }
+        g_sinkd = acc;
+      },
+      reps);
   const double fwd_blocks_s = static_cast<double>(kDctBlocks) / fwd_s;
   const double round_blocks_s = static_cast<double>(kDctBlocks) / round_s;
-  std::printf("\ndct: forward %.0f blocks/s, quant round-trip %.0f blocks/s\n",
-              fwd_blocks_s, round_blocks_s);
+  const double inverse_blocks_s = static_cast<double>(kDctBlocks) / inverse_s;
+  std::printf("\ndct: forward %.0f blocks/s, quant round-trip %.0f blocks/s, "
+              "decoder inverse %.0f blocks/s\n",
+              fwd_blocks_s, round_blocks_s, inverse_blocks_s);
 
   // --- workload build layers ------------------------------------------
   // What core::build_workload spends per frame on high-motion CIF, serial:
@@ -409,6 +446,7 @@ int main(int argc, char** argv) {
     out << "  \"dct\": {\"forward_blocks_per_s\": "
         << json_number(fwd_blocks_s)
         << ", \"roundtrip_blocks_per_s\": " << json_number(round_blocks_s)
+        << ", \"inverse_blocks_per_s\": " << json_number(inverse_blocks_s)
         << "},\n";
     out << "  \"video\": {\"frames\": " << video_frames
         << ", \"render_ms_per_frame\": " << json_number(render_ms)

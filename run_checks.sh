@@ -169,7 +169,8 @@ for section in ("ciphers", "ofb"):
         if p["mb_s"] is None:
             fail(f"{section} mb_s must be measured, got null")
 
-for key in ("forward_blocks_per_s", "roundtrip_blocks_per_s"):
+for key in ("forward_blocks_per_s", "roundtrip_blocks_per_s",
+            "inverse_blocks_per_s"):
     finite(doc.get("dct", {}).get(key), f"dct.{key}")
     if doc.get("dct", {}).get(key) is None:
         fail(f"dct.{key} must be measured, got null")

@@ -64,16 +64,20 @@ Block8x8 read_block(const std::vector<std::uint8_t>& plane, int w, int h,
   return block;
 }
 
-void write_block(std::vector<std::uint8_t>& plane, int w, int /*h*/, int x0,
-                 int y0, const Block8x8& block) {
-  for (int r = 0; r < 8; ++r) {
+// Write prediction + residual into a plane of width w at (x0,y0), clamped
+// to [0, 255] and rounded to the nearest byte.
+void write_block(std::vector<std::uint8_t>& plane, int w, int x0, int y0,
+                 const Block8x8& prediction, const Block8x8& residual) {
+  const auto stride = static_cast<std::size_t>(w);
+  std::uint8_t* dst = plane.data() + static_cast<std::size_t>(y0) * stride +
+                      static_cast<std::size_t>(x0);
+  for (int r = 0; r < 8; ++r, dst += stride) {
     for (int c = 0; c < 8; ++c) {
-      double v = block[static_cast<std::size_t>(r * 8 + c)];
+      const auto i = static_cast<std::size_t>(r * 8 + c);
+      double v = prediction[i] + residual[i];
       if (v < 0.0) v = 0.0;
       if (v > 255.0) v = 255.0;
-      plane[static_cast<std::size_t>(y0 + r) * static_cast<std::size_t>(w) +
-            static_cast<std::size_t>(x0 + c)] =
-          static_cast<std::uint8_t>(v + 0.5);
+      dst[c] = static_cast<std::uint8_t>(v + 0.5);
     }
   }
 }
@@ -254,29 +258,21 @@ void copy_block(PlaneRef recon, const std::vector<std::uint8_t>& source,
   }
 }
 
-// Transform, quantize, code and reconstruct one block whose prediction is
-// `prediction`; reconstruction is written back into `recon` at (x0,y0).
-// Returns the quantized block (for CBP decisions the caller quantizes
-// first; this overload takes precomputed levels).
+// Reconstruct one block from its prediction and quantized levels into
+// `recon` at (x0,y0), at the cost of the levels' extent: dequantization
+// and both inverse-transform passes cover only the top-left square that
+// holds every nonzero level, bit-identical to the full transform (see
+// inverse_dct).  All-zero levels have extent 0, whose residual is +0.0
+// everywhere, and p + 0.0 == p: the block is its prediction.
 void reconstruct_block(PlaneRef recon, int x0, int y0,
                        const Block8x8& prediction, const QuantBlock& levels,
                        double qstep, bool deadzone) {
-  // Zero levels dequantize to zeros, whose inverse DCT is exactly zero
-  // (every product is a signed zero), and p + ±0.0 == p: the block is its
-  // prediction, bit for bit, without the transform.
-  if (all_zero(levels)) {
-    write_block(*recon.plane, recon.w, recon.h, x0, y0, prediction);
-    return;
-  }
-  const Block8x8 residual = inverse_dct(
-      deadzone ? dequantize_deadzone(levels, qstep) : dequantize(levels, qstep));
-  Block8x8 rebuilt{};
-  for (int i = 0; i < 64; ++i) {
-    rebuilt[static_cast<std::size_t>(i)] =
-        prediction[static_cast<std::size_t>(i)] +
-        residual[static_cast<std::size_t>(i)];
-  }
-  write_block(*recon.plane, recon.w, recon.h, x0, y0, rebuilt);
+  const int n = level_extent(levels);
+  const Block8x8 residual =
+      inverse_dct(deadzone ? dequantize_deadzone(levels, qstep, n)
+                           : dequantize(levels, qstep, n),
+                  n);
+  write_block(*recon.plane, recon.w, x0, y0, prediction, residual);
 }
 
 // Intra levels of `source` against `prediction` (inter residuals use
@@ -757,15 +753,12 @@ FrameSequence Decoder::decode_stream(
     const std::vector<ReceivedFrameData>& frames) const {
   FrameSequence out;
   out.reserve(frames.size());
-  Frame current(width, height);
-  current.fill(128, 128, 128);
-  bool have_reference = false;
+  // Each frame decodes against the previous output in place; the
+  // decoder's concealment baseline is the only copy of it.
   for (const auto& received : frames) {
-    const DecodeResult r = decode_frame(width, height, received,
-                                        have_reference ? &current : nullptr);
-    current = r.frame;
-    have_reference = true;
-    out.push_back(current);
+    DecodeResult r = decode_frame(width, height, received,
+                                  out.empty() ? nullptr : &out.back());
+    out.push_back(std::move(r.frame));
   }
   return out;
 }

@@ -15,15 +15,30 @@ using QuantBlock = std::array<std::int16_t, 64>;
 /// Forward 8x8 DCT-II (orthonormal).
 [[nodiscard]] Block8x8 forward_dct(const Block8x8& spatial);
 
-/// Inverse 8x8 DCT (DCT-III), the exact inverse of forward_dct.
-[[nodiscard]] Block8x8 inverse_dct(const Block8x8& coefficients);
+/// Inverse 8x8 DCT (DCT-III), the exact inverse of forward_dct.  Given an
+/// `extent` n such that every coefficient outside the top-left n x n
+/// square is zero, it gives the same bits at the cost of that square:
+/// both passes sum only over its rows and columns.  Extent 0 is the
+/// all-zero block; any extent outside [0, 8] runs the full transform.
+[[nodiscard]] Block8x8 inverse_dct(const Block8x8& coefficients,
+                                   int extent = 8);
+
+/// Side n of the smallest n x n top-left square that holds every nonzero
+/// level: 0 for an all-zero block, 8 when a level lies in the last row or
+/// column.
+[[nodiscard]] int level_extent(const QuantBlock& levels);
 
 /// Uniform mid-tread quantizer.  The DC coefficient uses qstep/2 so flat
 /// areas keep their level, mimicking codec practice.
 [[nodiscard]] QuantBlock quantize(const Block8x8& coefficients, double qstep);
 
-/// Reconstruction levels for `quantize`.
-[[nodiscard]] Block8x8 dequantize(const QuantBlock& levels, double qstep);
+/// Reconstruction levels for `quantize`.  Only the top-left
+/// extent x extent square is read (the whole block for an extent outside
+/// [0, 8]); the rest of the block is zero, so for extent >=
+/// level_extent(levels) and a positive qstep the block equals the full
+/// dequantization bit for bit.
+[[nodiscard]] Block8x8 dequantize(const QuantBlock& levels, double qstep,
+                                  int extent = 8);
 
 /// Dead-zone quantizer for inter (residual) blocks: coefficients with
 /// |c| < qstep map to zero, so quantization noise left by the reference
@@ -40,9 +55,10 @@ using QuantBlock = std::array<std::int16_t, 64>;
                                                     const Block8x8& prediction,
                                                     double qstep);
 
-/// Reconstruction for `quantize_deadzone` (bin centers).
+/// Reconstruction for `quantize_deadzone` (bin centers), read over the
+/// top-left extent x extent square like `dequantize`.
 [[nodiscard]] Block8x8 dequantize_deadzone(const QuantBlock& levels,
-                                           double qstep);
+                                           double qstep, int extent = 8);
 
 /// JPEG/H.26x zigzag scan order: kZigzag[i] is the row-major index of the
 /// i-th coefficient in scan order.

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <set>
 
 #include "proptest.hpp"
@@ -153,6 +155,137 @@ TEST(QuantizeResidualDeadzone, MatchesFullTransformAtTheEnergyBound) {
             << "qstep " << qstep << " energy " << energy;
       });
   EXPECT_GT(below_bound, config.cases / 10);  // the shortcut was exercised.
+}
+
+// The oracle: the full transform and dequantizers, both passes summing
+// over all eight rows and columns, each output from +0.0 in index order.
+struct FullInverse {
+  double basis[8][8];  // basis[u][x] = c(u) * cos((2x+1) u pi / 16).
+  FullInverse() {
+    for (int u = 0; u < 8; ++u) {
+      const double cu = u == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
+      for (int x = 0; x < 8; ++x) {
+        basis[u][x] = cu * std::cos((2.0 * x + 1.0) * u * std::numbers::pi / 16.0);
+      }
+    }
+  }
+
+  [[nodiscard]] Block8x8 operator()(const Block8x8& c) const {
+    Block8x8 tmp{};
+    for (int y = 0; y < 8; ++y) {
+      for (int col = 0; col < 8; ++col) {
+        double acc = 0.0;
+        for (int v = 0; v < 8; ++v) acc += basis[v][y] * c[v * 8 + col];
+        tmp[y * 8 + col] = acc;
+      }
+    }
+    Block8x8 out{};
+    for (int r = 0; r < 8; ++r) {
+      for (int x = 0; x < 8; ++x) {
+        double acc = 0.0;
+        for (int u = 0; u < 8; ++u) acc += tmp[r * 8 + u] * basis[u][x];
+        out[r * 8 + x] = acc;
+      }
+    }
+    return out;
+  }
+};
+
+Block8x8 full_dequantize(const QuantBlock& levels, double qstep) {
+  Block8x8 out{};
+  for (int i = 0; i < 64; ++i) {
+    const double step = i == 0 ? qstep * 0.5 : qstep;
+    out[i] = static_cast<double>(levels[i]) * step;
+  }
+  return out;
+}
+
+Block8x8 full_dequantize_deadzone(const QuantBlock& levels, double qstep) {
+  Block8x8 out{};
+  for (int i = 0; i < 64; ++i) {
+    const double l = levels[i];
+    if (l == 0.0) {
+      out[i] = 0.0;
+    } else {
+      const double sign = l > 0.0 ? 1.0 : -1.0;
+      out[i] = (l + 0.5 * sign) * qstep;
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Block8x8& a, const Block8x8& b) {
+  return std::memcmp(a.data(), b.data(), sizeof(double) * 64) == 0;
+}
+
+// Random levels whose extent is exactly n: nonzeros only inside the top-left
+// n x n square, one of them in its last row or column.
+QuantBlock random_levels(util::Rng& rng, int n) {
+  QuantBlock q{};
+  if (n == 0) return q;
+  // Magnitudes from 1 up to the int16 limit, spread over decades.
+  static constexpr std::uint64_t kLimits[] = {1, 4, 40, 1000, 32767};
+  const std::uint64_t limit = kLimits[rng.uniform_int(5)];
+  auto level = [&] {
+    const auto magnitude = static_cast<int>(
+        rng.bernoulli(0.1) ? limit : 1 + rng.uniform_int(limit));
+    return static_cast<std::int16_t>(rng.bernoulli(0.5) ? magnitude
+                                                        : -magnitude);
+  };
+  const double density = rng.bernoulli(0.5) ? 0.15 : 1.0;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      if (rng.bernoulli(density)) q[r * 8 + c] = level();
+    }
+  }
+  const int k = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+  q[rng.bernoulli(0.5) ? (n - 1) * 8 + k : k * 8 + n - 1] = level();
+  return q;
+}
+
+TEST(Dct, BoundedInverseMatchesFullTransformBitwise) {
+  const FullInverse full;
+  const auto config = proptest::Config::from_env(0xe87e, 150);
+  proptest::check(
+      "inverse_dct(dequantize(l, q, n), n) == full transform", config,
+      [&full](util::Rng& rng, std::uint64_t) {
+        for (int n = 0; n <= 8; ++n) {
+          const QuantBlock levels = random_levels(rng, n);
+          ASSERT_EQ(level_extent(levels), n);
+          for (const double qstep : {0.5, 8.0, 14.0, 24.0, 1000.0}) {
+            for (const bool deadzone : {false, true}) {
+              const Block8x8 expected =
+                  full(deadzone ? full_dequantize_deadzone(levels, qstep)
+                                : full_dequantize(levels, qstep));
+              // Every extent that covers the levels gives the same bits,
+              // the default (whole-block) forms included.
+              for (int m = n; m <= 8; ++m) {
+                const Block8x8 coefficients =
+                    deadzone ? dequantize_deadzone(levels, qstep, m)
+                             : dequantize(levels, qstep, m);
+                EXPECT_TRUE(same_bits(inverse_dct(coefficients, m), expected))
+                    << "extent " << n << " read as " << m << " qstep "
+                    << qstep << " deadzone " << deadzone;
+              }
+              const Block8x8 whole = deadzone
+                                         ? dequantize_deadzone(levels, qstep)
+                                         : dequantize(levels, qstep);
+              EXPECT_TRUE(same_bits(inverse_dct(whole), expected))
+                  << "extent " << n << " qstep " << qstep;
+            }
+          }
+        }
+      });
+}
+
+TEST(Dct, LevelExtentIsTheSmallestCoveringSquare) {
+  EXPECT_EQ(level_extent(QuantBlock{}), 0);
+  static constexpr std::int16_t kValues[] = {1, -1, 32767, -32768};
+  for (int i = 0; i < 64; ++i) {
+    QuantBlock q{};
+    q[i] = kValues[i % 4];
+    EXPECT_EQ(level_extent(q), std::max(i / 8, i % 8) + 1) << "position " << i;
+  }
 }
 
 TEST(Zigzag, IsAPermutationStartingAtDc) {
