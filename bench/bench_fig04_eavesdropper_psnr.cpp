@@ -11,22 +11,21 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Figure 4",
                       "eavesdropper PSNR vs. encryption level", options);
-  bench::WorkloadCache cache{options};
-  const auto device = core::samsung_galaxy_s2();
+  bench::BenchEngine engine{options};
+  const auto spec =
+      bench::eavesdropper_spec(options, core::Transport::kRtpUdp);
+  const auto cells = engine.run(spec);
 
   for (bool fast : {false, true}) {
-    for (int gop : {30, 50}) {
-      const auto& workload = cache.get(bench::motion_for(fast), gop);
+    for (int gop : spec.gop_sizes) {
       std::printf("\n(%s-motion, GOP=%d)  [receiver PSNR shown for the "
                   "legitimate decode]\n",
                   fast ? "Fast" : "Slow", gop);
       std::printf("%-8s | %-12s %-12s | %-12s %-12s\n", "level",
                   "analysis dB", "experiment", "rx analysis", "rx exper.");
-      for (const auto& pol :
-           policy::headline_policies(crypto::Algorithm::kAes256)) {
-        const auto spec =
-            bench::make_spec(workload, pol, device, options, true);
-        const auto r = core::run_experiment(spec, workload);
+      for (const auto& pol : spec.policies) {
+        const auto& r = bench::find_cell(cells, bench::motion_for(fast), gop,
+                                         pol, spec.devices.front());
         std::printf("%-8s | %-12.2f %-12s | %-12.2f %-12s\n",
                     policy::to_string(pol.mode),
                     r.predicted_eavesdropper.psnr_db,
@@ -42,5 +41,6 @@ int main(int argc, char** argv) {
       "PSNR far more (paper: up to 80% drop, ~= 'all') than fast motion "
       "(~30%); encrypting only P-frames hurts fast motion more than slow "
       "(up to 40%).  'none' stays near the receiver's PSNR.");
+  engine.print_summary();
   return 0;
 }

@@ -10,30 +10,16 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Figure 5", "eavesdropper MOS vs. encryption level",
                       options);
-  bench::WorkloadCache cache{options};
-  const auto device = core::samsung_galaxy_s2();
-
-  for (int gop : {30, 50}) {
-    std::printf("\n(GOP=%d)\n", gop);
-    std::printf("%-8s | %-14s %-14s\n", "level", "slow MOS", "fast MOS");
-    for (const auto& pol :
-         policy::headline_policies(crypto::Algorithm::kAes256)) {
-      std::string row[2];
-      for (bool fast : {false, true}) {
-        const auto& workload = cache.get(bench::motion_for(fast), gop);
-        const auto spec =
-            bench::make_spec(workload, pol, device, options, true);
-        const auto r = core::run_experiment(spec, workload);
-        row[fast ? 1 : 0] = bench::fmt_ci(r.eavesdropper_mos, 2);
-      }
-      std::printf("%-8s | %-14s %-14s\n", policy::to_string(pol.mode),
-                  row[0].c_str(), row[1].c_str());
-    }
-  }
+  bench::BenchEngine engine{options};
+  const auto spec =
+      bench::eavesdropper_spec(options, core::Transport::kRtpUdp);
+  bench::print_slow_fast(spec, engine.run(spec), "slow MOS", "fast MOS", 14,
+                         &core::ExperimentResult::eavesdropper_mos);
 
   bench::print_expectation(
       "MOS drops to ~1 (unviewable) for every policy that encrypts "
       "I-frames; for slow motion even I-only reaches ~1, while for fast "
       "motion P-only is the more damaging single-class policy.");
+  engine.print_summary();
   return 0;
 }

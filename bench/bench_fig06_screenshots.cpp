@@ -30,11 +30,12 @@ int main(int argc, char** argv) {
   options.quality_reps = 1;  // one transfer per policy is a screenshot.
   bench::print_banner("Figure 6", "eavesdropper view (ASCII screenshots)",
                       options);
-  bench::WorkloadCache cache{options};
-  const auto device = core::samsung_galaxy_s2();
+  core::PipelineConfig pipeline;
+  pipeline.device = core::samsung_galaxy_s2();
 
   for (bool fast : {false, true}) {
-    const auto& workload = cache.get(bench::motion_for(fast), 30);
+    const core::Workload workload = core::build_workload(
+        bench::motion_for(fast), 30, options.frames, options.seed);
     const int mid = options.frames / 2;
     std::printf("\n================ %s motion ================\n",
                 fast ? "FAST" : "SLOW");
@@ -42,9 +43,8 @@ int main(int argc, char** argv) {
          policy::headline_policies(crypto::Algorithm::kAes256)) {
       // Rebuild the eavesdropper's decode for this policy.
       const core::Flow flow{workload, pol, options.seed};
-      auto spec = bench::make_spec(workload, pol, device, options, false);
       const auto transfer =
-          core::simulate_transfer(spec.pipeline, flow.packets(), options.seed);
+          core::simulate_transfer(pipeline, flow.packets(), options.seed);
       const auto seen =
           flow.decode(transfer.eavesdropper_captured, /*decrypt=*/false);
       show_pair(workload.clip[static_cast<std::size_t>(mid)],

@@ -13,31 +13,37 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Figure 9",
                       "I + fraction-of-P encryption (fast, GOP=30)", options);
-  bench::WorkloadCache cache{options};
-  const auto& workload = cache.get(video::MotionLevel::kHigh, 30);
-
+  bench::BenchEngine engine{options};
   const std::vector<double> fractions = {0.10, 0.15, 0.20, 0.25, 0.30, 0.50};
-  const core::DeviceProfile devices[] = {core::htc_amaze_4g(),
-                                         core::samsung_galaxy_s2()};
-  const crypto::Algorithm algs[] = {crypto::Algorithm::kAes128,
-                                    crypto::Algorithm::kAes256,
-                                    crypto::Algorithm::kTripleDes};
+
+  auto spec = bench::base_spec(options, /*quality=*/false);
+  spec.motions = {video::MotionLevel::kHigh};
+  spec.policies.clear();
+  for (double f : fractions) {
+    spec.policies.push_back(
+        {policy::Mode::kIPlusFractionP, crypto::Algorithm::kAes256, f});
+  }
+  spec.algorithms = {crypto::Algorithm::kAes128, crypto::Algorithm::kAes256,
+                     crypto::Algorithm::kTripleDes};
+  spec.devices = {core::htc_amaze_4g(), core::samsung_galaxy_s2()};
+  const auto cells = engine.run(spec);
 
   std::printf("\n(Fig. 9a) mean delay (ms) vs. %% of P-frame packets "
               "encrypted (on top of all I packets)\n");
   std::printf("%-24s", "series");
   for (double f : fractions) std::printf(" %8.0f%%", f * 100.0);
   std::printf("\n");
-  for (const auto& device : devices) {
-    for (auto alg : algs) {
+  for (const auto& device : spec.devices) {
+    for (auto alg : spec.algorithms) {
       std::printf("%-24s",
                   (device.name.substr(0, 7) + "-" +
                    std::string(crypto::to_string(alg)))
                       .c_str());
       for (double f : fractions) {
-        policy::EncryptionPolicy pol{policy::Mode::kIPlusFractionP, alg, f};
-        auto spec = bench::make_spec(workload, pol, device, options, false);
-        const auto r = core::run_experiment(spec, workload);
+        const policy::EncryptionPolicy pol{policy::Mode::kIPlusFractionP,
+                                           alg, f};
+        const auto& r = bench::find_cell(cells, video::MotionLevel::kHigh, 30,
+                                         pol, device);
         std::printf(" %9.1f", r.delay_ms.mean());
       }
       std::printf("\n");
@@ -46,16 +52,13 @@ int main(int argc, char** argv) {
 
   std::printf("\n(Fig. 9b substitute) eavesdropper PSNR/MOS, Samsung, "
               "AES256:\n");
-  for (double f : {0.0, 0.20}) {
-    policy::EncryptionPolicy pol =
-        f == 0.0
-            ? policy::EncryptionPolicy{policy::Mode::kIFrames,
-                                       crypto::Algorithm::kAes256, 0.0}
-            : policy::EncryptionPolicy{policy::Mode::kIPlusFractionP,
-                                       crypto::Algorithm::kAes256, f};
-    auto spec = bench::make_spec(workload, pol, core::samsung_galaxy_s2(),
-                                 options, true);
-    const auto r = core::run_experiment(spec, workload);
+  auto views = bench::base_spec(options, /*quality=*/true);
+  views.motions = {video::MotionLevel::kHigh};
+  views.policies = {
+      {policy::Mode::kIFrames, crypto::Algorithm::kAes256, 0.0},
+      {policy::Mode::kIPlusFractionP, crypto::Algorithm::kAes256, 0.20}};
+  for (const auto& c : engine.run(views)) {
+    const auto& r = c.result;
     std::printf("  %-16s PSNR %s dB   MOS %s\n", r.label.c_str(),
                 bench::fmt_ci(r.eavesdropper_psnr_db, 2).c_str(),
                 bench::fmt_ci(r.eavesdropper_mos, 2).c_str());
@@ -67,5 +70,6 @@ int main(int argc, char** argv) {
       "AES curves, and the Samsung above the HTC.  I+20%P pushes the "
       "eavesdropper's MOS to ~1.2 where I-only left fast content partially "
       "recognizable.");
+  engine.print_summary();
   return 0;
 }

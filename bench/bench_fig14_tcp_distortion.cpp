@@ -10,32 +10,18 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Figure 14", "eavesdropper PSNR over HTTP/TCP",
                       options);
-  bench::WorkloadCache cache{options};
-  const auto device = core::samsung_galaxy_s2();
-
-  for (int gop : {30, 50}) {
-    std::printf("\n(GOP=%d, HTTP/TCP)\n", gop);
-    std::printf("%-8s | %-16s %-16s\n", "level", "slow PSNR (dB)",
-                "fast PSNR (dB)");
-    for (const auto& pol :
-         policy::headline_policies(crypto::Algorithm::kAes256)) {
-      std::string cells[2];
-      for (bool fast : {false, true}) {
-        const auto& workload = cache.get(bench::motion_for(fast), gop);
-        auto spec = bench::make_spec(workload, pol, device, options, true,
-                                     core::Transport::kHttpTcp);
-        const auto r = core::run_experiment(spec, workload);
-        cells[fast ? 1 : 0] = bench::fmt_ci(r.eavesdropper_psnr_db, 2);
-      }
-      std::printf("%-8s | %-16s %-16s\n", policy::to_string(pol.mode),
-                  cells[0].c_str(), cells[1].c_str());
-    }
-  }
+  bench::BenchEngine engine{options};
+  const auto spec =
+      bench::eavesdropper_spec(options, core::Transport::kHttpTcp);
+  bench::print_slow_fast(spec, engine.run(spec), "slow PSNR (dB)",
+                         "fast PSNR (dB)", 16,
+                         &core::ExperimentResult::eavesdropper_psnr_db);
 
   bench::print_expectation(
       "the RTP/UDP trends of Fig. 4 persist under HTTP/TCP: I-frame "
       "encryption crushes slow motion, P-frame encryption hurts fast "
       "motion more, and the eavesdropper benefits slightly from overheard "
       "retransmissions on the unencrypted packets.");
+  engine.print_summary();
   return 0;
 }

@@ -10,29 +10,15 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Figure 15", "eavesdropper MOS over HTTP/TCP",
                       options);
-  bench::WorkloadCache cache{options};
-  const auto device = core::samsung_galaxy_s2();
-
-  for (int gop : {30, 50}) {
-    std::printf("\n(GOP=%d, HTTP/TCP)\n", gop);
-    std::printf("%-8s | %-14s %-14s\n", "level", "slow MOS", "fast MOS");
-    for (const auto& pol :
-         policy::headline_policies(crypto::Algorithm::kAes256)) {
-      std::string cells[2];
-      for (bool fast : {false, true}) {
-        const auto& workload = cache.get(bench::motion_for(fast), gop);
-        auto spec = bench::make_spec(workload, pol, device, options, true,
-                                     core::Transport::kHttpTcp);
-        const auto r = core::run_experiment(spec, workload);
-        cells[fast ? 1 : 0] = bench::fmt_ci(r.eavesdropper_mos, 2);
-      }
-      std::printf("%-8s | %-14s %-14s\n", policy::to_string(pol.mode),
-                  cells[0].c_str(), cells[1].c_str());
-    }
-  }
+  bench::BenchEngine engine{options};
+  const auto spec =
+      bench::eavesdropper_spec(options, core::Transport::kHttpTcp);
+  bench::print_slow_fast(spec, engine.run(spec), "slow MOS", "fast MOS", 14,
+                         &core::ExperimentResult::eavesdropper_mos);
 
   bench::print_expectation(
       "as with RTP/UDP (Fig. 5): every policy touching I-frames pins the "
       "MOS near 1; 'none' keeps it high.");
+  engine.print_summary();
   return 0;
 }

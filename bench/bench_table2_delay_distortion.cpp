@@ -11,10 +11,6 @@ int main(int argc, char** argv) {
   const auto options = bench::BenchOptions::parse(argc, argv);
   bench::print_banner("Table 2", "delay / PSNR / MOS for I + a%P (Samsung)",
                       options);
-  bench::WorkloadCache cache{options};
-  const auto& workload = cache.get(video::MotionLevel::kHigh, 30);
-  const auto device = core::samsung_galaxy_s2();
-
   struct Row {
     const char* label;
     policy::EncryptionPolicy policy;
@@ -35,11 +31,18 @@ int main(int argc, char** argv) {
        {policy::Mode::kIPlusFractionP, crypto::Algorithm::kAes256, 0.50}},
   };
 
+  bench::BenchEngine engine{options};
+  auto spec = bench::base_spec(options, /*quality=*/true);
+  spec.motions = {video::MotionLevel::kHigh};
+  spec.policies.clear();
+  for (const auto& row : rows) spec.policies.push_back(row.policy);
+  const auto cells = engine.run(spec);
+
   std::printf("\n%-10s %-16s %-16s %-14s %-10s\n", "policy", "delay (ms)",
               "PSNR (dB)", "MOS", "power (W)");
   for (const auto& row : rows) {
-    auto spec = bench::make_spec(workload, row.policy, device, options, true);
-    const auto r = core::run_experiment(spec, workload);
+    const auto& r = bench::find_cell(cells, video::MotionLevel::kHigh, 30,
+                                     row.policy, spec.devices.front());
     std::printf("%-10s %-16s %-16s %-14s %-10.2f\n", row.label,
                 (bench::fmt_ci(r.delay_ms, 2)).c_str(),
                 bench::fmt_ci(r.eavesdropper_psnr_db, 2).c_str(),
@@ -52,5 +55,6 @@ int main(int argc, char** argv) {
       "to 61.76 ms / 16.01 dB / MOS 1.14 at I+50%P; a=20% is the knee where "
       "the flow becomes essentially unviewable (MOS ~1.2) for ~6.5 ms of "
       "extra delay.");
+  engine.print_summary();
   return 0;
 }

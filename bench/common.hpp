@@ -7,11 +7,13 @@
 // Absolute values are simulator-scale; the shapes are the reproduction
 // target (see EXPERIMENTS.md).
 //
-// Figures that are cartesian grids run through BenchEngine, a thin wrapper
-// over core::SweepRunner that executes every grid cell on a work-stealing
-// thread pool (--threads=N; docs/sweeps.md).  The engine runs in
-// SeedMode::kShared so the printed numbers are bit-identical to the
-// historical serial benches at any thread count.
+// Every figure that is a cartesian grid (Figs. 4, 5, 7-15, Table 2, the
+// policy ablations) states it as a core::SweepSpec and runs it through
+// BenchEngine, a thin wrapper over core::SweepRunner that executes every
+// grid cell on a work-stealing thread pool (--threads=N; docs/sweeps.md)
+// and tees the cells to --json/--csv.  The engine runs in
+// SeedMode::kShared, so each cell equals core::run_experiment at the root
+// seed and the printed numbers are bit-identical at any thread count.
 #pragma once
 
 #include <cstdio>
@@ -19,10 +21,8 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -99,35 +99,6 @@ struct BenchOptions {
   }
 };
 
-/// Build-once cache for workloads shared across experiment configurations.
-/// (Grid-shaped benches go through BenchEngine instead, which shares the
-/// thread-safe core::WorkloadCache; this one serves the remaining serial
-/// benches.)
-class WorkloadCache {
- public:
-  explicit WorkloadCache(const BenchOptions& options) : options_(options) {}
-
-  const core::Workload& get(video::MotionLevel motion, int gop_size) {
-    const auto key = std::make_pair(static_cast<int>(motion), gop_size);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      std::printf("# building %s-motion workload (GOP %d, %d frames)...\n",
-                  video::to_string(motion), gop_size, options_.frames);
-      std::fflush(stdout);
-      it = cache_
-               .emplace(key, core::build_workload(motion, gop_size,
-                                                  options_.frames,
-                                                  options_.seed))
-               .first;
-    }
-    return it->second;
-  }
-
- private:
-  BenchOptions options_;
-  std::map<std::pair<int, int>, core::Workload> cache_;
-};
-
 /// Sweep spec pre-filled with the bench conventions: clip length, rep
 /// count for the experiment class, root seed, and — crucially — shared
 /// seeding, so every cell reproduces the historical per-figure numbers.
@@ -138,6 +109,20 @@ inline core::SweepSpec base_spec(const BenchOptions& options, bool quality) {
   spec.seed = options.seed;
   spec.evaluate_quality = quality;
   spec.seed_mode = core::SweepSpec::SeedMode::kShared;
+  return spec;
+}
+
+/// The eavesdropper-distortion grid of Figs. 4, 5, 14 and 15: slow/fast
+/// motion, GOP 30/50 and the four headline AES256 policies on the Samsung
+/// Galaxy S-II, quality on.
+inline core::SweepSpec eavesdropper_spec(const BenchOptions& options,
+                                         core::Transport transport) {
+  auto spec = base_spec(options, /*quality=*/true);
+  spec.motions = {video::MotionLevel::kLow, video::MotionLevel::kHigh};
+  spec.gop_sizes = {30, 50};
+  spec.policies = policy::headline_policies(crypto::Algorithm::kAes256);
+  spec.devices = {core::samsung_galaxy_s2()};
+  spec.transports = {transport};
   return spec;
 }
 
@@ -180,11 +165,8 @@ class BenchEngine {
     return std::move(collect.results);
   }
 
-  [[nodiscard]] util::ThreadPool* pool() { return pool_.get(); }
-  [[nodiscard]] const BenchOptions& options() const { return options_; }
-
   void print_summary() const {
-    std::printf("\n# engine: %zu cells on %u thread(s), %.2f s in sweeps\n",
+    std::printf("# engine: %zu cells on %u thread(s), %.2f s in sweeps\n",
                 cells_, pool_ ? static_cast<unsigned>(options_.threads) : 1u,
                 wall_s_);
   }
@@ -202,17 +184,22 @@ class BenchEngine {
 };
 
 /// Row-major results hold every grid point; figures print them in the
-/// paper's nesting order via this lookup.
-inline const core::CellResult* find_cell(
+/// paper's nesting order via this lookup.  `pol` is the whole policy
+/// (mode, cipher and fraction); a missing cell is a bench bug.
+inline const core::ExperimentResult& find_cell(
     const std::vector<core::CellResult>& cells, video::MotionLevel motion,
-    int gop, policy::Mode mode, crypto::Algorithm alg) {
+    int gop, const policy::EncryptionPolicy& pol,
+    const core::DeviceProfile& device,
+    core::Transport transport = core::Transport::kRtpUdp) {
   for (const auto& c : cells) {
     if (c.cell.motion == motion && c.cell.gop_size == gop &&
-        c.cell.policy.mode == mode && c.cell.policy.algorithm == alg) {
-      return &c;
+        c.cell.policy == pol && c.cell.device.key == device.key &&
+        c.cell.transport == transport) {
+      return c.result;
     }
   }
-  return nullptr;
+  std::fprintf(stderr, "error: no grid cell for %s\n", pol.label().c_str());
+  std::abort();
 }
 
 inline void print_banner(const char* figure, const char* description,
@@ -240,22 +227,31 @@ inline video::MotionLevel motion_for(bool fast) {
   return fast ? video::MotionLevel::kHigh : video::MotionLevel::kLow;
 }
 
-inline core::ExperimentSpec make_spec(const core::Workload& workload,
-                                      policy::EncryptionPolicy pol,
-                                      const core::DeviceProfile& device,
-                                      const BenchOptions& options,
-                                      bool quality,
-                                      core::Transport transport =
-                                          core::Transport::kRtpUdp) {
-  core::ExperimentSpec spec;
-  spec.policy = pol;
-  spec.pipeline.device = device;
-  spec.pipeline.transport = transport;
-  spec.repetitions = quality ? options.quality_reps : options.delay_reps;
-  spec.seed = options.seed;
-  spec.evaluate_quality = quality;
-  spec.sensitivity_fraction = core::default_sensitivity(workload.motion);
-  return spec;
+/// Body of Figs. 5, 14 and 15: one eavesdropper statistic of an
+/// eavesdropper_spec grid per policy, slow and fast motion side by side,
+/// one `width`-column table per GOP.
+inline void print_slow_fast(
+    const core::SweepSpec& spec, const std::vector<core::CellResult>& cells,
+    const char* slow, const char* fast, int width,
+    util::RunningStats core::ExperimentResult::*stat) {
+  const core::Transport transport = spec.transports.front();
+  for (int gop : spec.gop_sizes) {
+    std::printf(transport == core::Transport::kHttpTcp
+                    ? "\n(GOP=%d, HTTP/TCP)\n"
+                    : "\n(GOP=%d)\n",
+                gop);
+    std::printf("%-8s | %-*s %-*s\n", "level", width, slow, width, fast);
+    for (const auto& pol : spec.policies) {
+      std::string col[2];
+      for (bool f : {false, true}) {
+        const auto& r = find_cell(cells, motion_for(f), gop, pol,
+                                  spec.devices.front(), transport);
+        col[f ? 1 : 0] = fmt_ci(r.*stat, 2);
+      }
+      std::printf("%-8s | %-*s %-*s\n", policy::to_string(pol.mode), width,
+                  col[0].c_str(), width, col[1].c_str());
+    }
+  }
 }
 
 /// Shared body of the delay figures (Figs. 7, 8, 12, 13): mean per-packet
@@ -295,9 +291,8 @@ inline void run_delay_figure(BenchEngine& engine,
       for (const auto& pol : policy::headline_policies(alg)) {
         std::string col[2][2];
         for (bool fast : {false, true}) {
-          const auto* c =
-              find_cell(cells, motion_for(fast), gop, pol.mode, alg);
-          const auto& r = c->result;
+          const auto& r =
+              find_cell(cells, motion_for(fast), gop, pol, device, transport);
           char pred[32];
           if (std::isfinite(r.predicted_delay.mean_delay_ms)) {
             std::snprintf(pred, sizeof pred, "%.1f ms",
@@ -349,9 +344,8 @@ inline void run_power_figure(BenchEngine& engine,
         std::string col[2];
         int idx = 0;
         for (int gop : {30, 50}) {
-          const auto* c =
-              find_cell(cells, motion_for(fast), gop, pol.mode, alg);
-          col[idx++] = fmt_ci(c->result.power_w, 2);
+          const auto& r = find_cell(cells, motion_for(fast), gop, pol, device);
+          col[idx++] = fmt_ci(r.power_w, 2);
         }
         std::printf("%-8s | %-16s %-16s\n", policy::to_string(pol.mode),
                     col[0].c_str(), col[1].c_str());

@@ -46,7 +46,10 @@
 #     --quick --json under a hard timeout, and validates the emitted
 #     JSON against the tv-bench-hotpath-v1 schema (keys present, numbers
 #     finite; docs/benchmarks.md).  Values are machine-specific and are
-#     deliberately not asserted.
+#     deliberately not asserted.  It first runs each grid figure bench
+#     (Figs. 4, 5, 9, 14, 15, Table 2) at --frames=60 --reps=1, once at
+#     --threads=1 and once at --threads=4 --json=FILE: the printed tables
+#     must be identical and FILE must hold one JSONL line per grid cell.
 #   * --cell-smoke runs the `cell` label (the multi-flow contention
 #     engine, docs/cell.md) plus the `thriftyvid cell --validate`
 #     cross-check grid and a 100-flow capacity cell, in both the plain
@@ -81,10 +84,10 @@
 # The sanitized pass builds with -fsanitize=address,undefined and
 # -fno-sanitize-recover=all, so any report aborts the run and fails the
 # script.  The TSan pass builds with -DTHRIFTYVID_TSAN=ON and runs the
-# thread pool / sweep / validation / flags / flow suites and the pooled
-# render, encode and workload build (the code that actually shares state
-# across threads) — running every test under TSan
-# would be prohibitively slow.  All build trees are kept (build/, build-asan/,
+# thread pool / grid skeleton / sweep / validation / flags / flow suites
+# and the pooled render, encode and workload build (the code that actually
+# shares state across threads) — running every test under TSan would be
+# prohibitively slow.  All build trees are kept (build/, build-asan/,
 # build-tsan/, build-cov/) so incremental re-runs are fast.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -120,7 +123,40 @@ if [[ "${mode}" == "--bench-smoke" ]]; then
   # is the watchdog against a wedged measurement loop.
   echo "=== bench smoke: plain build ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
-  cmake --build build -j "${jobs}" --target bench_hotpath
+  cmake --build build -j "${jobs}" --target bench_hotpath \
+    bench_fig04_eavesdropper_psnr bench_fig05_mos bench_fig09_fraction_p \
+    bench_fig14_tcp_distortion bench_fig15_tcp_mos \
+    bench_table2_delay_distortion
+
+  # The grid figure benches run on the sweep engine: their tables (every
+  # line not starting with '#') must not depend on --threads, and --json
+  # must write one JSONL line per grid cell.
+  declare -A grid_cells=(
+    [bench_fig04_eavesdropper_psnr]=16 [bench_fig05_mos]=16
+    [bench_fig09_fraction_p]=38 [bench_fig14_tcp_distortion]=16
+    [bench_fig15_tcp_mos]=16 [bench_table2_delay_distortion]=7)
+  for bench in "${!grid_cells[@]}"; do
+    serial=build/bench_smoke_${bench}.t1.txt
+    pooled=build/bench_smoke_${bench}.t4.txt
+    cells=build/bench_smoke_${bench}.jsonl
+    rm -f "${cells}"
+    timeout 120 "./build/bench/${bench}" --frames=60 --reps=1 --threads=1 \
+      > "${serial}"
+    timeout 120 "./build/bench/${bench}" --frames=60 --reps=1 --threads=4 \
+      --json="${cells}" > "${pooled}"
+    if ! diff <(grep -v '^#' "${serial}") <(grep -v '^#' "${pooled}"); then
+      echo "bench smoke: ${bench} tables differ between 1 and 4 threads" >&2
+      exit 1
+    fi
+    lines=$(wc -l < "${cells}")
+    if [[ "${lines}" -ne "${grid_cells[${bench}]}" ]]; then
+      echo "bench smoke: ${bench} --json wrote ${lines} lines," \
+           "expected ${grid_cells[${bench}]} (one per cell)" >&2
+      exit 1
+    fi
+    echo "bench smoke: ${bench}: tables thread-invariant, ${lines} JSONL cells"
+  done
+
   out=build/bench_smoke_hotpath.json
   rm -f "${out}"
   timeout 300 ./build/bench/bench_hotpath --quick --json="${out}"
@@ -626,7 +662,7 @@ if [[ "${mode}" != "--sanitize-only" ]]; then
   cmake --build build-tsan -j "${jobs}"
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-          -R 'ThreadPool|Sweep|WorkloadCache|Flags|Validation|Flow\.|PooledEncode|PooledBuild|RenderClip'
+          -R 'ThreadPool|Sweep|StreamGrid|WorkloadCache|Flags|Validation|Flow\.|PooledEncode|PooledBuild|RenderClip'
 fi
 
 echo "=== all checks passed ==="

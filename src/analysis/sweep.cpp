@@ -56,23 +56,17 @@ std::size_t LeakageSpec::cell_count() const {
 }
 
 std::vector<LeakageCell> enumerate_leakage_cells(const LeakageSpec& spec) {
-  const std::vector<policy::EncryptionPolicy> policies = spec.policy_axis();
-  const std::vector<policy::ShapingPolicy> shapings = spec.shaping_axis();
-  std::vector<LeakageCell> cells;
-  cells.reserve(policies.size() * shapings.size());
-  std::size_t index = 0;
-  for (const policy::EncryptionPolicy& p : policies) {
-    for (const policy::ShapingPolicy& s : shapings) {
-      LeakageCell cell;
-      cell.index = index;
-      cell.policy = p;
-      cell.shaping = s;
-      cell.seed = util::derive_seed(spec.seed, index);
-      cells.push_back(cell);
-      ++index;
-    }
-  }
-  return cells;
+  return util::cartesian(
+      [&](std::size_t index, const policy::EncryptionPolicy& p,
+          const policy::ShapingPolicy& s) {
+        LeakageCell cell;
+        cell.index = index;
+        cell.policy = p;
+        cell.shaping = s;
+        cell.seed = util::derive_seed(spec.seed, index);
+        return cell;
+      },
+      spec.policy_axis(), spec.shaping_axis());
 }
 
 LeakageCellResult run_leakage_cell(
@@ -203,22 +197,19 @@ util::Record to_record(const LeakageCellResult& r) {
   return out;
 }
 
-LeakageSummary LeakageRunner::run(const LeakageSpec& spec,
-                                  LeakageSink& sink) {
+util::GridSummary run_leakage(const LeakageSpec& spec, LeakageSink& sink,
+                              util::ThreadPool* pool) {
   spec.validate();
   const std::vector<LeakageCell> cells = enumerate_leakage_cells(spec);
   // One shared workload: every cell shapes/encrypts its own clone, so the
   // grid isolates the policy/shaping axes from content variation.
   const core::Workload workload =
       core::build_workload(spec.motion, spec.gop_size, spec.frames,
-                           spec.seed, spec.pipeline.fps, pool_);
-
-  LeakageSummary summary;
-  util::stream_grid(
-      pool_, spec, cells.size(),
+                           spec.seed, spec.pipeline.fps, pool);
+  return util::stream_grid(
+      pool, util::Rows::kPool, spec, cells.size(), [] {},
       [&](std::size_t i) { return run_leakage_cell(spec, cells[i], workload); },
-      sink, summary);
-  return summary;
+      sink);
 }
 
 }  // namespace tv::analysis

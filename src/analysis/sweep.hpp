@@ -8,7 +8,7 @@
 // send schedule — then runs feature extraction, inference and scoring on
 // that capture, and prices the cell through core::ServiceModel (the
 // transfer it just ran) and energy::transfer_energy.  Same determinism
-// contract as sim::ValidationRunner and cell::CellValidationRunner:
+// contract as sim::run_validation and cell::run_cell_validation:
 // derived per-cell seeds, strictly ordered sink calls, byte-identical
 // output at any thread count.
 #pragma once
@@ -101,18 +101,10 @@ void table_header(std::ostream& out, const LeakageSpec& spec);
 void table_row(std::ostream& out, const LeakageSpec& spec,
                const LeakageCellResult& result);
 
-using LeakageSummary = util::GridSummary;
-
-/// Executes LeakageSpecs, optionally on a thread pool.  `pool == nullptr`
-/// runs serially; any pool size yields byte-identical sink output.
-class LeakageRunner {
- public:
-  explicit LeakageRunner(util::ThreadPool* pool = nullptr) : pool_(pool) {}
-
-  LeakageSummary run(const LeakageSpec& spec, LeakageSink& sink);
-
- private:
-  util::ThreadPool* pool_;
-};
+/// Runs every cell of `spec` against one shared workload, streaming
+/// results to `sink` in cell order.  `pool == nullptr` runs serially; any
+/// pool size yields byte-identical sink output.
+util::GridSummary run_leakage(const LeakageSpec& spec, LeakageSink& sink,
+                              util::ThreadPool* pool = nullptr);
 
 }  // namespace tv::analysis

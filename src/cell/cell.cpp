@@ -1,7 +1,6 @@
 #include "cell/cell.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -392,41 +391,35 @@ util::Record to_record(const CapacityPoint& p) {
   return out;
 }
 
-CellSweepSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
+util::GridSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
   spec.validate();
   // Build every workload of the largest point before any point runs (see
   // core::WorkloadCache).  Flow f's (motion, GOP) cycles with f, so the
   // first motions x GOPs flows name every pair a point can use.
-  const auto t0 = std::chrono::steady_clock::now();
   const CellSpec& base = spec.base;
-  const std::size_t flows = std::min(
-      static_cast<std::size_t>(*std::max_element(spec.flow_counts.begin(),
-                                                 spec.flow_counts.end())),
-      base.motions.size() * base.gop_sizes.size());
-  std::vector<core::WorkloadKey> keys;
-  for (std::size_t f = 0; f < flows; ++f) {
-    const FlowConfig c = resolve_flow(base, f);
-    keys.push_back({c.motion, c.gop_size, base.frames, base.seed, base.fps});
-  }
-  cache_.prebuild(keys);
-
-  // Points run strictly in order (the sink contract): no pool at the point
-  // level; the pool parallelizes the flows inside each point, which is
-  // where the work is.
-  CellSweepSummary summary;
-  util::stream_grid(
-      nullptr, spec, spec.flow_counts.size(),
+  const auto prebuild = [&] {
+    const std::size_t flows = std::min(
+        static_cast<std::size_t>(*std::max_element(spec.flow_counts.begin(),
+                                                   spec.flow_counts.end())),
+        base.motions.size() * base.gop_sizes.size());
+    std::vector<core::WorkloadKey> keys;
+    for (std::size_t f = 0; f < flows; ++f) {
+      const FlowConfig c = resolve_flow(base, f);
+      keys.push_back({c.motion, c.gop_size, base.frames, base.seed, base.fps});
+    }
+    cache_.prebuild(keys);
+  };
+  // Points run strictly in order on this thread: the pool parallelizes the
+  // flows inside each point, which is where the work is.
+  util::GridSummary summary = util::stream_grid(
+      pool_, util::Rows::kInOrder, spec, spec.flow_counts.size(), prebuild,
       [&](std::size_t i) {
-        CellSpec cell = spec.base;
+        CellSpec cell = base;
         cell.flows = spec.flow_counts[i];
         return CapacityPoint{i, cell.flows, run_cell(cell, cache_, pool_)};
       },
-      sink, summary);
+      sink);
   summary.workloads = cache_.size();
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-  summary.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
   return summary;
 }
 

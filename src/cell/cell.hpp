@@ -220,8 +220,6 @@ class CellCollectSink : public util::Sink<CapacitySpec, CapacityPoint> {
   std::vector<CapacityPoint> points;
 };
 
-using CellSweepSummary = util::GridSummary;
-
 /// Executes CapacitySpecs.  Points run in order (each reuses the shared
 /// workload cache); the pool parallelizes the flows inside each point.
 class CellRunner {
@@ -229,7 +227,7 @@ class CellRunner {
   explicit CellRunner(util::ThreadPool* pool = nullptr)
       : pool_(pool), cache_(pool) {}
 
-  CellSweepSummary run(const CapacitySpec& spec, CellSink& sink);
+  util::GridSummary run(const CapacitySpec& spec, CellSink& sink);
 
   [[nodiscard]] core::WorkloadCache& workloads() { return cache_; }
 

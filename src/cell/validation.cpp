@@ -75,24 +75,17 @@ std::size_t CellValidationSpec::cell_count() const {
 
 std::vector<CellValidationCell> enumerate_validation_cells(
     const CellValidationSpec& spec) {
-  std::vector<CellValidationCell> cells;
-  cells.reserve(spec.cell_count());
-  std::size_t index = 0;
-  for (int n : spec.contenders) {
-    for (int w : spec.cw_mins) {
-      for (int m : spec.stage_counts) {
+  return util::cartesian(
+      [&](std::size_t index, int n, int w, int m) {
         CellValidationCell cell;
         cell.index = index;
         cell.contenders = n;
         cell.cw_min = w;
         cell.stages = m;
         cell.seed = util::derive_seed(spec.seed, index);
-        cells.push_back(cell);
-        ++index;
-      }
-    }
-  }
-  return cells;
+        return cell;
+      },
+      spec.contenders, spec.cw_mins, spec.stage_counts);
 }
 
 CellValidationCellResult run_cell_validation_cell(
@@ -171,21 +164,19 @@ util::Record to_record(const CellValidationCellResult& r) {
   return out;
 }
 
-CellValidationSummary CellValidationRunner::run(const CellValidationSpec& spec,
-                                                CellValidationSink& sink) {
+util::GridSummary run_cell_validation(const CellValidationSpec& spec,
+                                      CellValidationSink& sink,
+                                      util::ThreadPool* pool) {
   spec.validate();
   const std::vector<CellValidationCell> cells =
       enumerate_validation_cells(spec);
-
-  CellValidationSummary summary;
-  util::stream_grid(
-      pool_, spec, cells.size(),
+  return util::stream_grid(
+      pool, util::Rows::kPool, spec, cells.size(), [] {},
       [&](std::size_t i) { return run_cell_validation_cell(spec, cells[i]); },
-      sink, summary,
-      [&](const CellValidationCellResult& r) {
+      sink,
+      [](util::GridSummary& summary, const CellValidationCellResult& r) {
         util::tally(summary, r.checks);
       });
-  return summary;
 }
 
 }  // namespace tv::cell

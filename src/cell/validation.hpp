@@ -16,7 +16,7 @@
 // statistic and the relative term absorbs the decoupling bias of the
 // fixed-point approximation itself (the DES has real inter-station
 // coupling; Bianchi assumes independence).  Same determinism contract as
-// sim::ValidationRunner: derived per-cell seeds, strictly ordered sink
+// sim::run_validation: derived per-cell seeds, strictly ordered sink
 // calls, byte-identical output at any thread count.
 #pragma once
 
@@ -94,26 +94,16 @@ void table_header(std::ostream& out, const CellValidationSpec& spec);
 void table_row(std::ostream& out, const CellValidationSpec& spec,
                const CellValidationCellResult& result);
 
-using CellValidationSummary = util::GridSummary;
-
 /// Runs one grid cell end to end (solve + simulate + band checks).  Pure
 /// in (spec, cell); exposed for tests.
 [[nodiscard]] CellValidationCellResult run_cell_validation_cell(
     const CellValidationSpec& spec, const CellValidationCell& cell);
 
-/// Executes CellValidationSpecs, optionally on a thread pool.
-class CellValidationRunner {
- public:
-  /// `pool == nullptr` runs serially; any pool size yields byte-identical
-  /// sink output.
-  explicit CellValidationRunner(util::ThreadPool* pool = nullptr)
-      : pool_(pool) {}
-
-  CellValidationSummary run(const CellValidationSpec& spec,
-                            CellValidationSink& sink);
-
- private:
-  util::ThreadPool* pool_;
-};
+/// Runs every grid cell of `spec`, streaming results to `sink` in cell
+/// order.  `pool == nullptr` runs serially; any pool size yields
+/// byte-identical sink output.
+util::GridSummary run_cell_validation(const CellValidationSpec& spec,
+                                      CellValidationSink& sink,
+                                      util::ThreadPool* pool = nullptr);
 
 }  // namespace tv::cell

@@ -1,7 +1,6 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
@@ -63,37 +62,27 @@ std::size_t SweepSpec::cell_count() const {
 }
 
 std::vector<SweepCell> enumerate_cells(const SweepSpec& spec) {
-  std::vector<SweepCell> cells;
-  cells.reserve(spec.cell_count());
-  for (const auto motion : spec.motions) {
-    for (const int gop : spec.gop_sizes) {
-      for (const auto& shape : spec.policies) {
-        for (const auto algorithm : spec.algorithms) {
-          for (const auto& device : spec.devices) {
-            for (const auto transport : spec.transports) {
-              for (const auto& channel : spec.channels) {
-                SweepCell cell;
-                cell.index = cells.size();
-                cell.motion = motion;
-                cell.gop_size = gop;
-                cell.policy = shape;
-                cell.policy.algorithm = algorithm;
-                cell.device = device;
-                cell.transport = transport;
-                cell.channel = channel;
-                cell.seed = spec.seed_mode == SweepSpec::SeedMode::kShared
-                                ? spec.seed
-                                : util::derive_seed(spec.seed, 0x5eedC311ULL,
-                                                    cell.index);
-                cells.push_back(std::move(cell));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return cells;
+  return util::cartesian(
+      [&](std::size_t index, video::MotionLevel motion, int gop,
+          const policy::EncryptionPolicy& shape, crypto::Algorithm algorithm,
+          const DeviceProfile& device, Transport transport,
+          const std::optional<ChannelModel>& channel) {
+        SweepCell cell;
+        cell.index = index;
+        cell.motion = motion;
+        cell.gop_size = gop;
+        cell.policy = shape;
+        cell.policy.algorithm = algorithm;
+        cell.device = device;
+        cell.transport = transport;
+        cell.channel = channel;
+        cell.seed = spec.seed_mode == SweepSpec::SeedMode::kShared
+                        ? spec.seed
+                        : util::derive_seed(spec.seed, 0x5eedC311ULL, index);
+        return cell;
+      },
+      spec.motions, spec.gop_sizes, spec.policies, spec.algorithms,
+      spec.devices, spec.transports, spec.channels);
 }
 
 void table_header(std::ostream& out, const SweepSpec& spec) {
@@ -226,7 +215,7 @@ std::size_t WorkloadCache::size() const {
   return cache_.size();
 }
 
-SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
+util::GridSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
   spec.validate();
   const std::vector<SweepCell> cells = enumerate_cells(spec);
 
@@ -243,15 +232,15 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
   }
 
   // Every workload is built before the cells fan out (see WorkloadCache).
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<WorkloadKey> keys;
-  keys.reserve(cells.size());
-  for (const SweepCell& cell : cells) {
-    keys.push_back({cell.motion, cell.gop_size, spec.frames, spec.seed,
-                    spec.fps});
-  }
-  cache_.prebuild(keys);
-
+  const auto prebuild = [&] {
+    std::vector<WorkloadKey> keys;
+    keys.reserve(cells.size());
+    for (const SweepCell& cell : cells) {
+      keys.push_back({cell.motion, cell.gop_size, spec.frames, spec.seed,
+                      spec.fps});
+    }
+    cache_.prebuild(keys);
+  };
   auto run_cell = [&](std::size_t index) {
     const SweepCell& cell = cells[index];
     ExperimentSpec es;
@@ -270,12 +259,10 @@ SweepSummary SweepRunner::run(const SweepSpec& spec, ResultSink& sink) {
                    spec.fps);
     return CellResult{cell, run_experiment(es, *workload, pool_)};
   };
-  SweepSummary summary;
-  util::stream_grid(pool_, spec, cells.size(), run_cell, sink, summary);
+  util::GridSummary summary =
+      util::stream_grid(pool_, util::Rows::kPool, spec, cells.size(),
+                        prebuild, run_cell, sink);
   summary.workloads = cache_.size();
-  summary.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
   return summary;
 }
 

@@ -144,8 +144,6 @@ class WorkloadCache {
       cache_;
 };
 
-using SweepSummary = util::GridSummary;
-
 /// Executes SweepSpecs.  Reuse one runner across related sweeps to share
 /// its workload cache.
 class SweepRunner {
@@ -157,7 +155,7 @@ class SweepRunner {
 
   /// Runs every cell, streaming results to `sink` in cell order.
   /// Validates the spec and every cell's pipeline configuration up front.
-  SweepSummary run(const SweepSpec& spec, ResultSink& sink);
+  util::GridSummary run(const SweepSpec& spec, ResultSink& sink);
 
   [[nodiscard]] WorkloadCache& workloads() { return cache_; }
 

@@ -51,7 +51,7 @@ struct TraceEvent {
   const char* kind = "";
   std::int64_t packet = -1;  ///< packet index; -1 when not packet-specific.
   /// Repetition index (stamped by run_experiment) or validation-grid cell
-  /// index (stamped by ValidationRunner); -1 when untagged.
+  /// index (stamped by sim::run_validation); -1 when untagged.
   int repetition = -1;
   double time_s = 0.0;   ///< simulation clock at the event.
   double value_s = 0.0;  ///< stage duration (0 for outcome events).
@@ -138,7 +138,7 @@ class JsonlTraceSink final : public TraceSink {
 
 /// Forwards each event to up to two downstream sinks with the repetition
 /// field stamped.  run_experiment uses it to tag repetitions;
-/// ValidationRunner to tag grid cells.
+/// sim::run_validation to tag grid cells.
 class StampTraceSink final : public TraceSink {
  public:
   StampTraceSink(TraceSink* primary, TraceSink* secondary, int repetition)

@@ -65,14 +65,6 @@ PacedSchedule paced_schedule_from_service_model(
   return schedule;
 }
 
-std::vector<double> schedule_from_service_model(
-    const core::PipelineConfig& config,
-    const std::vector<net::VideoPacket>& packets, std::uint64_t seed,
-    core::TraceSink* trace) {
-  return paced_schedule_from_service_model(config, packets, seed, trace)
-      .send_s;
-}
-
 SenderSession::SenderSession(EventLoop& loop, UdpSocket& socket,
                              SenderConfig config,
                              const std::vector<net::VideoPacket>& packets,

@@ -28,15 +28,6 @@ namespace tv::live {
 [[nodiscard]] std::vector<double> schedule_from_timings(
     const std::vector<core::PacketTiming>& timings);
 
-/// Per-packet send times drawn fresh from the service model: producer
-/// release (frame cadence + read latency + jitter) followed by one
-/// encrypt/backoff/transmit service round per packet, no channel loss.
-/// This paces a standalone `live send` when no simulation ran first.
-[[nodiscard]] std::vector<double> schedule_from_service_model(
-    const core::PipelineConfig& config,
-    const std::vector<net::VideoPacket>& packets, std::uint64_t seed,
-    core::TraceSink* trace = nullptr);
-
 /// Release and send instants for a supervised client session: packet i
 /// enters the session's send queue at `arrival_s[i]` (producer release)
 /// and completes service — goes on the air — at `send_s[i]`.  The gap
@@ -47,6 +38,10 @@ struct PacedSchedule {
   std::vector<double> send_s;
 };
 
+/// The schedule drawn fresh from the service model: producer release
+/// (frame cadence + read latency + jitter) followed by one
+/// encrypt/backoff/transmit service round per packet, no channel loss.
+/// Its `send_s` paces a standalone `live send` when no simulation ran.
 [[nodiscard]] PacedSchedule paced_schedule_from_service_model(
     const core::PipelineConfig& config,
     const std::vector<net::VideoPacket>& packets, std::uint64_t seed,

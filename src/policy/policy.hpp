@@ -34,6 +34,8 @@ struct EncryptionPolicy {
   crypto::Algorithm algorithm = crypto::Algorithm::kAes256;
   double fraction = 0.0;  ///< alpha for the fractional modes, in [0, 1].
 
+  bool operator==(const EncryptionPolicy&) const = default;
+
   /// Human-readable label, e.g. "I+20%P (AES256)".
   [[nodiscard]] std::string label() const;
 

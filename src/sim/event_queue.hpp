@@ -20,7 +20,7 @@ using EventId = std::uint64_t;
 
 /// Min-heap of timed events over a virtual clock.  Not thread-safe: each
 /// simulation owns one queue (cross-run parallelism happens one level up,
-/// in ValidationRunner).
+/// in sim::run_validation).
 class EventQueue {
  public:
   /// Schedule `fn` at absolute virtual time `time` (must be >= now()).

@@ -121,7 +121,7 @@ void ValidationSpec::validate() const {
   require(eavesdropper_repetitions >= 2, "need >= 2 eavesdropper flows");
   for (const policy::EncryptionPolicy& p : policies) p.validate();
   // Per-cell knobs (stability, truncation constraints, distortion ranges)
-  // are validated fail-fast by ValidationRunner::run before any cell
+  // are validated fail-fast by run_validation before any cell
   // executes, via the component specs' own validate().
 }
 
@@ -131,27 +131,19 @@ std::size_t ValidationSpec::cell_count() const {
 }
 
 std::vector<ValidationCell> enumerate_cells(const ValidationSpec& spec) {
-  std::vector<ValidationCell> cells;
-  cells.reserve(spec.cell_count());
-  std::size_t index = 0;
-  for (double l1 : spec.lambda1s) {
-    for (double l2 : spec.lambda2s) {
-      for (const policy::EncryptionPolicy& shape : spec.policies) {
-        for (crypto::Algorithm algorithm : spec.algorithms) {
-          ValidationCell cell;
-          cell.index = index;
-          cell.lambda1 = l1;
-          cell.lambda2 = l2;
-          cell.policy = shape;
-          cell.policy.algorithm = algorithm;
-          cell.seed = util::derive_seed(spec.seed, index);
-          cells.push_back(cell);
-          ++index;
-        }
-      }
-    }
-  }
-  return cells;
+  return util::cartesian(
+      [&](std::size_t index, double l1, double l2,
+          const policy::EncryptionPolicy& shape, crypto::Algorithm algorithm) {
+        ValidationCell cell;
+        cell.index = index;
+        cell.lambda1 = l1;
+        cell.lambda2 = l2;
+        cell.policy = shape;
+        cell.policy.algorithm = algorithm;
+        cell.seed = util::derive_seed(spec.seed, index);
+        return cell;
+      },
+      spec.lambda1s, spec.lambda2s, spec.policies, spec.algorithms);
 }
 
 ValidationCellResult run_validation_cell(const ValidationSpec& spec,
@@ -393,8 +385,9 @@ util::Record to_record(const ValidationCellResult& r) {
 
 // --- Runner. ---------------------------------------------------------------
 
-ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
-                                        ValidationSink& sink) {
+util::GridSummary run_validation(const ValidationSpec& spec,
+                                 ValidationSink& sink,
+                                 util::ThreadPool* pool) {
   spec.validate();
   const std::vector<ValidationCell> cells = enumerate_cells(spec);
 
@@ -405,15 +398,15 @@ ValidationSummary ValidationRunner::run(const ValidationSpec& spec,
     make_eavesdropper_spec(spec, cell).validate();
   }
 
-  // Traced runs execute serially so the event stream arrives in cell order.
-  ValidationSummary summary;
-  util::stream_grid(
-      spec.trace == nullptr ? pool_ : nullptr, spec, cells.size(),
+  // Traced runs execute in order so the event stream arrives in cell order.
+  return util::stream_grid(
+      pool, spec.trace == nullptr ? util::Rows::kPool : util::Rows::kInOrder,
+      spec, cells.size(), [] {},
       [&](std::size_t i) { return run_validation_cell(spec, cells[i]); },
-      sink, summary,
-      [&](const ValidationCellResult& r) { util::tally(summary, r.checks); });
-  summary.threads = pool_ != nullptr ? pool_->thread_count() : 1;
-  return summary;
+      sink,
+      [](util::GridSummary& summary, const ValidationCellResult& r) {
+        util::tally(summary, r.checks);
+      });
 }
 
 }  // namespace tv::sim

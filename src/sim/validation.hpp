@@ -152,25 +152,17 @@ void table_header(std::ostream& out, const ValidationSpec& spec);
 void table_row(std::ostream& out, const ValidationSpec& spec,
                const ValidationCellResult& result);
 
-using ValidationSummary = util::GridSummary;
-
 /// Runs one cell end to end (analytic solve + both simulators).  Pure in
 /// (spec, cell); exposed for tests.
 [[nodiscard]] ValidationCellResult run_validation_cell(
     const ValidationSpec& spec, const ValidationCell& cell);
 
-/// Executes ValidationSpecs, optionally on a thread pool.
-class ValidationRunner {
- public:
-  /// `pool == nullptr` runs serially; any pool size yields byte-identical
-  /// sink output.
-  explicit ValidationRunner(util::ThreadPool* pool = nullptr)
-      : pool_(pool) {}
-
-  ValidationSummary run(const ValidationSpec& spec, ValidationSink& sink);
-
- private:
-  util::ThreadPool* pool_;
-};
+/// Runs every cell of `spec`, streaming results to `sink` in cell order.
+/// Validates the spec and every cell's component specs up front.
+/// `pool == nullptr` runs serially; any pool size yields byte-identical
+/// sink output.
+util::GridSummary run_validation(const ValidationSpec& spec,
+                                 ValidationSink& sink,
+                                 util::ThreadPool* pool = nullptr);
 
 }  // namespace tv::sim

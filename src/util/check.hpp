@@ -1,5 +1,5 @@
-// Acceptance checks of the validation grids (sim::ValidationRunner and
-// cell::CellValidationRunner): each grid cell compares simulated
+// Acceptance checks of the validation grids (sim::run_validation and
+// cell::run_cell_validation): each grid cell compares simulated
 // statistics against their analytic counterparts under a tolerance band.
 #pragma once
 

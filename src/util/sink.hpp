@@ -1,5 +1,6 @@
-// The one sink set shared by every grid engine (sweep, cell capacity,
-// model validation, cell validation, leakage).
+// The one sink set and run skeleton shared by every grid engine (sweep,
+// cell capacity, model validation, cell validation, leakage): each grid
+// enumerates its cells with `cartesian` and runs them with `stream_grid`.
 //
 // A grid runner streams its rows through a Sink<Spec, Row> strictly in row
 // order, so sinks need no locking and their output is deterministic.  The
@@ -11,10 +12,14 @@
 //     human-readable table.
 #pragma once
 
+#include <array>
 #include <chrono>
+#include <cstddef>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/record.hpp"
@@ -136,27 +141,66 @@ struct GridSummary {
   [[nodiscard]] bool all_passed() const { return passed_cells == cells; }
 };
 
-/// Streams a grid of n rows into `sink`: begin, the rows run(i) produces in
-/// index order (computed on `pool` when given; see run_ordered), end.
-/// `seen(row)` observes each row before the sink does.  Records the row
-/// count, pool size and wall time in `summary`.
-template <class Spec, class Row, class Run,
-          class Seen = void (*)(const Row&)>
-void stream_grid(ThreadPool* pool, const Spec& spec, std::size_t n, Run&& run,
-                 Sink<Spec, Row>& sink, GridSummary& summary,
-                 Seen&& seen = [](const Row&) {}) {
+/// Where a grid's rows run.  kPool: as tasks on the grid's pool.
+/// kInOrder: one after another on the calling thread, for rows that
+/// spread their own work over the pool or emit side effects (a trace)
+/// that must arrive in row order.
+enum class Rows { kPool, kInOrder };
+
+/// Streams a grid of n rows into `sink` and returns what the run did:
+/// `prepare()` (a grid's workload builds), then begin, the rows run(i)
+/// produces in index order, end.  `seen(summary, row)` observes each row
+/// before the sink does.  The one place that records a grid's row count,
+/// pool size and wall time; the wall time includes `prepare`.
+template <class Spec, class Row, class Prepare, class Run,
+          class Seen = void (*)(GridSummary&, const Row&)>
+GridSummary stream_grid(ThreadPool* pool, Rows rows, const Spec& spec,
+                        std::size_t n, Prepare&& prepare, Run&& run,
+                        Sink<Spec, Row>& sink,
+                        Seen&& seen = [](GridSummary&, const Row&) {}) {
   const auto t0 = std::chrono::steady_clock::now();
+  GridSummary summary;
+  prepare();
   sink.begin(spec);
-  run_ordered(pool, n, run, [&](const Row& row) {
-    seen(row);
-    sink.cell(row);
-  });
+  run_ordered(rows == Rows::kPool ? pool : nullptr, n, run,
+              [&](const Row& row) {
+                seen(summary, row);
+                sink.cell(row);
+              });
   sink.end();
   summary.cells = n;
   summary.threads = pool != nullptr ? pool->thread_count() : 1;
   summary.wall_s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
+  return summary;
+}
+
+/// The cartesian product of `axes` in row-major order (the last axis
+/// varies fastest): make(index, a0, a1, ...) for every combination, where
+/// `index` is the combination's position.  An empty axis yields no cells.
+template <class Make, class... Axes>
+auto cartesian(Make&& make, const Axes&... axes) {
+  using Cell = std::invoke_result_t<Make&, std::size_t,
+                                    const typename Axes::value_type&...>;
+  constexpr std::size_t kAxes = sizeof...(Axes);
+  const std::array<std::size_t, kAxes> sizes{axes.size()...};
+  std::size_t total = 1;
+  for (const std::size_t size : sizes) total *= size;
+  std::vector<Cell> cells;
+  cells.reserve(total);
+  for (std::size_t index = 0; index < total; ++index) {
+    std::array<std::size_t, kAxes> at{};
+    std::size_t rest = index;
+    for (std::size_t k = kAxes; k-- > 0;) {
+      at[k] = rest % sizes[k];
+      rest /= sizes[k];
+    }
+    [&]<std::size_t... K>(std::index_sequence<K...>) {
+      cells.push_back(make(index, axes[at[K]]...));
+    }(std::index_sequence_for<Axes...>{});
+  }
+  return cells;
 }
 
 }  // namespace tv::util

@@ -37,7 +37,7 @@ int clampi(int v, int lo, int hi) { return v < lo ? lo : (v > hi ? hi : v); }
 // motion-compensated reads that may point outside the picture).
 Block8x8 read_block(const std::vector<std::uint8_t>& plane, int w, int h,
                     int x0, int y0) {
-  Block8x8 block{};
+  Block8x8 block;
   if (x0 >= 0 && y0 >= 0 && x0 + 8 <= w && y0 + 8 <= h) {
     // Interior: no clamping, so each row is one contiguous read.
     const std::uint8_t* src = plane.data() +
@@ -279,7 +279,7 @@ void reconstruct_block(PlaneRef recon, int x0, int y0,
 // quantize_residual_deadzone).
 QuantBlock quantize_difference(const Block8x8& source,
                                const Block8x8& prediction, double qstep) {
-  Block8x8 diff{};
+  Block8x8 diff;
   for (int i = 0; i < 64; ++i) {
     diff[static_cast<std::size_t>(i)] = source[static_cast<std::size_t>(i)] -
                                         prediction[static_cast<std::size_t>(i)];

@@ -171,7 +171,7 @@ int level_extent(const QuantBlock& levels) {
 }
 
 QuantBlock quantize(const Block8x8& coefficients, double qstep) {
-  QuantBlock out{};
+  QuantBlock out;
   for (int i = 0; i < 64; ++i) {
     const double step = i == 0 ? qstep * 0.5 : qstep;
     out[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
@@ -191,7 +191,7 @@ Block8x8 dequantize(const QuantBlock& levels, double qstep, int extent) {
 }
 
 QuantBlock quantize_deadzone(const Block8x8& coefficients, double qstep) {
-  QuantBlock out{};
+  QuantBlock out;
   for (int i = 0; i < 64; ++i) {
     const double c = coefficients[static_cast<std::size_t>(i)];
     // Truncation toward zero: the dead zone spans (-qstep, qstep).
@@ -204,7 +204,7 @@ QuantBlock quantize_deadzone(const Block8x8& coefficients, double qstep) {
 QuantBlock quantize_residual_deadzone(const Block8x8& source,
                                       const Block8x8& prediction,
                                       double qstep) {
-  Block8x8 diff{};
+  Block8x8 diff;
   double lanes[8] = {};
   for (int r = 0; r < 8; ++r) {
     for (int c = 0; c < 8; ++c) {

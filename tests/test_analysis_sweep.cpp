@@ -134,14 +134,12 @@ TEST(AnalysisSweep, RunnerOutputIsByteIdenticalAtAnyThreadCount) {
 
   std::ostringstream serial_out;
   util::JsonlSink<LeakageSpec, LeakageCellResult> serial_sink{serial_out};
-  LeakageRunner serial{nullptr};
-  const LeakageSummary s1 = serial.run(spec, serial_sink);
+  const util::GridSummary s1 = run_leakage(spec, serial_sink);
 
   util::ThreadPool pool{4};
   std::ostringstream pooled_out;
   util::JsonlSink<LeakageSpec, LeakageCellResult> pooled_sink{pooled_out};
-  LeakageRunner pooled{&pool};
-  const LeakageSummary s4 = pooled.run(spec, pooled_sink);
+  const util::GridSummary s4 = run_leakage(spec, pooled_sink, &pool);
 
   EXPECT_EQ(s1.cells, s4.cells);
   EXPECT_EQ(s4.threads, 4u);
@@ -165,8 +163,7 @@ TEST(AnalysisSweep, TeeSinkFansOutToEveryFormat) {
   tee.add(&csv);
   tee.add(&collect);
 
-  LeakageRunner runner{nullptr};
-  runner.run(spec, tee);
+  (void)run_leakage(spec, tee);
   ASSERT_EQ(collect.results.size(), 1u);
   EXPECT_NE(table_out.str().find("policy"), std::string::npos);
   EXPECT_NE(jsonl_out.str().find("\"policy\":\"I\""), std::string::npos);

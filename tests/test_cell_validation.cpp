@@ -88,9 +88,8 @@ TEST(CellValidation, BackgroundClassAddsItsOwnChecks) {
 TEST(CellValidation, DefaultGridAllCellsPass) {
   const CellValidationSpec spec;
   util::ThreadPool pool{4};
-  CellValidationRunner runner{&pool};
   util::CollectSink<CellValidationSpec, CellValidationCellResult> sink;
-  const CellValidationSummary summary = runner.run(spec, sink);
+  const util::GridSummary summary = run_cell_validation(spec, sink, &pool);
   EXPECT_EQ(summary.cells, spec.cell_count());
   EXPECT_EQ(summary.failed_checks, 0u);
   EXPECT_TRUE(summary.all_passed());
@@ -107,8 +106,7 @@ TEST(CellValidation, RunnerOutputIsThreadInvariant) {
   std::ostringstream serial;
   {
     util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{serial};
-    CellValidationRunner runner;
-    const auto summary = runner.run(spec, sink);
+    const auto summary = run_cell_validation(spec, sink);
     EXPECT_EQ(summary.threads, 1u);
   }
 
@@ -116,8 +114,7 @@ TEST(CellValidation, RunnerOutputIsThreadInvariant) {
   {
     util::ThreadPool pool{8};
     util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{pooled};
-    CellValidationRunner runner{&pool};
-    const auto summary = runner.run(spec, sink);
+    const auto summary = run_cell_validation(spec, sink, &pool);
     EXPECT_EQ(summary.threads, 8u);
   }
 
@@ -129,8 +126,7 @@ TEST(CellValidation, JsonlSinkEmitsOneObjectPerCell) {
   const CellValidationSpec spec = tiny_spec();
   std::ostringstream out;
   util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{out};
-  CellValidationRunner runner;
-  (void)runner.run(spec, sink);
+  (void)run_cell_validation(spec, sink);
   const std::string s = out.str();
   std::size_t lines = 0;
   for (char c : s) {

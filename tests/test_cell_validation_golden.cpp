@@ -37,8 +37,7 @@ CellValidationSpec golden_spec() {
 TEST(CellValidationGolden, JsonlOutputMatchesFixture) {
   std::ostringstream out;
   util::JsonlSink<CellValidationSpec, CellValidationCellResult> sink{out};
-  CellValidationRunner runner;
-  (void)runner.run(golden_spec(), sink);
+  (void)run_cell_validation(golden_spec(), sink);
   test::check_golden(test::data_path("cell_validation_golden.jsonl"),
                      out.str());
 }

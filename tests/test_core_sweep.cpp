@@ -155,6 +155,59 @@ TEST(SweepRunner, PooledRunExperimentMatchesSerial) {
   EXPECT_EQ(serial.total_retransmissions, pooled.total_retransmissions);
 }
 
+// The figure benches rest on this: a kShared cell is run_experiment at the
+// root seed on the serially built workload, bit for bit, whatever the
+// policy, device, transport or quality setting.
+TEST(SweepRunner, SharedSeedCellEqualsDirectRunExperiment) {
+  SweepSpec spec;
+  spec.motions = {video::MotionLevel::kHigh};
+  spec.gop_sizes = {8};
+  spec.policies = {
+      {policy::Mode::kIFrames, crypto::Algorithm::kAes256, 0.0},
+      {policy::Mode::kIPlusFractionP, crypto::Algorithm::kAes256, 0.20}};
+  spec.devices = {samsung_galaxy_s2(), htc_amaze_4g()};
+  spec.transports = {Transport::kRtpUdp, Transport::kHttpTcp};
+  spec.frames = 16;
+  spec.repetitions = 2;
+  spec.seed = 2013;
+  spec.seed_mode = SweepSpec::SeedMode::kShared;
+  const Workload workload = build_workload(video::MotionLevel::kHigh, 8,
+                                           spec.frames, spec.seed);
+
+  for (const bool quality : {true, false}) {
+    spec.evaluate_quality = quality;
+    util::ThreadPool pool{4};
+    CollectSink sink;
+    SweepRunner{&pool}.run(spec, sink);
+    ASSERT_EQ(sink.results.size(), 8u);
+    for (const CellResult& cell : sink.results) {
+      ExperimentSpec es;
+      es.policy = cell.cell.policy;
+      es.pipeline.device = cell.cell.device;
+      es.pipeline.transport = cell.cell.transport;
+      es.repetitions = spec.repetitions;
+      es.seed = spec.seed;
+      es.evaluate_quality = quality;
+      es.sensitivity_fraction = default_sensitivity(workload.motion);
+      const CellResult direct{cell.cell, run_experiment(es, workload)};
+
+      SCOPED_TRACE(cell.cell.index);
+      std::ostringstream a, b;
+      util::write_json(a, to_record(cell));
+      util::write_json(b, to_record(direct));
+      EXPECT_EQ(a.str(), b.str());
+      EXPECT_EQ(cell.result.label, direct.result.label);
+      expect_bitwise_equal(cell.result.delay_ms, direct.result.delay_ms);
+      expect_bitwise_equal(cell.result.duration_s, direct.result.duration_s);
+      expect_bitwise_equal(cell.result.power_w, direct.result.power_w);
+      expect_bitwise_equal(cell.result.eavesdropper_psnr_db,
+                           direct.result.eavesdropper_psnr_db);
+      expect_bitwise_equal(cell.result.eavesdropper_mos,
+                           direct.result.eavesdropper_mos);
+    }
+  }
+}
+
 TEST(WorkloadCache, BuildsOnceAndShares) {
   WorkloadCache cache;
   const auto a = cache.get(video::MotionLevel::kLow, 8, 16, 5);

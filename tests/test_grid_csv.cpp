@@ -180,8 +180,10 @@ Leaves align_null_stats(const Leaves& leaves,
   return out;
 }
 
-template <class Sink, class Runner>
-void expect_csv_flattens_jsonl(Runner& runner,
+// `run(spec, sink)` runs the grid; it is a runner's run or a grid's run
+// function.
+template <class Sink, class Run>
+void expect_csv_flattens_jsonl(Run&& run,
                                const typename Sink::spec_type& spec) {
   using Spec = typename Sink::spec_type;
   using Row = typename Sink::row_type;
@@ -191,7 +193,7 @@ void expect_csv_flattens_jsonl(Runner& runner,
   util::TeeSink<Spec, Row> tee;
   tee.add(&jsonl);
   tee.add(&csv);
-  (void)runner.run(spec, tee);
+  (void)run(spec, tee);
 
   std::istringstream jsonl_lines{jsonl_out.str()};
   std::istringstream csv_lines{csv_out.str()};
@@ -226,10 +228,13 @@ TEST(GridCsv, SweepCsvFlattensItsJsonl) {
   spec.policies = {{policy::Mode::kNone, crypto::Algorithm::kAes256, 0.0},
                    {policy::Mode::kIFrames, crypto::Algorithm::kAes256, 0.0}};
   core::SweepRunner runner;
-  expect_csv_flattens_jsonl<core::ResultSink>(runner, spec);
+  const auto run = [&](const core::SweepSpec& grid, core::ResultSink& sink) {
+    return runner.run(grid, sink);
+  };
+  expect_csv_flattens_jsonl<core::ResultSink>(run, spec);
   spec.collect_stage_stats = true;
   spec.evaluate_quality = false;
-  expect_csv_flattens_jsonl<core::ResultSink>(runner, spec);
+  expect_csv_flattens_jsonl<core::ResultSink>(run, spec);
 }
 
 TEST(GridCsv, CapacityCsvFlattensItsJsonl) {
@@ -241,7 +246,11 @@ TEST(GridCsv, CapacityCsvFlattensItsJsonl) {
   spec.base.deadlines_s = {0.0, 1.0};
   spec.base.evaluate_quality = false;
   cell::CellRunner runner;
-  expect_csv_flattens_jsonl<cell::CellSink>(runner, spec);
+  expect_csv_flattens_jsonl<cell::CellSink>(
+      [&](const cell::CapacitySpec& grid, cell::CellSink& sink) {
+        return runner.run(grid, sink);
+      },
+      spec);
 }
 
 TEST(GridCsv, ModelValidationCsvFlattensItsJsonl) {
@@ -252,8 +261,11 @@ TEST(GridCsv, ModelValidationCsvFlattensItsJsonl) {
   spec.warmup = 400;
   spec.batches = 10;
   spec.eavesdropper_repetitions = 10;
-  sim::ValidationRunner runner;
-  expect_csv_flattens_jsonl<sim::ValidationSink>(runner, spec);
+  expect_csv_flattens_jsonl<sim::ValidationSink>(
+      [](const sim::ValidationSpec& grid, sim::ValidationSink& sink) {
+        return sim::run_validation(grid, sink);
+      },
+      spec);
 }
 
 TEST(GridCsv, CellValidationCsvFlattensItsJsonl) {
@@ -263,8 +275,11 @@ TEST(GridCsv, CellValidationCsvFlattensItsJsonl) {
   spec.stage_counts = {6};
   spec.slots = 4000;
   spec.warmup = 400;
-  cell::CellValidationRunner runner;
-  expect_csv_flattens_jsonl<cell::CellValidationSink>(runner, spec);
+  expect_csv_flattens_jsonl<cell::CellValidationSink>(
+      [](const cell::CellValidationSpec& grid, cell::CellValidationSink& sink) {
+        return cell::run_cell_validation(grid, sink);
+      },
+      spec);
 }
 
 TEST(GridCsv, LeakageCsvFlattensItsJsonl) {
@@ -275,8 +290,11 @@ TEST(GridCsv, LeakageCsvFlattensItsJsonl) {
       policy::policy_from_string("I", crypto::Algorithm::kAes128)};
   spec.shapings = {policy::ShapingPolicy{},
                    policy::shaping_from_string("pad64+hidemark")};
-  analysis::LeakageRunner runner;
-  expect_csv_flattens_jsonl<analysis::LeakageSink>(runner, spec);
+  expect_csv_flattens_jsonl<analysis::LeakageSink>(
+      [](const analysis::LeakageSpec& grid, analysis::LeakageSink& sink) {
+        return analysis::run_leakage(grid, sink);
+      },
+      spec);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(ValidationSpec, RejectsDegenerateSpecs) {
 TEST(ValidationRunner, TinyGridConvergesToAnalyticPredictions) {
   const ValidationSpec spec = tiny_spec();
   util::CollectSink<ValidationSpec, ValidationCellResult> sink;
-  const ValidationSummary summary = ValidationRunner{}.run(spec, sink);
+  const util::GridSummary summary = run_validation(spec, sink);
   EXPECT_EQ(summary.cells, spec.cell_count());
   EXPECT_EQ(summary.threads, 1u);
   EXPECT_TRUE(summary.all_passed()) << summary.failed_checks
@@ -86,14 +86,14 @@ TEST(ValidationRunner, JsonlOutputIsByteIdenticalAcrossThreadCounts) {
   std::ostringstream serial;
   {
     util::JsonlSink<ValidationSpec, ValidationCellResult> sink{serial};
-    (void)ValidationRunner{}.run(spec, sink);
+    (void)run_validation(spec, sink);
   }
 
   std::ostringstream pooled;
   {
     util::ThreadPool pool{3};
     util::JsonlSink<ValidationSpec, ValidationCellResult> sink{pooled};
-    const ValidationSummary summary = ValidationRunner{&pool}.run(spec, sink);
+    const util::GridSummary summary = run_validation(spec, sink, &pool);
     EXPECT_EQ(summary.threads, 3u);
   }
   EXPECT_EQ(serial.str(), pooled.str());
@@ -109,7 +109,7 @@ TEST(ValidationRunner, FailsFastOnUnstableCells) {
                         0.0}};
   unstable.algorithms = {crypto::Algorithm::kTripleDes};
   util::CollectSink<ValidationSpec, ValidationCellResult> sink;
-  EXPECT_THROW((void)ValidationRunner{}.run(unstable, sink),
+  EXPECT_THROW((void)run_validation(unstable, sink),
                std::domain_error);
   EXPECT_TRUE(sink.results.empty());  // fail-fast: no cell ever ran.
 }

@@ -37,8 +37,7 @@ ValidationSpec golden_spec() {
 TEST(SimValidationGolden, JsonlOutputMatchesFixture) {
   std::ostringstream out;
   util::JsonlSink<ValidationSpec, ValidationCellResult> sink{out};
-  ValidationRunner runner;
-  (void)runner.run(golden_spec(), sink);
+  (void)run_validation(golden_spec(), sink);
   test::check_golden(test::data_path("sim_validation_golden.jsonl"),
                      out.str());
 }

@@ -26,8 +26,7 @@ TEST(ValidationGrid, FullGridMatchesAnalyticModel) {
 
   util::ThreadPool pool;
   util::CollectSink<ValidationSpec, ValidationCellResult> sink;
-  const ValidationSummary summary =
-      ValidationRunner{&pool}.run(spec, sink);
+  const util::GridSummary summary = run_validation(spec, sink, &pool);
 
   EXPECT_EQ(summary.cells, 16u);
   ASSERT_EQ(sink.results.size(), 16u);

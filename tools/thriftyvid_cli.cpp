@@ -217,16 +217,21 @@ std::unique_ptr<Sink> make_sink(const std::string& format,
                         "' (expected table, jsonl or csv)"};
 }
 
-/// Runs a grid command's runner on the --threads pool into the sink
-/// --format selects, writing to --out (stdout by default).
-template <class Runner, class Sink>
-auto run_grid(const Flags& args, const typename Sink::spec_type& spec) {
+/// Runs a grid command's run(spec, sink, pool) on the --threads pool into
+/// the sink --format selects, writing to --out (stdout by default).  Each
+/// non-null sink of `also` receives a copy of every row.
+template <class Sink, class Run>
+util::GridSummary run_grid(const Flags& args,
+                           const typename Sink::spec_type& spec, Run&& run,
+                           std::initializer_list<Sink*> also = {}) {
   const auto pool = pool_from(args);
   std::ofstream file;
   std::ostream* out = open_output(args, "out", file, &std::cout);
-  const auto sink = make_sink<Sink>(args.get("format", "table"), *out);
-  Runner runner{pool.get()};
-  const auto summary = runner.run(spec, *sink);
+  const auto primary = make_sink<Sink>(args.get("format", "table"), *out);
+  util::TeeSink<typename Sink::spec_type, typename Sink::row_type> tee;
+  tee.add(primary.get());
+  for (Sink* sink : also) tee.add(sink);
+  const util::GridSummary summary = run(spec, tee, pool.get());
   out->flush();
   return summary;
 }
@@ -458,7 +463,7 @@ int cmd_simulate_validation(const Flags& args) {
   spec.trace = trace.open(args);
 
   const auto summary =
-      run_grid<sim::ValidationRunner, sim::ValidationSink>(args, spec);
+      run_grid<sim::ValidationSink>(args, spec, sim::run_validation);
   trace.file.flush();
   return report_checks("validation", summary);
 }
@@ -515,8 +520,12 @@ int cmd_sweep(const Flags& args) {
     spec.seed_mode = core::SweepSpec::SeedMode::kShared;
   }
 
-  const auto summary =
-      run_grid<core::SweepRunner, core::ResultSink>(args, spec);
+  const auto summary = run_grid<core::ResultSink>(
+      args, spec,
+      [](const core::SweepSpec& grid, core::ResultSink& sink,
+         util::ThreadPool* pool) {
+        return core::SweepRunner{pool}.run(grid, sink);
+      });
   std::fprintf(stderr,
                "# sweep: %zu cells x %d reps, %zu workload(s), "
                "%u thread(s), %.2f s\n",
@@ -606,7 +615,12 @@ int cmd_cell(const Flags& args) {
   TraceOutput trace;
   base.trace = trace.open(args);
 
-  const auto summary = run_grid<cell::CellRunner, cell::CellSink>(args, spec);
+  const auto summary = run_grid<cell::CellSink>(
+      args, spec,
+      [](const cell::CapacitySpec& grid, cell::CellSink& sink,
+         util::ThreadPool* pool) {
+        return cell::CellRunner{pool}.run(grid, sink);
+      });
   trace.file.flush();
   std::fprintf(stderr,
                "# cell: %zu point(s) x %d reps, %zu workload(s), "
@@ -655,9 +669,8 @@ int cmd_cell_validate(const Flags& args) {
   spec.z = args.get_double("z", spec.z);
   spec.seed = args.get_uint64("seed", spec.seed);
 
-  const auto summary =
-      run_grid<cell::CellValidationRunner, cell::CellValidationSink>(
-          args, spec);
+  const auto summary = run_grid<cell::CellValidationSink>(
+      args, spec, cell::run_cell_validation);
   return report_checks("cell validation", summary);
 }
 
@@ -822,66 +835,56 @@ int cmd_analyze(const Flags& args) {
   spec.policies = list_flag(args, "policies", policy_parser(alg), {});
   spec.shapings = list_flag(args, "shapings", policy::shaping_from_string, {});
 
-  std::ofstream file;
-  std::ostream* out = open_output(args, "out", file, &std::cout);
-  const auto primary =
-      make_sink<analysis::LeakageSink>(args.get("format", "table"), *out);
   // --json/--csv tee full-precision copies next to the primary output.
-  util::TeeSink<analysis::LeakageSpec, analysis::LeakageCellResult> tee;
-  tee.add(primary.get());
   std::ofstream json_file, csv_file;
   std::unique_ptr<analysis::LeakageSink> json_sink, csv_sink;
   if (std::ostream* json = open_output(args, "json", json_file, nullptr)) {
     json_sink = make_sink<analysis::LeakageSink>("jsonl", *json);
-    tee.add(json_sink.get());
   }
   if (std::ostream* csv = open_output(args, "csv", csv_file, nullptr)) {
     csv_sink = make_sink<analysis::LeakageSink>("csv", *csv);
-    tee.add(csv_sink.get());
   }
 
-  if (!args.positional().empty()) {
-    // ---- pcap mode: one capture, one cell.  The cell seed is the root
-    // seed itself so the deterministic re-run (ground truth + costs)
-    // matches the 'live loopback' invocation that wrote the capture.
-    const std::string pcap_path = args.positional().front();
-    const net::PcapFile capture = net::read_pcap_file(pcap_path);
-    const std::vector<net::RawCapture> wire = net::extract_rtp(capture);
-
-    spec.policies = {
-        policy::policy_from_string(args.get("policy", "I"), alg)};
-    spec.shapings = {
-        policy::shaping_from_string(args.get("shaping", "none"))};
-    spec.validate();
-    analysis::LeakageCell cell;
-    cell.policy = spec.policies.front();
-    cell.shaping = spec.shapings.front();
-    cell.seed = spec.seed;
-    const core::Workload workload =
-        core::build_workload(spec.motion, spec.gop_size, spec.frames,
-                             spec.seed, spec.pipeline.fps);
-
-    tee.begin(spec);
-    const analysis::LeakageCellResult r =
-        analysis::run_leakage_cell(spec, cell, workload, &wire);
-    tee.cell(r);
-    tee.end();
-    out->flush();
-    std::fprintf(stderr,
-                 "# analyze: %s: %zu records, %zu RTP packets, "
-                 "%zu frames observed\n",
-                 pcap_path.c_str(), capture.records.size(), wire.size(),
-                 r.inference.frames.size());
+  if (args.positional().empty()) {
+    // ---- sweep mode: the full leakage-vs-cost grid.
+    const auto summary = run_grid<analysis::LeakageSink>(
+        args, spec, analysis::run_leakage, {json_sink.get(), csv_sink.get()});
+    std::fprintf(stderr, "# analyze: %zu cells, %u thread(s), %.2f s\n",
+                 summary.cells, summary.threads, summary.wall_s);
     return 0;
   }
 
-  // ---- sweep mode: the full leakage-vs-cost grid.
-  const auto pool = pool_from(args);
-  analysis::LeakageRunner runner{pool.get()};
-  const analysis::LeakageSummary summary = runner.run(spec, tee);
-  out->flush();
-  std::fprintf(stderr, "# analyze: %zu cells, %u thread(s), %.2f s\n",
-               summary.cells, summary.threads, summary.wall_s);
+  // ---- pcap mode: one capture, one cell.  The cell seed is the root seed
+  // itself so the deterministic re-run (ground truth + costs) matches the
+  // 'live loopback' invocation that wrote the capture.
+  const std::string pcap_path = args.positional().front();
+  const net::PcapFile capture = net::read_pcap_file(pcap_path);
+  const std::vector<net::RawCapture> wire = net::extract_rtp(capture);
+  spec.policies = {policy::policy_from_string(args.get("policy", "I"), alg)};
+  spec.shapings = {policy::shaping_from_string(args.get("shaping", "none"))};
+  spec.validate();
+  const analysis::LeakageCell cell{0, spec.policies.front(),
+                                   spec.shapings.front(), spec.seed};
+  std::optional<analysis::LeakageCellResult> r;
+  (void)run_grid<analysis::LeakageSink>(
+      args, spec,
+      [&](const analysis::LeakageSpec& grid, analysis::LeakageSink& sink,
+          util::ThreadPool* pool) {
+        const core::Workload workload =
+            core::build_workload(grid.motion, grid.gop_size, grid.frames,
+                                 grid.seed, grid.pipeline.fps, pool);
+        r = analysis::run_leakage_cell(grid, cell, workload, &wire);
+        sink.begin(grid);
+        sink.cell(*r);
+        sink.end();
+        return util::GridSummary{};
+      },
+      {json_sink.get(), csv_sink.get()});
+  std::fprintf(stderr,
+               "# analyze: %s: %zu records, %zu RTP packets, "
+               "%zu frames observed\n",
+               pcap_path.c_str(), capture.records.size(), wire.size(),
+               r->inference.frames.size());
   return 0;
 }
 
@@ -1012,7 +1015,9 @@ int cmd_live_send(const Flags& args) {
   live::SenderSession sender{
       loop, socket,
       live::SenderConfig{to, 0x74561D01, sink}, packets,
-      live::schedule_from_service_model(pipeline, packets, clip.seed, sink)};
+      live::paced_schedule_from_service_model(pipeline, packets, clip.seed,
+                                              sink)
+          .send_s};
   sender.start();
   loop.run();
   const live::SenderReport& r = sender.report();
