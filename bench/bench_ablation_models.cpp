@@ -26,7 +26,9 @@
 using namespace tv;
 
 int main(int argc, char** argv) {
-  const auto options = bench::BenchOptions::parse(argc, argv);
+  // Rows run on --threads; they are printed text, with no --json/--csv.
+  const auto options =
+      bench::BenchOptions::parse(argc, argv, bench::BenchOptions::kThreads);
   bench::print_banner("Ablation", "model accuracy checks", options);
   std::optional<util::ThreadPool> pool;
   if (options.threads > 1) pool.emplace(options.threads);

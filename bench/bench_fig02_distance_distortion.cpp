@@ -12,7 +12,9 @@
 using namespace tv;
 
 int main(int argc, char** argv) {
-  const auto options = bench::BenchOptions::parse(argc, argv);
+  // Three clips measured serially: no grid, no pool, no machine output.
+  const auto options =
+      bench::BenchOptions::parse(argc, argv, bench::BenchOptions::kNoExtras);
   bench::print_banner("Figure 2", "average distortion vs. distance", options);
 
   for (auto level : {video::MotionLevel::kLow, video::MotionLevel::kMedium,

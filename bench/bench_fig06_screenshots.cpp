@@ -26,7 +26,9 @@ void show_pair(const video::Frame& original, const video::Frame& seen,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::BenchOptions::parse(argc, argv);
+  // A handful of single transfers: no grid, no pool, no machine output.
+  auto options =
+      bench::BenchOptions::parse(argc, argv, bench::BenchOptions::kNoExtras);
   options.quality_reps = 1;  // one transfer per policy is a screenshot.
   bench::print_banner("Figure 6", "eavesdropper view (ASCII screenshots)",
                       options);

@@ -1,8 +1,8 @@
 // Hot-path micro-suite: the perf trajectory of the batched cipher API,
 // the AES-NI backend, the vectorized DCT, the two layers of a workload
-// build (scene render and encode), the decode an eavesdropper runs, and
-// the end-to-end transfer pipeline — the numbers behind BENCH_hotpath.json
-// (docs/benchmarks.md).
+// build (scene render and encode), the decode an eavesdropper runs, the
+// end-to-end transfer pipeline and the deadline scheduler of a crowded
+// cell — the numbers behind BENCH_hotpath.json (docs/benchmarks.md).
 //
 // Unlike the figure benches this one measures *host* performance, so the
 // output is machine-specific by design: the committed BENCH_hotpath.json
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cell/scheduler.hpp"
 #include "common.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
@@ -163,7 +164,9 @@ std::string json_number(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = tv::bench::BenchOptions::parse(argc, argv);
+  // Machine-specific timings: --json writes them; the pools are sized here.
+  auto options = tv::bench::BenchOptions::parse(
+      argc, argv, tv::bench::BenchOptions::kJson);
   const std::size_t bulk_bytes = options.quick ? (1u << 18) : (1u << 20);
   const int reps = options.quick ? 3 : 5;
   const std::uint64_t key_seed = 0x7eedfacecafef00dULL;
@@ -387,6 +390,42 @@ int main(int argc, char** argv) {
       " arena allocation(s)\n",
       arena.bytes_in_use(), arena.chunk_count(), arena.allocation_count());
 
+  // --- cell scheduler ---------------------------------------------------
+  // One overloaded 10 000-flow schedule on the default cell: two demand
+  // classes alternating (policy all with a 4 s deadline, I with 8 s), so
+  // the scheduler walks the degrade ladder and then sheds all but 15
+  // flows, one contention solve per admitted count.  Serial, then
+  // with the solves computed ahead on a 4-thread pool.
+  constexpr int kCellFlows = 10000;
+  std::vector<tv::cell::FlowDemand> demands(kCellFlows);
+  for (std::size_t f = 0; f < demands.size(); ++f) {
+    tv::cell::FlowDemand& d = demands[f];
+    d.index = f;
+    d.policy = {f % 2 == 0 ? tv::policy::Mode::kIFrames
+                           : tv::policy::Mode::kAll,
+                Algorithm::kAes256, 0.0};
+    d.deadline_s = f % 2 == 0 ? 4.0 : 8.0;
+    d.clip_duration_s = 3.0;
+    d.packet_count = 400;
+    d.i_packet_share = 0.3;
+    d.encryption_mean_s = 1.5e-4;
+    d.transmission_mean_s = 2.8e-3;
+  }
+  const tv::cell::DeadlineScheduler scheduler;
+  tv::cell::ScheduleResult schedule;
+  const double schedule_s = best_seconds(
+      [&] { schedule = scheduler.schedule(demands, {}); }, reps);
+  tv::util::ThreadPool cell_pool{4};
+  tv::cell::ScheduleResult pooled_schedule;
+  const double schedule_pooled_s = best_seconds(
+      [&] { pooled_schedule = scheduler.schedule(demands, {}, &cell_pool); },
+      2 * reps);
+  std::printf("cell: %d-flow overloaded schedule, %d admitted: serial %.2f "
+              "ms (%d solves), on 4 threads %.2f ms (%d solves)\n",
+              kCellFlows, schedule.admitted, schedule_s * 1e3,
+              schedule.solves, schedule_pooled_s * 1e3,
+              pooled_schedule.solves);
+
   // --- speedups the acceptance gate reads -------------------------------
   const auto find_point = [&](std::string_view alg, std::string_view backend,
                               std::string_view path) -> const Point* {
@@ -462,6 +501,13 @@ int main(int argc, char** argv) {
     out << "  \"arena\": {\"payload_bytes\": " << arena.bytes_in_use()
         << ", \"chunks\": " << arena.chunk_count()
         << ", \"allocations\": " << arena.allocation_count() << "},\n";
+    out << "  \"cell\": {\"flows\": " << kCellFlows
+        << ", \"admitted\": " << schedule.admitted
+        << ", \"schedule_ms\": " << json_number(schedule_s * 1e3)
+        << ", \"solves\": " << schedule.solves
+        << ", \"schedule_pooled_ms\": "
+        << json_number(schedule_pooled_s * 1e3)
+        << ", \"pooled_solves\": " << pooled_schedule.solves << "},\n";
     out << "  \"speedups\": {\"aes128_batch_over_block\": "
         << json_number(batch_speedup)
         << ", \"aes128_aesni_over_block\": " << json_number(ni_speedup)

@@ -35,8 +35,20 @@ namespace tv::bench {
 
 /// Command-line knobs shared by all figure benches.  Parsing runs through
 /// a util::FlagSet registry, so every bench rejects the same unknown
-/// options and prints the same generated --help text.
+/// options and prints the same generated --help text.  The clip flags
+/// (--frames, --reps, --seed, --quick) are always registered; a bench
+/// registers --threads, --json and --csv only if it honours them, so the
+/// others reject them as unknown options.
 struct BenchOptions {
+  /// The optional flags a bench honours, as a bit set.
+  enum Extras : unsigned {
+    kNoExtras = 0,
+    kThreads = 1u << 0,  ///< --threads=N
+    kJson = 1u << 1,     ///< --json=FILE
+    kCsv = 1u << 2,      ///< --csv
+    kGrid = kThreads | kJson | kCsv,  ///< a BenchEngine grid figure.
+  };
+
   int frames = 300;     ///< clip length (paper: 300 frames at 30 fps).
   int quality_reps = 5; ///< repetitions when decoding is involved.
   int delay_reps = 20;  ///< repetitions for timing-only experiments.
@@ -48,23 +60,28 @@ struct BenchOptions {
 
   /// The shared flag registry; benches with extra flags chain more
   /// registrations onto the returned set before calling parse_with().
-  static util::FlagSet flag_set(const char* command) {
+  static util::FlagSet flag_set(const char* command, unsigned extras = kGrid) {
     util::FlagSet fs{command, "paper-figure reproduction bench"};
     fs.flag("frames", "N", "clip length in frames (default 300)")
         .flag("reps", "N", "repetitions for every experiment class")
         .flag("seed", "S", "root RNG seed (default 2013)")
-        .flag("threads", "N", "worker threads for sweep grids")
-        .flag("quick", "", "smaller frames/reps preset for smoke runs")
-        .flag("json", "FILE", "write sweep cells as JSONL to FILE")
-        .flag("csv", "", "print sweep cells as CSV after each table");
+        .flag("quick", "", "smaller frames/reps preset for smoke runs");
+    if (extras & kThreads) fs.flag("threads", "N", "worker threads");
+    if (extras & kJson) fs.flag("json", "FILE", "write machine-readable results to FILE");
+    if (extras & kCsv) {
+      fs.flag("csv", "", "print sweep cells as CSV after each table");
+    }
     return fs;
   }
 
-  static BenchOptions parse(int argc, char** argv) {
-    return parse_with(flag_set(argc > 0 ? argv[0] : "bench"), argc, argv);
+  static BenchOptions parse(int argc, char** argv, unsigned extras = kGrid) {
+    return parse_with(flag_set(argc > 0 ? argv[0] : "bench", extras), argc,
+                      argv);
   }
 
   /// Parse against a caller-extended registry (shared flags still apply).
+  /// A flag the registry lacks is a usage error, so reading it below
+  /// always yields its default.
   static BenchOptions parse_with(const util::FlagSet& fs, int argc,
                                  char** argv) {
     BenchOptions o;

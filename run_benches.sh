@@ -2,6 +2,9 @@
 # Run every reproduction bench and print the paper-style tables.
 #
 #   ./run_benches.sh [bench flags...]   all benches, flags passed through
+#                                       (--frames/--reps/--seed/--quick
+#                                       suit all; the others only some,
+#                                       docs/benchmarks.md)
 #   ./run_benches.sh --json             hot-path suite only, refreshing the
 #                                       BENCH_*.json perf trajectory at the
 #                                       repo root (docs/benchmarks.md)

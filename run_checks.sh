@@ -50,13 +50,15 @@
 #     (Figs. 4, 5, 9, 14, 15, Table 2) at --frames=60 --reps=1, once at
 #     --threads=1 and once at --threads=4 --json=FILE: the printed tables
 #     must be identical and FILE must hold one JSONL line per grid cell.
+#     A bench that cannot honour --json (Fig. 6) must reject it.
 #   * --cell-smoke runs the `cell` label (the multi-flow contention
 #     engine, docs/cell.md) plus the `thriftyvid cell --validate`
 #     cross-check grid and a 100-flow capacity cell, in both the plain
 #     and the ASan+UBSan builds, each under a hard timeout.  The plain
 #     build also schedules an overloaded 50 000-flow cell under a 20 s
-#     timeout, the guard against a scheduler that is quadratic in flows,
-#     and runs a `sweep` and a `cell` grid whose cells share workloads
+#     timeout at --threads=1 and --threads=4, the guard against a
+#     scheduler that is quadratic in flows (stdout must be byte-identical
+#     across the two), and runs a `sweep` and a `cell` grid whose cells share workloads
 #     from a cold start at --threads=1 and --threads=4, each under a
 #     60 s timeout: stdout must be byte-identical across thread counts.
 #     The timeout is the watchdog against a grid task that builds a
@@ -84,9 +86,9 @@
 # The sanitized pass builds with -fsanitize=address,undefined and
 # -fno-sanitize-recover=all, so any report aborts the run and fails the
 # script.  The TSan pass builds with -DTHRIFTYVID_TSAN=ON and runs the
-# thread pool / grid skeleton / sweep / validation / flags / flow suites
-# and the pooled render, encode and workload build (the code that actually
-# shares state across threads) — running every test under TSan would be
+# thread pool / grid skeleton / sweep / validation / flags / flow suites,
+# the pooled render, encode and workload build and the pooled scheduler
+# property tests (the code that actually shares state across threads) — running every test under TSan would be
 # prohibitively slow.  All build trees are kept (build/, build-asan/,
 # build-tsan/, build-cov/) so incremental re-runs are fast.
 set -euo pipefail
@@ -126,7 +128,16 @@ if [[ "${mode}" == "--bench-smoke" ]]; then
   cmake --build build -j "${jobs}" --target bench_hotpath \
     bench_fig04_eavesdropper_psnr bench_fig05_mos bench_fig09_fraction_p \
     bench_fig14_tcp_distortion bench_fig15_tcp_mos \
-    bench_table2_delay_distortion
+    bench_table2_delay_distortion bench_fig06_screenshots
+
+  # A bench that cannot honour --json must reject it, not ignore it.
+  rejected=build/bench_smoke_fig06.json
+  rm -f "${rejected}"
+  if ./build/bench/bench_fig06_screenshots --quick --json="${rejected}" \
+       >/dev/null 2>&1 || [[ -e "${rejected}" ]]; then
+    echo "bench smoke: bench_fig06_screenshots accepted --json" >&2
+    exit 1
+  fi
 
   # The grid figure benches run on the sweep engine: their tables (every
   # line not starting with '#') must not depend on --threads, and --json
@@ -236,6 +247,14 @@ for key in ("render_ms_per_frame", "encode_ms_per_frame",
     finite(video.get(key), f"video.{key}")
     if video.get(key) is None:
         fail(f"video.{key} must be measured, got null")
+cell = doc.get("cell", {})
+for key in ("flows", "admitted", "solves", "pooled_solves"):
+    if not isinstance(cell.get(key), int) or cell[key] <= 0:
+        fail(f"cell.{key} missing or non-positive")
+for key in ("schedule_ms", "schedule_pooled_ms"):
+    finite(cell.get(key), f"cell.{key}")
+    if cell.get(key) is None:
+        fail(f"cell.{key} must be measured, got null")
 for key in ("aes128_batch_over_block", "aes128_aesni_over_block"):
     if key not in doc.get("speedups", {}):
         fail(f"speedups.{key} missing")
@@ -279,8 +298,10 @@ if [[ "${mode}" == "--cell-smoke" ]]; then
               --reps=1 --deadlines=20 --quality=off --format=csv --seed=1)
   # Two demand classes (I and all with deadlines 4 and 8 s) and 50 000
   # flows: ~175k scheduler rounds that shed all but ~300 flows.  The
-  # demand-class scheduler takes ~0.6 s on a 4-core x86-64 box; a
-  # flow-by-flow scan takes ~35 s there, so the 20 s timeout fails it.
+  # whole command takes ~0.3-0.4 s on a 4-core x86-64 box at either
+  # thread count (the pool computes the scheduler's contention solves
+  # ahead); a flow-by-flow scan takes ~35 s there, so the 20 s timeout
+  # fails it.  Its stdout must be byte-identical at 1 and 4 threads.
   overload_args=(cell --flows=50000 --motions=low --gops=8 --frames=16
                  --policies=I,all --algs=AES256 --devices=samsung
                  --deadlines=4,8 --reps=1 --quality=off --format=csv
@@ -292,7 +313,11 @@ if [[ "${mode}" == "--cell-smoke" ]]; then
   ctest --test-dir build --output-on-failure -j "${jobs}" -L cell
   timeout 120 ./build/tools/thriftyvid "${validate_args[@]}"
   timeout 300 ./build/tools/thriftyvid "${sweep_args[@]}" >/dev/null
-  timeout 20 ./build/tools/thriftyvid "${overload_args[@]}" >/dev/null
+  timeout 20 ./build/tools/thriftyvid "${overload_args[@]}" --threads=1 \
+    >build/cell_smoke_overload_t1.csv
+  timeout 20 ./build/tools/thriftyvid "${overload_args[@]}" --threads=4 \
+    >build/cell_smoke_overload_t4.csv
+  cmp build/cell_smoke_overload_t1.csv build/cell_smoke_overload_t4.csv
   # Cold cache on a pool: two motions x two GOPs, many cells per workload.
   cold_grid_diff() {
     timeout 60 ./build/tools/thriftyvid "$@" --threads=1 \
@@ -662,7 +687,7 @@ if [[ "${mode}" != "--sanitize-only" ]]; then
   cmake --build build-tsan -j "${jobs}"
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "${jobs}" \
-          -R 'ThreadPool|Sweep|StreamGrid|WorkloadCache|Flags|Validation|Flow\.|PooledEncode|PooledBuild|RenderClip'
+          -R 'ThreadPool|Sweep|StreamGrid|WorkloadCache|Flags|Validation|Flow\.|PooledEncode|PooledBuild|RenderClip|SchedulerProperty'
 fi
 
 echo "=== all checks passed ==="

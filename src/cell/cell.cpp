@@ -91,34 +91,39 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
   spec.validate();
   const std::size_t n = static_cast<std::size_t>(spec.flows);
 
-  // Resolve every flow's axes and (cached) workload.
+  // Resolve every flow's axes.  A flow's workload and its packet means
+  // depend only on its (motion, GOP), so each distinct pair fetches them
+  // once; the population sum still runs in flow order.
+  struct Source {
+    std::shared_ptr<const core::Workload> workload;
+    PacketMeans means;
+  };
+  std::map<std::pair<video::MotionLevel, int>, Source> sources;
   std::vector<FlowConfig> configs(n);
-  std::vector<std::shared_ptr<const core::Workload>> workloads(n);
+  std::vector<const Source*> flow_sources(n);
   for (std::size_t f = 0; f < n; ++f) {
     configs[f] = resolve_flow(spec, f);
-    workloads[f] = cache.get(configs[f].motion, configs[f].gop_size,
-                             spec.frames, spec.seed, spec.fps);
+    const auto [it, fresh] =
+        sources.try_emplace({configs[f].motion, configs[f].gop_size});
+    if (fresh) {
+      it->second.workload = cache.get(configs[f].motion, configs[f].gop_size,
+                                      spec.frames, spec.seed, spec.fps);
+      it->second.means = packet_means(it->second.workload->packets);
+    }
+    flow_sources[f] = &it->second;
   }
 
   // The scheduler's view of each flow: first moments of eq. (3)'s stages.
-  // The packet means depend only on the workload, so they are taken once
-  // per distinct workload; the population sum still runs in flow order.
-  std::map<const core::Workload*, PacketMeans> means;
   std::vector<FlowDemand> demands(n);
   double population_wire_bytes = 0.0;
   for (std::size_t f = 0; f < n; ++f) {
-    const core::Workload& w = *workloads[f];
-    auto it = means.find(&w);
-    if (it == means.end()) {
-      it = means.emplace(&w, packet_means(w.packets)).first;
-    }
-    const PacketMeans& m = it->second;
+    const PacketMeans& m = flow_sources[f]->means;
     FlowDemand& d = demands[f];
     d.index = f;
     d.policy = configs[f].policy;
     d.deadline_s = configs[f].deadline_s;
     d.clip_duration_s = static_cast<double>(spec.frames) / spec.fps;
-    d.packet_count = w.packets.size();
+    d.packet_count = flow_sources[f]->workload->packets.size();
     d.i_packet_share = m.i_packet_share;
     population_wire_bytes += m.wire_bytes;
     d.encryption_mean_s = configs[f].device.encryption_seconds(
@@ -137,28 +142,11 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
   contention.channel_error_prob = spec.channel_error_prob;
 
   const DeadlineScheduler scheduler{spec.scheduler};
-  const ScheduleResult schedule = scheduler.schedule(demands, contention);
+  const ScheduleResult schedule =
+      scheduler.schedule(demands, contention, pool);
   const ContentionSolution& sol = schedule.contention;
 
-  // Per-flow block-fading state, one coherence block per repetition.  The
-  // chains are derived for every flow — admitted or not — so the stream
-  // assignment is independent of scheduling decisions.
   const std::size_t reps = static_cast<std::size_t>(spec.repetitions);
-  std::vector<std::vector<bool>> faded(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    if (spec.fade_prob > 0.0) {
-      wifi::GilbertElliottParams fade;
-      fade.mean_loss_prob = spec.fade_prob;
-      fade.mean_burst_length = spec.mean_fade_reps;
-      fade.good_loss_prob = 0.0;
-      fade.bad_loss_prob = 1.0;
-      wifi::GilbertElliottChannel chain{
-          fade, util::derive_seed(spec.seed, kFadeStream, f)};
-      faded[f] = chain.trace(reps);
-    } else {
-      faded[f].assign(reps, false);
-    }
-  }
 
   // Fail fast on configuration mistakes before burning simulation time:
   // the deepest fade must still leave a usable MAC success probability.
@@ -194,12 +182,26 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
     out.degrade_steps = decision.degrade_steps;
     out.predicted_completion_s = decision.predicted_completion_s;
     out.slack_s = decision.slack_s;
-    for (std::size_t r = 0; r < reps; ++r) {
-      if (faded[f][r]) ++out.faded_repetitions;
+    // Block fading, one coherence block per repetition.  The chain is
+    // derived for every flow — admitted or not — so the stream assignment
+    // is independent of scheduling decisions.
+    std::vector<bool> faded(reps, false);
+    if (spec.fade_prob > 0.0) {
+      wifi::GilbertElliottParams fade;
+      fade.mean_loss_prob = spec.fade_prob;
+      fade.mean_burst_length = spec.mean_fade_reps;
+      fade.good_loss_prob = 0.0;
+      fade.bad_loss_prob = 1.0;
+      wifi::GilbertElliottChannel chain{
+          fade, util::derive_seed(spec.seed, kFadeStream, f)};
+      faded = chain.trace(reps);
+      for (std::size_t r = 0; r < reps; ++r) {
+        if (faded[r]) ++out.faded_repetitions;
+      }
     }
     if (!decision.admitted) return;  // deferred: no airtime, no statistics.
 
-    const core::Workload& w = *workloads[f];
+    const core::Workload& w = *flow_sources[f]->workload;
     // The flow's own arena-backed clone of the shared plaintext, encrypted
     // for this flow only and dropped wholesale when the task ends.  Keeps
     // 10k-flow sweeps off the global heap.
@@ -217,7 +219,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
       // The repetition's coherence block: a fade multiplies extra error
       // into both the MAC attempt success (more backoff) and the
       // delivery probability (more loss at the receiver).
-      const double e = faded[f][r] ? spec.fade_error_prob : 0.0;
+      const double e = faded[r] ? spec.fade_error_prob : 0.0;
       core::PipelineConfig pipeline = base;
       pipeline.mac_success_prob = sol.mac_success_prob * (1.0 - e);
       pipeline.receiver_loss_prob =
@@ -275,7 +277,7 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
   result.total_degrade_steps = schedule.total_degrade_steps;
   result.schedule_iterations = schedule.iterations;
   result.contention = sol;
-  for (FlowOutcome& out : outcomes) {
+  for (const FlowOutcome& out : outcomes) {
     if (out.admitted) {
       result.delay_ms.merge(out.delay_ms);
       result.duration_s.merge(out.duration_s);
@@ -289,8 +291,8 @@ CellResult run_cell(const CellSpec& spec, core::WorkloadCache& cache,
             static_cast<std::size_t>(out.completed_repetitions);
       }
     }
-    result.flow_outcomes.push_back(std::move(out));
   }
+  result.flow_outcomes = std::move(outcomes);
   return result;
 }
 
@@ -409,8 +411,14 @@ util::GridSummary CellRunner::run(const CapacitySpec& spec, CellSink& sink) {
     }
     cache_.prebuild(keys);
   };
-  // Points run strictly in order on this thread: the pool parallelizes the
-  // flows inside each point, which is where the work is.
+  // Points run strictly in order on this thread, and each point runs both
+  // its scheduler's contention solves and its flows on the pool: a crowded
+  // point makes one solve per flow it defers, and solved serially those
+  // cost more than all its flows (about 41 ms against 14 ms at 10 000
+  // flows on a 4-vCPU x86-64 VM).
+  // Running the points side by side instead (Rows::kPool) holds several
+  // points' flows at once: it raised cell-capacity's peak RSS from 42 MB
+  // to 61-67 MB.
   util::GridSummary summary = util::stream_grid(
       pool_, util::Rows::kInOrder, spec, spec.flow_counts.size(), prebuild,
       [&](std::size_t i) {

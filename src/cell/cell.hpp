@@ -174,7 +174,8 @@ struct CellResult {
 };
 
 /// Run one cell.  Workloads come from (and are shared through) `cache`;
-/// `pool` parallelizes the per-flow loop (bit-identical to serial).
+/// `pool` runs the scheduler's contention solves and the per-flow loop
+/// (bit-identical to serial).
 [[nodiscard]] CellResult run_cell(const CellSpec& spec,
                                   core::WorkloadCache& cache,
                                   util::ThreadPool* pool = nullptr);
@@ -221,7 +222,7 @@ class CellCollectSink : public util::Sink<CapacitySpec, CapacityPoint> {
 };
 
 /// Executes CapacitySpecs.  Points run in order (each reuses the shared
-/// workload cache); the pool parallelizes the flows inside each point.
+/// workload cache); the pool runs each point's scheduler solves and flows.
 class CellRunner {
  public:
   explicit CellRunner(util::ThreadPool* pool = nullptr)

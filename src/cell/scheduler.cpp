@@ -1,12 +1,16 @@
 #include "cell/scheduler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
+#include "util/thread_pool.hpp"
 #include "wifi/dcf_model.hpp"
 
 namespace tv::cell {
@@ -59,6 +63,69 @@ struct DemandClass {
   [[nodiscard]] std::size_t front() const { return flows[head]; }
 };
 
+/// The contention solutions of the admitted counts the loop reaches.  The
+/// count starts at the population and only ever falls by one, so the
+/// solves the loop needs are known in advance (n, n-1, n-2, ...), and
+/// solve_contention is pure.  On a pool of more than one thread each miss
+/// solves a window of the next counts down side by side and doubles the
+/// window for the next miss: a feasible cell pays one solve, and a long
+/// shed wastes at most one window.  Serially the window stays at one
+/// count, one solve per count reached.
+class SolutionWindow {
+ public:
+  SolutionWindow(const ContentionConfig& config, util::ThreadPool* pool)
+      : config_(config),
+        pool_(pool != nullptr && pool->thread_count() > 1 ? pool : nullptr) {}
+
+  /// The solution at `stations`.  Counts are taken in falling order, each
+  /// at most once.  Rethrows what that count's solve threw.
+  ContentionSolution take(int stations) {
+    if (stations > top_ ||
+        top_ - stations >= static_cast<int>(slots_.size())) {
+      refill(stations);
+    }
+    Slot& slot = slots_[static_cast<std::size_t>(top_ - stations)];
+    if (slot.error) std::rethrow_exception(slot.error);
+    return std::move(slot.solution);
+  }
+
+  [[nodiscard]] int solves() const { return solves_; }
+
+ private:
+  /// Bounds the window's memory and the solves a shed can waste.
+  static constexpr std::size_t kMaxWidth = 1024;
+
+  struct Slot {
+    ContentionSolution solution;
+    std::exception_ptr error;
+  };
+
+  void refill(int stations) {
+    const std::size_t width =
+        std::min(width_, static_cast<std::size_t>(stations));
+    slots_.assign(width, Slot{});
+    top_ = stations;
+    util::parallel_for(pool_, width, [&](std::size_t i) {
+      ContentionConfig config = config_;
+      config.video.stations = stations - static_cast<int>(i);
+      try {
+        slots_[i].solution = solve_contention(config);
+      } catch (...) {
+        slots_[i].error = std::current_exception();
+      }
+    });
+    solves_ += static_cast<int>(width);
+    if (pool_ != nullptr) width_ = std::min(2 * width_, kMaxWidth);
+  }
+
+  ContentionConfig config_;
+  util::ThreadPool* pool_;
+  std::vector<Slot> slots_;  ///< slots_[i] holds count top_ - i.
+  int top_ = 0;
+  std::size_t width_ = 1;
+  int solves_ = 0;
+};
+
 }  // namespace
 
 double DeadlineScheduler::predict_completion(
@@ -82,8 +149,8 @@ double DeadlineScheduler::predict_completion(
 }
 
 ScheduleResult DeadlineScheduler::schedule(
-    const std::vector<FlowDemand>& demands,
-    ContentionConfig contention) const {
+    const std::vector<FlowDemand>& demands, ContentionConfig contention,
+    util::ThreadPool* pool) const {
   if (demands.empty()) {
     throw std::invalid_argument{"DeadlineScheduler: no demands"};
   }
@@ -144,7 +211,9 @@ ScheduleResult DeadlineScheduler::schedule(
 
   // One contention solve per *population change*: solve_contention is
   // pure, so reusing its output while the admitted count is unchanged
-  // reproduces a solve-every-round loop bit for bit.
+  // reproduces a solve-every-round loop bit for bit, and so does a
+  // solution the window computed ahead.
+  SolutionWindow solutions{contention, pool};
   int admitted = static_cast<int>(demands.size());
   int solved_stations = -1;
   // A degraded flow's prediction is refreshed at the start of the next
@@ -155,8 +224,7 @@ ScheduleResult DeadlineScheduler::schedule(
 
   for (long iter = 0; iter < max_iterations; ++iter) {
     if (admitted != solved_stations) {
-      contention.video.stations = admitted;
-      result.contention = solve_contention(contention);
+      result.contention = solutions.take(admitted);
       solved_stations = admitted;
       for (std::size_t c : live) predict(classes[c]);
     }
@@ -243,6 +311,7 @@ ScheduleResult DeadlineScheduler::schedule(
   }
   result.admitted = admitted;
   result.deferred = static_cast<int>(demands.size()) - result.admitted;
+  result.solves = solutions.solves();
   return result;
 }
 

@@ -11,7 +11,9 @@
 // contending population for everyone left.  Deterministic: ties break on
 // the lowest flow index and no randomness is consumed.  Flows whose
 // demands are equal up to the index share one prediction, so a round
-// costs O(demand classes), not O(flows) (docs/cell.md).
+// costs O(demand classes), not O(flows) (docs/cell.md).  Each admitted
+// count costs one contention solve; on a pool the solves of the next
+// counts down are computed ahead, side by side, bit for bit the same.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +21,10 @@
 
 #include "cell/contention.hpp"
 #include "policy/policy.hpp"
+
+namespace tv::util {
+class ThreadPool;
+}
 
 namespace tv::cell {
 
@@ -66,6 +72,9 @@ struct ScheduleResult {
   int deferred = 0;
   int total_degrade_steps = 0;
   int iterations = 0;  ///< fixed-point solve rounds used.
+  /// solve_contention calls made: one per admitted count the loop
+  /// reached, plus any a pool solved ahead that the loop never reached.
+  int solves = 0;
   /// Contention solution for the final admitted set (what the cell engine
   /// injects into the admitted flows' pipelines).
   ContentionSolution contention;
@@ -78,9 +87,13 @@ class DeadlineScheduler {
   /// Admit/degrade/defer `demands` against a cell whose background half is
   /// described by `contention` (its video.stations field is overwritten
   /// with the admitted count each round).  Pure and deterministic.
-  /// Throws std::invalid_argument on an empty demand list.
+  /// With a `pool` of more than one thread, the contention solves of the
+  /// next admitted counts down are computed ahead on it in growing
+  /// windows; the result is bit-identical to a serial schedule's, apart
+  /// from `solves`.  Throws std::invalid_argument on an empty demand list.
   [[nodiscard]] ScheduleResult schedule(const std::vector<FlowDemand>& demands,
-                                        ContentionConfig contention) const;
+                                        ContentionConfig contention,
+                                        util::ThreadPool* pool = nullptr) const;
 
   /// Predicted completion of one flow under a solved cell: the producer
   /// pacing floor or the summed per-packet service, whichever binds.

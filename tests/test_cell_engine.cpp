@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cell/cell.hpp"
@@ -544,6 +546,53 @@ TEST(CellSweepRunner, EightThreadsBitIdenticalToSerial) {
                            b.flow_outcomes[f].delay_ms);
     }
   }
+}
+
+// An overloaded 2 000-flow point sheds most of its flows, so its
+// scheduler solves the cell at well over a thousand admitted counts, on
+// the pool ahead of the loop.  The point is the same at 1 and 4 threads:
+// every record byte, including the contention solution and each flow's
+// decision, prediction and fading.
+TEST(CellSweepRunner, OverloadedPointBitIdenticalOnFourThreads) {
+  CapacitySpec spec;
+  spec.flow_counts = {2000};
+  spec.base = small_cell();
+  spec.base.gop_sizes = {8};
+  spec.base.frames = 16;
+  spec.base.repetitions = 1;
+  spec.base.policies = {
+      {policy::Mode::kIFrames, crypto::Algorithm::kAes256, 0.0},
+      {policy::Mode::kAll, crypto::Algorithm::kAes256, 0.0}};
+  spec.base.algorithms = {crypto::Algorithm::kAes256};
+  spec.base.deadlines_s = {4.0, 8.0};
+  spec.base.fade_prob = 0.2;
+
+  const auto run = [&](util::ThreadPool* pool) {
+    CellRunner runner{pool};
+    CellCollectSink collect;
+    std::ostringstream jsonl;
+    CellJsonlSink sink{jsonl};
+    util::TeeSink<CapacitySpec, CapacityPoint> tee;
+    tee.add(&collect);
+    tee.add(&sink);
+    (void)runner.run(spec, tee);
+    return std::pair{collect.points.at(0).result, jsonl.str()};
+  };
+  const auto [serial, serial_jsonl] = run(nullptr);
+  util::ThreadPool pool{4};
+  const auto [pooled, pooled_jsonl] = run(&pool);
+
+  EXPECT_GT(serial.deferred, 1000);
+  EXPECT_GT(serial.total_degrade_steps, 0);
+  EXPECT_EQ(serial_jsonl, pooled_jsonl);
+  EXPECT_EQ(serial.schedule_iterations, pooled.schedule_iterations);
+  EXPECT_EQ(serial.contention.mac_success_prob,
+            pooled.contention.mac_success_prob);
+  EXPECT_EQ(serial.contention.backoff_rate, pooled.contention.backoff_rate);
+  EXPECT_EQ(serial.contention.dcf.iterations, pooled.contention.dcf.iterations);
+  expect_bitwise_equal(serial.delay_ms, pooled.delay_ms);
+  expect_bitwise_equal(serial.energy_j, pooled.energy_j);
+  EXPECT_EQ(serial.deadline_misses, pooled.deadline_misses);
 }
 
 }  // namespace

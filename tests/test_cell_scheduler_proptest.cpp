@@ -4,17 +4,20 @@
 // costs O(classes).  `reference_schedule` below is the flow-by-flow scan
 // it replaced — every round ranks every admitted flow — kept here, and
 // only here, as the oracle: over seeded random demand lists the two must
-// return bit-identical ScheduleResults.
+// return bit-identical ScheduleResults, serially and with the contention
+// solves computed ahead on pools of 1, 2 and 4 threads.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cell/scheduler.hpp"
 #include "proptest.hpp"
+#include "util/thread_pool.hpp"
 
 namespace tv::cell {
 namespace {
@@ -249,9 +252,29 @@ Case random_case(util::Rng& rng, int max_flows) {
   return c;
 }
 
-ScheduleResult run_both(const Case& c, ScheduleResult* reference) {
-  *reference = reference_schedule(c.config, c.demands, c.cell);
-  return DeadlineScheduler{c.config}.schedule(c.demands, c.cell);
+/// No pool, then pools of 1, 2 and 4 threads.  The 1-thread pool takes
+/// the serial path; the others solve windows of counts ahead.
+std::vector<util::ThreadPool*> pools() {
+  static util::ThreadPool one{1};
+  static util::ThreadPool two{2};
+  static util::ThreadPool four{4};
+  return {nullptr, &one, &two, &four};
+}
+
+std::string pool_name(const util::ThreadPool* pool) {
+  return pool == nullptr ? "no pool"
+                         : std::to_string(pool->thread_count()) + " threads";
+}
+
+/// The class scheduler, without a pool and on each pool, against the scan
+/// oracle.
+void expect_matches_scan(const Case& c) {
+  const ScheduleResult want = reference_schedule(c.config, c.demands, c.cell);
+  const DeadlineScheduler scheduler{c.config};
+  for (util::ThreadPool* pool : pools()) {
+    SCOPED_TRACE(pool_name(pool));
+    expect_identical(scheduler.schedule(c.demands, c.cell, pool), want);
+  }
 }
 
 // Mixed classes, flows without deadlines, cross-class ties, both levers on
@@ -262,10 +285,7 @@ TEST(SchedulerProperty, MatchesScanSchedulerBitwise) {
   proptest::check(
       "class scheduler == scan scheduler", config,
       [&](util::Rng& rng, std::uint64_t) {
-        const Case c = random_case(rng, 240);
-        ScheduleResult want;
-        const ScheduleResult got = run_both(c, &want);
-        expect_identical(got, want);
+        expect_matches_scan(random_case(rng, 240));
       });
 }
 
@@ -284,9 +304,7 @@ TEST(SchedulerProperty, MatchesScanSchedulerUnderBindingRoundCaps) {
         c.config.max_iterations =
             1 + static_cast<int>(rng.uniform_int(
                     static_cast<std::uint64_t>(uncapped.iterations)));
-        ScheduleResult want;
-        const ScheduleResult got = run_both(c, &want);
-        expect_identical(got, want);
+        expect_matches_scan(c);
       });
 }
 
@@ -319,9 +337,55 @@ TEST(SchedulerProperty, EveryRoundCapOfAnOverloadedCell) {
   for (int cap = 1; cap <= uncapped.iterations; ++cap) {
     SCOPED_TRACE("max_iterations " + std::to_string(cap));
     c.config.max_iterations = cap;
-    ScheduleResult want;
-    const ScheduleResult got = run_both(c, &want);
-    expect_identical(got, want);
+    expect_matches_scan(c);
+  }
+}
+
+// Solve counts: serially one per admitted count reached; on a pool a
+// feasible cell still pays exactly one, and a shed wastes fewer solves
+// than its last window held (at most 1024) and never solves below one
+// station.
+TEST(SchedulerProperty, SolvesOncePerCountAndAtMostOneWindowAhead) {
+  const auto config = proptest::Config::from_env(0x5c4ed04, 60);
+  proptest::check(
+      "solve counts", config, [&](util::Rng& rng, std::uint64_t) {
+        const Case c = random_case(rng, 240);
+        const DeadlineScheduler scheduler{c.config};
+        const ScheduleResult serial = scheduler.schedule(c.demands, c.cell);
+        // The loop solves at n, n-1, ..., admitted, except that a round
+        // budget ending right after a deferral skips the last count.
+        EXPECT_GE(serial.solves, serial.deferred);
+        EXPECT_LE(serial.solves, serial.deferred + 1);
+        for (util::ThreadPool* pool : pools()) {
+          SCOPED_TRACE(pool_name(pool));
+          const ScheduleResult pooled =
+              scheduler.schedule(c.demands, c.cell, pool);
+          if (serial.deferred == 0) {
+            EXPECT_EQ(pooled.solves, 1);
+          }
+          EXPECT_GE(pooled.solves, serial.solves);
+          EXPECT_LT(pooled.solves - serial.solves, 1024);
+          EXPECT_LE(pooled.solves, static_cast<int>(c.demands.size()));
+        }
+      });
+}
+
+// A configuration every count rejects throws from the first solve, on a
+// pool as without one.
+TEST(SchedulerProperty, PooledSolveErrorsReachTheCaller) {
+  Case c;
+  c.cell.mean_wire_bytes = 0.0;
+  FlowDemand d;
+  d.deadline_s = 1.0;
+  d.packet_count = 100;
+  for (std::size_t f = 0; f < 8; ++f) {
+    d.index = f;
+    c.demands.push_back(d);
+  }
+  for (util::ThreadPool* pool : pools()) {
+    SCOPED_TRACE(pool_name(pool));
+    EXPECT_THROW((void)DeadlineScheduler{}.schedule(c.demands, c.cell, pool),
+                 std::invalid_argument);
   }
 }
 
