@@ -5,7 +5,7 @@
 # Usage: ./run_checks.sh [--sanitize-only | --tsan-only | --validation-only
 #                         | --coverage | --tidy | --live-smoke | --chaos-smoke
 #                         | --bench-smoke | --cell-smoke | --alloc-smoke
-#                         | --analysis-smoke | --clean-clone]
+#                         | --analysis-smoke | --clean-clone | --native]
 #
 # Test tiers are selected by ctest labels (see docs/validation.md):
 #   * default passes run everything except the `slow` label (the full-grid
@@ -35,9 +35,10 @@
 #     the sender's bind;
 #   * --chaos-smoke runs the `chaos` label (supervised multi-session
 #     server + seeded fault injection) plus a 200-session `live load`
-#     chaos run, in both the plain and the ASan+UBSan builds, each under
-#     a hard timeout.  Same watchdog rationale as --live-smoke.  The
-#     plain build also serves 5000 sessions under a 15 s timeout and
+#     chaos run (spurious wakeups included), in both the plain and the
+#     ASan+UBSan builds, each under a hard timeout, and diffs its report
+#     against tests/data/live_load_chaos_200.txt.  Same watchdog
+#     rationale as --live-smoke.  The plain build also serves 5000 sessions under a 15 s timeout and
 #     diffs the report against tests/data/live_load_5000.txt, the guard
 #     against a server whose per-datagram cost grows with the sessions
 #     it has served, and checks that `live load --queue-cap=-1` fails
@@ -78,6 +79,12 @@
 #     and runs the tier-1 build and ctest there, so untracked local files
 #     (regenerated fixtures, stale build trees) cannot mask a red tree.
 #     It tests the last commit, not uncommitted edits.
+#   * --native builds Release with -march=native (build-native/) and runs
+#     the tier-1 ctest there: the guard on the exactness contract
+#     (docs/architecture.md).  On a CPU with FMA the compiler could fuse
+#     a*b+c into one instruction and move goldens, pinned digests and the
+#     bitwise proofs; -ffp-contract=off forbids it.  Skipped with a
+#     notice on a CPU without FMA, where baseline and native agree.
 #
 # Every build configures with -DTHRIFTYVID_WERROR=ON: the tree is expected
 # to be warning-clean under -Wall -Wextra, and promoting warnings to errors
@@ -98,12 +105,12 @@ jobs=$(nproc 2>/dev/null || echo 4)
 mode="${1:-}"
 
 case "${mode}" in
-  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke|--clean-clone) ;;
+  ""|--sanitize-only|--tsan-only|--validation-only|--coverage|--tidy|--live-smoke|--chaos-smoke|--bench-smoke|--cell-smoke|--alloc-smoke|--analysis-smoke|--clean-clone|--native) ;;
   *)
     echo "usage: $0 [--sanitize-only | --tsan-only | --validation-only |" \
          "--coverage | --tidy | --live-smoke | --chaos-smoke |" \
          "--bench-smoke | --cell-smoke | --alloc-smoke |" \
-         "--analysis-smoke | --clean-clone]" >&2
+         "--analysis-smoke | --clean-clone | --native]" >&2
     exit 2
     ;;
 esac
@@ -117,6 +124,21 @@ if [[ "${mode}" == "--clean-clone" ]]; then
   cmake --build "${clone}/build" -j "${jobs}"
   ctest --test-dir "${clone}/build" --output-on-failure -j "${jobs}"
   echo "=== clean clone passed ==="
+  exit 0
+fi
+
+if [[ "${mode}" == "--native" ]]; then
+  if ! grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    echo "=== native: this CPU has no FMA; -march=native cannot contract" \
+         "a*b+c, so the leg would repeat the default build. Skipped. ==="
+    exit 0
+  fi
+  echo "=== native: Release -march=native build + tier-1 tests ==="
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-march=native -DTHRIFTYVID_WERROR=ON
+  cmake --build build-native -j "${jobs}"
+  ctest --test-dir build-native --output-on-failure -j "${jobs}" -LE slow
+  echo "=== native passed ==="
   exit 0
 fi
 
@@ -470,15 +492,21 @@ if [[ "${mode}" == "--chaos-smoke" ]]; then
   # short writes, bursty loss, dropped control replies, mid-stream kills
   # and a receiver stall.  The run is deterministic in --seed and must
   # terminate by the loop going idle; `timeout` is the hang watchdog.
+  # spurious=0.3 makes clients stop reading before their socket is empty,
+  # the one path on which the virtual loop must wait again on a
+  # callback's word (EventLoop::note_unread); the report is pinned in
+  # tests/data/live_load_chaos_200.txt.
   smoke_args=(live load --sessions=200 --ramp=20 --seed=1
               --idle-timeout=8 --stall-timeout=8
-              --chaos=eagain=0.2,short=0.05,loss=0.05,burst=3,ctrl-drop=0.2,kill=0.1,stall=4:2)
+              --chaos=eagain=0.2,short=0.05,loss=0.05,burst=3,ctrl-drop=0.2,kill=0.1,stall=4:2,spurious=0.3)
 
   echo "=== chaos smoke: plain build ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DTHRIFTYVID_WERROR=ON
   cmake --build build -j "${jobs}"
   ctest --test-dir build --output-on-failure -j "${jobs}" -L chaos
-  timeout 120 ./build/tools/thriftyvid "${smoke_args[@]}"
+  timeout 120 ./build/tools/thriftyvid "${smoke_args[@]}" \
+    > build/chaos_smoke_load200.txt
+  diff tests/data/live_load_chaos_200.txt build/chaos_smoke_load200.txt
 
   # 5000 sessions take ~3 s on 4 cores with the server's running backlog
   # count and ~45 s with a rescan of every session served per datagram.
@@ -510,7 +538,9 @@ if [[ "${mode}" == "--chaos-smoke" ]]; then
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L chaos
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
-    timeout 300 ./build-asan/tools/thriftyvid "${smoke_args[@]}"
+    timeout 300 ./build-asan/tools/thriftyvid "${smoke_args[@]}" \
+    > build-asan/chaos_smoke_load200.txt
+  diff tests/data/live_load_chaos_200.txt build-asan/chaos_smoke_load200.txt
 
   echo "=== chaos smoke passed ==="
   exit 0
@@ -557,7 +587,9 @@ if [[ "${mode}" == "--live-smoke" ]]; then
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "${jobs}" -L live
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
-    timeout 300 ./build-asan/tools/thriftyvid "${smoke_args[@]}"
+    timeout 300 ./build-asan/tools/thriftyvid "${smoke_args[@]}" \
+    > build-asan/chaos_smoke_load200.txt
+  diff tests/data/live_load_chaos_200.txt build-asan/chaos_smoke_load200.txt
 
   echo "=== live smoke passed ==="
   exit 0

@@ -157,8 +157,11 @@ std::optional<Datagram> ChaosSocket::receive() {
       ingress_rng_.bernoulli(plan_.spurious_wakeup_prob)) {
     // An EINTR storm ends the drain early.  The data is still queued and
     // the loop is level-triggered, so nothing is lost — only delayed —
-    // which is exactly the failure mode worth surviving.
+    // which is exactly the failure mode worth surviving.  The caller's
+    // drain stops before the socket is empty, so tell the loop to look
+    // again before its next timer.
     ++stats_.spurious_wakeups;
+    loop_.note_unread();
     return std::nullopt;
   }
   return socket_.receive();

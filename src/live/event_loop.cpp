@@ -14,6 +14,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "live/udp.hpp"
+
 namespace tv::live {
 
 EventLoop::EventLoop(ClockMode mode, PollBackend backend) : mode_(mode) {
@@ -64,6 +66,7 @@ void EventLoop::watch_readable(int fd, std::function<void()> on_readable) {
     }
   }
   watchers_.emplace_back(fd, std::move(on_readable));
+  repoll_ = true;  // the descriptor may already hold data.
 #ifdef __linux__
   if (epoll_fd_ >= 0) {
     epoll_event event{};
@@ -94,7 +97,8 @@ void EventLoop::unwatch(int fd) {
 EventLoop::TimerId EventLoop::schedule_at(double deadline_s,
                                           std::function<void()> callback) {
   const TimerId id = next_timer_id_++;
-  timers_.emplace(TimerKey{deadline_s, id}, std::move(callback));
+  timers_.push_back(Timer{deadline_s, id, std::move(callback)});
+  sift_up(timers_.size() - 1);
   return id;
 }
 
@@ -104,12 +108,57 @@ EventLoop::TimerId EventLoop::schedule_after(double delay_s,
 }
 
 void EventLoop::cancel(TimerId id) {
-  for (auto it = timers_.begin(); it != timers_.end(); ++it) {
-    if (it->first.id == id) {
-      timers_.erase(it);
+  for (std::size_t i = 0; i < timers_.size(); ++i) {
+    if (timers_[i].id == id) {
+      erase_timer(i);
       return;
     }
   }
+}
+
+void EventLoop::sift_up(std::size_t index) {
+  Timer timer = std::move(timers_[index]);
+  while (index > 0) {
+    const std::size_t parent = (index - 1) / 2;
+    if (!timer.fires_before(timers_[parent])) break;
+    timers_[index] = std::move(timers_[parent]);
+    index = parent;
+  }
+  timers_[index] = std::move(timer);
+}
+
+void EventLoop::sift_down(std::size_t index) {
+  Timer timer = std::move(timers_[index]);
+  const std::size_t size = timers_.size();
+  for (;;) {
+    std::size_t child = 2 * index + 1;
+    if (child >= size) break;
+    if (child + 1 < size && timers_[child + 1].fires_before(timers_[child])) {
+      ++child;
+    }
+    if (!timers_[child].fires_before(timer)) break;
+    timers_[index] = std::move(timers_[child]);
+    index = child;
+  }
+  timers_[index] = std::move(timer);
+}
+
+void EventLoop::erase_timer(std::size_t index) {
+  const std::size_t last = timers_.size() - 1;
+  if (index != last) timers_[index] = std::move(timers_[last]);
+  timers_.pop_back();
+  if (index == last) return;
+  if (index > 0 && timers_[index].fires_before(timers_[(index - 1) / 2])) {
+    sift_up(index);
+  } else {
+    sift_down(index);
+  }
+}
+
+std::function<void()> EventLoop::pop_earliest() {
+  std::function<void()> callback = std::move(timers_.front().callback);
+  erase_timer(0);
+  return callback;
 }
 
 std::size_t EventLoop::dispatch_fd(int fd) {
@@ -146,6 +195,8 @@ std::size_t EventLoop::poll_once(int timeout_ms) {
       throw std::runtime_error{std::string{"EventLoop: epoll_wait: "} +
                                std::strerror(errno)};
     }
+    // A full batch may have left ready descriptors for the next wait.
+    if (ready == static_cast<int>(std::size(events))) repoll_ = true;
     std::size_t dispatched = 0;
     for (int i = 0; i < ready; ++i) {
       dispatched += dispatch_fd(events[i].data.fd);
@@ -190,14 +241,19 @@ void EventLoop::run() {
       // buffers between timer firings — that bound is what makes virtual
       // runs immune to buffer overflow and hence deterministic.  The
       // drain happens before *every* jump, including to zero-delay and
-      // already-past deadlines.
-      if (poll_once(0) > 0) continue;
-      if (timers_.empty()) return;  // idle: nothing readable, no deadlines.
-      auto it = timers_.begin();
-      virtual_now_s_ = std::max(virtual_now_s_, it->first.deadline_s);
-      auto callback = std::move(it->second);
-      timers_.erase(it);
-      callback();
+      // already-past deadlines, whenever a descriptor could have become
+      // readable since the last wait (header comment); the skipped waits
+      // are exactly the ones that would have found nothing.
+      const bool idle = timers_.empty();
+      const std::uint64_t sends = sends_on_this_thread();
+      if (idle || repoll_ || sends != sends_seen_) {
+        repoll_ = false;
+        sends_seen_ = sends;
+        if (poll_once(0) > 0) continue;
+        if (idle) return;  // nothing readable, no deadlines.
+      }
+      virtual_now_s_ = std::max(virtual_now_s_, timers_.front().deadline_s);
+      pop_earliest()();
       continue;
     }
 
@@ -206,7 +262,7 @@ void EventLoop::run() {
     // one non-blocking drain, then the timer fires on this iteration.
     int timeout_ms = -1;
     if (!timers_.empty()) {
-      const double wait_s = timers_.begin()->first.deadline_s - now_s();
+      const double wait_s = timers_.front().deadline_s - now_s();
       timeout_ms = wait_s <= 0.0
                        ? 0
                        : static_cast<int>(std::ceil(wait_s * 1e3));
@@ -214,15 +270,12 @@ void EventLoop::run() {
       return;  // idle: no deadlines, nothing to watch.
     }
     poll_once(timeout_ms);
-    // Fire everything that has come due.  The map is re-read after every
+    // Fire everything that has come due.  The heap is re-read after every
     // callback so a timer cancelled by an earlier one in the same due
     // batch never fires.
     while (!stopped_ && !timers_.empty() &&
-           timers_.begin()->first.deadline_s <= now_s()) {
-      auto it = timers_.begin();
-      auto callback = std::move(it->second);
-      timers_.erase(it);
-      callback();
+           timers_.front().deadline_s <= now_s()) {
+      pop_earliest()();
     }
   }
 }

@@ -11,6 +11,21 @@
 // simulated transfer and is bit-reproducible because nothing ever waits
 // on the wall clock.
 //
+// A virtual loop waits in the kernel only when a descriptor could have
+// become readable since its last wait: after a send (live::UdpSocket
+// counts its send calls per thread, sends_on_this_thread()), after
+// watch_readable(), after a callback reported note_unread(), after a
+// wait that filled its event batch, and once more before going idle.
+// That is exact, not a heuristic, under three contracts:
+//   * a readable callback reads its socket until it is empty, or calls
+//     note_unread() when it stops early;
+//   * every sender into a virtual loop runs on the loop's thread;
+//   * loopback delivery completes inside the send call — the same
+//     assumption that makes virtual runs deterministic at all.
+// A wait the loop skips is one that would have found nothing, so the
+// dispatch order, and every output, is the same as polling before every
+// timer.  Monotonic mode waits in every round, as it must.
+//
 // The kernel wait is epoll(7) where available (the multi-session server
 // watches one descriptor per client session, and poll(2)'s O(n) scan per
 // round is the wrong shape for hundreds of flows); poll(2) remains as a
@@ -21,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 namespace tv::live {
@@ -66,12 +80,21 @@ class EventLoop {
   [[nodiscard]] double now_s() const;
 
   /// Invoke `on_readable` whenever `fd` has data.  One watcher per fd.
+  /// The callback reads until the socket is empty or calls note_unread().
   void watch_readable(int fd, std::function<void()> on_readable);
   void unwatch(int fd);
 
+  /// Called by a readable callback that returns before its socket is
+  /// empty: a virtual loop then waits again before its next timer, so the
+  /// rest is read at the same virtual time.
+  void note_unread() { repoll_ = true; }
+
   /// Schedule `callback` at an absolute loop time (seconds).  Timers at
   /// equal deadlines fire in scheduling order.  Past deadlines fire on
-  /// the next iteration without busy-waiting.
+  /// the next iteration without busy-waiting.  Scheduling and firing
+  /// allocate nothing once the timer heap has grown to its working size
+  /// (a callback that fits std::function's inline buffer, such as a
+  /// lambda capturing `this` and an index, allocates nothing either).
   TimerId schedule_at(double deadline_s, std::function<void()> callback);
   TimerId schedule_after(double delay_s, std::function<void()> callback);
   void cancel(TimerId id);
@@ -89,17 +112,20 @@ class EventLoop {
 
   /// Number of kernel waits performed so far.  A monotonic run that
   /// sleeps to its deadlines performs a handful; a busy-spinning one
-  /// performs thousands — the regression tests pin the former.
+  /// performs thousands — the regression tests pin the former.  A
+  /// virtual run waits about once per datagram sent (see the header
+  /// comment for when it waits); the loop-contract tests pin that.
   [[nodiscard]] std::size_t poll_rounds() const { return poll_rounds_; }
 
  private:
-  struct TimerKey {
+  struct Timer {
     double deadline_s;
     TimerId id;
-    bool operator<(const TimerKey& other) const {
-      if (deadline_s != other.deadline_s) {
-        return deadline_s < other.deadline_s;
-      }
+    std::function<void()> callback;
+
+    /// The (deadline, id) order timers fire in.
+    [[nodiscard]] bool fires_before(const Timer& other) const {
+      if (deadline_s != other.deadline_s) return deadline_s < other.deadline_s;
       return id < other.id;
     }
   };
@@ -111,6 +137,12 @@ class EventLoop {
   std::size_t poll_once(int timeout_ms);
   std::size_t dispatch_fd(int fd);
 
+  /// Remove the earliest timer and return its callback.
+  std::function<void()> pop_earliest();
+  void erase_timer(std::size_t index);
+  void sift_up(std::size_t index);
+  void sift_down(std::size_t index);
+
   [[nodiscard]] double monotonic_now_s() const;
 
   ClockMode mode_;
@@ -119,8 +151,12 @@ class EventLoop {
   bool stopped_ = false;
   TimerId next_timer_id_ = 1;
   std::size_t poll_rounds_ = 0;
+  bool repoll_ = true;             ///< a virtual loop must wait next round.
+  std::uint64_t sends_seen_ = 0;   ///< sends_on_this_thread() at last wait.
   int epoll_fd_ = -1;  ///< -1 when the poll(2) backend is active.
-  std::map<TimerKey, std::function<void()>> timers_;
+  /// Binary min-heap on (deadline_s, id): the same total order a sorted
+  /// map would give, without a node allocation per timer.
+  std::vector<Timer> timers_;
   std::vector<std::pair<int, std::function<void()>>> watchers_;
 };
 

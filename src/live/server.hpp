@@ -32,6 +32,10 @@ namespace tv::live {
 /// Datagrams a receiver stall defers before shedding the oldest.
 inline constexpr std::size_t kStallBacklogCap = 8192;
 
+/// Most packets a session reserves room for up front from its HELLO's
+/// count: one cycle of the 16-bit RTP sequence space.
+inline constexpr std::size_t kMaxReservedPackets = 1 << 16;
+
 struct ServerConfig {
   Endpoint bind;  ///< default loopback, ephemeral port.
   std::size_t max_sessions = 64;  ///< admission token budget.

@@ -177,6 +177,10 @@ ClientSession::ClientSession(EventLoop& loop, ClientConfig config,
 }
 
 void ClientSession::start() {
+  // Connected: every datagram skips the kernel's per-send route lookup,
+  // and only the server's replies are delivered.  A server that goes
+  // away now surfaces as kRefused, which the retry ladder absorbs.
+  socket_.connect(config_.server);
   loop_.watch_readable(socket_.fd(), [this] { on_readable(); });
   set_state(SessionState::kConnecting);
   hello_timer_ = loop_.schedule_at(config_.start_s, [this] { send_hello(); });

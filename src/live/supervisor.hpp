@@ -143,8 +143,8 @@ struct ClientConfig {
   core::TraceSink* trace = nullptr;
 };
 
-/// One supervised uploader: owns its socket, handshakes with the
-/// server, streams `wire_packets` at the paced schedule, and walks the
+/// One supervised uploader: owns its socket (connected to the server
+/// by start()), handshakes with the server, streams `wire_packets` at the paced schedule, and walks the
 /// session state machine under the watchdog.  `wire_packets` carry the
 /// policy's encryption; `clear_packets` are the same stream in
 /// plaintext, used when the degradation ladder decides a packet should

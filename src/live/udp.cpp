@@ -34,7 +34,11 @@ Endpoint from_sockaddr(const sockaddr_in& addr) {
   throw std::runtime_error{what + ": " + std::strerror(errno)};
 }
 
+thread_local std::uint64_t t_sends = 0;
+
 }  // namespace
+
+std::uint64_t sends_on_this_thread() noexcept { return t_sends; }
 
 const char* to_string(SendOutcome outcome) {
   switch (outcome) {
@@ -95,7 +99,8 @@ UdpSocket::~UdpSocket() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept : fd_(other.fd_) {
+UdpSocket::UdpSocket(UdpSocket&& other) noexcept
+    : fd_(other.fd_), refusals_(other.refusals_), peer_(other.peer_) {
   other.fd_ = -1;
 }
 
@@ -103,6 +108,8 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
+    refusals_ = other.refusals_;
+    peer_ = other.peer_;
     other.fd_ = -1;
   }
   return *this;
@@ -131,15 +138,20 @@ void UdpSocket::connect(const Endpoint& peer) {
       0) {
     throw_errno("UdpSocket: connect " + peer.to_string());
   }
+  peer_ = peer;
 }
 
 SendOutcome UdpSocket::send_to(const Endpoint& to,
                                std::span<const std::uint8_t> payload) {
+  const bool connected = peer_ == to;
   const sockaddr_in addr = to_sockaddr(to);
   for (;;) {
+    ++t_sends;
     const ssize_t sent =
-        ::sendto(fd_, payload.data(), payload.size(), 0,
-                 reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+        connected
+            ? ::send(fd_, payload.data(), payload.size(), 0)
+            : ::sendto(fd_, payload.data(), payload.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
     if (sent < 0) {
       if (errno == EINTR) continue;  // signal mid-call: the datagram is
                                      // still ours, just try again.

@@ -50,6 +50,13 @@ enum class SendOutcome {
 
 [[nodiscard]] const char* to_string(SendOutcome outcome);
 
+/// Send syscalls issued on the calling thread by every UdpSocket, counted
+/// before each call.  A virtual-clock EventLoop compares it across its
+/// own dispatches: on loopback a datagram is queued on its destination
+/// inside the send call, so a descriptor of the loop can only have become
+/// readable if this count moved (docs/live.md, "virtual clock").
+[[nodiscard]] std::uint64_t sends_on_this_thread() noexcept;
+
 /// Move-only owner of a non-blocking AF_INET/SOCK_DGRAM descriptor.
 class UdpSocket {
  public:
@@ -71,12 +78,14 @@ class UdpSocket {
 
   /// Associate the socket with a default peer.  The kernel then reports
   /// ICMP port-unreachable back as ECONNREFUSED on later sends/receives,
-  /// which send_to()/receive() surface without aborting.  Throws on
-  /// failure.
+  /// which send_to()/receive() surface without aborting, and delivers
+  /// only the peer's datagrams.  Throws on failure.
   void connect(const Endpoint& peer);
 
-  /// Sends one datagram, retrying EINTR internally.  See SendOutcome for
-  /// the per-packet conditions; throws only on non-transient errors.
+  /// Sends one datagram, retrying EINTR internally.  A datagram to the
+  /// connected peer goes out through send(2), reusing the route the
+  /// kernel cached at connect().  See SendOutcome for the per-packet
+  /// conditions; throws only on non-transient errors.
   SendOutcome send_to(const Endpoint& to, std::span<const std::uint8_t> payload);
 
   /// Receives one datagram if available (non-blocking); std::nullopt
@@ -104,6 +113,7 @@ class UdpSocket {
  private:
   int fd_ = -1;
   std::size_t refusals_ = 0;
+  std::optional<Endpoint> peer_;  ///< set by connect().
 };
 
 }  // namespace tv::live

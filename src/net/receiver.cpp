@@ -1,9 +1,18 @@
 #include "net/receiver.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
 namespace tv::net {
+
+namespace {
+
+bool sequence_less(const ReceivedPacket& packet, std::int64_t extended) {
+  return packet.extended_sequence < extended;
+}
+
+}  // namespace
 
 Receiver::Receiver(ReceiverConfig config) : config_(config) {
   if (config_.reorder_capacity == 0) config_.reorder_capacity = 1;
@@ -33,7 +42,9 @@ bool Receiver::admit(std::span<const std::uint8_t> datagram,
   }
   const std::int64_t ext = extend_sequence(parsed->sequence_number);
   if (started_) {
-    if (buffer_.count(ext) != 0) {
+    const auto held =
+        std::lower_bound(held_begin(), buffer_.end(), ext, sequence_less);
+    if (held != buffer_.end() && held->extended_sequence == ext) {
       ++stats_.duplicates;  // still waiting in the reorder buffer.
       return false;
     }
@@ -55,20 +66,26 @@ bool Receiver::admit(std::span<const std::uint8_t> datagram,
 
 void Receiver::commit(ReceivedPacket&& packet) {
   const std::int64_t ext = packet.extended_sequence;
-  buffer_.emplace(ext, std::move(packet));
+  if (buffer_.size() == released_ ||
+      buffer_.back().extended_sequence < ext) {
+    buffer_.push_back(std::move(packet));  // the in-order case.
+  } else {
+    buffer_.insert(
+        std::lower_bound(held_begin(), buffer_.end(), ext, sequence_less),
+        std::move(packet));
+  }
   if (ext > highest_seen_) highest_seen_ = ext;
   ++stats_.accepted;
 
-  // Keep the reorder buffer bounded: give up on the oldest gaps and move
-  // the packets past them into the ready queue.
-  while (buffer_.size() > config_.reorder_capacity) {
-    auto it = buffer_.begin();
-    if (it->first != next_release_) {
-      stats_.given_up += static_cast<std::size_t>(it->first - next_release_);
-      next_release_ = it->first;
+  // Keep the reorder buffer bounded: give up on the oldest gaps and
+  // release the packets past them.
+  while (buffer_.size() - released_ > config_.reorder_capacity) {
+    const std::int64_t oldest = buffer_[released_].extended_sequence;
+    if (oldest != next_release_) {
+      stats_.given_up += static_cast<std::size_t>(oldest - next_release_);
+      next_release_ = oldest;
     }
-    ready_.push_back(std::move(it->second));
-    buffer_.erase(it);
+    ++released_;
     ++next_release_;
   }
 }
@@ -88,29 +105,32 @@ void Receiver::push(std::vector<std::uint8_t>&& datagram) {
 }
 
 void Receiver::drain_ready_into(std::vector<ReceivedPacket>& out) {
-  while (!ready_.empty()) {
-    out.push_back(std::move(ready_.front()));
-    ready_.pop_front();
-  }
-  while (!buffer_.empty() && buffer_.begin()->first == next_release_) {
-    out.push_back(std::move(buffer_.begin()->second));
-    buffer_.erase(buffer_.begin());
+  std::size_t end = released_;
+  while (end < buffer_.size() &&
+         buffer_[end].extended_sequence == next_release_) {
+    ++end;
     ++next_release_;
   }
+  const auto last = buffer_.begin() + static_cast<std::ptrdiff_t>(end);
+  out.insert(out.end(), std::make_move_iterator(buffer_.begin()),
+             std::make_move_iterator(last));
+  buffer_.erase(buffer_.begin(), last);
+  released_ = 0;
 }
 
 void Receiver::flush_into(std::vector<ReceivedPacket>& out) {
-  drain_ready_into(out);
-  while (!buffer_.empty()) {
-    auto it = buffer_.begin();
-    if (it->first != next_release_) {
-      stats_.given_up += static_cast<std::size_t>(it->first - next_release_);
-      next_release_ = it->first;
+  for (std::size_t i = released_; i < buffer_.size(); ++i) {
+    const std::int64_t ext = buffer_[i].extended_sequence;
+    if (ext != next_release_) {
+      stats_.given_up += static_cast<std::size_t>(ext - next_release_);
+      next_release_ = ext;
     }
-    out.push_back(std::move(it->second));
-    buffer_.erase(it);
     ++next_release_;
   }
+  out.insert(out.end(), std::make_move_iterator(buffer_.begin()),
+             std::make_move_iterator(buffer_.end()));
+  buffer_.clear();
+  released_ = 0;
 }
 
 }  // namespace tv::net

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -81,9 +79,7 @@ class Receiver {
   /// Packets currently held (reorder buffer + released-but-undrained).
   /// The live server's overload detector keeps a running sum of this
   /// across sessions (live::Server::with_receiver).
-  [[nodiscard]] std::size_t buffered() const {
-    return buffer_.size() + ready_.size();
-  }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
 
  private:
   /// Map a 16-bit wire sequence onto the 64-bit extended sequence line,
@@ -98,10 +94,21 @@ class Receiver {
                            std::int64_t* extended, RtpHeader* header);
   void commit(ReceivedPacket&& packet);
 
+  /// First packet of the reorder buffer proper (everything before it is
+  /// released and waits for the next drain).
+  [[nodiscard]] std::vector<ReceivedPacket>::iterator held_begin() {
+    return buffer_.begin() + static_cast<std::ptrdiff_t>(released_);
+  }
+
   ReceiverConfig config_;
   ReceiverStats stats_;
-  std::map<std::int64_t, ReceivedPacket> buffer_;
-  std::deque<ReceivedPacket> ready_;  ///< released by overflow, undrained.
+  /// Sorted by extended sequence.  The first `released_` packets were
+  /// released past a gap by overflow and not drained yet; the rest is
+  /// the reorder buffer, at most reorder_capacity packets.  A vector
+  /// rather than a map: arrivals are nearly in order, so an insert is
+  /// almost always an append, and no packet costs a node allocation.
+  std::vector<ReceivedPacket> buffer_;
+  std::size_t released_ = 0;
   std::int64_t highest_seen_ = -1;   ///< highest extended sequence so far.
   std::int64_t next_release_ = -1;   ///< next extended sequence to release.
   bool started_ = false;

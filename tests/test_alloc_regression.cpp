@@ -1,9 +1,12 @@
-// Steady-state allocation regression for the zero-copy packet path.
+// Steady-state allocation regression for the zero-copy packet path and
+// the live plane.
 //
 // The arena refactor's core promise: once a workload's packets are built,
 // pushing them through core::simulate_transfer costs a small, constant
 // number of heap allocations per transfer (the result vectors), not per
-// packet.  This suite pins that by replacing the global operator new with
+// packet.  The live plane's: a datagram through live::Server costs the
+// one buffer the server keeps it in, and timers cost nothing.  This suite
+// pins both by replacing the global operator new with
 // a counting shim — which is why it lives in its own test binary
 // (tv_alloc_tests): the shim is process-wide and must not disturb the
 // other tiers.
@@ -22,6 +25,9 @@
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "crypto/suite.hpp"
+#include "live/event_loop.hpp"
+#include "live/server.hpp"
+#include "live/supervisor.hpp"
 #include "net/packetizer.hpp"
 #include "util/arena.hpp"
 
@@ -113,6 +119,101 @@ TEST(AllocRegression, ArenaCloneIsOneAllocationPerChunkNotPerPacket) {
   // the arena's retained chunks.
   EXPECT_LE(clones, 2u) << "cloning " << packets.size()
                         << " packets should not allocate per packet";
+}
+
+// ---- The live plane ------------------------------------------------------
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+struct LiveClip {
+  util::Arena arena;
+  std::vector<net::VideoPacket> packets;
+  live::PacedSchedule schedule;
+};
+
+LiveClip make_live_clip(int count) {
+  LiveClip clip;
+  for (int i = 0; i < count; ++i) {
+    net::VideoPacket p;
+    p.sequence = static_cast<std::uint16_t>(i);
+    p.timestamp = 90000u + static_cast<std::uint32_t>(i);
+    p.allocate_payload(clip.arena, 400, static_cast<std::uint8_t>(i));
+    clip.packets.push_back(std::move(p));
+    clip.schedule.arrival_s.push_back(1e-3 * i);
+    clip.schedule.send_s.push_back(1e-3 * i + 2e-4);
+  }
+  return clip;
+}
+
+struct LiveRun {
+  std::uint64_t allocations = 0;
+  std::size_t datagrams = 0;
+};
+
+/// Allocations of one virtual-loop run of `clients` sessions uploading
+/// `clip` at staggered starts through one live::Server: everything from
+/// building the loop to its going idle, per-session set-up included.
+LiveRun live_run(const LiveClip& clip, int clients) {
+  LiveRun out;
+  const std::uint64_t before = allocations();
+  live::EventLoop loop{live::ClockMode::kVirtual};
+  live::Server server{loop, live::ServerConfig{}};
+  server.start();
+  std::vector<std::unique_ptr<live::ClientSession>> sessions;
+  for (int c = 0; c < clients; ++c) {
+    live::ClientConfig config;
+    config.server = server.endpoint();
+    config.ssrc = 0x7000u + static_cast<std::uint32_t>(c);
+    config.seed = static_cast<std::uint64_t>(c) + 1;
+    config.start_s = 0.01 * c;
+    sessions.push_back(std::make_unique<live::ClientSession>(
+        loop, std::move(config), clip.packets, clip.packets, clip.schedule));
+    sessions.back()->start();
+  }
+  loop.run();
+  out.allocations = allocations() - before;
+  out.datagrams = server.report().datagrams;
+  for (const auto& session : sessions) {
+    EXPECT_EQ(session->stats().outcome, live::SessionOutcome::kCompleted);
+  }
+  return out;
+}
+
+TEST(AllocRegression, LiveServerAllocatesAboutOncePerDatagram) {
+  // The one allocation a datagram must cost is the buffer the server
+  // keeps it in until finish(); timers, the reorder buffer and the
+  // session's packet list add nothing per datagram once warm.
+  const LiveClip clip = make_live_clip(300);
+  (void)live_run(clip, 4);  // warm: lazy statics, allocator arenas.
+  const LiveRun run = live_run(clip, 4);
+  ASSERT_GE(run.datagrams, 4u * 300u);
+  const double per_datagram = static_cast<double>(run.allocations) /
+                              static_cast<double>(run.datagrams);
+  EXPECT_LE(per_datagram, 1.2)
+      << run.allocations << " allocations for " << run.datagrams
+      << " datagrams";
+}
+
+TEST(AllocRegression, SchedulingAndFiringTimersAllocateNothingOnceWarm) {
+  live::EventLoop loop{live::ClockMode::kVirtual};
+  int fired = 0;
+  auto schedule_round = [&] {
+    for (int i = 0; i < 64; ++i) {
+      loop.schedule_at(1e-3 * (i % 7), [&fired, i] { fired += i > 0; });
+    }
+    const auto cancelled = loop.schedule_at(0.5, [&fired] { fired = -1; });
+    loop.cancel(cancelled);
+  };
+  schedule_round();
+  loop.run();  // grows the timer heap to its working size.
+
+  const std::uint64_t before = allocations();
+  schedule_round();
+  loop.run();
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(fired, 2 * 63);
 }
 
 }  // namespace

@@ -4,11 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "live/receiver_session.hpp"
+#include "live/supervisor.hpp"
 #include "live/udp.hpp"
+#include "util/arena.hpp"
 
 namespace tv::live {
 namespace {
@@ -239,6 +243,223 @@ TEST(EventLoop, VirtualClockDrainsIoBeforePastDeadlineTimers) {
   loop.run();
   EXPECT_EQ(order,
             (std::vector<std::string>{"read@0.000000", "timer"}));
+}
+
+// ---- When a virtual loop waits in the kernel (event_loop.hpp) -----------
+
+TEST(EventLoopContract, PacedDatagramsCostOnePollRoundEach) {
+  // N timers each send one datagram to a watcher that reads its socket
+  // empty: one wait after each send, one for the new watcher and one
+  // before going idle — never a wait per timer.
+  constexpr int kDatagrams = 40;
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket tx;
+  tx.bind(Endpoint{});
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  const Endpoint to = rx.local_endpoint();
+  std::vector<double> read_at;
+  loop.watch_readable(rx.fd(), [&] {
+    while (rx.receive()) read_at.push_back(loop.now_s());
+  });
+  for (int i = 0; i < kDatagrams; ++i) {
+    // Two timers per datagram, as a client's release and send timers.
+    loop.schedule_at(0.01 * i, [] {});
+    loop.schedule_at(0.01 * i + 0.005, [&tx, to] {
+      const std::uint8_t byte[] = {1};
+      ASSERT_EQ(tx.send_to(to, byte), SendOutcome::kSent);
+    });
+  }
+  loop.run();
+  ASSERT_EQ(read_at.size(), static_cast<std::size_t>(kDatagrams));
+  for (int i = 0; i < kDatagrams; ++i) {
+    EXPECT_DOUBLE_EQ(read_at[static_cast<std::size_t>(i)], 0.01 * i + 0.005);
+  }
+  EXPECT_LE(loop.poll_rounds(), static_cast<std::size_t>(kDatagrams + 2));
+}
+
+TEST(EventLoopContract, EarlyStopThatTellsTheLoopReadsTheRestAtOnce) {
+  // The watcher reads one datagram per call and says it stopped early:
+  // all three are read at their send time, before the next timer.
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket tx;
+  tx.bind(Endpoint{});
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  const Endpoint to = rx.local_endpoint();
+  std::vector<std::string> order;
+  loop.watch_readable(rx.fd(), [&] {
+    if (auto d = rx.receive()) {
+      order.push_back("read" + std::to_string(d->payload.at(0)) + "@" +
+                      std::to_string(loop.now_s()));
+      loop.note_unread();
+    }
+  });
+  loop.schedule_at(0.5, [&tx, to] {
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      const std::uint8_t byte[] = {i};
+      ASSERT_EQ(tx.send_to(to, byte), SendOutcome::kSent);
+    }
+  });
+  loop.schedule_at(0.5, [&] { order.push_back("timer"); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"read0@0.500000",
+                                             "read1@0.500000",
+                                             "read2@0.500000", "timer"}));
+}
+
+TEST(EventLoopContract, DatagramQueuedBeforeWatchIsReadBeforeTheNextTimer) {
+  // The datagram is queued before the loop runs; the loop's first wait
+  // finds no watcher.  A timer then adds the watcher without sending:
+  // the new watcher alone must make the loop look before the next timer.
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket tx;
+  tx.bind(Endpoint{});
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  const std::uint8_t byte[] = {9};
+  ASSERT_EQ(tx.send_to(rx.local_endpoint(), byte), SendOutcome::kSent);
+  std::vector<std::string> order;
+  loop.schedule_at(0.1, [&] {
+    order.push_back("watch");
+    loop.watch_readable(rx.fd(), [&] {
+      while (rx.receive()) {
+        order.push_back("read@" + std::to_string(loop.now_s()));
+      }
+    });
+  });
+  loop.schedule_at(0.2, [&] {
+    order.push_back("timer");
+    loop.unwatch(rx.fd());
+  });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"watch", "read@0.100000",
+                                             "timer"}));
+}
+
+TEST(EventLoopContract, LoopLooksOnceMoreBeforeGoingIdle) {
+  // A datagram that arrives without a send on the loop's thread (here a
+  // sender on another thread, outside the virtual-clock contract) is
+  // still dispatched before the loop goes idle.
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  const Endpoint to = rx.local_endpoint();
+  int reads = 0;
+  double read_at = -1.0;
+  loop.watch_readable(rx.fd(), [&] {
+    while (rx.receive()) {
+      ++reads;
+      read_at = loop.now_s();
+    }
+  });
+  loop.run();  // consumes the new-watcher wait; nothing queued yet.
+  EXPECT_EQ(reads, 0);
+
+  std::thread sender{[to] {
+    UdpSocket tx;
+    tx.bind(Endpoint{});
+    const std::uint8_t byte[] = {3};
+    EXPECT_EQ(tx.send_to(to, byte), SendOutcome::kSent);
+  }};
+  sender.join();
+  loop.schedule_at(1.0, [] {});  // the last timer sends nothing.
+  loop.run();
+  EXPECT_EQ(reads, 1);
+  EXPECT_DOUBLE_EQ(read_at, 1.0);
+}
+
+util::Arena& contract_arena() {
+  static util::Arena arena;  // lives for the whole test binary.
+  return arena;
+}
+
+std::vector<net::VideoPacket> contract_packets(int count) {
+  std::vector<net::VideoPacket> packets;
+  for (int i = 0; i < count; ++i) {
+    net::VideoPacket p;
+    p.sequence = static_cast<std::uint16_t>(i);
+    p.timestamp = 90000u + static_cast<std::uint32_t>(i);
+    p.allocate_payload(contract_arena(), 48, static_cast<std::uint8_t>(i));
+    packets.push_back(std::move(p));
+  }
+  return packets;
+}
+
+PacedSchedule contract_schedule(int count) {
+  PacedSchedule schedule;
+  for (int i = 0; i < count; ++i) {
+    schedule.arrival_s.push_back(0.01 * i);
+    schedule.send_s.push_back(0.01 * i);
+  }
+  return schedule;
+}
+
+Endpoint closed_port() {
+  UdpSocket probe;  // grab an ephemeral port, then free it.
+  probe.bind(Endpoint{});
+  return probe.local_endpoint();
+}
+
+// Client sockets are connected, so a vanished server can surface as
+// ECONNREFUSED (an ICMP port-unreachable, which the kernel may or may
+// not deliver).  Either way the session must end through its retry
+// ladder or watchdog, and nothing may throw.
+TEST(ClientSessionServerGone, NoServerEndsThroughTheHandshakeLadder) {
+  EventLoop loop{ClockMode::kVirtual};
+  const auto packets = contract_packets(4);
+  ClientConfig config;
+  config.server = closed_port();
+  config.ssrc = 0x6001;
+  config.supervisor.max_handshake_retries = 3;
+  ClientSession client{loop, std::move(config), packets, packets,
+                       contract_schedule(4)};
+  client.start();
+  EXPECT_NO_THROW(loop.run());
+  ASSERT_TRUE(client.finished());
+  EXPECT_EQ(client.stats().outcome, SessionOutcome::kWatchdogKilled);
+  EXPECT_EQ(client.stats().handshake_retries, 3u);
+  EXPECT_EQ(client.stats().packets_sent, 0u);
+}
+
+TEST(ClientSessionServerGone, ServerClosingMidStreamEndsTheSession) {
+  // A stand-in server accepts the HELLO and closes its socket at once.
+  constexpr int kPackets = 20;
+  EventLoop loop{ClockMode::kVirtual};
+  auto server = std::make_unique<UdpSocket>();
+  server->bind(Endpoint{});
+  const int server_fd = server->fd();
+  loop.watch_readable(server_fd, [&] {
+    while (auto d = server->receive()) {
+      const auto hello = ControlMsg::try_parse(d->payload);
+      if (!hello || hello->type != ControlMsg::Type::kHello) continue;
+      ControlMsg accept;
+      accept.type = ControlMsg::Type::kAccept;
+      accept.ssrc = hello->ssrc;
+      ASSERT_EQ(server->send_to(d->from, accept.serialize()),
+                SendOutcome::kSent);
+      server.reset();
+      loop.unwatch(server_fd);  // destroys this callback: return at once.
+      return;
+    }
+  });
+  const auto packets = contract_packets(kPackets);
+  ClientConfig config;
+  config.server = server->local_endpoint();
+  config.ssrc = 0x6002;
+  config.supervisor.backoff_jitter = 0.0;
+  ClientSession client{loop, std::move(config), packets, packets,
+                       contract_schedule(kPackets)};
+  client.start();
+  EXPECT_NO_THROW(loop.run());
+  ASSERT_TRUE(client.finished());
+  const ClientStats& stats = client.stats();
+  EXPECT_TRUE(stats.outcome == SessionOutcome::kRecovered ||
+              stats.outcome == SessionOutcome::kWatchdogKilled)
+      << to_string(stats.outcome);
+  EXPECT_FALSE(stats.bye_acked);
+  EXPECT_LE(stats.packets_sent + stats.packets_shed,
+            static_cast<std::size_t>(kPackets));
 }
 
 TEST(EventLoop, DeadlineReachedComparesTheRecomputedDeadline) {

@@ -44,6 +44,32 @@ TEST(Server, RejectsConfigNonsense) {
   EXPECT_THROW((void)Server(loop, config), std::invalid_argument);
 }
 
+TEST(Server, HelloClaimingBillionsOfPacketsReservesOneSequenceCycle) {
+  // The server sizes a session's packet list from the HELLO's count, an
+  // untrusted number: 2^32 - 1 packets must not become a 200 GB
+  // reservation (a bad_alloc out of the loop), only one 16-bit cycle.
+  EventLoop loop{ClockMode::kVirtual};
+  Server server{loop, ServerConfig{}};
+  server.start();
+  UdpSocket client;
+  client.bind(Endpoint{});
+  ControlMsg hello;
+  hello.type = ControlMsg::Type::kHello;
+  hello.ssrc = 0x4e110;
+  hello.aux = 0xFFFFFFFFu;
+  const Endpoint to = server.endpoint();
+  loop.schedule_at(0.0, [&] {
+    EXPECT_EQ(client.send_to(to, hello.serialize()), SendOutcome::kSent);
+  });
+  EXPECT_NO_THROW(loop.run());
+  EXPECT_EQ(server.report().admitted, 1u);
+  const auto sessions = server.finish();
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].expected_packets, 0xFFFFFFFFu);
+  EXPECT_GE(sessions[0].packets.capacity(), kMaxReservedPackets);
+  EXPECT_LE(sessions[0].packets.capacity(), 2 * kMaxReservedPackets);
+}
+
 TEST(RunLoad, CleanFleetAllComplete) {
   LoadConfig config = small_fleet(6);
   const LoadReport report = run_load(config);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <deque>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "net/fault_injector.hpp"
+#include "proptest.hpp"
 #include "util/rng.hpp"
 
 namespace tv::net {
@@ -336,6 +340,224 @@ TEST(FaultInjector, ValidatesPlan) {
   plan.drop_prob = 0.0;
   plan.max_bit_flips = 0;
   EXPECT_THROW((void)FaultInjector(plan, 1), std::invalid_argument);
+}
+
+
+// --- The sorted-vector reorder buffer against the map it replaced ------
+
+/// The receiver as it was written with a std::map reorder buffer and a
+/// deque of overflow releases, kept as the oracle for the sorted-vector
+/// buffer: same admission, same release order, same stats.
+class MapReceiver {
+ public:
+  explicit MapReceiver(ReceiverConfig config) : config_(config) {
+    if (config_.reorder_capacity == 0) config_.reorder_capacity = 1;
+  }
+
+  void push(std::span<const std::uint8_t> datagram) {
+    ++stats_.datagrams;
+    const auto parsed = RtpHeader::try_parse(datagram);
+    if (!parsed) {
+      ++stats_.invalid;
+      return;
+    }
+    const std::int64_t ext = extend_sequence(parsed->sequence_number);
+    if (started_) {
+      if (buffer_.count(ext) != 0) {
+        ++stats_.duplicates;
+        return;
+      }
+      if (ext < next_release_) {
+        ++stats_.too_late;
+        return;
+      }
+      if (ext < highest_seen_) ++stats_.reordered;
+    } else {
+      started_ = true;
+      next_release_ = ext;
+    }
+    ReceivedPacket packet;
+    packet.extended_sequence = ext;
+    packet.header = *parsed;
+    packet.datagram.assign(datagram.begin(), datagram.end());
+    buffer_.emplace(ext, std::move(packet));
+    if (ext > highest_seen_) highest_seen_ = ext;
+    ++stats_.accepted;
+    while (buffer_.size() > config_.reorder_capacity) {
+      auto it = buffer_.begin();
+      if (it->first != next_release_) {
+        stats_.given_up += static_cast<std::size_t>(it->first - next_release_);
+        next_release_ = it->first;
+      }
+      ready_.push_back(std::move(it->second));
+      buffer_.erase(it);
+      ++next_release_;
+    }
+  }
+
+  void drain_ready_into(std::vector<ReceivedPacket>& out) {
+    while (!ready_.empty()) {
+      out.push_back(std::move(ready_.front()));
+      ready_.pop_front();
+    }
+    while (!buffer_.empty() && buffer_.begin()->first == next_release_) {
+      out.push_back(std::move(buffer_.begin()->second));
+      buffer_.erase(buffer_.begin());
+      ++next_release_;
+    }
+  }
+
+  void flush_into(std::vector<ReceivedPacket>& out) {
+    drain_ready_into(out);
+    while (!buffer_.empty()) {
+      auto it = buffer_.begin();
+      if (it->first != next_release_) {
+        stats_.given_up += static_cast<std::size_t>(it->first - next_release_);
+        next_release_ = it->first;
+      }
+      out.push_back(std::move(it->second));
+      buffer_.erase(it);
+      ++next_release_;
+    }
+  }
+
+  [[nodiscard]] const ReceiverStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t buffered() const {
+    return buffer_.size() + ready_.size();
+  }
+
+ private:
+  std::int64_t extend_sequence(std::uint16_t seq) const {
+    if (!started_) return static_cast<std::int64_t>(seq);
+    const std::int64_t base = highest_seen_ & ~std::int64_t{0xffff};
+    std::int64_t best = base + seq;
+    for (const std::int64_t cand :
+         {base - 0x10000 + seq, base + seq, base + 0x10000 + seq}) {
+      if (std::llabs(cand - highest_seen_) <
+          std::llabs(best - highest_seen_)) {
+        best = cand;
+      }
+    }
+    return best;
+  }
+
+  ReceiverConfig config_;
+  ReceiverStats stats_;
+  std::map<std::int64_t, ReceivedPacket> buffer_;
+  std::deque<ReceivedPacket> ready_;
+  std::int64_t highest_seen_ = -1;
+  std::int64_t next_release_ = -1;
+  bool started_ = false;
+};
+
+/// A hostile arrival order: loss (single and in bursts longer than any
+/// reorder buffer), duplicates (close by and long after), local
+/// reordering, forward jumps that walk the 16-bit sequence across
+/// several wraparounds, stray sequences and runts.
+std::vector<std::vector<std::uint8_t>> hostile_arrivals(util::Rng& rng) {
+  const bool near_seam = rng.bernoulli(0.5);
+  std::uint16_t seq = static_cast<std::uint16_t>(
+      near_seam ? 0xffff - rng.uniform_int(48) : rng.uniform_int(0x10000));
+  const std::size_t n = proptest::random_size(rng, 1, 300);
+  const double loss = rng.uniform(0.0, 0.3);
+  const double dup = rng.uniform(0.0, 0.2);
+  const double reorder = rng.uniform(0.0, 0.5);
+  const auto spread = static_cast<double>(1 + rng.uniform_int(40));
+
+  std::vector<std::pair<double, std::vector<std::uint8_t>>> keyed;
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.bernoulli(0.02)) {
+      seq = static_cast<std::uint16_t>(seq + rng.uniform_int(20000));
+    } else if (rng.bernoulli(0.02)) {
+      seq = static_cast<std::uint16_t>(seq + 33 + rng.uniform_int(40));
+    }
+    auto d = datagram(seq, static_cast<std::uint8_t>(i),
+                      1 + rng.uniform_int(24));
+    ++seq;
+    sent.push_back(d);
+    auto key = static_cast<double>(i);
+    if (rng.bernoulli(reorder)) key += rng.uniform(0.0, spread);
+    if (rng.bernoulli(dup)) {
+      auto copy = d;
+      copy.back() ^= 0x5a;  // first arrival must win.
+      keyed.emplace_back(key + rng.uniform(0.0, spread), std::move(copy));
+    }
+    if (rng.bernoulli(0.01)) {
+      keyed.emplace_back(key + rng.uniform(50.0, 200.0), d);  // far late.
+    }
+    if (rng.bernoulli(0.01)) {
+      keyed.emplace_back(key, datagram(static_cast<std::uint16_t>(
+                                  rng.uniform_int(0x10000))));
+    }
+    if (rng.bernoulli(0.01)) {
+      keyed.emplace_back(key, std::vector<std::uint8_t>(
+                                  rng.uniform_int(RtpHeader::kSize), 0x80));
+    }
+    if (!rng.bernoulli(loss)) keyed.emplace_back(key, std::move(d));
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(keyed.size());
+  for (auto& [key, d] : keyed) out.push_back(std::move(d));
+  return out;
+}
+
+void expect_same_stats(const ReceiverStats& got, const ReceiverStats& want) {
+  EXPECT_EQ(got.datagrams, want.datagrams);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.invalid, want.invalid);
+  EXPECT_EQ(got.duplicates, want.duplicates);
+  EXPECT_EQ(got.reordered, want.reordered);
+  EXPECT_EQ(got.too_late, want.too_late);
+  EXPECT_EQ(got.given_up, want.given_up);
+}
+
+void expect_same_packets(const std::vector<ReceivedPacket>& got,
+                         const std::vector<ReceivedPacket>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].extended_sequence, want[i].extended_sequence) << i;
+    EXPECT_EQ(got[i].header.sequence_number, want[i].header.sequence_number);
+    EXPECT_EQ(got[i].datagram, want[i].datagram) << i;
+  }
+}
+
+TEST(ReceiverProperty, SortedBufferMatchesTheMapOracle) {
+  for (const std::size_t capacity : {1u, 4u, 32u}) {
+    SCOPED_TRACE(capacity);
+    proptest::check(
+        "Receiver matches the std::map oracle",
+        proptest::Config::from_env(0x4ecb0 + capacity, 120),
+        [&](util::Rng& rng, std::uint64_t) {
+          const ReceiverConfig config{.reorder_capacity = capacity};
+          Receiver rx{config};
+          MapReceiver oracle{config};
+          std::vector<ReceivedPacket> got;
+          std::vector<ReceivedPacket> want;
+          const double drain_prob = rng.uniform(0.0, 1.0);
+          for (auto& d : hostile_arrivals(rng)) {
+            oracle.push(d);
+            if (rng.bernoulli(0.5)) {
+              rx.push(std::span<const std::uint8_t>{d});
+            } else {
+              rx.push(std::move(d));
+            }
+            ASSERT_EQ(rx.buffered(), oracle.buffered());
+            if (rng.bernoulli(drain_prob)) {
+              rx.drain_ready_into(got);
+              oracle.drain_ready_into(want);
+              ASSERT_EQ(rx.buffered(), oracle.buffered());
+            }
+          }
+          rx.flush_into(got);
+          oracle.flush_into(want);
+          EXPECT_EQ(rx.buffered(), 0u);
+          expect_same_packets(got, want);
+          expect_same_stats(rx.stats(), oracle.stats());
+        });
+  }
 }
 
 }  // namespace
