@@ -94,11 +94,22 @@ void EventLoop::unwatch(int fd) {
 #endif
 }
 
+namespace {
+
+// Heap order for the <algorithm> heap functions: the front of timers_ is
+// the timer that fires first.  (deadline, id) is a strict total order, so
+// every valid heap pops in the same order.
+constexpr auto fires_later = [](const auto& a, const auto& b) {
+  return b.fires_before(a);
+};
+
+}  // namespace
+
 EventLoop::TimerId EventLoop::schedule_at(double deadline_s,
                                           std::function<void()> callback) {
   const TimerId id = next_timer_id_++;
   timers_.push_back(Timer{deadline_s, id, std::move(callback)});
-  sift_up(timers_.size() - 1);
+  std::push_heap(timers_.begin(), timers_.end(), fires_later);
   return id;
 }
 
@@ -108,56 +119,18 @@ EventLoop::TimerId EventLoop::schedule_after(double delay_s,
 }
 
 void EventLoop::cancel(TimerId id) {
-  for (std::size_t i = 0; i < timers_.size(); ++i) {
-    if (timers_[i].id == id) {
-      erase_timer(i);
-      return;
-    }
-  }
-}
-
-void EventLoop::sift_up(std::size_t index) {
-  Timer timer = std::move(timers_[index]);
-  while (index > 0) {
-    const std::size_t parent = (index - 1) / 2;
-    if (!timer.fires_before(timers_[parent])) break;
-    timers_[index] = std::move(timers_[parent]);
-    index = parent;
-  }
-  timers_[index] = std::move(timer);
-}
-
-void EventLoop::sift_down(std::size_t index) {
-  Timer timer = std::move(timers_[index]);
-  const std::size_t size = timers_.size();
-  for (;;) {
-    std::size_t child = 2 * index + 1;
-    if (child >= size) break;
-    if (child + 1 < size && timers_[child + 1].fires_before(timers_[child])) {
-      ++child;
-    }
-    if (!timers_[child].fires_before(timer)) break;
-    timers_[index] = std::move(timers_[child]);
-    index = child;
-  }
-  timers_[index] = std::move(timer);
-}
-
-void EventLoop::erase_timer(std::size_t index) {
-  const std::size_t last = timers_.size() - 1;
-  if (index != last) timers_[index] = std::move(timers_[last]);
+  const auto it = std::find_if(timers_.begin(), timers_.end(),
+                               [id](const Timer& t) { return t.id == id; });
+  if (it == timers_.end()) return;
+  if (it != timers_.end() - 1) *it = std::move(timers_.back());
   timers_.pop_back();
-  if (index == last) return;
-  if (index > 0 && timers_[index].fires_before(timers_[(index - 1) / 2])) {
-    sift_up(index);
-  } else {
-    sift_down(index);
-  }
+  std::make_heap(timers_.begin(), timers_.end(), fires_later);
 }
 
 std::function<void()> EventLoop::pop_earliest() {
-  std::function<void()> callback = std::move(timers_.front().callback);
-  erase_timer(0);
+  std::pop_heap(timers_.begin(), timers_.end(), fires_later);
+  std::function<void()> callback = std::move(timers_.back().callback);
+  timers_.pop_back();
   return callback;
 }
 

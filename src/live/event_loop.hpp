@@ -139,9 +139,6 @@ class EventLoop {
 
   /// Remove the earliest timer and return its callback.
   std::function<void()> pop_earliest();
-  void erase_timer(std::size_t index);
-  void sift_up(std::size_t index);
-  void sift_down(std::size_t index);
 
   [[nodiscard]] double monotonic_now_s() const;
 
@@ -154,8 +151,9 @@ class EventLoop {
   bool repoll_ = true;             ///< a virtual loop must wait next round.
   std::uint64_t sends_seen_ = 0;   ///< sends_on_this_thread() at last wait.
   int epoll_fd_ = -1;  ///< -1 when the poll(2) backend is active.
-  /// Binary min-heap on (deadline_s, id): the same total order a sorted
-  /// map would give, without a node allocation per timer.
+  /// Heap on (deadline_s, id), earliest at the front (std::push_heap and
+  /// friends): the same firing order a sorted map would give, without a
+  /// node allocation per timer.
   std::vector<Timer> timers_;
   std::vector<std::pair<int, std::function<void()>>> watchers_;
 };

@@ -99,8 +99,8 @@ void Server::handle_control(const ControlMsg& msg, const Endpoint& from) {
       Session& session = slot->second;
       session.peer = from;
       session.expected_packets = msg.aux;
-      // Sized once from the HELLO, capped at one sequence cycle so a
-      // hostile count cannot reserve gigabytes.
+      // Sized once from the HELLO's (untrusted) count, capped so a
+      // session reserves no more than a few dozen kilobytes up front.
       session.received.reserve(
           std::min<std::size_t>(msg.aux, kMaxReservedPackets));
       session.last_heard_s = loop_.now_s();

@@ -33,8 +33,9 @@ namespace tv::live {
 inline constexpr std::size_t kStallBacklogCap = 8192;
 
 /// Most packets a session reserves room for up front from its HELLO's
-/// count: one cycle of the 16-bit RTP sequence space.
-inline constexpr std::size_t kMaxReservedPackets = 1 << 16;
+/// count (48 KB of packet records); a longer session's list grows as the
+/// packets arrive.
+inline constexpr std::size_t kMaxReservedPackets = 1024;
 
 struct ServerConfig {
   Endpoint bind;  ///< default loopback, ephemeral port.

@@ -144,11 +144,12 @@ struct ClientConfig {
 };
 
 /// One supervised uploader: owns its socket (connected to the server
-/// by start()), handshakes with the server, streams `wire_packets` at the paced schedule, and walks the
-/// session state machine under the watchdog.  `wire_packets` carry the
-/// policy's encryption; `clear_packets` are the same stream in
-/// plaintext, used when the degradation ladder decides a packet should
-/// ship clear.  Both must outlive the session.
+/// by start()), handshakes with the server, streams `wire_packets` at
+/// the paced schedule, and walks the session state machine under the
+/// watchdog.  `wire_packets` carry the policy's encryption;
+/// `clear_packets` are the same stream in plaintext, used when the
+/// degradation ladder decides a packet should ship clear.  Both must
+/// outlive the session.
 class ClientSession {
  public:
   ClientSession(EventLoop& loop, ClientConfig config,

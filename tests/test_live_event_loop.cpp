@@ -429,18 +429,25 @@ TEST(ClientSessionServerGone, ServerClosingMidStreamEndsTheSession) {
   auto server = std::make_unique<UdpSocket>();
   server->bind(Endpoint{});
   const int server_fd = server->fd();
+  bool closing = false;
   loop.watch_readable(server_fd, [&] {
     while (auto d = server->receive()) {
       const auto hello = ControlMsg::try_parse(d->payload);
-      if (!hello || hello->type != ControlMsg::Type::kHello) continue;
+      if (closing || !hello || hello->type != ControlMsg::Type::kHello) {
+        continue;
+      }
       ControlMsg accept;
       accept.type = ControlMsg::Type::kAccept;
       accept.ssrc = hello->ssrc;
       ASSERT_EQ(server->send_to(d->from, accept.serialize()),
                 SendOutcome::kSent);
-      server.reset();
-      loop.unwatch(server_fd);  // destroys this callback: return at once.
-      return;
+      // Close from a timer at the same instant: unwatching here would
+      // destroy this callback while it runs.
+      closing = true;
+      loop.schedule_after(0.0, [&] {
+        loop.unwatch(server_fd);
+        server.reset();
+      });
     }
   });
   const auto packets = contract_packets(kPackets);

@@ -44,30 +44,43 @@ TEST(Server, RejectsConfigNonsense) {
   EXPECT_THROW((void)Server(loop, config), std::invalid_argument);
 }
 
-TEST(Server, HelloClaimingBillionsOfPacketsReservesOneSequenceCycle) {
-  // The server sizes a session's packet list from the HELLO's count, an
-  // untrusted number: 2^32 - 1 packets must not become a 200 GB
-  // reservation (a bad_alloc out of the loop), only one 16-bit cycle.
+TEST(Server, HostileHelloCountsReserveAtMostTheCapEach) {
+  // A HELLO's packet count is an untrusted number, and a session is kept
+  // until finish() even after its BYE.  A peer that cycles HELLO(2^32-1)
+  // and BYE under fresh SSRCs must leave at most kMaxReservedPackets of
+  // room per session behind, not room for the packets it claimed (a
+  // bad_alloc out of the loop, or gigabytes per pair of datagrams).
+  constexpr int kSessions = 64;
   EventLoop loop{ClockMode::kVirtual};
   Server server{loop, ServerConfig{}};
   server.start();
   UdpSocket client;
   client.bind(Endpoint{});
-  ControlMsg hello;
-  hello.type = ControlMsg::Type::kHello;
-  hello.ssrc = 0x4e110;
-  hello.aux = 0xFFFFFFFFu;
   const Endpoint to = server.endpoint();
-  loop.schedule_at(0.0, [&] {
-    EXPECT_EQ(client.send_to(to, hello.serialize()), SendOutcome::kSent);
-  });
+  for (int i = 0; i < kSessions; ++i) {
+    loop.schedule_at(1e-3 * i, [&, i] {
+      ControlMsg msg;
+      msg.ssrc = 0x4e110u + static_cast<std::uint32_t>(i);
+      msg.type = ControlMsg::Type::kHello;
+      msg.aux = 0xFFFFFFFFu;
+      EXPECT_EQ(client.send_to(to, msg.serialize()), SendOutcome::kSent);
+      msg.type = ControlMsg::Type::kBye;
+      msg.aux = 0;
+      EXPECT_EQ(client.send_to(to, msg.serialize()), SendOutcome::kSent);
+    });
+  }
   EXPECT_NO_THROW(loop.run());
-  EXPECT_EQ(server.report().admitted, 1u);
+  EXPECT_EQ(server.report().admitted, static_cast<std::size_t>(kSessions));
+  EXPECT_EQ(server.report().closed, static_cast<std::size_t>(kSessions));
   const auto sessions = server.finish();
-  ASSERT_EQ(sessions.size(), 1u);
-  EXPECT_EQ(sessions[0].expected_packets, 0xFFFFFFFFu);
-  EXPECT_GE(sessions[0].packets.capacity(), kMaxReservedPackets);
-  EXPECT_LE(sessions[0].packets.capacity(), 2 * kMaxReservedPackets);
+  ASSERT_EQ(sessions.size(), static_cast<std::size_t>(kSessions));
+  std::size_t reserved = 0;
+  for (const auto& session : sessions) {
+    EXPECT_EQ(session.expected_packets, 0xFFFFFFFFu);
+    EXPECT_TRUE(session.packets.empty());
+    reserved += session.packets.capacity();
+  }
+  EXPECT_LE(reserved, kSessions * kMaxReservedPackets);
 }
 
 TEST(RunLoad, CleanFleetAllComplete) {
