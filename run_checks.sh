@@ -37,7 +37,9 @@
 #     server + seeded fault injection) plus a 200-session `live load`
 #     chaos run (spurious wakeups included), in both the plain and the
 #     ASan+UBSan builds, each under a hard timeout, and diffs its report
-#     against tests/data/live_load_chaos_200.txt.  Same watchdog
+#     against tests/data/live_load_chaos_200.txt; the ASan+UBSan build
+#     also runs the live_load_faults CLI case (the uplink fault plan,
+#     damage in place) and diffs it against its transcript.  Same watchdog
 #     rationale as --live-smoke.  The plain build also serves 5000
 #     sessions under a 15 s timeout and diffs the report against
 #     tests/data/live_load_5000.txt, the guard against a server whose
@@ -542,6 +544,15 @@ if [[ "${mode}" == "--chaos-smoke" ]]; then
     timeout 300 ./build-asan/tools/thriftyvid "${smoke_args[@]}" \
     > build-asan/chaos_smoke_load200.txt
   diff tests/data/live_load_chaos_200.txt build-asan/chaos_smoke_load200.txt
+  # The uplink fault plan (drop, corrupt, truncate, dup, outage) damages
+  # datagrams in place through live::Impairment; its CLI transcript pins
+  # the report.
+  ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
+    timeout 120 ./build-asan/tools/thriftyvid live load --sessions=4 \
+    --per-session --psnr \
+    --chaos=drop=0.05,corrupt=0.1,truncate=0.05,dup=0.1,outage=0.5:0.3 \
+    > build-asan/chaos_smoke_faults.txt
+  diff tests/data/cli/live_load_faults.out build-asan/chaos_smoke_faults.txt
 
   echo "=== chaos smoke passed ==="
   exit 0

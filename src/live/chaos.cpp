@@ -97,14 +97,10 @@ ChaosSocket::ChaosSocket(EventLoop& loop, UdpSocket& socket,
       socket_(socket),
       plan_(plan),
       egress_rng_{util::derive_seed(seed, 0xc4a05, 1, 0)},
-      ingress_rng_{util::derive_seed(seed, 0xc4a05, 2, 0)} {
+      ingress_rng_{util::derive_seed(seed, 0xc4a05, 2, 0)},
+      impairment_{plan, util::derive_seed(seed, 0xc4a05, 3, 0),
+                  util::derive_seed(seed, 0xc4a05, 4, 0)} {
   plan_.validate();
-  if (plan_.channel) {
-    channel_.emplace(*plan_.channel, util::derive_seed(seed, 0xc4a05, 3, 0));
-  }
-  if (plan_.faults) {
-    injector_.emplace(*plan_.faults, util::derive_seed(seed, 0xc4a05, 4, 0));
-  }
 }
 
 SendOutcome ChaosSocket::send_to(const Endpoint& to,
@@ -123,33 +119,22 @@ SendOutcome ChaosSocket::send_to(const Endpoint& to,
     (void)socket_.send_to(to, payload.subspan(0, payload.size() / 2));
     return SendOutcome::kShort;
   }
+  if (impairment_.inert()) return socket_.send_to(to, payload);
   // Channel faults: the send succeeded as far as the sender knows.
-  if (wifi::in_outage(plan_.outages, loop_.now_s())) {
+  scratch_.assign(payload.begin(), payload.end());
+  const Verdict verdict = impairment_.decide(loop_.now_s(), scratch_);
+  stats_.damaged += static_cast<std::size_t>(verdict.damaged);
+  if (verdict.copies == 0) {
     ++stats_.dropped;
     return SendOutcome::kSent;
   }
-  if (channel_ && channel_->lose_packet()) {
-    ++stats_.dropped;
-    return SendOutcome::kSent;
+  if (verdict.copies == 2) ++stats_.duplicated;
+  SendOutcome outcome = SendOutcome::kSent;
+  for (int s = 0; s < verdict.copies; ++s) {
+    const SendOutcome o = socket_.send_to(to, scratch_);
+    if (o != SendOutcome::kSent) outcome = o;
   }
-  if (injector_) {
-    scratch_.assign(payload.begin(), payload.end());
-    const net::AppliedFaults applied = injector_->apply_one(scratch_);
-    if (applied.dropped) {
-      ++stats_.dropped;
-      return SendOutcome::kSent;
-    }
-    if (applied.duplicated) ++stats_.duplicated;
-    stats_.damaged += static_cast<std::size_t>(applied.damaged);
-    SendOutcome outcome = SendOutcome::kSent;
-    const int sends = applied.duplicated ? 2 : 1;
-    for (int s = 0; s < sends; ++s) {
-      const SendOutcome o = socket_.send_to(to, scratch_);
-      if (o != SendOutcome::kSent) outcome = o;
-    }
-    return outcome;
-  }
-  return socket_.send_to(to, payload);
+  return outcome;
 }
 
 std::optional<Datagram> ChaosSocket::receive() {

@@ -16,28 +16,24 @@
 #include <string>
 #include <vector>
 
-#include "net/fault_injector.hpp"
-#include "wifi/gilbert_elliott.hpp"
 #include "live/event_loop.hpp"
+#include "live/impairment.hpp"
 #include "live/udp.hpp"
 #include "util/rng.hpp"
+#include "wifi/gilbert_elliott.hpp"
 
 namespace tv::live {
 
 /// Everything that can go wrong in one run, declaratively.  Fault
 /// probabilities are independent per call; all draws come from RNGs
 /// forked off the single seed handed to the harness, so the same plan +
-/// seed reproduces the same damage byte for byte.
-struct ChaosPlan {
+/// seed reproduces the same damage byte for byte.  The inherited plan is
+/// the network's faults on the data path (uplink).
+struct ChaosPlan : ImpairmentPlan {
   // fd-level faults at the socket surface.
   double eagain_prob = 0.0;      ///< sendto reports EAGAIN; nothing sent.
   double short_send_prob = 0.0;  ///< kernel accepts a truncated datagram.
   double spurious_wakeup_prob = 0.0;  ///< receive returns empty (EINTR storm).
-
-  // network faults on the data path (uplink).
-  std::optional<net::FaultPlan> faults;  ///< bit damage / dup / truncate.
-  std::optional<wifi::GilbertElliottParams> channel;  ///< bursty loss.
-  std::vector<wifi::OutageWindow> outages;  ///< AP gone: nothing heard.
 
   // control-plane and application-level faults.
   double ctrl_drop_prob = 0.0;  ///< server's control replies vanish.
@@ -95,8 +91,7 @@ class ChaosSocket {
   const ChaosPlan& plan_;
   util::Rng egress_rng_;
   util::Rng ingress_rng_;
-  std::optional<wifi::GilbertElliottChannel> channel_;
-  std::optional<net::FaultInjector> injector_;
+  Impairment impairment_;
   ChaosStats stats_;
   std::vector<std::uint8_t> scratch_;  ///< reused per-send damage buffer.
 };

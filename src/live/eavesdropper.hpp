@@ -10,43 +10,36 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/trace.hpp"
+#include "live/impairment.hpp"
 #include "live/stream_map.hpp"
 #include "net/pcap.hpp"
 #include "net/receiver.hpp"
-#include "wifi/gilbert_elliott.hpp"
 
 namespace tv::live {
 
 struct TapReport {
   std::size_t heard = 0;     ///< datagrams presented to the tap.
-  std::size_t captured = 0;  ///< datagrams the tap's own channel let through.
+  std::size_t captured = 0;  ///< datagrams the tap's channel let through.
 };
 
-/// Capture policy: everything, a replayed per-packet mask (deterministic
-/// loopback), or the tap's own Gilbert-Elliott fading chain.
+/// Capture policy: everything, or a replayed per-packet mask
+/// (deterministic loopback) set through impairment().replay().
 class EavesdropperTap {
  public:
   explicit EavesdropperTap(core::TraceSink* trace = nullptr)
       : trace_(trace) {}
 
-  /// Replay mode: capture exactly the packets whose stream index is set
-  /// in `mask` (an in-memory transfer's eavesdropper_captured).  Needs
-  /// the map to turn wire sequences into stream indices.
-  void set_capture_mask(const StreamMap* map, std::vector<bool> mask);
-
-  /// Stochastic mode: the tap fades independently of the receiver.
-  void set_channel(const wifi::GilbertElliottParams& params,
-                   std::uint64_t seed);
+  /// The tap's channel.  It carries no fault plan, so hearing never
+  /// changes the bytes the proxy goes on to impair.
+  [[nodiscard]] Impairment& impairment() { return impairment_; }
 
   /// Present one overheard datagram to the tap at `time_s`.  The tap
   /// copies the bytes only when it actually captures them.
-  void hear(double time_s, std::span<const std::uint8_t> datagram);
+  void hear(double time_s, std::vector<std::uint8_t>& datagram);
 
   /// Write everything captured as a classic pcap file.  Returns the
   /// writer's clamp count (suspect-capture flag).
@@ -64,9 +57,7 @@ class EavesdropperTap {
 
  private:
   core::TraceSink* trace_;
-  const StreamMap* mask_map_ = nullptr;
-  std::vector<bool> capture_mask_;
-  std::optional<wifi::GilbertElliottChannel> channel_;
+  Impairment impairment_;
   std::vector<net::RawCapture> captures_;
   TapReport report_;
 };

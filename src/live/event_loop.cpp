@@ -1,49 +1,32 @@
 #include "live/event_loop.hpp"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <time.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "live/udp.hpp"
 
 namespace tv::live {
 
-EventLoop::EventLoop(ClockMode mode, PollBackend backend) : mode_(mode) {
+EventLoop::EventLoop(ClockMode mode)
+    : mode_(mode), epoll_fd_(::epoll_create1(0)) {
+  if (epoll_fd_ < 0) {
+    throw std::runtime_error{std::string{"EventLoop: epoll_create1: "} +
+                             std::strerror(errno)};
+  }
   if (mode_ == ClockMode::kMonotonic) {
     monotonic_origin_s_ = monotonic_now_s();
   }
-#ifdef __linux__
-  if (backend != PollBackend::kPoll) {
-    epoll_fd_ = ::epoll_create1(0);
-    if (epoll_fd_ < 0 && backend == PollBackend::kEpoll) {
-      throw std::runtime_error{std::string{"EventLoop: epoll_create1: "} +
-                               std::strerror(errno)};
-    }
-  }
-#else
-  if (backend == PollBackend::kEpoll) {
-    throw std::runtime_error{"EventLoop: epoll backend unsupported here"};
-  }
-#endif
 }
 
-EventLoop::~EventLoop() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-}
-
-PollBackend EventLoop::backend() const {
-  return epoll_fd_ >= 0 ? PollBackend::kEpoll : PollBackend::kPoll;
-}
+EventLoop::~EventLoop() { ::close(epoll_fd_); }
 
 double EventLoop::monotonic_now_s() const {
   timespec ts{};
@@ -65,20 +48,15 @@ void EventLoop::watch_readable(int fd, std::function<void()> on_readable) {
       return;
     }
   }
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
+    throw std::runtime_error{std::string{"EventLoop: epoll_ctl add: "} +
+                             std::strerror(errno)};
+  }
   watchers_.emplace_back(fd, std::move(on_readable));
   repoll_ = true;  // the descriptor may already hold data.
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) < 0) {
-      watchers_.pop_back();
-      throw std::runtime_error{std::string{"EventLoop: epoll_ctl add: "} +
-                               std::strerror(errno)};
-    }
-  }
-#endif
 }
 
 void EventLoop::unwatch(int fd) {
@@ -86,12 +64,8 @@ void EventLoop::unwatch(int fd) {
                                   [fd](const auto& w) { return w.first == fd; });
   if (end == watchers_.end()) return;
   watchers_.erase(end, watchers_.end());
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    // The descriptor may already be closed; deregistration is best-effort.
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
+  // The descriptor may already be closed; deregistration is best-effort.
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 namespace {
@@ -134,65 +108,50 @@ std::function<void()> EventLoop::pop_earliest() {
   return callback;
 }
 
+std::size_t EventLoop::find_watcher(int fd) const {
+  std::size_t i = 0;
+  while (i < watchers_.size() && watchers_[i].first != fd) ++i;
+  return i;
+}
+
 std::size_t EventLoop::dispatch_fd(int fd) {
   // Re-find by fd: an earlier callback this round may have unwatched or
-  // replaced it.
-  for (const auto& [watched_fd, callback] : watchers_) {
-    if (watched_fd == fd) {
-      callback();
-      return 1;
-    }
+  // replaced it.  An empty callback is one already running further up
+  // the stack (a callback that pumps the loop).
+  std::size_t i = find_watcher(fd);
+  if (i == watchers_.size() || !watchers_[i].second) return 0;
+  // The callback runs from a local, so unwatch() erasing its slot or
+  // watch_readable() growing the table cannot pull it from under itself.
+  // Moving a std::function allocates nothing.
+  std::function<void()> callback = std::exchange(watchers_[i].second, {});
+  callback();
+  // Put it back unless it unwatched or replaced itself.
+  i = find_watcher(fd);
+  if (i < watchers_.size() && !watchers_[i].second) {
+    watchers_[i].second = std::move(callback);
   }
-  return 0;
+  return 1;
 }
 
 std::size_t EventLoop::poll_once(int timeout_ms) {
   ++poll_rounds_;
-  if (watchers_.empty()) {
-    // Nothing to watch, but the timeout must still be honoured: a
-    // monotonic loop whose only pending work is a future timer sleeps to
-    // the deadline here instead of spinning.  poll(2) with zero fds is a
-    // portable sleep.
-    if (timeout_ms != 0) (void)::poll(nullptr, 0, timeout_ms);
-    return 0;
-  }
-
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event events[64];
-    const int ready = ::epoll_wait(epoll_fd_, events,
-                                   static_cast<int>(std::size(events)),
-                                   timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) return 0;
-      throw std::runtime_error{std::string{"EventLoop: epoll_wait: "} +
-                               std::strerror(errno)};
-    }
-    // A full batch may have left ready descriptors for the next wait.
-    if (ready == static_cast<int>(std::size(events))) repoll_ = true;
-    std::size_t dispatched = 0;
-    for (int i = 0; i < ready; ++i) {
-      dispatched += dispatch_fd(events[i].data.fd);
-    }
-    return dispatched;
-  }
-#endif
-
-  std::vector<pollfd> fds;
-  fds.reserve(watchers_.size());
-  for (const auto& [fd, callback] : watchers_) {
-    fds.push_back(pollfd{fd, POLLIN, 0});
-  }
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  // With no watchers this is a plain sleep on the empty set: a monotonic
+  // loop whose only pending work is a future timer sleeps to the
+  // deadline here instead of spinning.
+  epoll_event events[64];
+  const int ready = ::epoll_wait(epoll_fd_, events,
+                                 static_cast<int>(std::size(events)),
+                                 timeout_ms);
   if (ready < 0) {
     if (errno == EINTR) return 0;
-    throw std::runtime_error{std::string{"EventLoop: poll: "} +
+    throw std::runtime_error{std::string{"EventLoop: epoll_wait: "} +
                              std::strerror(errno)};
   }
+  // A full batch may have left ready descriptors for the next wait.
+  if (ready == static_cast<int>(std::size(events))) repoll_ = true;
   std::size_t dispatched = 0;
-  for (const pollfd& p : fds) {
-    if ((p.revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    dispatched += dispatch_fd(p.fd);
+  for (int i = 0; i < ready; ++i) {
+    dispatched += dispatch_fd(events[i].data.fd);
   }
   return dispatched;
 }

@@ -1,5 +1,5 @@
-// Single-threaded event loop with deadline timers, two clock modes and
-// two poll backends.
+// Single-threaded event loop with deadline timers and two clock modes
+// over one kernel wait, epoll(7).
 //
 // Every live role runs inside one of these: readable-fd callbacks drive
 // datagram handling, deadline timers drive pacing and idle detection.
@@ -26,12 +26,14 @@
 // dispatch order, and every output, is the same as polling before every
 // timer.  Monotonic mode waits in every round, as it must.
 //
-// The kernel wait is epoll(7) where available (the multi-session server
-// watches one descriptor per client session, and poll(2)'s O(n) scan per
-// round is the wrong shape for hundreds of flows); poll(2) remains as a
-// portable fallback and is selectable for tests.  Both backends are
-// level-triggered and dispatch identically, so runs are byte-identical
-// across backends.
+// The kernel wait is level-triggered epoll(7), so the live plane needs
+// Linux: the multi-session server watches one descriptor per client
+// session, and a wait that costs O(ready) rather than O(watched) is what
+// keeps a 5000-session run linear.
+//
+// A readable callback may unwatch its own descriptor or watch new ones:
+// the loop moves the callback out of its table for the call, so neither
+// destroys nor moves the closure that is running.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +45,6 @@ namespace tv::live {
 enum class ClockMode {
   kVirtual,    ///< clock jumps to the next deadline; the wait never blocks.
   kMonotonic,  ///< CLOCK_MONOTONIC; the wait blocks until the next deadline.
-};
-
-enum class PollBackend {
-  kAuto,   ///< epoll on Linux, poll elsewhere.
-  kPoll,   ///< portable poll(2).
-  kEpoll,  ///< epoll(7); construction throws where unsupported.
 };
 
 /// Whether a watchdog armed for `last_s + timeout_s` has come due at
@@ -67,13 +63,11 @@ class EventLoop {
  public:
   using TimerId = std::uint64_t;
 
-  explicit EventLoop(ClockMode mode, PollBackend backend = PollBackend::kAuto);
+  /// Throws std::runtime_error if the epoll instance cannot be created.
+  explicit EventLoop(ClockMode mode);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  /// The backend actually in use (kAuto resolved at construction).
-  [[nodiscard]] PollBackend backend() const;
 
   /// Current time in seconds.  Virtual mode starts at 0; monotonic mode
   /// is relative to loop construction.
@@ -130,12 +124,13 @@ class EventLoop {
     }
   };
 
-  /// Wait for watched fds (via the active backend) and dispatch ready
-  /// callbacks.  `timeout_ms` < 0 blocks indefinitely.  With no watchers
-  /// the call still honours the timeout as a plain sleep.  Returns the
-  /// number of callbacks dispatched.
+  /// Wait for watched fds and dispatch ready callbacks.  `timeout_ms` < 0
+  /// blocks indefinitely.  With no watchers the wait on the empty set is
+  /// a plain sleep.  Returns the number of callbacks dispatched.
   std::size_t poll_once(int timeout_ms);
   std::size_t dispatch_fd(int fd);
+  /// Index of `fd`'s watcher, or watchers_.size() when it has none.
+  [[nodiscard]] std::size_t find_watcher(int fd) const;
 
   /// Remove the earliest timer and return its callback.
   std::function<void()> pop_earliest();
@@ -150,7 +145,7 @@ class EventLoop {
   std::size_t poll_rounds_ = 0;
   bool repoll_ = true;             ///< a virtual loop must wait next round.
   std::uint64_t sends_seen_ = 0;   ///< sends_on_this_thread() at last wait.
-  int epoll_fd_ = -1;  ///< -1 when the poll(2) backend is active.
+  int epoll_fd_ = -1;
   /// Heap on (deadline_s, id), earliest at the front (std::push_heap and
   /// friends): the same firing order a sorted map would give, without a
   /// node allocation per timer.

@@ -9,7 +9,6 @@
 #include "live/event_loop.hpp"
 #include "live/receiver_session.hpp"
 #include "live/stream_map.hpp"
-#include "util/rng.hpp"
 
 namespace tv::live {
 
@@ -91,13 +90,6 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   const StreamMap map = StreamMap::of(packets, frame_count);
 
   EavesdropperTap tap{config.trace};
-  if (!config.stochastic) {
-    tap.set_capture_mask(&map, transfer.eavesdropper_captured);
-  } else if (config.eavesdropper_channel) {
-    tap.set_channel(*config.eavesdropper_channel,
-                    util::derive_seed(config.seed, 0xeaef, 0, 0));
-  }
-
   ProxyConfig proxy_config;
   proxy_config.forward_to = receiver_socket.local_endpoint();
   proxy_config.seed = config.seed;
@@ -105,14 +97,14 @@ LoopbackReport run_loopback(const LoopbackConfig& config) {
   if (config.stochastic) {
     proxy_config.faults = config.faults;
     if (pipeline.channel) {
-      proxy_config.receiver_channel = pipeline.channel->receiver;
+      proxy_config.channel = pipeline.channel->receiver;
       proxy_config.outages = pipeline.channel->outages;
     }
   }
-  ImpairmentProxy proxy{loop, proxy_socket, proxy_socket, proxy_config,
-                        &tap};
+  ImpairmentProxy proxy{loop, proxy_socket, proxy_config, &tap};
   if (!config.stochastic) {
-    proxy.set_forward_mask(&map, transfer.receiver_delivered);
+    tap.impairment().replay(map, transfer.eavesdropper_captured);
+    proxy.impairment().replay(map, transfer.receiver_delivered);
   }
 
   ReceiverSessionConfig rx_config;

@@ -11,8 +11,9 @@
 //    what the pinned e2e test asserts (within 0.1 dB).
 //
 //  * stochastic: the proxy impairs with its own Gilbert-Elliott chain /
-//    fault plan seeded from the run seed.  Still deterministic in the
-//    seed (virtual clock, fixed RNG streams), but no in-memory twin.
+//    fault plan seeded from the run seed, and the tap hears everything.
+//    Still deterministic in the seed (virtual clock, fixed RNG streams),
+//    but no in-memory twin.
 //
 // Either way the run reports live, in-memory and analytic (distortion
 // model) PSNRs side by side for the receiver and the eavesdropper.
@@ -50,9 +51,8 @@ struct LoopbackConfig {
   /// false: replay the in-memory transfer's masks (pinned determinism).
   /// true: the proxy/tap impair stochastically from the seed.
   bool stochastic = false;
-  /// Stochastic-mode extras (ignored in replay mode).
+  /// Stochastic-mode proxy fault plan (ignored in replay mode).
   std::optional<net::FaultPlan> faults;
-  std::optional<wifi::GilbertElliottParams> eavesdropper_channel;
   /// When non-empty, write the tap's capture here as a classic pcap.
   std::string pcap_path;
   core::TraceSink* trace = nullptr;  ///< optional; zero overhead when null.

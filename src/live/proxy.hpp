@@ -1,38 +1,32 @@
 // UDP impairment proxy: the testbed's "air".
 //
-// Sender → proxy → receiver, all real UDP.  Every datagram the proxy
-// hears is first offered to the eavesdropper tap (an attacker overhears
-// the transmission, not the delivery), then subjected to the receiver's
-// channel: a replayed per-packet delivery mask (deterministic loopback),
-// scheduled AP outages plus a Gilbert-Elliott fading chain, and/or a
-// net::FaultInjector plan (corruption, truncation, duplication) with a
-// proxy-side holdback queue for reordering.  Survivors are forwarded to
-// the receiver's endpoint.  Everything is driven by one seed.
+// Sender → proxy → receiver, all real UDP, through one socket.  Every
+// datagram the proxy hears is first offered to the eavesdropper tap (an
+// attacker overhears the transmission, not the delivery), then to the
+// receiver's live::Impairment (a replayed delivery mask, or outages, a
+// Gilbert-Elliott chain and a fault plan), with a proxy-side holdback
+// queue for reordering.  Survivors are forwarded to the receiver's
+// endpoint.  Everything is driven by one seed.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/trace.hpp"
 #include "live/eavesdropper.hpp"
 #include "live/event_loop.hpp"
-#include "live/stream_map.hpp"
+#include "live/impairment.hpp"
 #include "live/udp.hpp"
-#include "net/fault_injector.hpp"
 #include "util/rng.hpp"
-#include "wifi/gilbert_elliott.hpp"
 
 namespace tv::live {
 
-struct ProxyConfig {
+/// The inherited plan is the receiver path's; a replay mask set through
+/// impairment() overrides it.
+struct ProxyConfig : ImpairmentPlan {
   Endpoint forward_to;
-  /// Receiver-path impairments (all optional; replay mask wins if set).
-  std::optional<net::FaultPlan> faults;
-  std::optional<wifi::GilbertElliottParams> receiver_channel;
-  std::vector<wifi::OutageWindow> outages;
   std::uint64_t seed = 1;
   core::TraceSink* trace = nullptr;  ///< optional; zero overhead when null.
   /// When > 0: after this long with no datagrams, release holdbacks,
@@ -52,15 +46,12 @@ struct ProxyReport {
 class ImpairmentProxy {
  public:
   /// `tap` may be null (no eavesdropper on this network).  The tap and
-  /// sockets must outlive the proxy.
-  ImpairmentProxy(EventLoop& loop, UdpSocket& in_socket,
-                  UdpSocket& out_socket, ProxyConfig config,
+  /// the socket, which both hears and forwards, must outlive the proxy.
+  ImpairmentProxy(EventLoop& loop, UdpSocket& socket, ProxyConfig config,
                   EavesdropperTap* tap);
 
-  /// Replay mode: forward exactly the packets whose stream index is set
-  /// in `mask` (an in-memory transfer's receiver_delivered).  Overrides
-  /// outage/channel/fault impairments for matched packets.
-  void set_forward_mask(const StreamMap* map, std::vector<bool> mask);
+  /// The receiver's channel; Impairment::replay() sets a delivery mask.
+  [[nodiscard]] Impairment& impairment() { return impairment_; }
 
   /// Start watching the ingress socket (and arm the idle deadline).
   void start();
@@ -79,15 +70,11 @@ class ImpairmentProxy {
   void arm_idle_deadline();
 
   EventLoop& loop_;
-  UdpSocket& in_socket_;
-  UdpSocket& out_socket_;
+  UdpSocket& socket_;
   ProxyConfig config_;
   EavesdropperTap* tap_;
-  std::optional<net::FaultInjector> injector_;
-  std::optional<wifi::GilbertElliottChannel> channel_;
+  Impairment impairment_;
   util::Rng reorder_rng_;
-  const StreamMap* mask_map_ = nullptr;
-  std::vector<bool> forward_mask_;
   std::deque<std::vector<std::uint8_t>> held_;
   ProxyReport report_;
   Datagram scratch_;  ///< pooled receive + in-place damage buffer.

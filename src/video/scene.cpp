@@ -30,73 +30,15 @@ double lattice_row(std::uint64_t column, std::int64_t iy) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-double lattice_noise(std::int64_t ix, std::int64_t iy, std::uint64_t seed) {
-  return lattice_row(lattice_column(ix, seed), iy);
-}
-
 double smoothstep(double t) { return t * t * (3.0 - 2.0 * t); }
 
-// Bilinear value noise along one row of world coordinates: y is fixed, so
-// fy, iy and ty are computed once, and the four lattice hashes of a cell
-// are kept while x stays in it (and shifted across when x steps into the
-// next cell).  Every value keeps value noise's per-point expression and
-// evaluation order, so at(x) equals it bit for bit for any x; calls with
-// non-decreasing x only hash each lattice point once.  Object textures use
-// it: their x is fractional and differs per object.
-class RowNoise {
- public:
-  RowNoise(double y, double scale, std::uint64_t seed)
-      : scale_(scale), seed_(seed) {
-    const double fy = y / scale;
-    iy_ = static_cast<std::int64_t>(std::floor(fy));
-    ty_ = smoothstep(fy - static_cast<double>(iy_));
-  }
-
-  double at(double x) {
-    const double fx = x / scale_;
-    // Truncation is floor for fx >= 0, and a plain conversion instead of
-    // a libm call.
-    const auto ix = fx >= 0.0 ? static_cast<std::int64_t>(fx)
-                              : static_cast<std::int64_t>(std::floor(fx));
-    const double tx = smoothstep(fx - static_cast<double>(ix));
-    if (!cached_ || ix != ix_) {
-      if (cached_ && ix == ix_ + 1) {
-        n00_ = n10_;
-        n01_ = n11_;
-      } else {
-        n00_ = lattice_noise(ix, iy_, seed_);
-        n01_ = lattice_noise(ix, iy_ + 1, seed_);
-      }
-      n10_ = lattice_noise(ix + 1, iy_, seed_);
-      n11_ = lattice_noise(ix + 1, iy_ + 1, seed_);
-      ix_ = ix;
-      cached_ = true;
-    }
-    const double a = n00_ + (n10_ - n00_) * tx;
-    const double b = n01_ + (n11_ - n01_) * tx;
-    return a + (b - a) * ty_;
-  }
-
- private:
-  double scale_;
-  std::uint64_t seed_;
-  std::int64_t iy_ = 0;
-  double ty_ = 0.0;
-  bool cached_ = false;
-  std::int64_t ix_ = 0;
-  double n00_ = 0.0;
-  double n10_ = 0.0;
-  double n01_ = 0.0;
-  double n11_ = 0.0;
-};
-
-// Bilinear value noise sampled on a frame's grid, x = step * c + x0 and
-// y = step * r + y0 for columns c < columns and rows r < rows.  The lerp
-// along x between lattice points (ix, j) and (ix + 1, j) depends only on
-// the column and the lattice row j, so it is tabulated once for every
-// lattice row the grid's rows touch; a sample then takes one lerp in y
-// between two table rows.  Operands, expression and order are value
-// noise's, so every sample equals it bit for bit.
+// Bilinear value noise sampled at x = xs[c] and y = ys[r], both
+// non-decreasing.  The lerp along x between lattice points (ix, j) and
+// (ix + 1, j) depends only on the column and the lattice row j, so it is
+// tabulated once for every lattice row the rows touch; a sample then
+// takes one lerp in y between two table rows.  Operands, expression and
+// order are value noise's, so every sample equals it bit for bit; the
+// callers compute each coordinate as the per-pixel form does.
 class NoiseGrid {
  public:
   /// Lattice rows iy and iy + 1 of one sample row, and its weight in y.
@@ -108,28 +50,30 @@ class NoiseGrid {
     [[nodiscard]] double at(int c) const { return a[c] + (b[c] - a[c]) * ty; }
   };
 
-  NoiseGrid(double scale, std::uint64_t seed, int columns, int rows,
-            double step, double x0, double y0)
-      : scale_(scale), step_(step), y0_(y0), columns_(columns) {
-    if (columns <= 0 || rows <= 0) return;
+  NoiseGrid(double scale, std::uint64_t seed, const std::vector<double>& xs,
+            const std::vector<double>& ys)
+      : columns_(static_cast<int>(xs.size())) {
+    if (xs.empty() || ys.empty()) return;
+    fy_.reserve(ys.size());
+    for (const double y : ys) fy_.push_back(y / scale);
     // The cell of each column; ix is monotonic in c, so its range is
     // that of the end columns.
-    std::vector<std::int64_t> ix(static_cast<std::size_t>(columns));
-    std::vector<double> tx(static_cast<std::size_t>(columns));
+    std::vector<std::int64_t> ix(xs.size());
+    std::vector<double> tx(xs.size());
     for (std::size_t c = 0; c < ix.size(); ++c) {
-      const double fx = (step * static_cast<int>(c) + x0) / scale;
+      const double fx = xs[c] / scale;
       ix[c] = cell(fx);
       tx[c] = smoothstep(fx - static_cast<double>(ix[c]));
     }
     const std::int64_t ix_lo = std::min(ix.front(), ix.back());
     const std::int64_t ix_hi = std::max(ix.front(), ix.back());
-    const std::int64_t iy_first = cell(fy(0));
-    const std::int64_t iy_last = cell(fy(rows - 1));
+    const std::int64_t iy_first = cell(fy_.front());
+    const std::int64_t iy_last = cell(fy_.back());
     iy_lo_ = std::min(iy_first, iy_last);
     const std::int64_t lattice_rows = std::max(iy_first, iy_last) - iy_lo_ + 2;
 
     values_.resize(static_cast<std::size_t>(lattice_rows) *
-                   static_cast<std::size_t>(columns));
+                   xs.size());
     std::vector<std::uint64_t> column_halves(
         static_cast<std::size_t>(ix_hi - ix_lo + 2));
     for (std::size_t k = 0; k < column_halves.size(); ++k) {
@@ -150,7 +94,7 @@ class NoiseGrid {
   }
 
   [[nodiscard]] Row row(int r) const {
-    const double y = fy(r);
+    const double y = fy_[static_cast<std::size_t>(r)];
     const std::int64_t iy = cell(y);
     const double* a =
         values_.data() + static_cast<std::size_t>(iy - iy_lo_) *
@@ -159,15 +103,12 @@ class NoiseGrid {
   }
 
  private:
-  [[nodiscard]] double fy(int r) const { return (step_ * r + y0_) / scale_; }
   static std::int64_t cell(double f) {
     return static_cast<std::int64_t>(std::floor(f));
   }
 
-  double scale_;
-  double step_;
-  double y0_;
   int columns_;
+  std::vector<double> fy_;      ///< ys / scale.
   std::int64_t iy_lo_ = 0;      ///< the first tabulated lattice row.
   std::vector<double> values_;  ///< lattice rows x columns_, row-major.
 };
@@ -291,21 +232,60 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
                       cy - h * std::floor(cy / h), o.radius + 1.0});
   }
 
+  // Sample coordinates step * i + origin for i < n.
+  const auto samples = [](int n, double step, double origin) {
+    std::vector<double> at;
+    at.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) at.push_back(step * i + origin);
+    return at;
+  };
+  // Each object's texture is sampled at ((xx - ox) + 100, (yy - oy) + 100)
+  // over the columns and rows within `reach` of its center (an interval),
+  // starting at column x0 and row y0.
+  struct Texture {
+    int x0 = 0;
+    int y0 = 0;
+    NoiseGrid grid;
+  };
+  const auto offsets = [](int n, double center, double reach, int& first) {
+    std::vector<double> at;
+    for (int i = 0; i < n; ++i) {
+      const double d = i - center;
+      if (std::abs(d) > reach) continue;
+      if (at.empty()) first = i;
+      at.push_back(d + 100.0);
+    }
+    return at;
+  };
+  std::vector<Texture> textures;
+  textures.reserve(placed.size());
+  for (const Placed& p : placed) {
+    int x0 = 0;
+    int y0 = 0;
+    const std::vector<double> xs = offsets(params_.width, p.ox, p.reach, x0);
+    const std::vector<double> ys = offsets(params_.height, p.oy, p.reach, y0);
+    textures.push_back(
+        {x0, y0, NoiseGrid{6.0, p.object->texture_seed, xs, ys}});
+  }
+
   // Luma plane: background + objects + sensor noise, one row at a time.
   // An object more than `reach` rows away cannot touch the row; the rest
-  // keep their texture's row state, in object order.
+  // take their texture's row, in object order.
   struct Active {
     const Placed* placed;
     double dy;
-    RowNoise texture;
+    NoiseGrid::Row texture;
+    int x0;
   };
   std::vector<Active> active;
   active.reserve(placed.size());
   // The two background octaves, sampled at (xx + pan_x, yy + pan_y).
-  const NoiseGrid coarse_grid{params_.texture_scale, bg_seed, params_.width,
-                              params_.height, 1.0, pan_x, pan_y};
+  const std::vector<double> luma_xs = samples(params_.width, 1.0, pan_x);
+  const std::vector<double> luma_ys = samples(params_.height, 1.0, pan_y);
+  const NoiseGrid coarse_grid{params_.texture_scale, bg_seed, luma_xs,
+                              luma_ys};
   const NoiseGrid fine_grid{params_.texture_scale / 4.0, bg_seed ^ 0xabcdULL,
-                            params_.width, params_.height, 1.0, pan_x, pan_y};
+                            luma_xs, luma_ys};
   // Sensor grain hashes lattice point (xx + 7919 index, yy); each
   // column's half of the hash is taken once per frame.
   std::vector<std::uint64_t> grain_columns(
@@ -318,24 +298,25 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
     const NoiseGrid::Row coarse = coarse_grid.row(yy);
     const NoiseGrid::Row fine = fine_grid.row(yy);
     active.clear();
-    for (const Placed& p : placed) {
+    for (std::size_t k = 0; k < placed.size(); ++k) {
+      const Placed& p = placed[k];
       const double dy = yy - p.oy;
       // Skipping is exact: such a point has dist >= |dy| > radius.
       if (std::abs(dy) > p.reach) continue;
-      active.push_back(
-          {&p, dy, RowNoise{dy + 100.0, 6.0, p.object->texture_seed}});
+      const Texture& t = textures[k];
+      active.push_back({&p, dy, t.grid.row(yy - t.y0), t.x0});
     }
     for (int xx = 0; xx < params_.width; ++xx) {
       // Two-octave fractal noise, mapped to [0, 255].
       double value = 40.0 + 170.0 * (0.7 * coarse.at(xx) + 0.3 * fine.at(xx));
-      for (Active& a : active) {
+      for (const Active& a : active) {
         const Placed& p = *a.placed;
         const double dx = xx - p.ox;
         if (std::abs(dx) > p.reach) continue;
         const Object& o = *p.object;
         const double dist = std::sqrt(dx * dx + a.dy * a.dy);
         if (dist < o.radius) {
-          const double tex = a.texture.at(dx + 100.0);
+          const double tex = a.texture.at(xx - a.x0);
           const double object_value = o.luma + 40.0 * (tex - 0.5);
           // Soft 3-pixel rim: sub-pixel object motion then produces small,
           // quantizable residuals instead of hard-edge spikes.
@@ -356,12 +337,14 @@ void SceneGenerator::render_into(int index, Frame& frame) const {
 
   // Chroma planes: smooth background tint, sampled at
   // (2 xx + pan_x, 2 yy + pan_y), + object colors.
+  const std::vector<double> chroma_xs =
+      samples(frame.chroma_width(), 2.0, pan_x);
+  const std::vector<double> chroma_ys =
+      samples(frame.chroma_height(), 2.0, pan_y);
   const NoiseGrid tint_b_grid{params_.texture_scale * 3.0, bg_seed ^ 0xbeefULL,
-                              frame.chroma_width(), frame.chroma_height(),
-                              2.0, pan_x, pan_y};
+                              chroma_xs, chroma_ys};
   const NoiseGrid tint_r_grid{params_.texture_scale * 3.0, bg_seed ^ 0xfeedULL,
-                              frame.chroma_width(), frame.chroma_height(),
-                              2.0, pan_x, pan_y};
+                              chroma_xs, chroma_ys};
   // As for luma, only objects within `reach` rows can touch a row; the
   // later of two overlapping objects still wins.
   struct Near {

@@ -1,10 +1,12 @@
 #include "live/event_loop.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,30 +141,35 @@ TEST(EventLoop, PumpDrainsReadableWithoutAdvancingClock) {
   EXPECT_EQ(loop.pump(), 0u);  // nothing left.
 }
 
-#ifdef __linux__
-TEST(EventLoop, AutoBackendResolvesToEpollOnLinux) {
-  EventLoop loop{ClockMode::kVirtual};
-  EXPECT_EQ(loop.backend(), PollBackend::kEpoll);
-  EventLoop forced{ClockMode::kVirtual, PollBackend::kPoll};
-  EXPECT_EQ(forced.backend(), PollBackend::kPoll);
-  EventLoop epoll{ClockMode::kVirtual, PollBackend::kEpoll};
-  EXPECT_EQ(epoll.backend(), PollBackend::kEpoll);
+TEST(EventLoop, ThrowsWhenTheEpollInstanceCannotBeCreated) {
+  // With no descriptor left to this process epoll_create1 fails, and the
+  // loop says so instead of running without a kernel wait.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit none = saved;
+  none.rlim_cur = 0;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &none), 0);
+  bool threw = false;
+  try {
+    EventLoop loop{ClockMode::kVirtual};
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_TRUE(threw);
 }
-#endif
 
-// Both backends must dispatch identically: the same timer/socket script
-// yields the same receive timeline, byte for byte.
-void run_backend_script(PollBackend backend,
-                        std::vector<std::pair<double, std::uint8_t>>* out) {
-  EventLoop loop{ClockMode::kVirtual, backend};
+TEST(EventLoop, TimerScriptedSendsArriveAtTheirDeadlines) {
+  EventLoop loop{ClockMode::kVirtual};
   UdpSocket tx;
   tx.bind(Endpoint{});
   UdpSocket rx;
   rx.bind(Endpoint{});
   const Endpoint to = rx.local_endpoint();
+  std::vector<std::pair<double, std::uint8_t>> received;
   loop.watch_readable(rx.fd(), [&] {
     while (auto d = rx.receive()) {
-      out->emplace_back(loop.now_s(), d->payload.at(0));
+      received.emplace_back(loop.now_s(), d->payload.at(0));
     }
   });
   for (std::uint8_t i = 0; i < 4; ++i) {
@@ -173,17 +180,75 @@ void run_backend_script(PollBackend backend,
   }
   loop.schedule_at(0.45, [&] { loop.unwatch(rx.fd()); });
   loop.run();
+  ASSERT_EQ(received.size(), 4u);
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    EXPECT_EQ(received[i].first, 0.1 * static_cast<double>(i + 1));
+    EXPECT_EQ(received[i].second, static_cast<std::uint8_t>(i * 3));
+  }
 }
 
-TEST(EventLoop, PollAndEpollBackendsDispatchIdentically) {
-  std::vector<std::pair<double, std::uint8_t>> via_poll;
-  run_backend_script(PollBackend::kPoll, &via_poll);
-  ASSERT_EQ(via_poll.size(), 4u);
-#ifdef __linux__
-  std::vector<std::pair<double, std::uint8_t>> via_epoll;
-  run_backend_script(PollBackend::kEpoll, &via_epoll);
-  EXPECT_EQ(via_poll, via_epoll);
-#endif
+TEST(EventLoop, CallbackMayUnwatchItsOwnDescriptor) {
+  // The closure captures a string by value, so std::function keeps it on
+  // the heap: were the watcher erased under the running callback, the
+  // read of `tag` after unwatch() would be a use after free.
+  EventLoop loop{ClockMode::kVirtual};
+  UdpSocket tx;
+  tx.bind(Endpoint{});
+  UdpSocket rx;
+  rx.bind(Endpoint{});
+  const std::uint8_t byte[] = {7};
+  ASSERT_EQ(tx.send_to(rx.local_endpoint(), byte), SendOutcome::kSent);
+  std::string seen;
+  const std::string tag(48, 'x');
+  loop.watch_readable(rx.fd(), [&loop, &rx, &seen, tag] {
+    while (rx.receive()) {
+    }
+    loop.unwatch(rx.fd());
+    seen = tag;
+  });
+  loop.run();
+  EXPECT_EQ(seen, tag);
+  EXPECT_EQ(loop.pump(), 0u);  // the watcher is gone.
+}
+
+TEST(EventLoop, CallbackMayWatchANewDescriptor) {
+  // A closure of one reference fits std::function's inline buffer, so it
+  // lives inside the watcher table: were the table to grow under the
+  // running callback, reading the capture after watch_readable() would
+  // be a use after free.
+  struct Fixture {
+    EventLoop loop{ClockMode::kVirtual};
+    UdpSocket tx, first, second;
+    int first_reads = 0;
+    int second_reads = 0;
+  } f;
+  f.tx.bind(Endpoint{});
+  f.first.bind(Endpoint{});
+  f.second.bind(Endpoint{});
+  const std::uint8_t byte[] = {1};
+  ASSERT_EQ(f.tx.send_to(f.first.local_endpoint(), byte),
+            SendOutcome::kSent);
+  f.loop.watch_readable(f.first.fd(), [&f] {
+    while (f.first.receive()) {
+    }
+    f.loop.watch_readable(f.second.fd(), [&f] {
+      while (f.second.receive()) ++f.second_reads;
+    });
+    ++f.first_reads;
+  });
+  f.loop.schedule_at(1.0, [&f, &byte] {
+    ASSERT_EQ(f.tx.send_to(f.second.local_endpoint(), byte),
+              SendOutcome::kSent);
+    ASSERT_EQ(f.tx.send_to(f.first.local_endpoint(), byte),
+              SendOutcome::kSent);
+  });
+  f.loop.schedule_at(2.0, [&f] {
+    f.loop.unwatch(f.first.fd());
+    f.loop.unwatch(f.second.fd());
+  });
+  f.loop.run();
+  EXPECT_EQ(f.first_reads, 2);
+  EXPECT_EQ(f.second_reads, 1);
 }
 
 TEST(EventLoop, MonotonicFutureTimerSleepsInsteadOfSpinning) {
@@ -513,32 +578,47 @@ TEST(Udp, SendOutcomeToStringCoversEveryValue) {
 TEST(Udp, RefusedDestinationIsCountedNotFatal) {
   // A UDP send to a closed loopback port triggers an ICMP port-unreachable
   // that surfaces as ECONNREFUSED on a connected socket.  The wrapper must
-  // absorb it (count + kRefused), never throw.  ICMP delivery is kernel-
-  // dependent, so the test only asserts the strong property when the error
-  // actually arrives.
+  // absorb it (count + kRefused), never throw, whether the next send or
+  // the next receive meets it.  ICMP delivery is kernel-dependent, so the
+  // test skips only when neither part ever sees the error.
   Endpoint closed;
   {
     UdpSocket probe;  // grab an ephemeral port, then free it.
     probe.bind(Endpoint{});
     closed = probe.local_endpoint();
   }
-  UdpSocket tx;
-  tx.bind(Endpoint{});
-  tx.connect(closed);
-  bool saw_refused = false;
   const std::uint8_t byte[] = {1};
-  for (int i = 0; i < 50 && !saw_refused; ++i) {
-    const SendOutcome outcome = tx.send_to(closed, byte);
+
+  // Part 1: sends alone, until one meets the queued error.
+  UdpSocket sender;
+  sender.bind(Endpoint{});
+  sender.connect(closed);
+  bool send_refused = false;
+  for (int i = 0; i < 50 && !send_refused; ++i) {
+    const SendOutcome outcome = sender.send_to(closed, byte);
     EXPECT_TRUE(outcome == SendOutcome::kSent ||
                 outcome == SendOutcome::kRefused);
-    if (outcome == SendOutcome::kRefused) saw_refused = true;
-    (void)tx.receive();  // receive() must also absorb queued errors.
+    send_refused = outcome == SendOutcome::kRefused;
   }
-  if (saw_refused) {
-    EXPECT_GE(tx.refusals(), 1u);
-  } else {
+  if (send_refused) {
+    EXPECT_EQ(sender.refusals(), 1u);
+  }
+
+  // Part 2: one send, then receive() absorbs the error queued behind it.
+  UdpSocket receiver;
+  receiver.bind(Endpoint{});
+  receiver.connect(closed);
+  ASSERT_EQ(receiver.send_to(closed, byte), SendOutcome::kSent);
+  for (int i = 0; i < 50 && receiver.refusals() == 0; ++i) {
+    EXPECT_FALSE(receiver.receive().has_value());
+  }
+  const bool receive_refused = receiver.refusals() == 1;
+
+  if (!send_refused && !receive_refused) {
     GTEST_SKIP() << "no ICMP port-unreachable surfaced on this kernel";
   }
+  EXPECT_TRUE(send_refused);
+  EXPECT_TRUE(receive_refused);
 }
 
 TEST(Udp, ParseEndpointAcceptsTheThreeForms) {

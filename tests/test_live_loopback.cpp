@@ -92,10 +92,6 @@ TEST(LiveLoopback, StochasticModeIsDeterministicInTheSeed) {
     faults.duplicate_prob = 0.05;
     faults.reorder_prob = 0.1;
     config.faults = faults;
-    wifi::GilbertElliottParams ev;
-    ev.mean_loss_prob = 0.2;
-    ev.mean_burst_length = 3.0;
-    config.eavesdropper_channel = ev;
     return config;
   };
   const LoopbackReport a = run_loopback(config_with_seed(7));
@@ -107,7 +103,7 @@ TEST(LiveLoopback, StochasticModeIsDeterministicInTheSeed) {
   EXPECT_EQ(a.proxy.reordered, b.proxy.reordered);
   EXPECT_EQ(a.tap.captured, b.tap.captured);
   EXPECT_GT(a.proxy.dropped, 0u);  // the impairments really ran.
-  EXPECT_LT(a.tap.captured, a.tap.heard);
+  EXPECT_EQ(a.tap.captured, a.tap.heard);  // the stochastic tap hears all.
 
   const LoopbackReport c = run_loopback(config_with_seed(8));
   EXPECT_NE(std::make_tuple(a.proxy.dropped, a.proxy.duplicated,

@@ -2,7 +2,8 @@
 // live datagram path.  OutageWindow::contains is start-inclusive and
 // end-exclusive, and the virtual clock sits exactly on each send time
 // when the proxy hears the datagram, so the boundary is exercised with
-// no tolerance games.
+// no tolerance games.  Also the replay rule of the shared channel
+// decision (live::Impairment).
 #include "live/proxy.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <vector>
 
 #include "live/event_loop.hpp"
+#include "live/impairment.hpp"
+#include "live/stream_map.hpp"
 #include "live/udp.hpp"
+#include "net/rtp.hpp"
 #include "wifi/gilbert_elliott.hpp"
 
 namespace tv::live {
@@ -34,7 +38,7 @@ std::vector<std::pair<double, std::uint8_t>> run_through_outage(
   ProxyConfig config;
   config.forward_to = rx.local_endpoint();
   config.outages = outages;
-  ImpairmentProxy proxy{loop, proxy_socket, proxy_socket, config, nullptr};
+  ImpairmentProxy proxy{loop, proxy_socket, config, nullptr};
   proxy.start();
 
   std::vector<std::pair<double, std::uint8_t>> received;
@@ -97,6 +101,42 @@ TEST(ProxyOutage, BackToBackWindowsLeaveNoGap) {
   for (const auto& [at, marker] : received) markers.push_back(marker);
   EXPECT_EQ(markers, (std::vector<std::uint8_t>{1}));
   EXPECT_EQ(report.dropped, 1u);
+}
+
+TEST(Impairment, ReplayLosesWhatTheMaskCannotPlace) {
+  // A three-packet stream from sequence 500; the mask lets 500 and 502
+  // through.  With a mask set, the mask decides every datagram, and one
+  // it cannot place is lost even though the plan is otherwise empty.
+  std::vector<net::VideoPacket> packets(3);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    packets[i].sequence = static_cast<std::uint16_t>(500 + i);
+  }
+  const StreamMap map = StreamMap::of(packets, 1);
+  Impairment impairment;
+  EXPECT_TRUE(impairment.inert());
+  impairment.replay(map, {true, false, true});
+  EXPECT_FALSE(impairment.inert());
+
+  const auto datagram = [](std::uint16_t sequence) {
+    std::vector<std::uint8_t> bytes(net::RtpHeader::kSize + 4, 0x5a);
+    net::RtpHeader header;
+    header.sequence_number = sequence;
+    EXPECT_TRUE(header.write_to(bytes));
+    return bytes;
+  };
+  const auto copies = [&](std::vector<std::uint8_t> bytes) {
+    const std::vector<std::uint8_t> heard = bytes;
+    const Verdict verdict = impairment.decide(0.0, bytes);
+    EXPECT_TRUE(verdict.replayed);
+    EXPECT_EQ(bytes, heard);  // a replayed datagram is never damaged.
+    return verdict.copies;
+  };
+  EXPECT_EQ(copies(datagram(500)), 1);
+  EXPECT_EQ(copies(datagram(501)), 0);
+  EXPECT_EQ(copies(datagram(502)), 1);
+  EXPECT_EQ(copies(datagram(503)), 0);  // past the stream.
+  EXPECT_EQ(copies(datagram(499)), 0);  // before it.
+  EXPECT_EQ(copies({0x80, 0x00}), 0);   // no RTP header at all.
 }
 
 }  // namespace

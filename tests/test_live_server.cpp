@@ -453,5 +453,29 @@ TEST(RunLoad, ChaosFleetServerReportIsPinned) {
   EXPECT_EQ(r.overload_entries, 1u);
 }
 
+TEST(RunLoad, FaultPlanDamageIsPinned) {
+  // The chaos plan of the live_load_faults CLI transcript (fault plan and
+  // AP outage) on every client's socket: every kind fires, and the
+  // tallies are pinned so no RNG draw of the channel decision moves
+  // unseen.
+  LoadConfig config;
+  config.sessions = 4;
+  config.chaos = chaos_plan_from_string(
+      "drop=0.05,corrupt=0.1,truncate=0.05,dup=0.1,outage=0.5:0.3");
+  const LoadReport report = run_load(config);
+
+  ChaosStats total;
+  for (const SessionSummary& s : report.sessions) {
+    total.sends += s.chaos.sends;
+    total.dropped += s.chaos.dropped;
+    total.damaged += s.chaos.damaged;
+    total.duplicated += s.chaos.duplicated;
+  }
+  EXPECT_EQ(total.sends, 217u);
+  EXPECT_EQ(total.dropped, 16u);  // fault-plan drops and the outage.
+  EXPECT_EQ(total.damaged, 116u);  // bit flips and truncations.
+  EXPECT_EQ(total.duplicated, 15u);
+}
+
 }  // namespace
 }  // namespace tv::live

@@ -1107,7 +1107,7 @@ int cmd_live_proxy(const Flags& args) {
   config.faults = read_faults(args);
   // Outages alone give a lossless chain: its draws use their own stream.
   if (const auto channel = read_channel(args, /*loss=*/0.0)) {
-    config.receiver_channel = channel->receiver;
+    config.channel = channel->receiver;
     config.outages = channel->outages;
   }
   config.seed = args.get_uint64("seed", 1);
@@ -1118,7 +1118,7 @@ int cmd_live_proxy(const Flags& args) {
   live::UdpSocket socket;
   socket.bind(endpoint_from(args, "bind", "0.0.0.0:5004"));
   live::EavesdropperTap tap{config.trace};
-  live::ImpairmentProxy proxy{loop, socket, socket, config, &tap};
+  live::ImpairmentProxy proxy{loop, socket, config, &tap};
   proxy.start();
   std::printf("proxy: %s -> %s\n",
               socket.local_endpoint().to_string().c_str(),
